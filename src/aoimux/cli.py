@@ -20,14 +20,10 @@ from .errors import (
     AoimuxError,
     ConfigError,
     EdgePeak,
-    InsufficientSamples,
     InvalidOrder,
-    LengthMismatch,
-    NonIntegerRatio,
+    NonFiniteSamples,
     NoPeak,
-    NyquistViolation,
     OrderTooLarge,
-    OutOfDomain,
     SingularSystem,
 )
 
@@ -36,16 +32,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    InvalidOrder,
-    NonIntegerRatio,
-    InsufficientSamples,
-    LengthMismatch,
-    NyquistViolation,
-    OutOfDomain,
-)
-_NUMERICAL_ERRORS = (SingularSystem, NoPeak, EdgePeak, OrderTooLarge)
+_NUMERICAL_ERRORS = (SingularSystem, NoPeak, EdgePeak, OrderTooLarge, NonFiniteSamples)
 
 
 def _out_dir(args) -> Path:
@@ -208,10 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"aoimux: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _CONFIG_ERRORS as exc:
-        print(f"aoimux: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except AoimuxError as exc:
+    except AoimuxError as exc:  # every other package error is a bad input
         print(f"aoimux: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

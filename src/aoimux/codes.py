@@ -14,6 +14,7 @@ re-checked at generation time, not by the particular tabulated pattern.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,14 @@ def _autocorrelation(bits: np.ndarray, lag: int) -> int:
     return int(np.dot(bits.astype(np.int64), np.roll(bits, lag).astype(np.int64)))
 
 
+@functools.lru_cache(maxsize=64)
 def generate_s_sequence(n: int) -> SSequence:
     """Generate the order-n sequence from the quadratic-residue construction.
 
     Self-validates: the full circulant identity is checked for n <= 1024,
-    row weight and spot-checked autocorrelation above that.
+    row weight and spot-checked autocorrelation above that.  Memoised per
+    order, so every caller in the process shares one value; its ``bits``
+    array is read-only (``shifted`` returns a fresh, writable copy).
     """
     if not validate_order(n):
         raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
@@ -153,6 +157,7 @@ def generate_s_sequence(n: int) -> SSequence:
         for lag in lags:
             if _autocorrelation(bits, int(lag)) != (n + 1) // 4:
                 raise InvalidOrder(f"order {n}: autocorrelation check failed")
+    seq.bits.setflags(write=False)
     return seq
 
 

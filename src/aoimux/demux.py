@@ -20,6 +20,7 @@ from .codes import SSequence, circulant_matrix
 from .errors import (
     InsufficientSamples,
     LengthMismatch,
+    NonFiniteSamples,
     NonIntegerRatio,
     OrderTooLarge,
     SingularSystem,
@@ -213,6 +214,21 @@ def reinterleave(subsets: list[list[MultiplexedFrame]]) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def _check_finite(folded: np.ndarray, used: np.ndarray) -> None:
+    """Raise NonFiniteSamples if the period mean is not finite.
+
+    Any NaN or Inf among the used samples reaches the mean, so checking
+    the small folded array is enough; the bad samples are counted only
+    on the error path.
+    """
+    if not np.isfinite(folded).all():
+        bad = used.size - np.count_nonzero(np.isfinite(used))
+        raise NonFiniteSamples(
+            f"{bad} of {used.size} samples in the complete periods are NaN or "
+            f"infinite; the period mean is not finite"
+        )
+
+
 def average_periods(stream: SampledStream) -> DepthProfile:
     """Mean over complete repetition periods of a single-pulse stream.
 
@@ -226,17 +242,23 @@ def average_periods(stream: SampledStream) -> DepthProfile:
         raise InsufficientSamples(
             f"{stream.samples.size} samples < one period of {period}"
         )
-    folded = stream.samples[: periods * period].reshape(periods, period).mean(axis=0)
+    used = stream.samples[: periods * period]
+    folded = used.reshape(periods, period).mean(axis=0)
+    _check_finite(folded, used)
     return DepthProfile(folded, bin_width_m=cfg.c / stream.f_s)
 
 
 def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProfile:
     """Invert a coded stream into the single-pulse-equivalent depth signal.
 
-    Deinterleaves into K subsets, solves each frame, averages solutions
-    across code periods and re-merges the subsets in time order.  Sample
-    i of the result maps to depth i * c / f_s; the full profile spans
-    one code period, N T c.
+    Folds the complete code periods into their mean (N, K) frame, solves
+    it once (one length-N frame per interleaved subset) and merges the K
+    subsets back in time order.  S is linear and exactly invertible, so
+    solving the period mean equals averaging the per-period solutions;
+    only the summation order differs.  A trailing partial period is
+    discarded.  Sample i of the result maps to depth i * c / f_s; the
+    full profile spans one code period, N T c.  Raises NonFiniteSamples
+    if a used sample is NaN or infinite.
     """
     cfg = stream.config_snapshot
     n = sys.order
@@ -246,8 +268,8 @@ def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProf
         )
     k = integer_ratio(stream.f_s, cfg.f_us)
     arr = _frames_array(stream.samples, n, k)  # (periods, n, k)
-    frames = np.moveaxis(arr, 2, 0)  # (k, periods, n)
-    solved = sys.solve_many(frames)
-    averaged = solved.mean(axis=1)  # (k, n)
-    profile = averaged.T.reshape(-1)  # index i*k + j <- subset j, element i
+    folded = arr.mean(axis=0)  # (n, k)
+    _check_finite(folded, arr)
+    solved = sys.solve_many(folded.T)  # (k, n), one frame per subset
+    profile = solved.T.reshape(-1)  # index i*k + j <- subset j, element i
     return DepthProfile(profile, bin_width_m=cfg.c / stream.f_s)

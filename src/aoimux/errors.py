@@ -47,3 +47,7 @@ class EdgePeak(AoimuxError):
 
 class ConfigError(AoimuxError):
     """Invalid or inconsistent run configuration."""
+
+
+class NonFiniteSamples(AoimuxError):
+    """Stream holds NaN or infinite samples in the periods it is folded over."""

@@ -15,6 +15,7 @@ identical files.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -74,41 +75,52 @@ def write_stream(stream: SampledStream, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(stream.samples.astype("<f8").tobytes())
+        # the array's own buffer: no second copy of the payload
+        fh.write(np.ascontiguousarray(stream.samples, dtype="<f8").data)
 
 
 def read_stream(path: str | Path) -> SampledStream:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        raw = fh.read()
-    tokens = header.split()
-    if len(tokens) < 2 or tokens[0] != _STREAM_MAGIC or tokens[1] != str(_STREAM_VERSION):
-        raise ConfigError(f"{path}: not an aoimux stream file")
-    kv = dict(tok.split("=", 1) for tok in tokens[2:])
-    try:
-        cfg = AcquisitionConfig(
-            f_us=float(kv["f_us"]),
-            f_s=float(kv["f_s"]),
-            c=float(kv["c"]),
-            mode=kv["mode"],
-            order=int(kv["order"]),
-            duration_s=float(kv["duration_s"]),
-            noise_sigma=float(kv["noise_sigma"]),
-            modulation_efficiency=float(kv["modulation_efficiency"]),
-            seed=int(kv["seed"]),
-            water_sound_speed=float(kv["water_sound_speed"]),
-            water_path_m=float(kv["water_path_m"]),
-        )
-        length = int(kv["length"])
-        t0 = float(kv["t0"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
-    samples = np.frombuffer(raw, dtype="<f8")
-    if samples.size != length:
-        raise ConfigError(
-            f"{path}: header says {length} samples, file holds {samples.size}"
-        )
-    return SampledStream(samples.copy(), cfg.f_s, t0, cfg)
+        try:
+            header = fh.readline().decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: stream header is not ASCII") from exc
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        tokens = header.split()
+        if len(tokens) < 2 or tokens[0] != _STREAM_MAGIC or tokens[1] != str(_STREAM_VERSION):
+            raise ConfigError(f"{path}: not an aoimux stream file")
+        try:
+            kv = dict(tok.split("=", 1) for tok in tokens[2:])
+            cfg = AcquisitionConfig(
+                f_us=float(kv["f_us"]),
+                f_s=float(kv["f_s"]),
+                c=float(kv["c"]),
+                mode=kv["mode"],
+                order=int(kv["order"]),
+                duration_s=float(kv["duration_s"]),
+                noise_sigma=float(kv["noise_sigma"]),
+                modulation_efficiency=float(kv["modulation_efficiency"]),
+                seed=int(kv["seed"]),
+                water_sound_speed=float(kv["water_sound_speed"]),
+                water_path_m=float(kv["water_path_m"]),
+            )
+            length = int(kv["length"])
+            t0 = float(kv["t0"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
+        if payload % 8:
+            raise ConfigError(
+                f"{path}: payload of {payload} bytes is not a whole number of samples"
+            )
+        if payload // 8 != length:
+            raise ConfigError(
+                f"{path}: header says {length} samples, file holds {payload // 8}"
+            )
+        # one buffer, filled in place: no second copy of the payload
+        samples = np.empty(length, dtype="<f8")
+        if fh.readinto(samples.data) != payload:
+            raise ConfigError(f"{path}: payload ended before {length} samples")
+    return SampledStream(samples, cfg.f_s, t0, cfg)
 
 
 def write_stream_csv(stream: SampledStream, path: str | Path) -> None:

@@ -26,6 +26,7 @@ Model conventions, fixed here for the whole package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -78,6 +79,9 @@ class Phantom:
     depth_extent: float  # m
 
     def __post_init__(self):
+        # tuples keep the phantom hashable, so fluence_scale can cache on it
+        for name in ("src_pos", "det_pos"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.mu_s_prime <= 0:
             raise ConfigError("mu_s_prime must be positive")
         if self.mu_a < 0:
@@ -218,12 +222,14 @@ def _fluence_raw(ph: Phantom, points: np.ndarray) -> np.ndarray:
     return np.exp(-mu * (d1 + d2)) / (d1 * d2)
 
 
+@functools.lru_cache(maxsize=64)
 def fluence_scale(ph: Phantom) -> float:
     """Phantom-wide normalization constant for simulated signal amplitudes.
 
     Fixed as the maximum kernel value on the axial column through the
     source fiber (where the product peaks), sampled on a dense grid, so
     profiles at different transducer positions stay on a common scale.
+    Memoised per phantom.
     """
     zs = np.linspace(ph.boundary_z, ph.boundary_z + ph.depth_extent, _SCALE_GRID + 1)
     pts = np.column_stack(
@@ -344,12 +350,10 @@ def simulate_stream(
     prof = _spatial_code_profile(cfg, rectified_carrier)
     base = cfg.modulation_efficiency * _circular_correlate(x, prof)
     reps = -(-n_samples // base.size)
-    samples = np.tile(base, reps)[:n_samples]
+    samples = np.tile(base, reps)[:n_samples]  # a fresh array, safe to add into
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
-        samples = samples + rng.normal(0.0, cfg.noise_sigma, n_samples)
-    else:
-        samples = samples.copy()
+        samples += rng.normal(0.0, cfg.noise_sigma, n_samples)
     t0 = cfg.water_path_m / cfg.water_sound_speed
     return SampledStream(samples, cfg.f_s, t0, cfg)
 

@@ -129,6 +129,38 @@ class TestDemux:
         raw = fileio.read_profile_csv(raw_path)
         assert raw.values.min() < 0  # carrier band keeps its sign
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda head, body: (head + b" stray", body),  # token with no '='
+            lambda head, body: (head + b" note=\xe9", body),  # non-ASCII header
+            lambda head, body: (head, body[:-3]),  # not a whole number of samples
+        ],
+        ids=["token-without-equals", "non-ascii-header", "payload-not-multiple-of-8"],
+    )
+    def test_malformed_stream_exit_2(self, tmp_path, cfg_file, corrupt, capsys):
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        head, body = corrupt(head, body)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(head + b"\n" + body)
+        assert main(["demux", "--stream", str(bad), "--out",
+                     str(tmp_path / "p.csv")]) == 2
+        assert "bad.bin" in capsys.readouterr().err
+
+    def test_non_finite_sample_exit_4(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        data = bytearray((out / "stream.bin").read_bytes())
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(bytes(data))
+        assert main(["demux", "--stream", str(bad), "--out",
+                     str(tmp_path / "p.csv")]) == 4
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_stream_exit_3(self, tmp_path):
         assert main(["demux", "--stream", str(tmp_path / "none.bin")]) == 3
 

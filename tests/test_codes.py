@@ -123,6 +123,18 @@ class TestGeneration:
         with pytest.raises(InvalidOrder):
             codes.generate_s_sequence(2097143)
 
+    def test_memoised_per_order(self):
+        assert codes.generate_s_sequence(79) is codes.generate_s_sequence(79)
+
+    def test_cached_bits_are_read_only(self):
+        seq = codes.generate_s_sequence(79)
+        with pytest.raises(ValueError):
+            seq.bits[0] = 0
+        shifted = seq.shifted(5)
+        assert shifted.bits.flags.writeable
+        assert codes.s_matrix_identity_error(shifted) == 0
+        assert seq.bits[0] == 1
+
     def test_large_order_spot_check_path(self):
         # 1031 > 1024 takes the weight + autocorrelation branch; verify
         # the full identity independently afterwards

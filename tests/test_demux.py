@@ -8,6 +8,7 @@ from aoimux.demux import InverseKind
 from aoimux.errors import (
     InsufficientSamples,
     LengthMismatch,
+    NonFiniteSamples,
     OrderTooLarge,
     SingularSystem,
 )
@@ -249,3 +250,73 @@ class TestDemultiplexStream:
     def test_average_periods_needs_one_period(self):
         with pytest.raises(InsufficientSamples):
             demux.average_periods(make_stream(np.zeros(100), order=79, mode="single-pulse"))
+
+
+class TestFoldThenSolve:
+    """The stream path folds over periods and solves once; the explicit
+    per-frame path (deinterleave, solve every frame, average,
+    reinterleave) is the reference."""
+
+    @staticmethod
+    def _per_frame_reference(sys_n, stream, n, k):
+        subsets = demux.deinterleave(stream, n, k)
+        solved = [
+            [demux.MultiplexedFrame(demux.demultiplex_frame(sys_n, f), f.subset_index)
+             for f in frames]
+            for frames in subsets
+        ]
+        merged = demux.reinterleave(solved)
+        return merged.reshape(-1, n * k).mean(axis=0)
+
+    @pytest.mark.parametrize("kind", ["dense", "spectral"])
+    @pytest.mark.parametrize("n", [7, 79])
+    def test_matches_per_frame_path(self, kind, n):
+        k = 4
+        rng = np.random.default_rng(n)
+        # ten complete periods plus a trailing partial one
+        samples = rng.normal(size=10 * n * k + n * k // 2)
+        stream = make_stream(samples, order=n)
+        sys_n = system(n, kind)
+        reference = self._per_frame_reference(sys_n, stream, n, k)
+        folded = demux.demultiplex_stream(sys_n, stream).values
+        assert folded.shape == reference.shape == (n * k,)
+        err = np.abs(folded - reference).max() / np.abs(reference).max()
+        assert err < 1e-12
+
+    @pytest.mark.parametrize("kind", ["dense", "spectral"])
+    def test_one_solve_of_k_rows(self, kind, monkeypatch):
+        n, k = 7, 4
+        calls = []
+        original = demux.CirculantSystem.solve_many
+
+        def counting(self, ys):
+            calls.append(np.shape(ys))
+            return original(self, ys)
+
+        monkeypatch.setattr(demux.CirculantSystem, "solve_many", counting)
+        stream = make_stream(np.random.default_rng(2).normal(size=10 * n * k), order=n)
+        demux.demultiplex_stream(system(n, kind), stream)
+        assert calls == [(k, n)]
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_coded_stream_raises(self, bad):
+        samples = np.random.default_rng(4).normal(size=3 * 7 * 4)
+        samples[33] = bad
+        with pytest.raises(NonFiniteSamples, match="1 of 84 samples"):
+            demux.demultiplex_stream(system(7, "spectral"), make_stream(samples, order=7))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_single_pulse_stream_raises(self, bad):
+        samples = np.random.default_rng(5).normal(size=3 * 7 * 4)
+        samples[[0, 50]] = bad
+        stream = make_stream(samples, order=7, mode="single-pulse")
+        with pytest.raises(NonFiniteSamples, match="2 of 84 samples"):
+            demux.average_periods(stream)
+
+    def test_trailing_partial_period_is_not_checked(self):
+        samples = np.zeros(2 * 7 * 4 + 5)
+        samples[-1] = np.nan  # discarded with the partial period
+        prof = demux.demultiplex_stream(system(7, "spectral"), make_stream(samples, order=7))
+        assert np.isfinite(prof.values).all()

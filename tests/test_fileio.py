@@ -53,6 +53,13 @@ class TestStreamFiles:
         assert again.t0 == stream.t0
         assert again.config_snapshot == stream.config_snapshot
 
+    def test_payload_bytes_are_little_endian_float64(self, tmp_path):
+        stream = sample_stream()
+        path = tmp_path / "stream.bin"
+        fileio.write_stream(stream, path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        assert payload == stream.samples.astype("<f8").tobytes()
+
     def test_header_is_single_text_line(self, tmp_path):
         path = tmp_path / "stream.bin"
         fileio.write_stream(sample_stream(), path)

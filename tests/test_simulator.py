@@ -99,6 +99,16 @@ class TestFluence:
         # peak sits one transport length below the boundary plane
         assert zs[np.argmax(prof)] == pytest.approx(ph.boundary_z + lt, abs=2e-5)
 
+    def test_fluence_scale_cache_matches_uncached(self):
+        ph = phantom()
+        assert simulator.fluence_scale(ph) == simulator.fluence_scale.__wrapped__(ph)
+
+    def test_phantom_from_lists_is_hashable(self):
+        ph = phantom()
+        listed = replace(ph, src_pos=list(ph.src_pos), det_pos=list(ph.det_pos))
+        assert listed == ph and hash(listed) == hash(ph)
+        assert simulator.fluence_scale(listed) == simulator.fluence_scale(ph)
+
     def test_out_of_domain_raises(self):
         ph = phantom()
         with pytest.raises(OutOfDomain):
