@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import codes, fileio, pipeline, simulator
-from .config import RunConfig, parse_run_config, write_manifest
+from .config import parse_run_config, write_manifest
 from .errors import (
     AoimuxError,
     ConfigError,
@@ -44,10 +44,6 @@ def _out_dir(args) -> Path:
     return base
 
 
-def _load_config(path: str) -> RunConfig:
-    return parse_run_config(path)
-
-
 def _cmd_gen_code(args) -> int:
     if not codes.validate_order(args.order):
         raise InvalidOrder(
@@ -61,7 +57,7 @@ def _cmd_gen_code(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    rc = _load_config(args.config)
+    rc = parse_run_config(args.config)
     out = _out_dir(args)
     stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
     profile = pipeline.reconstruct_profile(stream, kind=args.solver)
@@ -86,7 +82,7 @@ def _cmd_demux(args) -> int:
 
 
 def _cmd_snr_sweep(args) -> int:
-    rc = _load_config(args.config)
+    rc = parse_run_config(args.config)
     orders = (
         tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
         if args.orders
@@ -117,7 +113,7 @@ def _cmd_snr_sweep(args) -> int:
 
 
 def _cmd_scan2d(args) -> int:
-    rc = _load_config(args.config)
+    rc = parse_run_config(args.config)
     result = simulator.scan_2d(
         rc.acquisition,
         rc.phantom,

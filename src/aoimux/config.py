@@ -2,56 +2,82 @@
 
 A run manifest is the same format with every value resolved, so a
 manifest can be fed back in as the config of an identical run.
+
+The [acquisition] keys are the fields of ``AcquisitionConfig`` in
+declaration order: the config key is the attribute name, or its
+unit-suffixed form from ``_UNIT_KEYS``; the type and default are the
+field's own.  Stream headers use the attribute names of the same fields.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import functools
+import typing
+from dataclasses import MISSING, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError
-from .simulator import SPEED_OF_SOUND_WATER, AcquisitionConfig, Phantom
+from .simulator import MODE_CODED, AcquisitionConfig, Phantom
 
+# attribute -> config key, where the key carries a unit suffix
+_UNIT_KEYS = {
+    "f_us": "f_us_hz",
+    "f_s": "f_s_hz",
+    "c": "sound_speed_m_s",
+    "water_sound_speed": "water_sound_speed_m_s",
+}
+# defaults a config file may rely on that AcquisitionConfig does not set
+_CONFIG_DEFAULTS = {"mode": MODE_CODED, "order": 79}
+
+
+@functools.cache
+def acquisition_fields() -> tuple[tuple[str, str, type, object], ...]:
+    """(attribute, config key, type, default or None if required) per field."""
+    hints = typing.get_type_hints(AcquisitionConfig)
+    return tuple(
+        (
+            f.name,
+            _UNIT_KEYS.get(f.name, f.name),
+            hints[f.name],
+            _CONFIG_DEFAULTS.get(f.name) if f.default is MISSING else f.default,
+        )
+        for f in fields(AcquisitionConfig)
+    )
+
+
+# config key -> (type, default or None if required, resolved value for the manifest)
 _ACQ_KEYS = {
-    "f_us_hz": (float, None),
-    "f_s_hz": (float, None),
-    "sound_speed_m_s": (float, None),
-    "mode": (str, "coded"),
-    "order": (int, 79),
-    "duration_s": (float, None),
-    "noise_sigma": (float, 0.0),
-    "modulation_efficiency": (float, 1.0),
-    "seed": (int, 0),
-    "water_sound_speed_m_s": (float, SPEED_OF_SOUND_WATER),
-    "water_path_m": (float, 0.0),
+    key: (kind, default, attrgetter(f"acquisition.{attr}"))
+    for attr, key, kind, default in acquisition_fields()
 }
 
 _PHANTOM_KEYS = {
-    "mu_s_prime_per_cm": (float, None),
-    "mu_a_per_cm": (float, None),
-    "src_x_m": (float, None),
-    "src_y_m": (float, 0.0),
-    "det_x_m": (float, None),
-    "det_y_m": (float, 0.0),
-    "boundary_z_m": (float, 0.0),
-    "sound_speed_m_s": (float, None),
-    "depth_extent_m": (float, None),
+    "mu_s_prime_per_cm": (float, None, lambda rc: rc.phantom.mu_s_prime),
+    "mu_a_per_cm": (float, None, lambda rc: rc.phantom.mu_a),
+    "src_x_m": (float, None, lambda rc: rc.phantom.src_pos[0]),
+    "src_y_m": (float, 0.0, lambda rc: rc.phantom.src_pos[1]),
+    "det_x_m": (float, None, lambda rc: rc.phantom.det_pos[0]),
+    "det_y_m": (float, 0.0, lambda rc: rc.phantom.det_pos[1]),
+    "boundary_z_m": (float, 0.0, lambda rc: rc.phantom.boundary_z),
+    "sound_speed_m_s": (float, None, lambda rc: rc.phantom.sound_speed),
+    "depth_extent_m": (float, None, lambda rc: rc.phantom.depth_extent),
 }
 
 _SCAN_KEYS = {
-    "x_min_m": (float, 0.0),
-    "x_max_m": (float, 0.0),
-    "y_min_m": (float, 0.0),
-    "y_max_m": (float, 0.0),
-    "step_m": (float, 0.0005),
+    "x_min_m": (float, 0.0, lambda rc: rc.scan_x[0]),
+    "x_max_m": (float, 0.0, lambda rc: rc.scan_x[1]),
+    "y_min_m": (float, 0.0, lambda rc: rc.scan_y[0]),
+    "y_max_m": (float, 0.0, lambda rc: rc.scan_y[1]),
+    "step_m": (float, 0.0005, lambda rc: rc.scan_step),
 }
 
 _SWEEP_KEYS = {
-    "orders": (str, "7,19,31,79"),
-    "n_trials": (int, 200),
-    "reference": (str, "matched"),
-    "subtract_noise_floor": (bool, False),
+    "orders": (str, "7,19,31,79", lambda rc: ",".join(map(str, rc.sweep_orders))),
+    "n_trials": (int, 200, lambda rc: rc.sweep_trials),
+    "reference": (str, "matched", lambda rc: rc.sweep_reference),
+    "subtract_noise_floor": (bool, False, lambda rc: rc.sweep_subtract_noise_floor),
 }
 
 _SECTIONS = {
@@ -60,6 +86,15 @@ _SECTIONS = {
     "scan": _SCAN_KEYS,
     "sweep": _SWEEP_KEYS,
 }
+
+
+def format_value(value, kind: type = float) -> str:
+    """Text form of a value of the given type; floats in shortest round-trip form."""
+    if kind is float:
+        return repr(float(value))
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -98,7 +133,7 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
     if unknown:
         raise ConfigError(f"[{name}]: unknown keys {sorted(unknown)}")
     out = {}
-    for key, (kind, default) in spec.items():
+    for key, (kind, default, _) in spec.items():
         if key in present:
             out[key] = _coerce(name, key, present[key], kind)
         elif default is None:
@@ -128,17 +163,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
     sweep = _read_section(parser, "sweep")
 
     acquisition = AcquisitionConfig(
-        f_us=acq["f_us_hz"],
-        f_s=acq["f_s_hz"],
-        c=acq["sound_speed_m_s"],
-        mode=acq["mode"],
-        order=acq["order"],
-        duration_s=acq["duration_s"],
-        noise_sigma=acq["noise_sigma"],
-        modulation_efficiency=acq["modulation_efficiency"],
-        seed=acq["seed"],
-        water_sound_speed=acq["water_sound_speed_m_s"],
-        water_path_m=acq["water_path_m"],
+        **{attr: acq[key] for attr, key, _, _ in acquisition_fields()}
     )
     phantom = Phantom(
         mu_s_prime=pha["mu_s_prime_per_cm"],
@@ -169,55 +194,13 @@ def parse_run_config(path: str | Path) -> RunConfig:
 
 def manifest_text(rc: RunConfig) -> str:
     """Config text with every parameter resolved; reparsing it reproduces rc."""
-    acq = rc.acquisition
-    ph = rc.phantom
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [
-        "[acquisition]",
-        f"f_us_hz = {fmt(acq.f_us)}",
-        f"f_s_hz = {fmt(acq.f_s)}",
-        f"sound_speed_m_s = {fmt(acq.c)}",
-        f"mode = {acq.mode}",
-        f"order = {acq.order}",
-        f"duration_s = {fmt(acq.duration_s)}",
-        f"noise_sigma = {fmt(acq.noise_sigma)}",
-        f"modulation_efficiency = {fmt(acq.modulation_efficiency)}",
-        f"seed = {acq.seed}",
-        f"water_sound_speed_m_s = {fmt(acq.water_sound_speed)}",
-        f"water_path_m = {fmt(acq.water_path_m)}",
-        "",
-        "[phantom]",
-        f"mu_s_prime_per_cm = {fmt(ph.mu_s_prime)}",
-        f"mu_a_per_cm = {fmt(ph.mu_a)}",
-        f"src_x_m = {fmt(ph.src_pos[0])}",
-        f"src_y_m = {fmt(ph.src_pos[1])}",
-        f"det_x_m = {fmt(ph.det_pos[0])}",
-        f"det_y_m = {fmt(ph.det_pos[1])}",
-        f"boundary_z_m = {fmt(ph.boundary_z)}",
-        f"sound_speed_m_s = {fmt(ph.sound_speed)}",
-        f"depth_extent_m = {fmt(ph.depth_extent)}",
-        "",
-        "[scan]",
-        f"x_min_m = {fmt(rc.scan_x[0])}",
-        f"x_max_m = {fmt(rc.scan_x[1])}",
-        f"y_min_m = {fmt(rc.scan_y[0])}",
-        f"y_max_m = {fmt(rc.scan_y[1])}",
-        f"step_m = {fmt(rc.scan_step)}",
-        "",
-        "[sweep]",
-        f"orders = {','.join(str(n) for n in rc.sweep_orders)}",
-        f"n_trials = {rc.sweep_trials}",
-        f"reference = {rc.sweep_reference}",
-        f"subtract_noise_floor = {fmt(rc.sweep_subtract_noise_floor)}",
-    ]
-    return "\n".join(lines) + "\n"
+    sections = []
+    for name, spec in _SECTIONS.items():
+        lines = [f"[{name}]"]
+        for key, (kind, _, get) in spec.items():
+            lines.append(f"{key} = {format_value(get(rc), kind)}")
+        sections.append("\n".join(lines))
+    return "\n\n".join(sections) + "\n"
 
 
 def write_manifest(rc: RunConfig, path: str | Path) -> None:

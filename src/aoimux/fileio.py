@@ -8,9 +8,13 @@ float64 samples::
         seed=... water_sound_speed=... water_path_m=...\\n
 
 (single line, fields space separated, floats in shortest round-trip
-form).  All CSV output uses explicit units in the column headers and
-shortest round-trip float formatting, so identical runs produce byte
-identical files.
+form).  After ``length`` come the ``AcquisitionConfig`` fields in
+declaration order, keyed by attribute name (``f_s`` appears once, first).
+The header line must end within ``_HEADER_MAX_BYTES``.
+
+All CSV output uses explicit units in the column headers and shortest
+round-trip float formatting, so identical runs produce byte identical
+files.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .codes import SSequence
+from .config import acquisition_fields, format_value as _fmt
 from .demux import DepthProfile
 from .errors import ConfigError
 from .pipeline import AdvantageCurve, SnrReport
@@ -28,10 +33,7 @@ from .simulator import AcquisitionConfig, SampledStream, ScanResult
 
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_HEADER_MAX_BYTES = 4096  # a header is about 300 bytes; longer means not a stream
 
 
 # ---------------------------------------------------------------- sequences
@@ -48,28 +50,14 @@ def read_sequence(path: str | Path) -> SSequence:
 # ------------------------------------------------------------------ streams
 
 
-def _config_fields(cfg: AcquisitionConfig) -> dict[str, str]:
-    return {
-        "f_us": _fmt(cfg.f_us),
-        "c": _fmt(cfg.c),
-        "mode": cfg.mode,
-        "order": str(cfg.order),
-        "duration_s": _fmt(cfg.duration_s),
-        "noise_sigma": _fmt(cfg.noise_sigma),
-        "modulation_efficiency": _fmt(cfg.modulation_efficiency),
-        "seed": str(cfg.seed),
-        "water_sound_speed": _fmt(cfg.water_sound_speed),
-        "water_path_m": _fmt(cfg.water_path_m),
-    }
-
-
 def write_stream(stream: SampledStream, path: str | Path) -> None:
     fields = {
         "f_s": _fmt(stream.f_s),
         "t0": _fmt(stream.t0),
         "length": str(stream.samples.size),
     }
-    fields.update(_config_fields(stream.config_snapshot))
+    for attr, _, kind, _ in acquisition_fields():  # f_s is already there
+        fields.setdefault(attr, _fmt(getattr(stream.config_snapshot, attr), kind))
     header = " ".join(
         [_STREAM_MAGIC, str(_STREAM_VERSION)] + [f"{k}={v}" for k, v in fields.items()]
     )
@@ -81,8 +69,11 @@ def write_stream(stream: SampledStream, path: str | Path) -> None:
 
 def read_stream(path: str | Path) -> SampledStream:
     with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_MAX_BYTES)
+        if not line.endswith(b"\n"):
+            raise ConfigError(f"{path}: no stream header line within {len(line)} bytes")
         try:
-            header = fh.readline().decode("ascii").strip()
+            header = line.decode("ascii").strip()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: stream header is not ASCII") from exc
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -92,17 +83,7 @@ def read_stream(path: str | Path) -> SampledStream:
         try:
             kv = dict(tok.split("=", 1) for tok in tokens[2:])
             cfg = AcquisitionConfig(
-                f_us=float(kv["f_us"]),
-                f_s=float(kv["f_s"]),
-                c=float(kv["c"]),
-                mode=kv["mode"],
-                order=int(kv["order"]),
-                duration_s=float(kv["duration_s"]),
-                noise_sigma=float(kv["noise_sigma"]),
-                modulation_efficiency=float(kv["modulation_efficiency"]),
-                seed=int(kv["seed"]),
-                water_sound_speed=float(kv["water_sound_speed"]),
-                water_path_m=float(kv["water_path_m"]),
+                **{attr: kind(kv[attr]) for attr, _, kind, _ in acquisition_fields()}
             )
             length = int(kv["length"])
             t0 = float(kv["t0"])

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ MODE_CODED = "coded"
 
 _CM_TO_M = 100.0  # 1/cm -> 1/m for optical coefficients
 _SCALE_GRID = 2048  # axial samples used to fix the phantom fluence scale
+_NOISE_CHUNK = 1 << 20  # noise samples drawn per call: bounds the temporary to 8 MB
 
 
 def integer_ratio(f_s: float, f_us: float) -> int:
@@ -56,10 +57,21 @@ def integer_ratio(f_s: float, f_us: float) -> int:
     if f_us <= 0 or f_s <= 0:
         raise NonIntegerRatio("rates must be positive")
     ratio = f_s / f_us
+    if not math.isfinite(ratio):
+        raise NonIntegerRatio(f"f_s/f_us = {ratio} is not a natural number")
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9 * k:
         raise NonIntegerRatio(f"f_s/f_us = {ratio} is not a natural number")
     return k
+
+
+def _check_finite(obj) -> None:
+    """Reject a NaN or infinite value in any float (or tuple of floats) field."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,7 @@ class Phantom:
         # tuples keep the phantom hashable, so fluence_scale can cache on it
         for name in ("src_pos", "det_pos"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        _check_finite(self)
         if self.mu_s_prime <= 0:
             raise ConfigError("mu_s_prime must be positive")
         if self.mu_a < 0:
@@ -128,9 +141,15 @@ class AcquisitionConfig:
     water_path_m: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         integer_ratio(self.f_s, self.f_us)
         if self.mode not in (MODE_SINGLE_PULSE, MODE_CODED):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        if self.mode == MODE_CODED and self.order > codes.MAX_ORDER:
+            # before the trial-division primality test, which is slow on huge orders
+            raise InvalidOrder(
+                f"order {self.order} exceeds the supported maximum {codes.MAX_ORDER}"
+            )
         if self.mode == MODE_CODED and not codes.validate_order(self.order):
             raise InvalidOrder(
                 f"coded mode needs a prime order congruent to 3 mod 4, got {self.order}"
@@ -145,6 +164,8 @@ class AcquisitionConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.water_path_m < 0:
             raise ConfigError("water_path_m must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     @property
     def subsets_per_cycle(self) -> int:
@@ -352,8 +373,11 @@ def simulate_stream(
     reps = -(-n_samples // base.size)
     samples = np.tile(base, reps)[:n_samples]  # a fresh array, safe to add into
     if cfg.noise_sigma > 0:
+        # chunks continue one Generator stream, so the sum equals a one-shot draw
         rng = np.random.default_rng(cfg.seed)
-        samples += rng.normal(0.0, cfg.noise_sigma, n_samples)
+        for start in range(0, n_samples, _NOISE_CHUNK):
+            chunk = samples[start : start + _NOISE_CHUNK]
+            chunk += rng.normal(0.0, cfg.noise_sigma, chunk.size)
     t0 = cfg.water_path_m / cfg.water_sound_speed
     return SampledStream(samples, cfg.f_s, t0, cfg)
 

@@ -1,5 +1,7 @@
 """Command-line interface: commands, exit codes, determinism, manifests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,8 +163,64 @@ class TestDemux:
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
+    def test_overlong_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.bin"
+        bad.write_bytes(b"aoimux-stream 1 " + b"x" * (1 << 20))  # 1 MB, no newline
+        assert main(["demux", "--stream", str(bad), "--out",
+                     str(tmp_path / "p.csv")]) == 2
+        assert "no stream header line" in capsys.readouterr().err
+
     def test_missing_stream_exit_3(self, tmp_path):
         assert main(["demux", "--stream", str(tmp_path / "none.bin")]) == 3
+
+
+def _set_acquisition_value(text, key, value):
+    """Config text with the first ``key = ...`` line (or a new [acquisition] line) set."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(text):
+        return line.sub(f"{key} = {value}", text, count=1)
+    return text.replace("[acquisition]\n", f"[acquisition]\n{key} = {value}\n")
+
+
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            ("config", "f_s_hz", "inf"),
+            ("config", "duration_s", "inf"),
+            ("config", "f_s_hz", "nan"),
+            ("config", "duration_s", "nan"),
+            ("config", "noise_sigma", "nan"),
+            ("config", "sound_speed_m_s", "nan"),
+            ("config", "water_path_m", "inf"),
+            ("config", "seed", "-1"),
+            ("header", "f_s", "inf"),
+            ("header", "c", "nan"),
+        ],
+    )
+    def test_non_finite_value_or_negative_seed_exit_2(
+        self, tmp_path, cfg_file, capsys, source, key, value
+    ):
+        if source == "config":
+            bad = tmp_path / "bad.cfg"
+            bad.write_text(_set_acquisition_value(cfg_file.read_text(), key, value))
+            argv = ["--out-dir", str(tmp_path / "o"), "simulate", "--config", str(bad)]
+            written = tmp_path / "o" / "stream.bin"
+        else:
+            out = tmp_path / "run"
+            main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+            head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+            head, count = re.subn(rf" {key}=\S+".encode(), f" {key}={value}".encode(), head)
+            assert count == 1
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(head + b"\n" + body)
+            written = tmp_path / "p.csv"
+            argv = ["demux", "--stream", str(bad), "--out", str(written)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aoimux: ") and "Traceback" not in err
+        assert not written.exists()
 
 
 class TestSnrSweep:

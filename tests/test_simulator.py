@@ -65,6 +65,11 @@ class TestPulseWaveform:
         with pytest.raises(NonIntegerRatio):
             simulator.pulse_waveform(1.25e6, 3e6)
 
+    @pytest.mark.parametrize("f_s, f_us", [(np.inf, 1e6), (np.nan, 1e6), (np.inf, np.inf)])
+    def test_non_finite_ratio(self, f_s, f_us):
+        with pytest.raises(NonIntegerRatio):
+            simulator.integer_ratio(f_s, f_us)
+
 
 class TestFluence:
     def test_mirrored_axis_positions_match(self):
@@ -193,6 +198,17 @@ class TestSimulateStream:
         b = simulator.simulate_stream(cfg, ph)
         assert np.array_equal(a.samples, b.samples)
 
+    def test_noise_drawn_in_chunks_equals_one_shot_draw(self):
+        # two full noise chunks plus a partial one
+        chunk = simulator._NOISE_CHUNK
+        cfg = config(order=7, periods=-(-(2 * chunk + 1) // 28), noise_sigma=0.5, seed=9)
+        assert cfg.n_samples > 2 * chunk
+        ph = phantom(extent=0.003)
+        quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
+        noisy = simulator.simulate_stream(cfg, ph)
+        draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
+        assert np.array_equal(noisy.samples, quiet.samples + draw)
+
     def test_distinct_seeds_differ(self):
         ph = phantom()
         a = simulator.simulate_stream(config(noise_sigma=0.5, seed=1), ph)
@@ -242,6 +258,33 @@ class TestSimulateStream:
             )
         with pytest.raises(ConfigError):
             phantom(mu_a=-0.1)
+
+    @pytest.mark.parametrize(
+        "field", ["f_us", "f_s", "c", "duration_s", "noise_sigma",
+                  "modulation_efficiency", "water_sound_speed", "water_path_m"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("mu_s_prime", np.nan), ("mu_a", np.inf), ("sound_speed", np.nan),
+         ("depth_extent", np.inf), ("src_pos", (0.0, np.nan, 0.0)),
+         ("det_pos", (np.inf, 0.0, 0.0))],
+    )
+    def test_phantom_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            replace(phantom(), **{field: value})
+
+    def test_huge_coded_order_rejected_before_primality_test(self):
+        with pytest.raises(InvalidOrder, match="exceeds"):
+            config("coded", order=2**61 - 1)  # a prime = 3 mod 4
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config(seed=-1)
 
 
 class TestZeroNoiseEquivalence:
