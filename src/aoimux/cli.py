@@ -20,7 +20,6 @@ from .errors import (
     AoimuxError,
     ConfigError,
     EdgePeak,
-    InvalidOrder,
     NonFiniteSamples,
     NoPeak,
     OrderTooLarge,
@@ -45,10 +44,6 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_gen_code(args) -> int:
-    if not codes.validate_order(args.order):
-        raise InvalidOrder(
-            f"order must be prime and congruent to 3 mod 4, got {args.order}"
-        )
     seq = codes.generate_s_sequence(args.order)
     out = Path(args.out) if args.out else _out_dir(args) / f"s_sequence_{args.order}.txt"
     fileio.write_sequence(seq, out)

@@ -10,6 +10,14 @@ it satisfy
 in exact integer arithmetic.  Any cyclic shift of the sequence satisfies
 the same identity, so correctness is defined by the identity, which is
 re-checked at generation time, not by the particular tabulated pattern.
+
+Entry (r, c) of S @ S.T is the cyclic autocorrelation of the bits at lag
+c - r, so the identity holds exactly when lag 0 equals (N+1)/2 and every
+other lag equals (N+1)/4.  Generation checks all N lags at every order
+with a blocked FFT autocorrelation: FFTs of 2**16-bit blocks plus one
+multiply-add per block pair and frequency (136 pairs at MAX_ORDER),
+about 20 N bytes of memory, and rounding to integers only after a guard
+that no lag is 1/4 or more away from an integer.
 """
 
 from __future__ import annotations
@@ -23,10 +31,9 @@ from .errors import InvalidOrder
 
 MAX_ORDER = 1 << 20
 
-# Full O(N^2) identity check is cheap up to here; above it generation
-# falls back to row weight plus spot-checked cyclic autocorrelation.
-_FULL_CHECK_MAX = 1024
-_SPOT_CHECK_LAGS = 64
+# Block length of the autocorrelation check; the (blocks, _BLOCK + 1)
+# complex128 spectrum table is 16.8 MB at MAX_ORDER.
+_BLOCK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -48,6 +55,17 @@ def is_prime(n: int) -> bool:
 def validate_order(n: int) -> bool:
     """True iff n is a usable code order: prime and congruent to 3 mod 4."""
     return n >= 3 and n % 4 == 3 and is_prime(n)
+
+
+def check_order(n: int) -> None:
+    """Raise InvalidOrder unless n is a usable order no larger than MAX_ORDER.
+
+    The cap is checked first: trial division is slow on huge orders.
+    """
+    if n > MAX_ORDER:
+        raise InvalidOrder(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+    if not validate_order(n):
+        raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
 
 
 def quadratic_residues(n: int) -> set[int]:
@@ -94,7 +112,7 @@ class SSequence:
 
     def to_text(self) -> str:
         """Single-line text form ``"<order>:<bits>"``, e.g. ``"7:1110100"``."""
-        return f"{self.order}:" + "".join("1" if b else "0" for b in self.bits)
+        return f"{self.order}:" + (self.bits + ord("0")).tobytes().decode("ascii")
 
     @classmethod
     def from_text(cls, text: str) -> "SSequence":
@@ -123,40 +141,75 @@ def s_matrix_identity_error(seq: SSequence) -> int:
     return int(np.abs(s @ s.T - target).max())
 
 
-def _autocorrelation(bits: np.ndarray, lag: int) -> int:
-    return int(np.dot(bits.astype(np.int64), np.roll(bits, lag).astype(np.int64)))
+def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:
+    """Exact int32 lags c[l] = sum_j bits[j] * bits[(j + l) % N], l = 0 .. N-1.
+
+    The bits are cut into blocks of _BLOCK; each block's rfft, zero-padded
+    to twice the block, fills one row of a preallocated table.  Blocks i
+    and i + d together give the linear lags d*B - B + 1 .. d*B + B - 1, so
+    one irfft per block offset d yields a run of lags; the run is added at
+    +lag and, for lags > 0, at N - lag (the pairs that wrap around).
+    """
+    n = bits.size
+    block = min(_BLOCK, n)
+    n_blocks = -(-n // block)
+    table = np.empty((n_blocks, block + 1), dtype=np.complex128)
+    for i in range(n_blocks):
+        table[i] = np.fft.rfft(bits[i * block:(i + 1) * block], 2 * block)
+    acc = np.empty(block + 1, dtype=np.complex128)
+    prod = np.empty_like(acc)
+    lags = np.zeros(n, dtype=np.int32)
+    for d in range(n_blocks):
+        acc[:] = 0
+        for i in range(n_blocks - d):
+            np.conjugate(table[i], out=prod)
+            prod *= table[i + d]
+            acc += prod
+        r = np.fft.irfft(acc, 2 * block)
+        r_int = np.rint(r)
+        r -= r_int
+        if np.abs(r, out=r).max() >= 0.25:
+            raise InvalidOrder(f"order {n}: FFT autocorrelation is not near an integer")
+        # lag t of this block pair sits at r[t % 2B], t in (-B, B); after the
+        # roll run[k] holds linear lag base + k
+        run = np.roll(r_int.astype(np.int32), block - 1)
+        base = (d - 1) * block + 1
+        lo, hi = max(base, 0), min(base + 2 * block - 1, n)
+        seg = run[lo - base:hi - base]
+        lags[lo:hi] += seg
+        lo_wrap = max(lo, 1)
+        lags[n - hi + 1:n - lo_wrap + 1] += seg[lo_wrap - lo:][::-1]
+    return lags
+
+
+def _check_identity(seq: SSequence) -> None:
+    """Raise InvalidOrder unless S @ S.T == ((N+1)/4)(I + J) exactly."""
+    n = seq.order
+    lags = _cyclic_autocorrelation(seq.bits)
+    if lags[0] != (n + 1) // 2 or np.any(lags[1:] != (n + 1) // 4):
+        raise InvalidOrder(f"order {n}: circulant identity check failed")
 
 
 @functools.lru_cache(maxsize=64)
 def generate_s_sequence(n: int) -> SSequence:
     """Generate the order-n sequence from the quadratic-residue construction.
 
-    Self-validates: the full circulant identity is checked for n <= 1024,
-    row weight and spot-checked autocorrelation above that.  Memoised per
-    order, so every caller in the process shares one value; its ``bits``
-    array is read-only (``shifted`` returns a fresh, writable copy).
+    Self-validates at every order: all N cyclic autocorrelation lags,
+    hence every entry of the circulant identity, are checked exactly.
+    Memoised per order, so every caller in the process shares one value;
+    its ``bits`` array is read-only (``shifted`` returns a fresh, writable
+    copy).
     """
-    if not validate_order(n):
-        raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
-    if n > MAX_ORDER:
-        raise InvalidOrder(f"order {n} exceeds the supported maximum {MAX_ORDER}")
+    check_order(n)
     bits = np.zeros(n, dtype=np.uint8)
     bits[0] = 1
-    bits[sorted(quadratic_residues(n))] = 1
+    k = np.arange(1, (n - 1) // 2 + 1, dtype=np.int64)
+    k *= k
+    k %= n
+    bits[k] = 1
+    del k  # 4 MB at MAX_ORDER, not held through the check
     seq = SSequence(n, bits)
-
-    if seq.weight != (n + 1) // 2:
-        raise InvalidOrder(f"generated weight {seq.weight} != {(n + 1) // 2}")
-    if n <= _FULL_CHECK_MAX:
-        if s_matrix_identity_error(seq) != 0:
-            raise InvalidOrder(f"order {n}: circulant identity check failed")
-    else:
-        # every off-zero cyclic autocorrelation must equal (N+1)/4
-        rng = np.random.default_rng(n)
-        lags = rng.integers(1, n, size=_SPOT_CHECK_LAGS)
-        for lag in lags:
-            if _autocorrelation(bits, int(lag)) != (n + 1) // 4:
-                raise InvalidOrder(f"order {n}: autocorrelation check failed")
+    _check_identity(seq)
     seq.bits.setflags(write=False)
     return seq
 

@@ -19,6 +19,7 @@ files.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -89,6 +90,8 @@ def read_stream(path: str | Path) -> SampledStream:
             t0 = float(kv["t0"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
+        if not math.isfinite(t0):
+            raise ConfigError(f"{path}: stream header t0 must be finite, got {t0}")
         if payload % 8:
             raise ConfigError(
                 f"{path}: payload of {payload} bytes is not a whole number of samples"

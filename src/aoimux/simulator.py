@@ -36,7 +36,6 @@ from . import codes
 from .errors import (
     ConfigError,
     InsufficientSamples,
-    InvalidOrder,
     NonIntegerRatio,
     OutOfDomain,
 )
@@ -145,15 +144,8 @@ class AcquisitionConfig:
         integer_ratio(self.f_s, self.f_us)
         if self.mode not in (MODE_SINGLE_PULSE, MODE_CODED):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_CODED and self.order > codes.MAX_ORDER:
-            # before the trial-division primality test, which is slow on huge orders
-            raise InvalidOrder(
-                f"order {self.order} exceeds the supported maximum {codes.MAX_ORDER}"
-            )
-        if self.mode == MODE_CODED and not codes.validate_order(self.order):
-            raise InvalidOrder(
-                f"coded mode needs a prime order congruent to 3 mod 4, got {self.order}"
-            )
+        if self.mode == MODE_CODED:
+            codes.check_order(self.order)
         if self.order < 1:
             raise ConfigError("order must be a positive integer")
         if self.c <= 0 or self.water_sound_speed <= 0:

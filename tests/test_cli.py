@@ -61,6 +61,14 @@ class TestGenCode:
         err = capsys.readouterr().err
         assert "prime" in err and "3 mod 4" in err
 
+    def test_order_above_cap_exit_2_at_once(self, tmp_path, capsys):
+        # 2^61 - 1 is prime and 3 mod 4; the cap is checked before the
+        # primality test, whose trial division would run for minutes
+        assert main(["--out-dir", str(tmp_path), "gen-code", str(2**61 - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aoimux: ") and "exceeds the supported maximum" in err
+        assert not list(tmp_path.iterdir())
+
     def test_default_name_in_out_dir(self, tmp_path):
         assert main(["--out-dir", str(tmp_path), "gen-code", "7"]) == 0
         assert (tmp_path / "s_sequence_7.txt").read_text() == "7:1110100\n"
@@ -196,6 +204,8 @@ class TestBadValues:
             ("config", "seed", "-1"),
             ("header", "f_s", "inf"),
             ("header", "c", "nan"),
+            ("header", "t0", "nan"),
+            ("header", "t0", "inf"),
         ],
     )
     def test_non_finite_value_or_negative_seed_exit_2(

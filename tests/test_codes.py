@@ -135,12 +135,66 @@ class TestGeneration:
         assert codes.s_matrix_identity_error(shifted) == 0
         assert seq.bits[0] == 1
 
-    def test_large_order_spot_check_path(self):
-        # 1031 > 1024 takes the weight + autocorrelation branch; verify
-        # the full identity independently afterwards
+    def test_order_above_1024_full_check(self):
+        # every order gets the exact all-lags check; confirm it with the
+        # independent dense identity just above the old 1024 limit
         seq = codes.generate_s_sequence(1031)
         assert seq.weight == 516
         assert codes.s_matrix_identity_error(seq) == 0
+
+    def test_huge_order_rejected_before_primality_test(self):
+        # 2^61 - 1 is prime and 3 mod 4; trial division would run for minutes
+        with pytest.raises(InvalidOrder, match="exceeds"):
+            codes.generate_s_sequence(2**61 - 1)
+
+
+def direct_autocorrelation(bits):
+    b = bits.astype(np.int64)
+    return np.array([np.dot(b, np.roll(b, -lag)) for lag in range(b.size)])
+
+
+class TestIdentityCheck:
+    # block 3 at order 4099 (1367 blocks, ~0.9 M block pairs) would take
+    # seconds in the pair loop and reach no path that 340 blocks miss
+    @pytest.mark.parametrize(
+        "n, block", [(7, 3), (7, 64), (1019, 3), (1019, 64), (4099, 64)]
+    )
+    def test_blocked_equals_direct_at_every_lag(self, monkeypatch, n, block):
+        # several blocks, a short last block and lags that wrap around N;
+        # random bits too, whose lags differ, so a misplaced lag shows
+        seq = codes.generate_s_sequence(n)
+        rng = np.random.default_rng(n)
+        monkeypatch.setattr(codes, "_BLOCK", block)
+        for bits in (seq.bits, rng.integers(0, 2, n).astype(np.uint8)):
+            lags = codes._cyclic_autocorrelation(bits)
+            assert lags.dtype == np.int32
+            assert np.array_equal(lags, direct_autocorrelation(bits))
+
+    @pytest.mark.parametrize("n", [7, 79, 1019])
+    def test_one_flipped_bit_rejected(self, n):
+        seq = codes.generate_s_sequence(n)
+        codes._check_identity(seq)
+        for pos in (0, 1, n - 1):
+            bits = seq.bits.copy()
+            bits[pos] ^= 1
+            with pytest.raises(InvalidOrder, match="identity"):
+                codes._check_identity(codes.SSequence(n, bits))
+
+    def test_float_error_fails_loudly(self, monkeypatch):
+        # an FFT result 0.3 off every integer must not round to a pass
+        seq = codes.generate_s_sequence(79)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
+        with pytest.raises(InvalidOrder, match="not near an integer"):
+            codes._check_identity(seq)
+
+    def test_max_order_lags_exact(self):
+        n = 1048571  # the largest usable order
+        assert codes.validate_order(n)
+        assert not any(map(codes.validate_order, range(n + 1, codes.MAX_ORDER + 1)))
+        lags = codes._cyclic_autocorrelation(codes.generate_s_sequence(n).bits)
+        assert set(lags[:1].tolist()) == {(n + 1) // 2}
+        assert set(np.unique(lags[1:]).tolist()) == {(n + 1) // 4}
 
 
 class TestTextFormat:
