@@ -78,14 +78,15 @@ def _cmd_demux(args) -> int:
 
 def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
-    orders = (
-        tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
-        if args.orders
-        else rc.sweep_orders
-    )
+    orders = rc.sweep_orders
+    if args.orders is not None:
+        try:
+            orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
+        except ValueError as exc:
+            raise ConfigError(f"--orders: {exc}") from exc
     if not orders:
         raise ConfigError("no code orders given")
-    n_trials = args.trials if args.trials else rc.sweep_trials
+    n_trials = args.trials if args.trials is not None else rc.sweep_trials
     reference = args.reference if args.reference else rc.sweep_reference
     curve, reports = pipeline.multiplexing_advantage(
         rc.acquisition,

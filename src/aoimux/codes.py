@@ -23,6 +23,7 @@ that no lag is 1/4 or more away from an integer.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,5 +216,18 @@ def generate_s_sequence(n: int) -> SSequence:
 
 
 def valid_orders(limit: int) -> list[int]:
-    """All usable code orders up to and including limit."""
-    return [n for n in range(3, limit + 1, 4) if validate_order(n)]
+    """All usable code orders up to and including limit, in ascending order.
+
+    A sieve over the candidates n = 3, 7, 11, ... (slot (n - 3) / 4).  A
+    multiple m * p of an odd p is 3 mod 4 for every fourth odd m, so
+    striking it for m > 1 steps 4 p through n, p slots through the
+    table.  Every odd p up to sqrt(limit) strikes; composite p only
+    repeat their factors' strikes.
+    """
+    if limit < 3:
+        return []
+    candidate = np.ones((limit - 3) // 4 + 1, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        first = (5 if p % 4 == 3 else 3) * p  # smallest m * p > p that is 3 mod 4
+        candidate[(first - 3) // 4 :: p] = False
+    return (np.flatnonzero(candidate) * 4 + 3).tolist()

@@ -4,8 +4,8 @@ The measurement matrix S has the code sequence as its first row and each
 following row cyclically shifted right by one, i.e. S[r, c] =
 bits[(c - r) mod N].  Applying S is then a circular convolution with the
 index-reversed sequence, which gives two interchangeable solvers: a
-dense LU factorization (the reference) and an FFT circular
-deconvolution (O(N log N) per frame, used for long streams).
+dense LAPACK solve against the stored S (the reference) and an FFT
+circular deconvolution (O(N log N) per frame, used for long streams).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .codes import SSequence, circulant_matrix
 from .errors import (
@@ -48,7 +47,11 @@ class MultiplexedFrame:
 
 @dataclass
 class DepthProfile:
-    """Reconstructed signal versus depth along the acoustic axis."""
+    """Reconstructed signal versus depth along the acoustic axis.
+
+    values is one profile or a stack of them; depth runs along the last
+    axis.
+    """
 
     values: np.ndarray
     bin_width_m: float
@@ -60,15 +63,16 @@ class DepthProfile:
             raise ValueError("bin_width_m must be positive")
 
     def __len__(self) -> int:
-        return self.values.size
+        """Number of depth bins."""
+        return self.values.shape[-1]
 
     @property
     def depths(self) -> np.ndarray:
-        return self.depth_origin_m + np.arange(self.values.size) * self.bin_width_m
+        return self.depth_origin_m + np.arange(len(self)) * self.bin_width_m
 
     @property
     def span_m(self) -> float:
-        return self.values.size * self.bin_width_m
+        return len(self) * self.bin_width_m
 
 
 class CirculantSystem:
@@ -87,9 +91,9 @@ class CirculantSystem:
                 f"circulant spectrum of order {self.order} is numerically singular"
             )
         self._spectrum = spectrum
-        self._lu = None
+        self._dense = None
         if kind is InverseKind.DENSE:
-            self._lu = scipy.linalg.lu_factor(self.matrix().astype(np.float64))
+            self._dense = self.matrix().astype(np.float64)
 
     def matrix(self) -> np.ndarray:
         """Dense integer S, rows are successive right shifts of the sequence."""
@@ -116,8 +120,9 @@ class CirculantSystem:
                 f"frame length {ys.shape[-1]} != system order {self.order}"
             )
         if self.kind is InverseKind.DENSE:
+            # one LAPACK gesv over all frames: a single LU of S per call
             flat = ys.reshape(-1, self.order)
-            sol = scipy.linalg.lu_solve(self._lu, flat.T).T
+            sol = np.linalg.solve(self._dense, flat.T).T
             return sol.reshape(ys.shape)
         return np.fft.irfft(
             np.fft.rfft(ys, axis=-1) / self._spectrum, n=self.order, axis=-1
@@ -229,6 +234,31 @@ def _check_finite(folded: np.ndarray, used: np.ndarray) -> None:
         )
 
 
+def fold_periods(samples: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Mean of the complete repetition periods as one (n, k) frame.
+
+    Column j is interleaved subset j (samples j, j + k, ...), so the
+    row-major flattening is the period mean in time order.  A trailing
+    partial period is discarded.  Raises NonFiniteSamples if a used
+    sample is NaN or infinite.
+    """
+    arr = _frames_array(samples, n, k)  # (periods, n, k)
+    folded = arr.mean(axis=0)
+    _check_finite(folded, arr)
+    return folded
+
+
+def solve_folded(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:
+    """Depth signal of a stack of folded frames, (..., N, K) -> (..., N * K).
+
+    One solve_many call covers every subset of every frame (one length-N
+    frame per subset); the K subsets are merged back in time order, so
+    index i * K + j comes from subset j, element i.
+    """
+    solved = sys.solve_many(np.swapaxes(folded, -1, -2))  # (..., K, N)
+    return np.swapaxes(solved, -1, -2).reshape(folded.shape[:-2] + (-1,))
+
+
 def average_periods(stream: SampledStream) -> DepthProfile:
     """Mean over complete repetition periods of a single-pulse stream.
 
@@ -236,29 +266,20 @@ def average_periods(stream: SampledStream) -> DepthProfile:
     repetition period directly yields the depth-resolved signal.
     """
     cfg = stream.config_snapshot
-    period = cfg.period_samples
-    periods = stream.samples.size // period
-    if periods < 1:
-        raise InsufficientSamples(
-            f"{stream.samples.size} samples < one period of {period}"
-        )
-    used = stream.samples[: periods * period]
-    folded = used.reshape(periods, period).mean(axis=0)
-    _check_finite(folded, used)
-    return DepthProfile(folded, bin_width_m=cfg.c / stream.f_s)
+    folded = fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
+    return DepthProfile(folded.reshape(-1), bin_width_m=cfg.c / stream.f_s)
 
 
 def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProfile:
     """Invert a coded stream into the single-pulse-equivalent depth signal.
 
-    Folds the complete code periods into their mean (N, K) frame, solves
-    it once (one length-N frame per interleaved subset) and merges the K
-    subsets back in time order.  S is linear and exactly invertible, so
-    solving the period mean equals averaging the per-period solutions;
-    only the summation order differs.  A trailing partial period is
-    discarded.  Sample i of the result maps to depth i * c / f_s; the
-    full profile spans one code period, N T c.  Raises NonFiniteSamples
-    if a used sample is NaN or infinite.
+    Folds the complete code periods into their mean (N, K) frame and
+    solves it once (``solve_folded``).  S is linear and exactly
+    invertible, so solving the period mean equals averaging the
+    per-period solutions; only the summation order differs.  A trailing
+    partial period is discarded.  Sample i of the result maps to depth
+    i * c / f_s; the full profile spans one code period, N T c.  Raises
+    NonFiniteSamples if a used sample is NaN or infinite.
     """
     cfg = stream.config_snapshot
     n = sys.order
@@ -267,9 +288,5 @@ def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProf
             f"stream was coded with order {cfg.order}, system has order {n}"
         )
     k = integer_ratio(stream.f_s, cfg.f_us)
-    arr = _frames_array(stream.samples, n, k)  # (periods, n, k)
-    folded = arr.mean(axis=0)  # (n, k)
-    _check_finite(folded, arr)
-    solved = sys.solve_many(folded.T)  # (k, n), one frame per subset
-    profile = solved.T.reshape(-1)  # index i*k + j <- subset j, element i
+    profile = solve_folded(sys, fold_periods(stream.samples, n, k))
     return DepthProfile(profile, bin_width_m=cfg.c / stream.f_s)

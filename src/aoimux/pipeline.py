@@ -30,13 +30,16 @@ def exact_multiplexing_gain(order: int) -> float:
 
 
 def _circular_box_mean(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered circular moving average; window covers width samples."""
-    if x.size < width:
-        raise InsufficientSamples(f"{x.size} samples < smoothing window {width}")
+    """Centered circular moving average along the last axis; the window
+    covers width samples."""
+    n = x.shape[-1]
+    if n < width:
+        raise InsufficientSamples(f"{n} samples < smoothing window {width}")
     half = width // 2
-    ext = np.concatenate([x[-half:], x, x[: width - half]])
-    csum = np.concatenate([[0.0], np.cumsum(ext)])
-    return (csum[width:] - csum[:-width])[: x.size] / width
+    ext = np.concatenate([x[..., -half:], x, x[..., : width - half]], axis=-1)
+    csum = np.cumsum(ext, axis=-1)
+    csum = np.concatenate([np.zeros(x.shape[:-1] + (1,)), csum], axis=-1)
+    return (csum[..., width:] - csum[..., :-width])[..., :n] / width
 
 
 def extract_modulated(
@@ -50,9 +53,10 @@ def extract_modulated(
     Mixes with cos and sin at f_us, low-passes each branch over exactly
     one carrier period (circular window; profiles cover whole periods)
     and returns the magnitude 2 sqrt(I^2 + Q^2), which for a clean
-    carrier of amplitude A is A.  The envelope peak of a single pulse
-    lands up to one carrier period shy of the pulse's trailing bin, an
-    offset inherent to envelope detection.
+    carrier of amplitude A is A.  Works along the last axis, so a stack
+    of signals is demodulated row by row in one pass.  The envelope peak
+    of a single pulse lands up to one carrier period shy of the pulse's
+    trailing bin, an offset inherent to envelope detection.
     """
     if isinstance(profile, DepthProfile):
         values = profile.values
@@ -65,7 +69,7 @@ def extract_modulated(
     k = simulator.integer_ratio(f_s, f_us)
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
-    phase = 2.0 * np.pi * f_us / f_s * np.arange(values.size)
+    phase = 2.0 * np.pi * f_us / f_s * np.arange(values.shape[-1])
     i_arm = _circular_box_mean(values * np.cos(phase), k)
     q_arm = _circular_box_mean(values * np.sin(phase), k)
     return DepthProfile(
@@ -126,6 +130,33 @@ def reconstruct_profile(
     return extract_modulated(raw, cfg.f_us, stream.f_s)
 
 
+def fold_stream(samples: np.ndarray, cfg: simulator.AcquisitionConfig) -> np.ndarray:
+    """Mean of the complete repetition periods of a stream acquired under
+    cfg, as one (order, K) frame in either mode (``demux.fold_periods``)."""
+    return demux.fold_periods(samples, cfg.order, cfg.subsets_per_cycle)
+
+
+def reconstruct_folded(
+    folded: np.ndarray,
+    cfg: simulator.AcquisitionConfig,
+    kind: InverseKind | str = InverseKind.SPECTRAL,
+) -> np.ndarray:
+    """Envelope profiles of a stack of folded streams, (..., order, K) -> (..., bins).
+
+    The batched form of ``reconstruct_profile`` for frames from
+    ``fold_stream``: one ``solve_folded`` call over the whole stack
+    (coded) or the flattened period means (single pulse), then one
+    envelope extraction.  Each row equals reconstruct_profile of its
+    stream bit for bit, whatever the stack size.
+    """
+    if cfg.mode == simulator.MODE_CODED:
+        system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
+        raw = demux.solve_folded(system, folded)
+    else:
+        raw = folded.reshape(folded.shape[:-2] + (-1,))
+    return extract_modulated(raw, cfg.f_us, cfg.f_s).values
+
+
 @dataclass(frozen=True)
 class SnrReport:
     """Trial statistics at the reference peak bin of one acquisition mode."""
@@ -166,35 +197,42 @@ def measure_snr(
 
     Signal is the mean over trials of the amplitude at the peak bin of
     the noise-free reference; noise is the std over trials of the
-    amplitude at the signal-free bin farthest from that peak.  Trial t
-    uses the seed derived from (cfg.seed, TRIAL_SALT, t).  With
+    amplitude at the signal-free bin farthest from that peak.  With
     ``subtract_noise_floor`` the mean off-peak amplitude (the envelope
     detector's Rayleigh floor) is removed from the signal first.
+
+    One batched path: the noise-free stream is simulated once; trial t
+    adds the noise of ``default_rng(derive_seed(cfg.seed, TRIAL_SALT,
+    t))`` to it (``simulator.add_noise``, drawn exactly as
+    ``simulate_stream`` draws it) and is folded at once into one row of
+    an (n_trials + 1, order, K) stack whose row 0 is the reference.  One
+    ``reconstruct_folded`` call then solves and extracts every row, so
+    each trial equals ``reconstruct_profile`` of its own stream bit for
+    bit, and only one stream is held at a time.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
-    system = None
-    if cfg.mode == simulator.MODE_CODED:
-        system = demux.build_system(codes.generate_s_sequence(cfg.order), solver_kind)
-
-    ref_cfg = replace(cfg, noise_sigma=0.0)
-    reference = reconstruct_profile(
-        simulator.simulate_stream(ref_cfg, ph), system=system
-    )
-    peak_bin = int(np.argmax(reference.values))
-    if reference.values[peak_bin] <= 0:
-        raise NoPeak("noise-free reference profile is empty")
-    off_bin = 0 if peak_bin >= reference.values.size // 2 else reference.values.size - 1
-
-    peaks = np.empty(n_trials)
-    offs = np.empty(n_trials)
+    stream = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph).samples
+    folded = np.empty((n_trials + 1, cfg.order, cfg.subsets_per_cycle))
+    folded[0] = fold_stream(stream, cfg)
+    # Only the complete periods are folded, and noise-free they all equal
+    # the first: each trial refills them in place, then adds its noise.
+    used = stream[: stream.size - stream.size % cfg.period_samples]
+    periods = used.reshape(-1, cfg.period_samples)
+    first = periods[0].copy()
     for t in range(n_trials):
-        trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, TRIAL_SALT, t))
-        prof = reconstruct_profile(
-            simulator.simulate_stream(trial_cfg, ph), system=system
-        )
-        peaks[t] = prof.values[peak_bin]
-        offs[t] = prof.values[off_bin]
+        periods[:] = first
+        simulator.add_noise(used, cfg.noise_sigma, derive_seed(cfg.seed, TRIAL_SALT, t))
+        folded[t + 1] = fold_stream(used, cfg)
+    profiles = reconstruct_folded(folded, cfg, solver_kind)
+
+    reference = profiles[0]
+    peak_bin = int(np.argmax(reference))
+    if reference[peak_bin] <= 0:
+        raise NoPeak("noise-free reference profile is empty")
+    off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
+    peaks = profiles[1:, peak_bin]
+    offs = profiles[1:, off_bin]
 
     signal = float(peaks.mean())
     if subtract_noise_floor:

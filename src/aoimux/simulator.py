@@ -338,6 +338,21 @@ def _circular_correlate(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(c)), n=p)
 
 
+def add_noise(samples: np.ndarray, sigma: float, seed: int) -> None:
+    """Add i.i.d. N(0, sigma^2) detector noise from ``default_rng(seed)`` in place.
+
+    The noise is drawn in _NOISE_CHUNK pieces that continue one Generator
+    stream, so the sum equals a one-shot draw while the temporary stays
+    at 8 MB.  Nothing is drawn when sigma is 0.
+    """
+    if sigma <= 0:
+        return
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples.size, _NOISE_CHUNK):
+        chunk = samples[start : start + _NOISE_CHUNK]
+        chunk += rng.normal(0.0, sigma, chunk.size)
+
+
 def simulate_stream(
     cfg: AcquisitionConfig,
     ph: Phantom,
@@ -364,12 +379,7 @@ def simulate_stream(
     base = cfg.modulation_efficiency * _circular_correlate(x, prof)
     reps = -(-n_samples // base.size)
     samples = np.tile(base, reps)[:n_samples]  # a fresh array, safe to add into
-    if cfg.noise_sigma > 0:
-        # chunks continue one Generator stream, so the sum equals a one-shot draw
-        rng = np.random.default_rng(cfg.seed)
-        for start in range(0, n_samples, _NOISE_CHUNK):
-            chunk = samples[start : start + _NOISE_CHUNK]
-            chunk += rng.normal(0.0, cfg.noise_sigma, chunk.size)
+    add_noise(samples, cfg.noise_sigma, cfg.seed)
     t0 = cfg.water_path_m / cfg.water_sound_speed
     return SampledStream(samples, cfg.f_s, t0, cfg)
 
@@ -416,20 +426,23 @@ def scan_2d(
 
     Per-position noise streams use seeds derived from
     ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
-    traversal order.
+    traversal order.  Each position's stream is folded to its (order, K)
+    period mean as soon as it is drawn, so only one stream is held at a
+    time; one ``reconstruct_folded`` call then solves and extracts every
+    position, each equal bit for bit to reconstruct_profile of its
+    stream.
     """
-    from .pipeline import reconstruct_profile  # local import, avoids cycle
+    from .pipeline import fold_stream, reconstruct_folded  # local import, avoids cycle
 
     xs, ys = scan_positions(x_range, y_range, step)
-    stack = None
+    folded = np.empty((ys.size, xs.size, cfg.order, cfg.subsets_per_cycle))
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
             stream = simulate_stream(pos_cfg, ph, axis_xy=(float(x), float(y)))
-            profile = reconstruct_profile(stream, kind=solver_kind)
-            if stack is None:
-                stack = np.zeros((ys.size, xs.size, profile.values.size))
-            stack[iy, ix] = profile.values
+            folded[iy, ix] = fold_stream(stream.samples, cfg)
+            del stream  # freed before the next position's stream is drawn
+    stack = reconstruct_folded(folded, cfg, solver_kind)
     peak = stack.max()
     if peak > 0:
         stack = stack / peak

@@ -263,6 +263,19 @@ class TestSnrSweep:
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
                      str(cfg_file), "--orders", ","]) == 2
 
+    def test_non_integer_order_exit_2(self, tmp_path, cfg_file, capsys):
+        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
+                     str(cfg_file), "--orders", "7,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aoimux: --orders") and "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", ["0", "1", "-3"])
+    def test_too_few_trials_exit_2(self, tmp_path, cfg_file, capsys, trials):
+        # 0 is not "unset": it must not fall back to the config's n_trials
+        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
+                     str(cfg_file), "--trials", trials]) == 2
+        assert "n_trials must be at least 2" in capsys.readouterr().err
+
 
 class TestScan2d:
     def test_grid_outputs(self, tmp_path, cfg_file):

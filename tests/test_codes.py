@@ -49,6 +49,18 @@ class TestValidateOrder:
     def test_valid_orders_listing(self):
         assert codes.valid_orders(103) == VALID_ORDERS_TO_103
 
+    def test_valid_orders_sieve_equals_trial_division(self):
+        expected = [n for n in range(3, 10**4 + 1, 4) if codes.validate_order(n)]
+        assert codes.valid_orders(10**4) == expected
+        for limit in range(-1, 104):
+            assert codes.valid_orders(limit) == [n for n in expected if n <= limit]
+
+    def test_valid_orders_count_at_max_order(self):
+        orders = codes.valid_orders(codes.MAX_ORDER)
+        assert len(orders) == 41072
+        assert orders[-1] == 1048571
+        assert all(type(n) is int for n in orders[:3])
+
 
 class TestQuadraticResidues:
     def test_n7(self):

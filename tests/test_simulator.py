@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import codes, demux, simulator
+from aoimux import codes, demux, pipeline, simulator
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -13,6 +13,7 @@ from aoimux.errors import (
     NonIntegerRatio,
     OutOfDomain,
 )
+from aoimux.seeding import SCAN_SALT, derive_seed
 
 F_US = 1.25e6
 F_S = 5e6
@@ -209,6 +210,21 @@ class TestSimulateStream:
         draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
         assert np.array_equal(noisy.samples, quiet.samples + draw)
 
+    def test_add_noise_in_small_chunks_equals_one_shot_draw(self, monkeypatch):
+        # three full chunks of 7 plus a partial one
+        monkeypatch.setattr(simulator, "_NOISE_CHUNK", 7)
+        clean = np.linspace(-1.0, 1.0, 25)
+        noisy = clean.copy()
+        simulator.add_noise(noisy, 0.3, 11)
+        draw = np.random.default_rng(11).normal(0.0, 0.3, clean.size)
+        assert np.array_equal(noisy, clean + draw)
+
+    def test_add_noise_with_zero_sigma_draws_nothing(self):
+        clean = np.linspace(-1.0, 1.0, 25)
+        noisy = clean.copy()
+        simulator.add_noise(noisy, 0.0, 11)
+        assert np.array_equal(noisy, clean)
+
     def test_distinct_seeds_differ(self):
         ph = phantom()
         a = simulator.simulate_stream(config(noise_sigma=0.5, seed=1), ph)
@@ -322,6 +338,25 @@ class TestScan2d:
         ms = simulator.scan_2d(config("single-pulse"), ph, *grid)
         np.testing.assert_allclose(mc.peak_map, ms.peak_map, atol=1e-6)
         np.testing.assert_allclose(mc.stack, ms.stack, atol=1e-6)
+
+    @pytest.mark.parametrize("solver_kind", ["spectral", "dense"])
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_stack_equals_per_position_reconstruction_exactly(self, mode, solver_kind):
+        ph = phantom()
+        cfg = config(mode, periods=3, noise_sigma=0.2, seed=4)
+        res = simulator.scan_2d(
+            cfg, ph, (-0.002, 0.002), (0.0, 0.001), 0.001, solver_kind=solver_kind
+        )
+        expected = np.empty(res.stack.shape)
+        for iy, y in enumerate(res.ys):
+            for ix, x in enumerate(res.xs):
+                pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
+                stream = simulator.simulate_stream(pos_cfg, ph, axis_xy=(x, y))
+                expected[iy, ix] = pipeline.reconstruct_profile(stream, kind=solver_kind).values
+        expected /= expected.max()
+        assert res.stack.shape == (2, 5, cfg.period_samples)
+        assert np.array_equal(res.stack, expected)
+        assert np.array_equal(res.peak_map, expected.max(axis=-1))
 
     def test_position_seeds_are_traversal_independent(self):
         ph = phantom()
