@@ -16,14 +16,10 @@ from .demux import (
     CirculantSystem,
     DepthProfile,
     InverseKind,
-    MultiplexedFrame,
     analytic_inverse_check,
     average_periods,
     build_system,
-    deinterleave,
-    demultiplex_frame,
     demultiplex_stream,
-    reinterleave,
 )
 from .pipeline import (
     AdvantageCurve,
@@ -56,7 +52,6 @@ __all__ = [
     "CirculantSystem",
     "DepthProfile",
     "InverseKind",
-    "MultiplexedFrame",
     "Phantom",
     "SSequence",
     "SampledStream",
@@ -66,8 +61,6 @@ __all__ = [
     "average_periods",
     "axial_profile",
     "build_system",
-    "deinterleave",
-    "demultiplex_frame",
     "demultiplex_stream",
     "exact_multiplexing_gain",
     "extract_modulated",
@@ -79,7 +72,6 @@ __all__ = [
     "pulse_waveform",
     "quadratic_residues",
     "reconstruct_profile",
-    "reinterleave",
     "scan_2d",
     "simulate_stream",
     "theoretical_multiplexing_gain",

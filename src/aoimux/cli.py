@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import codes, fileio, pipeline, simulator
+from . import codes, demux, fileio, pipeline, simulator
 from .config import parse_run_config, write_manifest
 from .errors import (
     AoimuxError,
@@ -53,27 +53,38 @@ def _cmd_gen_code(args) -> int:
 
 def _cmd_simulate(args) -> int:
     rc = parse_run_config(args.config)
+    acq = rc.acquisition
     out = _out_dir(args)
-    stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
-    profile = pipeline.reconstruct_profile(stream, kind=args.solver)
-    fileio.write_stream(stream, out / "stream.bin")
+    fold = demux.PeriodFold(acq.order, acq.subsets_per_cycle)
+    # stream.bin appears only if the whole block succeeds
+    with fileio.stream_writer(out / "stream.bin", acq, acq.t0, acq.n_samples) as write:
+        for chunk in simulator.stream_chunks(acq, rc.phantom):
+            write(chunk)
+            fold.add(chunk)  # after the write: add may overwrite the chunk
+        profile = _profile(fold.mean(), acq, args.solver, extract=True)
     fileio.write_profile_csv(profile, out / "profile.csv")
     write_manifest(rc, out / "manifest.cfg")
-    print(f"wrote {out / 'stream.bin'} ({len(stream)} samples)")
+    print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
     print(f"wrote {out / 'profile.csv'} ({len(profile)} bins)")
     print(f"wrote {out / 'manifest.cfg'}")
     return EXIT_OK
 
 
 def _cmd_demux(args) -> int:
-    stream = fileio.read_stream(args.stream)
-    profile = pipeline.reconstruct_profile(
-        stream, kind=args.solver, extract=not args.raw
-    )
+    with fileio.open_stream(args.stream) as sf:
+        cfg = sf.config
+        folded = demux.fold_chunks(sf.chunks(), cfg.order, cfg.subsets_per_cycle)
+    profile = _profile(folded, cfg, args.solver, extract=not args.raw)
     out = Path(args.out) if args.out else _out_dir(args) / "profile.csv"
     fileio.write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile)} bins)")
     return EXIT_OK
+
+
+def _profile(folded, cfg, solver: str, *, extract: bool) -> demux.DepthProfile:
+    """Depth profile of one folded stream, as reconstruct_profile gives it."""
+    values = pipeline.reconstruct_folded(folded, cfg, solver, extract=extract)
+    return demux.DepthProfile(values, bin_width_m=cfg.bin_width_m)
 
 
 def _cmd_snr_sweep(args) -> int:

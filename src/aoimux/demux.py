@@ -10,6 +10,7 @@ circular deconvolution (O(N log N) per frame, used for long streams).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +21,6 @@ from .errors import (
     InsufficientSamples,
     LengthMismatch,
     NonFiniteSamples,
-    NonIntegerRatio,
     OrderTooLarge,
     SingularSystem,
 )
@@ -32,17 +32,6 @@ _DENSE_MAX = 1024
 class InverseKind(Enum):
     DENSE = "dense"
     SPECTRAL = "spectral"
-
-
-@dataclass
-class MultiplexedFrame:
-    """One code period of measurements at the carrier rate for one subset."""
-
-    values: np.ndarray
-    subset_index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
 
 
 @dataclass
@@ -145,14 +134,6 @@ def build_system(
     return CirculantSystem(seq, kind)
 
 
-def demultiplex_frame(
-    sys: CirculantSystem, frame: MultiplexedFrame | np.ndarray
-) -> np.ndarray:
-    """Recover x from one multiplexed frame y by solving S x = y."""
-    values = frame.values if isinstance(frame, MultiplexedFrame) else frame
-    return sys.solve(values)
-
-
 def analytic_inverse_check(sys: CirculantSystem) -> float:
     """Max elementwise gap between the solver inverse and the closed form.
 
@@ -171,81 +152,89 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
     return float(np.abs(solver_inv - closed).max())
 
 
-def _frames_array(stream_samples: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Reshape the leading complete periods to (periods, n, k)."""
-    if n < 1 or k < 1:
-        raise LengthMismatch("order and subset count must be positive")
-    periods = stream_samples.size // (n * k)
-    if periods < 1:
-        raise InsufficientSamples(
-            f"{stream_samples.size} samples < one period of {n * k}"
-        )
-    # trailing partial period is discarded
-    return stream_samples[: periods * n * k].reshape(periods, n, k)
+class PeriodFold:
+    """Running mean of the complete repetition periods of a stream, fed in chunks.
 
+    Each chunk must start on a period boundary; the samples after its
+    last complete period are discarded, so only the last chunk of a
+    stream may end in a partial period.  The sum runs in period order:
+    the previous sum is added into the first period of each chunk, which
+    is then summed along the period axis.  That is the sum
+    ``arr.mean(axis=0)`` forms over the whole (periods, n, k) array, so
+    the mean equals it bit for bit whatever the chunk sizes.  ``add``
+    may overwrite the first period of its chunk.
 
-def deinterleave(
-    stream: SampledStream, n: int, k: int
-) -> list[list[MultiplexedFrame]]:
-    """Split a stream into K phase-offset subsets of length-n frames.
-
-    Subset j holds samples j, j+k, j+2k, ...; adjacent subsets are
-    offset by one sample (T / K) in time.
+    Any NaN or Inf among the used samples makes the sum non-finite; from
+    the chunk where that happens on, the bad samples are counted, so
+    ``mean`` can report their exact number.
     """
-    cfg = stream.config_snapshot
-    if cfg is not None and integer_ratio(stream.f_s, cfg.f_us) != k:
-        raise NonIntegerRatio(
-            f"stream metadata implies K = {integer_ratio(stream.f_s, cfg.f_us)}, "
-            f"got {k}"
-        )
-    arr = _frames_array(stream.samples, n, k)
-    return [
-        [MultiplexedFrame(arr[p, :, j], j) for p in range(arr.shape[0])]
-        for j in range(k)
-    ]
+
+    def __init__(self, n: int, k: int):
+        if n < 1 or k < 1:
+            raise LengthMismatch("order and subset count must be positive")
+        self.n, self.k = n, k
+        self.samples = 0  # seen, including a trailing partial period
+        self.periods = 0  # complete periods folded
+        self._sum: np.ndarray | None = None
+        self._bad: int | None = None  # non-finite samples, once the sum is not finite
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Fold the complete periods of one chunk into the running sum."""
+        period = self.n * self.k
+        self.samples += chunk.size
+        frames = chunk[: chunk.size - chunk.size % period].reshape(-1, self.n, self.k)
+        if not frames.size:
+            return
+        self.periods += frames.shape[0]
+        if self._bad is not None:  # the sum is lost already: only count
+            self._bad += _count_non_finite(frames)
+            return
+        if self._sum is not None:
+            frames[0] += self._sum
+        self._sum = frames.sum(axis=0)
+        if not np.isfinite(self._sum).all():
+            self._bad = _count_non_finite(frames)
+
+    def mean(self) -> np.ndarray:
+        """The (n, k) period mean; column j is interleaved subset j.
+
+        Raises InsufficientSamples without a complete period and
+        NonFiniteSamples if a used sample is NaN or infinite.
+        """
+        if not self.periods:
+            raise InsufficientSamples(
+                f"{self.samples} samples < one period of {self.n * self.k}"
+            )
+        if self._bad is not None:
+            raise NonFiniteSamples(
+                f"{self._bad} of {self.periods * self.n * self.k} samples in the "
+                f"complete periods are NaN or infinite; the period mean is not finite"
+            )
+        return self._sum / self.periods
 
 
-def reinterleave(subsets: list[list[MultiplexedFrame]]) -> np.ndarray:
-    """Inverse of deinterleave: merge subset frames back into one stream."""
-    k = len(subsets)
-    periods = len(subsets[0])
-    n = subsets[0][0].values.size
-    arr = np.empty((periods, n, k))
-    for j, frames in enumerate(subsets):
-        if len(frames) != periods:
-            raise LengthMismatch("subsets carry different frame counts")
-        for p, frame in enumerate(frames):
-            arr[p, :, j] = frame.values
-    return arr.reshape(-1)
+def _count_non_finite(values: np.ndarray) -> int:
+    return values.size - np.count_nonzero(np.isfinite(values))
 
 
-def _check_finite(folded: np.ndarray, used: np.ndarray) -> None:
-    """Raise NonFiniteSamples if the period mean is not finite.
-
-    Any NaN or Inf among the used samples reaches the mean, so checking
-    the small folded array is enough; the bad samples are counted only
-    on the error path.
-    """
-    if not np.isfinite(folded).all():
-        bad = used.size - np.count_nonzero(np.isfinite(used))
-        raise NonFiniteSamples(
-            f"{bad} of {used.size} samples in the complete periods are NaN or "
-            f"infinite; the period mean is not finite"
-        )
+def fold_chunks(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
+    """Mean of the complete repetition periods of a chunked stream (``PeriodFold``)."""
+    fold = PeriodFold(n, k)
+    for chunk in chunks:
+        fold.add(chunk)
+    return fold.mean()
 
 
 def fold_periods(samples: np.ndarray, n: int, k: int) -> np.ndarray:
     """Mean of the complete repetition periods as one (n, k) frame.
 
     Column j is interleaved subset j (samples j, j + k, ...), so the
-    row-major flattening is the period mean in time order.  A trailing
-    partial period is discarded.  Raises NonFiniteSamples if a used
-    sample is NaN or infinite.
+    row-major flattening is the period mean in time order.  The array is
+    the one-chunk case of ``fold_chunks`` and is not modified.  A
+    trailing partial period is discarded.  Raises NonFiniteSamples if a
+    used sample is NaN or infinite.
     """
-    arr = _frames_array(samples, n, k)  # (periods, n, k)
-    folded = arr.mean(axis=0)
-    _check_finite(folded, arr)
-    return folded
+    return fold_chunks([np.asarray(samples, dtype=np.float64)], n, k)
 
 
 def solve_folded(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:

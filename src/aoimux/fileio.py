@@ -12,6 +12,15 @@ form).  After ``length`` come the ``AcquisitionConfig`` fields in
 declaration order, keyed by attribute name (``f_s`` appears once, first).
 The header line must end within ``_HEADER_MAX_BYTES``.
 
+Streams move through files in chunks of whole repetition periods, so
+memory does not grow with stream length.  ``stream_writer`` writes the
+header from the configuration, with ``length`` known up front, then
+the payload chunk by chunk; the file appears under its name only once
+it is complete.  ``open_stream`` parses and checks the header once,
+including the payload size against ``length``; ``StreamFile.chunks``
+then reads the payload into one reused whole-period buffer.
+``write_stream`` and ``read_stream`` are the one-chunk, in-memory forms.
+
 All CSV output uses explicit units in the column headers and shortest
 round-trip float formatting, so identical runs produce byte identical
 files.
@@ -19,18 +28,21 @@ files.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .codes import SSequence
 from .config import acquisition_fields, format_value as _fmt
 from .demux import DepthProfile
-from .errors import ConfigError
+from .errors import ConfigError, LengthMismatch
 from .pipeline import AdvantageCurve, SnrReport
-from .simulator import AcquisitionConfig, SampledStream, ScanResult
+from .simulator import AcquisitionConfig, SampledStream, ScanResult, chunk_length
 
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
@@ -51,25 +63,59 @@ def read_sequence(path: str | Path) -> SSequence:
 # ------------------------------------------------------------------ streams
 
 
-def write_stream(stream: SampledStream, path: str | Path) -> None:
-    fields = {
-        "f_s": _fmt(stream.f_s),
-        "t0": _fmt(stream.t0),
-        "length": str(stream.samples.size),
-    }
+def _stream_header(cfg: AcquisitionConfig, t0: float, length: int) -> bytes:
+    fields = {"f_s": _fmt(cfg.f_s), "t0": _fmt(t0), "length": str(length)}
     for attr, _, kind, _ in acquisition_fields():  # f_s is already there
-        fields.setdefault(attr, _fmt(getattr(stream.config_snapshot, attr), kind))
-    header = " ".join(
-        [_STREAM_MAGIC, str(_STREAM_VERSION)] + [f"{k}={v}" for k, v in fields.items()]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
+        fields.setdefault(attr, _fmt(getattr(cfg, attr), kind))
+    tokens = [_STREAM_MAGIC, str(_STREAM_VERSION)] + [f"{k}={v}" for k, v in fields.items()]
+    return (" ".join(tokens) + "\n").encode("ascii")
+
+
+@contextlib.contextmanager
+def stream_writer(
+    path: str | Path, cfg: AcquisitionConfig, t0: float, length: int
+) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write a stream file of ``length`` samples chunk by chunk.
+
+    Yields a function that appends samples to the payload.  The file is
+    written under a temporary name and renamed to ``path`` only when the
+    block ends without error and every sample was written, so a failed
+    run leaves no partial stream file behind.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    written = 0
+
+    def write(samples: np.ndarray) -> None:
+        nonlocal written
         # the array's own buffer: no second copy of the payload
-        fh.write(np.ascontiguousarray(stream.samples, dtype="<f8").data)
+        fh.write(np.ascontiguousarray(samples, dtype="<f8").data)
+        written += samples.size
+
+    try:
+        with open(part, "wb") as fh:
+            fh.write(_stream_header(cfg, t0, length))
+            yield write
+        if written != length:
+            raise LengthMismatch(f"{path}: header says {length} samples, {written} written")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
-def read_stream(path: str | Path) -> SampledStream:
-    with open(path, "rb") as fh:
+def write_stream(stream: SampledStream, path: str | Path) -> None:
+    samples = stream.samples
+    with stream_writer(path, stream.config_snapshot, stream.t0, samples.size) as write:
+        write(samples)
+
+
+class StreamFile:
+    """An open stream file: its header, parsed and checked once, and its payload."""
+
+    def __init__(self, fh: BinaryIO, path: str | Path):
+        self._fh = fh
+        self.path = path
         line = fh.readline(_HEADER_MAX_BYTES)
         if not line.endswith(b"\n"):
             raise ConfigError(f"{path}: no stream header line within {len(line)} bytes")
@@ -83,28 +129,56 @@ def read_stream(path: str | Path) -> SampledStream:
             raise ConfigError(f"{path}: not an aoimux stream file")
         try:
             kv = dict(tok.split("=", 1) for tok in tokens[2:])
-            cfg = AcquisitionConfig(
+            self.config = AcquisitionConfig(
                 **{attr: kind(kv[attr]) for attr, _, kind, _ in acquisition_fields()}
             )
-            length = int(kv["length"])
-            t0 = float(kv["t0"])
+            self.length = int(kv["length"])
+            self.t0 = float(kv["t0"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
-        if not math.isfinite(t0):
-            raise ConfigError(f"{path}: stream header t0 must be finite, got {t0}")
+        if not math.isfinite(self.t0):
+            raise ConfigError(f"{path}: stream header t0 must be finite, got {self.t0}")
         if payload % 8:
             raise ConfigError(
                 f"{path}: payload of {payload} bytes is not a whole number of samples"
             )
-        if payload // 8 != length:
+        if payload // 8 != self.length:
             raise ConfigError(
-                f"{path}: header says {length} samples, file holds {payload // 8}"
+                f"{path}: header says {self.length} samples, file holds {payload // 8}"
             )
+
+    def read_into(self, samples: np.ndarray) -> None:
+        """Fill a contiguous float64 array with the next payload samples."""
+        if self._fh.readinto(samples.data) != samples.nbytes:
+            raise ConfigError(f"{self.path}: payload ended before {self.length} samples")
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The payload in chunks of ``simulator.chunk_length`` samples of
+        the header's repetition period; only the last may end in a partial
+        period.  Every chunk is a view of one reused buffer: use it before
+        asking for the next."""
+        step = chunk_length(self.config.period_samples)
+        buf = np.empty(min(step, self.length), dtype="<f8")
+        for start in range(0, self.length, step):
+            chunk = buf[: min(step, self.length - start)]
+            self.read_into(chunk)
+            yield chunk
+
+
+@contextlib.contextmanager
+def open_stream(path: str | Path) -> Iterator[StreamFile]:
+    """Open a stream file and check its header; raises ConfigError on a
+    malformed header or a payload whose size disagrees with it."""
+    with open(path, "rb") as fh:
+        yield StreamFile(fh, path)
+
+
+def read_stream(path: str | Path) -> SampledStream:
+    with open_stream(path) as sf:
         # one buffer, filled in place: no second copy of the payload
-        samples = np.empty(length, dtype="<f8")
-        if fh.readinto(samples.data) != payload:
-            raise ConfigError(f"{path}: payload ended before {length} samples")
-    return SampledStream(samples, cfg.f_s, t0, cfg)
+        samples = np.empty(sf.length, dtype="<f8")
+        sf.read_into(samples)
+    return SampledStream(samples, sf.config.f_s, sf.t0, sf.config)
 
 
 def write_stream_csv(stream: SampledStream, path: str | Path) -> None:

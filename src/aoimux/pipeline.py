@@ -130,30 +130,29 @@ def reconstruct_profile(
     return extract_modulated(raw, cfg.f_us, stream.f_s)
 
 
-def fold_stream(samples: np.ndarray, cfg: simulator.AcquisitionConfig) -> np.ndarray:
-    """Mean of the complete repetition periods of a stream acquired under
-    cfg, as one (order, K) frame in either mode (``demux.fold_periods``)."""
-    return demux.fold_periods(samples, cfg.order, cfg.subsets_per_cycle)
-
-
 def reconstruct_folded(
     folded: np.ndarray,
     cfg: simulator.AcquisitionConfig,
     kind: InverseKind | str = InverseKind.SPECTRAL,
+    *,
+    extract: bool = True,
 ) -> np.ndarray:
     """Envelope profiles of a stack of folded streams, (..., order, K) -> (..., bins).
 
-    The batched form of ``reconstruct_profile`` for frames from
-    ``fold_stream``: one ``solve_folded`` call over the whole stack
+    The batched form of ``reconstruct_profile`` for period means from
+    ``demux.fold_chunks``: one ``solve_folded`` call over the whole stack
     (coded) or the flattened period means (single pulse), then one
-    envelope extraction.  Each row equals reconstruct_profile of its
-    stream bit for bit, whatever the stack size.
+    envelope extraction unless ``extract=False``.  Each row equals
+    reconstruct_profile of its stream bit for bit, whatever the stack
+    size.
     """
     if cfg.mode == simulator.MODE_CODED:
         system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
         raw = demux.solve_folded(system, folded)
     else:
         raw = folded.reshape(folded.shape[:-2] + (-1,))
+    if not extract:
+        return raw
     return extract_modulated(raw, cfg.f_us, cfg.f_s).values
 
 
@@ -201,29 +200,28 @@ def measure_snr(
     ``subtract_noise_floor`` the mean off-peak amplitude (the envelope
     detector's Rayleigh floor) is removed from the signal first.
 
-    One batched path: the noise-free stream is simulated once; trial t
-    adds the noise of ``default_rng(derive_seed(cfg.seed, TRIAL_SALT,
-    t))`` to it (``simulator.add_noise``, drawn exactly as
-    ``simulate_stream`` draws it) and is folded at once into one row of
-    an (n_trials + 1, order, K) stack whose row 0 is the reference.  One
-    ``reconstruct_folded`` call then solves and extracts every row, so
-    each trial equals ``reconstruct_profile`` of its own stream bit for
-    bit, and only one stream is held at a time.
+    One batched path: the noise-free period is simulated once; trial t
+    is that period repeated plus the noise of ``default_rng(derive_seed(
+    cfg.seed, TRIAL_SALT, t))`` (``simulator.noisy_chunks``, the draw
+    ``simulate_stream`` makes), folded chunk by chunk into one row of an
+    (n_trials + 1, order, K) stack whose row 0 is the noise-free
+    reference.  One ``reconstruct_folded`` call then solves and extracts
+    every row, so each trial equals ``reconstruct_profile`` of its own
+    stream bit for bit, and no stream is ever held whole.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
-    stream = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph).samples
-    folded = np.empty((n_trials + 1, cfg.order, cfg.subsets_per_cycle))
-    folded[0] = fold_stream(stream, cfg)
-    # Only the complete periods are folded, and noise-free they all equal
-    # the first: each trial refills them in place, then adds its noise.
-    used = stream[: stream.size - stream.size % cfg.period_samples]
-    periods = used.reshape(-1, cfg.period_samples)
-    first = periods[0].copy()
+    period = simulator.clean_period(cfg, ph)
+    n, k = cfg.order, cfg.subsets_per_cycle
+    folded = np.empty((n_trials + 1, n, k))
+    clean = simulator.noisy_chunks(period, cfg.n_samples, 0.0, cfg.seed)
+    folded[0] = demux.fold_chunks(clean, n, k)  # raises without a complete period
+    # only the complete periods are folded, so only their noise is drawn
+    used = cfg.n_samples - cfg.n_samples % period.size
     for t in range(n_trials):
-        periods[:] = first
-        simulator.add_noise(used, cfg.noise_sigma, derive_seed(cfg.seed, TRIAL_SALT, t))
-        folded[t + 1] = fold_stream(used, cfg)
+        seed = derive_seed(cfg.seed, TRIAL_SALT, t)
+        chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
+        folded[t + 1] = demux.fold_chunks(chunks, n, k)
     profiles = reconstruct_folded(folded, cfg, solver_kind)
 
     reference = profiles[0]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -48,7 +49,9 @@ MODE_CODED = "coded"
 
 _CM_TO_M = 100.0  # 1/cm -> 1/m for optical coefficients
 _SCALE_GRID = 2048  # axial samples used to fix the phantom fluence scale
-_NOISE_CHUNK = 1 << 20  # noise samples drawn per call: bounds the temporary to 8 MB
+# Streams are made, written and read in chunks of whole periods of at most
+# this many samples (512 kB), so memory does not grow with stream length.
+CHUNK_SAMPLES = 1 << 16
 
 
 def integer_ratio(f_s: float, f_us: float) -> int:
@@ -197,6 +200,11 @@ class AcquisitionConfig:
         """Distance between repetitions in the water path above the medium."""
         return self.water_sound_speed / self.prf
 
+    @property
+    def t0(self) -> float:
+        """Time of the first sample: the sound's transit of the water path, s."""
+        return self.water_path_m / self.water_sound_speed
+
 
 @dataclass
 class SampledStream:
@@ -338,19 +346,75 @@ def _circular_correlate(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(c)), n=p)
 
 
-def add_noise(samples: np.ndarray, sigma: float, seed: int) -> None:
-    """Add i.i.d. N(0, sigma^2) detector noise from ``default_rng(seed)`` in place.
+def chunk_length(period: int) -> int:
+    """Samples per stream chunk: the whole periods that fit in CHUNK_SAMPLES,
+    never less than one period."""
+    return max(1, CHUNK_SAMPLES // period) * period
 
-    The noise is drawn in _NOISE_CHUNK pieces that continue one Generator
-    stream, so the sum equals a one-shot draw while the temporary stays
-    at 8 MB.  Nothing is drawn when sigma is 0.
+
+def clean_period(
+    cfg: AcquisitionConfig,
+    ph: Phantom,
+    axis_xy: tuple[float, float] = (0.0, 0.0),
+    *,
+    rectified_carrier: bool = False,
+) -> np.ndarray:
+    """One repetition period of the noise-free stream (cfg.period_samples)."""
+    x = axial_profile(cfg, ph, axis_xy)
+    prof = _spatial_code_profile(cfg, rectified_carrier)
+    return cfg.modulation_efficiency * _circular_correlate(x, prof)
+
+
+def noisy_chunks(
+    period: np.ndarray, n_samples: int, sigma: float, seed: int
+) -> Iterator[np.ndarray]:
+    """The first n_samples of period repeated, plus N(0, sigma^2) noise, in chunks.
+
+    Chunks hold ``chunk_length(period.size)`` samples (whole periods),
+    or the whole stream if it is shorter; only the last may be shorter
+    and end in a partial period.  The noise
+    continues one ``default_rng(seed)`` Generator across chunks, and its
+    draws do not depend on the chunk size, so the samples equal a
+    one-shot draw over the whole stream.  Nothing is drawn when sigma is
+    0.  Every chunk is a view of one reused buffer: use it before asking
+    for the next.
     """
-    if sigma <= 0:
-        return
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples.size, _NOISE_CHUNK):
-        chunk = samples[start : start + _NOISE_CHUNK]
-        chunk += rng.normal(0.0, sigma, chunk.size)
+    p = period.size
+    # no longer than the stream rounded up to whole periods, and at least one
+    step = min(chunk_length(p), -(-n_samples // p) * p) or p
+    buf = np.empty(step)
+    rng = np.random.default_rng(seed) if sigma > 0 else None
+    for start in range(0, n_samples, step):
+        chunk = buf[: min(step, n_samples - start)]
+        whole = chunk.size - chunk.size % p
+        chunk[:whole].reshape(-1, p)[:] = period
+        if whole < chunk.size:  # the last chunk's partial period
+            chunk[whole:] = period[: chunk.size - whole]
+        if rng is not None:
+            chunk += rng.normal(0.0, sigma, chunk.size)
+        yield chunk
+
+
+def stream_chunks(
+    cfg: AcquisitionConfig,
+    ph: Phantom,
+    axis_xy: tuple[float, float] = (0.0, 0.0),
+    *,
+    rectified_carrier: bool = False,
+) -> Iterator[np.ndarray]:
+    """The stream of one transducer position as ``noisy_chunks``.
+
+    The zero-noise stream is periodic with cfg.period_samples; noise is
+    drawn from ``default_rng(cfg.seed)``, so identical configurations
+    give bit-identical streams, whatever the chunk size.  The
+    configuration is checked before the first chunk is asked for.
+    """
+    if cfg.n_samples < 1:
+        raise InsufficientSamples(
+            f"duration {cfg.duration_s} s at {cfg.f_s} Hz gives no samples"
+        )
+    period = clean_period(cfg, ph, axis_xy, rectified_carrier=rectified_carrier)
+    return noisy_chunks(period, cfg.n_samples, cfg.noise_sigma, cfg.seed)
 
 
 def simulate_stream(
@@ -360,28 +424,21 @@ def simulate_stream(
     *,
     rectified_carrier: bool = False,
 ) -> SampledStream:
-    """Synthesize a detector stream for one transducer position.
+    """Synthesize a detector stream for one transducer position in memory.
 
-    The zero-noise stream is periodic with cfg.period_samples; noise is
-    drawn from ``default_rng(cfg.seed)``, so identical configurations
-    give bit-identical streams.  ``rectified_carrier=True`` replaces the
-    signed one-cycle sine by its absolute value; this diagnostic mode
-    makes raw sample energies directly comparable between coded and
-    single-pulse transmission but is not demodulatable.
+    The samples are those of ``stream_chunks``, gathered into one array.
+    ``rectified_carrier=True`` replaces the signed one-cycle sine by its
+    absolute value; this diagnostic mode makes raw sample energies
+    directly comparable between coded and single-pulse transmission but
+    is not demodulatable.
     """
-    n_samples = cfg.n_samples
-    if n_samples < 1:
-        raise InsufficientSamples(
-            f"duration {cfg.duration_s} s at {cfg.f_s} Hz gives no samples"
-        )
-    x = axial_profile(cfg, ph, axis_xy)
-    prof = _spatial_code_profile(cfg, rectified_carrier)
-    base = cfg.modulation_efficiency * _circular_correlate(x, prof)
-    reps = -(-n_samples // base.size)
-    samples = np.tile(base, reps)[:n_samples]  # a fresh array, safe to add into
-    add_noise(samples, cfg.noise_sigma, cfg.seed)
-    t0 = cfg.water_path_m / cfg.water_sound_speed
-    return SampledStream(samples, cfg.f_s, t0, cfg)
+    chunks = stream_chunks(cfg, ph, axis_xy, rectified_carrier=rectified_carrier)
+    samples = np.empty(cfg.n_samples)
+    start = 0
+    for chunk in chunks:
+        samples[start : start + chunk.size] = chunk
+        start += chunk.size
+    return SampledStream(samples, cfg.f_s, cfg.t0, cfg)
 
 
 @dataclass
@@ -427,21 +484,21 @@ def scan_2d(
     Per-position noise streams use seeds derived from
     ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
     traversal order.  Each position's stream is folded to its (order, K)
-    period mean as soon as it is drawn, so only one stream is held at a
-    time; one ``reconstruct_folded`` call then solves and extracts every
-    position, each equal bit for bit to reconstruct_profile of its
-    stream.
+    period mean chunk by chunk as it is drawn (``stream_chunks``), so no
+    stream is ever held whole; one ``reconstruct_folded`` call then
+    solves and extracts every position, each equal bit for bit to
+    reconstruct_profile of its stream.
     """
-    from .pipeline import fold_stream, reconstruct_folded  # local import, avoids cycle
+    from .demux import fold_chunks  # local imports, avoid a cycle
+    from .pipeline import reconstruct_folded
 
     xs, ys = scan_positions(x_range, y_range, step)
     folded = np.empty((ys.size, xs.size, cfg.order, cfg.subsets_per_cycle))
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
-            stream = simulate_stream(pos_cfg, ph, axis_xy=(float(x), float(y)))
-            folded[iy, ix] = fold_stream(stream.samples, cfg)
-            del stream  # freed before the next position's stream is drawn
+            chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
+            folded[iy, ix] = fold_chunks(chunks, cfg.order, cfg.subsets_per_cycle)
     stack = reconstruct_folded(folded, cfg, solver_kind)
     peak = stack.max()
     if peak > 0:

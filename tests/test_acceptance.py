@@ -169,7 +169,11 @@ def test_criterion_4_resolution_preservation():
 
 
 def test_criterion_5_interleaving_exactness():
-    """Deinterleave, invert per frame, reinterleave: exact at K = 4."""
+    """Deinterleave, invert per frame, reinterleave: exact at K = 4.
+
+    The explicit path reshapes the complete periods to (periods, N, K),
+    so frames[p, :, j] is subset j of period p, and solves every frame
+    on its own."""
     start = time.perf_counter()
     ph = small_phantom(boundary=0.002, extent=0.03)
     duration = 3 * 79 * K / F_S
@@ -180,14 +184,13 @@ def test_criterion_5_interleaving_exactness():
     assert coded.config_snapshot.subsets_per_cycle == 4
 
     system = demux.build_system(codes.generate_s_sequence(79), "spectral")
-    subsets = demux.deinterleave(coded, 79, K)
-    solved = [
-        [demux.MultiplexedFrame(demux.demultiplex_frame(system, f), f.subset_index)
-         for f in frames]
-        for frames in subsets
-    ]
-    merged = demux.reinterleave(solved)
-    periods = merged.size // (79 * K)
+    periods = coded.samples.size // (79 * K)
+    frames = coded.samples[: periods * 79 * K].reshape(periods, 79, K)
+    solved = np.empty_like(frames)
+    for p in range(periods):
+        for j in range(K):
+            solved[p, :, j] = system.solve(frames[p, :, j])
+    merged = solved.reshape(-1)  # back in time order
     profile = merged.reshape(periods, 79 * K).mean(axis=0)
     truth = demux.average_periods(single).values
     rel = np.linalg.norm(profile - truth) / np.linalg.norm(truth)

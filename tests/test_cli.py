@@ -1,13 +1,17 @@
 """Command-line interface: commands, exit codes, determinism, manifests."""
 
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoimux import codes, fileio, pipeline
+from aoimux import codes, fileio, pipeline, simulator
 from aoimux.cli import main
 from aoimux.config import manifest_text, parse_run_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_CONFIG = """\
 [acquisition]
@@ -103,6 +107,27 @@ class TestSimulate:
         main(["--out-dir", str(out2), "simulate", "--config", str(out1 / "manifest.cfg")])
         assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
 
+    def test_chunked_outputs_equal_the_in_memory_path(self, tmp_path, cfg_file, monkeypatch):
+        # one period (76 samples) a chunk: the stream is written and folded in four
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 100)
+        out = tmp_path / "run"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)]) == 0
+        rc = parse_run_config(cfg_file)
+        stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
+        fileio.write_stream(stream, tmp_path / "stream.bin")
+        fileio.write_profile_csv(pipeline.reconstruct_profile(stream), tmp_path / "profile.csv")
+        for name in ("stream.bin", "profile.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_run_shorter_than_one_period_writes_nothing(self, tmp_path, capsys):
+        quick = (CONFIGS / "quick.cfg").read_text()
+        bad = tmp_path / "short.cfg"
+        bad.write_text(_set_acquisition_value(quick, "duration_s", "1e-5"))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
+        assert "50 samples < one period of 316" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_zero_duration_exit_2(self, tmp_path, cfg_file, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(cfg_file.read_text().replace("duration_s = 6.08e-5", "duration_s = 0"))
@@ -170,6 +195,49 @@ class TestDemux:
                      str(tmp_path / "p.csv")]) == 4
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
+
+    def _one_period_chunks(self, tmp_path, cfg_file, monkeypatch, extra=0):
+        """Stream file of SMALL_CONFIG (4 periods of 76) plus extra samples,
+        read back one period a chunk."""
+        cfg = tmp_path / "extra.cfg"
+        cfg.write_text(cfg_file.read_text().replace(
+            "duration_s = 6.08e-5", f"duration_s = {(304 + extra) / 5e6!r}"))
+        out = tmp_path / "run"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(cfg)]) == 0
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 76)
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        samples = np.frombuffer(body, dtype="<f8").copy()
+        assert samples.size == 304 + extra
+        return head + b"\n", samples
+
+    def test_nan_in_a_later_chunk_exit_4_with_exact_count(
+        self, tmp_path, cfg_file, monkeypatch, capsys
+    ):
+        head, samples = self._one_period_chunks(tmp_path, cfg_file, monkeypatch)
+        samples[[2 * 76 + 5, 3 * 76]] = np.nan
+        samples[3 * 76 + 75] = -np.inf
+        bad = tmp_path / "nan.bin"
+        bad.write_bytes(head + samples.astype("<f8").tobytes())
+        assert main(["demux", "--stream", str(bad), "--out", str(tmp_path / "p.csv")]) == 4
+        assert "3 of 304 samples" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_nan_in_trailing_partial_period_is_ignored(self, tmp_path, cfg_file, monkeypatch):
+        head, samples = self._one_period_chunks(tmp_path, cfg_file, monkeypatch, extra=10)
+        good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+        good.write_bytes(head + samples.astype("<f8").tobytes())
+        samples[-1] = np.nan
+        bad.write_bytes(head + samples.astype("<f8").tobytes())
+        for path in (good, bad):
+            assert main(["demux", "--stream", str(path), "--out", str(path) + ".csv"]) == 0
+        assert (tmp_path / "bad.bin.csv").read_bytes() == (tmp_path / "good.bin.csv").read_bytes()
+
+    def test_payload_truncated_mid_chunk_exit_2(self, tmp_path, cfg_file, monkeypatch, capsys):
+        head, samples = self._one_period_chunks(tmp_path, cfg_file, monkeypatch)
+        bad = tmp_path / "short.bin"
+        bad.write_bytes(head + samples[: 2 * 76 + 30].astype("<f8").tobytes())
+        assert main(["demux", "--stream", str(bad), "--out", str(tmp_path / "p.csv")]) == 2
+        assert "header says 304 samples, file holds 182" in capsys.readouterr().err
 
     def test_overlong_header_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "long.bin"
@@ -301,3 +369,16 @@ class TestScan2d:
         rows = (out / "scan_map.csv").read_text().strip().splitlines()
         assert len(rows) == 2
         assert float(rows[1].split(",")[2]) == pytest.approx(1.0)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_every_sweep_order_fits_the_phantom_in_both_modes(self, path):
+        # snr-sweep runs each order coded and as its matched single-pulse
+        # reference; one repetition period must span the whole phantom
+        rc = parse_run_config(path)
+        assert rc.sweep_orders
+        for order in rc.sweep_orders:
+            for mode in ("coded", "single-pulse"):
+                cfg = replace(rc.acquisition, mode=mode, order=order)
+                simulator.axial_profile(cfg, rc.phantom)

@@ -72,7 +72,7 @@ class TestDemultiplexFrame:
             e = np.zeros(7)
             e[k] = 1.0
             y = sys7.apply(e)
-            assert np.abs(demux.demultiplex_frame(sys7, y) - e).max() < 1e-10
+            assert np.abs(sys7.solve(y) - e).max() < 1e-10
 
     @pytest.mark.parametrize("n", [3, 7, 79])
     def test_all_ones_rhs(self, n):
@@ -81,7 +81,7 @@ class TestDemultiplexFrame:
         sys_n = system(n)
         x_expected = np.full(n, 2.0 / (n + 1))
         assert np.abs(sys_n.matrix() @ x_expected - 1.0).max() < 1e-12
-        x = demux.demultiplex_frame(sys_n, np.ones(n))
+        x = sys_n.solve(np.ones(n))
         assert np.abs(x - x_expected).max() < 1e-12
 
     def test_random_round_trip_order79(self):
@@ -89,7 +89,7 @@ class TestDemultiplexFrame:
         rng = np.random.default_rng(1)
         x = rng.random(79)
         y = sys79.apply(x)
-        rec = demux.demultiplex_frame(sys79, demux.MultiplexedFrame(y, 0))
+        rec = sys79.solve(y)
         assert np.linalg.norm(rec - x) / np.linalg.norm(x) < 1e-9
 
     def test_round_trip_all_valid_orders_to_1024(self):
@@ -128,7 +128,7 @@ class TestDemultiplexFrame:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            demux.demultiplex_frame(system(7), np.ones(6))
+            system(7).solve(np.ones(6))
 
 
 class TestAnalyticInverse:
@@ -159,14 +159,16 @@ class TestNoisePropagation:
 
 
 class TestInterleaving:
+    """A stream's complete periods reshape to (periods, N, K): frames[p, :, j]
+    is the length-N frame of subset j (samples j, j + K, ...) in period p."""
+
     def test_twelve_samples_three_by_four(self):
-        stream = make_stream(np.arange(12.0))
-        subsets = demux.deinterleave(stream, 3, 4)
-        assert len(subsets) == 4
-        assert all(len(frames) == 1 for frames in subsets)
-        assert np.array_equal(subsets[0][0].values, [0.0, 4.0, 8.0])
-        assert np.array_equal(subsets[3][0].values, [3.0, 7.0, 11.0])
-        assert subsets[2][0].subset_index == 2
+        frames = np.arange(12.0).reshape(-1, 3, 4)
+        assert frames.shape == (1, 3, 4)
+        assert np.array_equal(frames[0, :, 0], [0.0, 4.0, 8.0])
+        assert np.array_equal(frames[0, :, 3], [3.0, 7.0, 11.0])
+        # one period folds to itself
+        assert np.array_equal(demux.fold_periods(np.arange(12.0), 3, 4), frames[0])
 
     def test_subset_count_from_reference_rates(self):
         assert simulator.integer_ratio(5e6, 1.25e6) == 4
@@ -174,18 +176,20 @@ class TestInterleaving:
     def test_deinterleave_reinterleave_bijection(self):
         rng = np.random.default_rng(6)
         samples = rng.normal(size=7 * 4 * 5)  # five complete periods
-        stream = make_stream(samples, order=7)
-        again = demux.reinterleave(demux.deinterleave(stream, 7, 4))
-        assert np.array_equal(again, samples)
+        frames = samples.reshape(-1, 7, 4)
+        for p in range(5):
+            for j in range(4):
+                start = p * 28 + j
+                assert np.array_equal(frames[p, :, j], samples[start : start + 28 : 4])
+        assert np.array_equal(frames.reshape(-1), samples)
 
     def test_insufficient_samples(self):
-        with pytest.raises(InsufficientSamples):
-            demux.deinterleave(make_stream(np.arange(11.0)), 3, 4)
+        with pytest.raises(InsufficientSamples, match="11 samples < one period of 12"):
+            demux.fold_periods(np.arange(11.0), 3, 4)
 
     def test_trailing_partial_period_discarded(self):
-        stream = make_stream(np.arange(15.0))
-        subsets = demux.deinterleave(stream, 3, 4)
-        assert all(len(frames) == 1 for frames in subsets)
+        folded = demux.fold_periods(np.arange(15.0), 3, 4)
+        assert np.array_equal(folded, np.arange(12.0).reshape(3, 4))
 
 
 class TestDemultiplexStream:
@@ -254,19 +258,18 @@ class TestDemultiplexStream:
 
 class TestFoldThenSolve:
     """The stream path folds over periods and solves once; the explicit
-    per-frame path (deinterleave, solve every frame, average,
-    reinterleave) is the reference."""
+    per-frame path (reshape to (periods, N, K), solve every frame, merge
+    back in time order, average) is the reference."""
 
     @staticmethod
     def _per_frame_reference(sys_n, stream, n, k):
-        subsets = demux.deinterleave(stream, n, k)
-        solved = [
-            [demux.MultiplexedFrame(demux.demultiplex_frame(sys_n, f), f.subset_index)
-             for f in frames]
-            for frames in subsets
-        ]
-        merged = demux.reinterleave(solved)
-        return merged.reshape(-1, n * k).mean(axis=0)
+        periods = stream.samples.size // (n * k)
+        frames = stream.samples[: periods * n * k].reshape(periods, n, k)
+        solved = np.empty_like(frames)
+        for p in range(periods):
+            for j in range(k):
+                solved[p, :, j] = sys_n.solve(frames[p, :, j])
+        return solved.reshape(periods, n * k).mean(axis=0)
 
     @pytest.mark.parametrize("kind", ["dense", "spectral"])
     @pytest.mark.parametrize("n", [7, 79])
@@ -320,3 +323,47 @@ class TestNonFiniteSamples:
         samples[-1] = np.nan  # discarded with the partial period
         prof = demux.demultiplex_stream(system(7, "spectral"), make_stream(samples, order=7))
         assert np.isfinite(prof.values).all()
+
+
+class TestPeriodFold:
+    """The running fold over chunks equals arr.mean(axis=0) of the whole
+    (periods, N, K) array bit for bit, whatever the chunk sizes."""
+
+    @staticmethod
+    def _chunks(samples, periods_per_chunk, period):
+        step = periods_per_chunk * period
+        return [samples[i : i + step].copy() for i in range(0, samples.size, step)]
+
+    @pytest.mark.parametrize("periods_per_chunk", [1, 2, 3, 7, 64, 1000])
+    def test_equals_whole_array_mean_exactly(self, periods_per_chunk):
+        n, k = 7, 4
+        rng = np.random.default_rng(periods_per_chunk)
+        # 100 periods (no chunk size above divides it but 1 and 2) and a partial one
+        samples = rng.normal(size=100 * n * k + 13) * 1e3
+        reference = samples[: 100 * n * k].reshape(100, n, k).mean(axis=0)
+        chunks = self._chunks(samples, periods_per_chunk, n * k)
+        folded = demux.fold_chunks(chunks, n, k)
+        assert np.array_equal(folded, reference)
+
+    def test_array_fold_leaves_its_input_untouched(self):
+        samples = np.random.default_rng(1).normal(size=5 * 28)
+        before = samples.copy()
+        demux.fold_periods(samples, 7, 4)
+        assert np.array_equal(samples, before)
+
+    def test_nan_in_a_later_chunk_counts_every_bad_sample(self):
+        n, k = 7, 4
+        samples = np.random.default_rng(2).normal(size=10 * n * k + 5)
+        samples[[3 * 28 + 1, 3 * 28 + 2]] = np.nan  # chunk 2 of 2-period chunks
+        samples[9 * 28 + 27] = np.inf  # the last complete period
+        samples[-1] = np.nan  # the trailing partial period is not used
+        with pytest.raises(NonFiniteSamples, match="3 of 280 samples"):
+            demux.fold_chunks(self._chunks(samples, 2, n * k), n, k)
+
+    def test_no_complete_period_raises(self):
+        with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
+            demux.fold_chunks([np.zeros(20), np.zeros(7)], 7, 4)
+
+    def test_order_and_subsets_must_be_positive(self):
+        with pytest.raises(LengthMismatch):
+            demux.PeriodFold(0, 4)

@@ -5,7 +5,7 @@ import pytest
 
 from aoimux import codes, fileio, pipeline, simulator
 from aoimux.demux import DepthProfile
-from aoimux.errors import ConfigError
+from aoimux.errors import ConfigError, LengthMismatch
 from aoimux.pipeline import AdvantageCurve, SnrReport
 
 
@@ -80,6 +80,42 @@ class TestStreamFiles:
         path.write_bytes(data[:-16])
         with pytest.raises(ConfigError):
             fileio.read_stream(path)
+
+    def test_chunks_are_whole_periods_and_equal_the_payload(self, tmp_path, monkeypatch):
+        # 2 periods of 28 and 3 samples, written in one go, read one period a chunk
+        stream = sample_stream()
+        stream.samples = np.append(stream.samples, [1.0, 2.0, 3.0])
+        path = tmp_path / "stream.bin"
+        fileio.write_stream(stream, path)
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 30)
+        with fileio.open_stream(path) as sf:
+            assert (sf.config, sf.t0, sf.length) == (stream.config_snapshot, stream.t0, 59)
+            chunks = [chunk.copy() for chunk in sf.chunks()]
+        assert [c.size for c in chunks] == [28, 28, 3]
+        assert np.array_equal(np.concatenate(chunks), stream.samples)
+
+    def test_chunked_writer_equals_write_stream(self, tmp_path):
+        stream = sample_stream()
+        whole, chunked = tmp_path / "whole.bin", tmp_path / "chunked.bin"
+        fileio.write_stream(stream, whole)
+        cfg = stream.config_snapshot
+        with fileio.stream_writer(chunked, cfg, stream.t0, len(stream)) as write:
+            for start in range(0, len(stream), 28):
+                write(stream.samples[start : start + 28])
+        assert chunked.read_bytes() == whole.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chunked.bin", "whole.bin"]
+
+    def test_failed_writer_leaves_no_file(self, tmp_path):
+        stream = sample_stream()
+        path = tmp_path / "stream.bin"
+        with pytest.raises(RuntimeError):
+            with fileio.stream_writer(path, stream.config_snapshot, 0.0, 56) as write:
+                write(stream.samples[:28])
+                raise RuntimeError("simulated failure")
+        with pytest.raises(LengthMismatch):
+            with fileio.stream_writer(path, stream.config_snapshot, 0.0, 56) as write:
+                write(stream.samples[:28])  # one period short of the header
+        assert not list(tmp_path.iterdir())
 
     def test_csv_variant(self, tmp_path):
         stream = sample_stream(noise=0.0)

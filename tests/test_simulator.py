@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import codes, demux, pipeline, simulator
+from aoimux import codes, pipeline, simulator
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -153,14 +153,14 @@ class TestSimulateStream:
         x = simulator.axial_profile(cfg, ph)
         w = simulator.pulse_waveform(F_US, F_S)
         s = codes.circulant_matrix(codes.generate_s_sequence(order)).astype(float)
-        subsets = demux.deinterleave(stream, order, k)
-        for j, frames in enumerate(subsets):
+        frames = stream.samples.reshape(-1, order, k)  # frames[p, :, j]: subset j
+        for j in range(k):
             xt = np.zeros(order)
             for q in range(order):
                 for v in range(k):
                     xt[q] += x[(q * k + j + v) % (order * k)] * w[v]
-            for frame in frames:
-                np.testing.assert_allclose(frame.values, s @ xt, atol=1e-12)
+            for frame in frames[:, :, j]:
+                np.testing.assert_allclose(frame, s @ xt, atol=1e-12)
 
     def test_reference_prf_and_pulse_spacing(self):
         cfg = config("coded", order=79)
@@ -200,10 +200,10 @@ class TestSimulateStream:
         assert np.array_equal(a.samples, b.samples)
 
     def test_noise_drawn_in_chunks_equals_one_shot_draw(self):
-        # two full noise chunks plus a partial one
-        chunk = simulator._NOISE_CHUNK
+        # two full stream chunks plus a partial one
+        chunk = simulator.CHUNK_SAMPLES
         cfg = config(order=7, periods=-(-(2 * chunk + 1) // 28), noise_sigma=0.5, seed=9)
-        assert cfg.n_samples > 2 * chunk
+        assert cfg.n_samples > 2 * simulator.chunk_length(cfg.period_samples)
         ph = phantom(extent=0.003)
         quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
         noisy = simulator.simulate_stream(cfg, ph)
@@ -211,19 +211,40 @@ class TestSimulateStream:
         assert np.array_equal(noisy.samples, quiet.samples + draw)
 
     def test_add_noise_in_small_chunks_equals_one_shot_draw(self, monkeypatch):
-        # three full chunks of 7 plus a partial one
-        monkeypatch.setattr(simulator, "_NOISE_CHUNK", 7)
-        clean = np.linspace(-1.0, 1.0, 25)
-        noisy = clean.copy()
-        simulator.add_noise(noisy, 0.3, 11)
-        draw = np.random.default_rng(11).normal(0.0, 0.3, clean.size)
-        assert np.array_equal(noisy, clean + draw)
+        # chunks of two periods of 3 samples: four full chunks and a partial one
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 7)
+        period = np.array([0.5, -1.0, 2.0])
+        chunks = [c.copy() for c in simulator.noisy_chunks(period, 25, 0.3, 11)]
+        assert [c.size for c in chunks] == [6, 6, 6, 6, 1]
+        draw = np.random.default_rng(11).normal(0.0, 0.3, 25)
+        assert np.array_equal(np.concatenate(chunks), np.resize(period, 25) + draw)
 
     def test_add_noise_with_zero_sigma_draws_nothing(self):
-        clean = np.linspace(-1.0, 1.0, 25)
-        noisy = clean.copy()
-        simulator.add_noise(noisy, 0.0, 11)
-        assert np.array_equal(noisy, clean)
+        period = np.linspace(-1.0, 1.0, 25)
+        chunks = list(simulator.noisy_chunks(period, 25, 0.0, 11))
+        assert len(chunks) == 1 and np.array_equal(chunks[0], period)
+
+    def test_stream_chunks_are_whole_periods_and_gather_to_simulate_stream(
+        self, monkeypatch
+    ):
+        # 8 periods and 5 samples, three periods a chunk: 3 + 3 + 2 periods + 5
+        ph = phantom(extent=0.003)
+        cfg = config(order=7, duration_s=(8 * 28 + 5) / F_S, noise_sigma=0.5, seed=4)
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 3 * 28 + 20)
+        sizes, gathered = [], []
+        for chunk in simulator.stream_chunks(cfg, ph):
+            sizes.append(chunk.size)
+            gathered.append(chunk.copy())
+        assert sizes == [84, 84, 61]
+        whole = simulator.simulate_stream(cfg, ph).samples
+        assert np.array_equal(np.concatenate(gathered), whole)
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1 << 16)
+        assert np.array_equal(simulator.simulate_stream(cfg, ph).samples, whole)
+
+    def test_chunk_is_never_shorter_than_one_period(self, monkeypatch):
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
+        assert simulator.chunk_length(316) == 316
+        assert simulator.chunk_length(1) == 1
 
     def test_distinct_seeds_differ(self):
         ph = phantom()
