@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: gen-code, simulate, demux, snr-sweep, scan2d.  Exit codes:
-0 success, 2 configuration or validation error, 3 I/O error,
-4 numerical failure.  The default output directory is the current
-directory, overridable with --out-dir or the AOIMUX_OUTPUT_DIR
-environment variable.
+0 success, 2 configuration or validation error (a run too large for
+memory included), 3 I/O error, 4 numerical failure.  The default
+output directory is the current directory, overridable with --out-dir
+or the AOIMUX_OUTPUT_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import codes, demux, fileio, pipeline, simulator
-from .config import parse_run_config, write_manifest
+from .config import parse_orders, parse_run_config, write_manifest
 from .errors import (
     AoimuxError,
     ConfigError,
@@ -61,7 +61,7 @@ def _cmd_simulate(args) -> int:
         for chunk in simulator.stream_chunks(acq, rc.phantom):
             write(chunk)
             fold.add(chunk)  # after the write: add may overwrite the chunk
-        profile = _profile(fold.mean(), acq, args.solver, extract=True)
+        profile = pipeline.reconstruct_folded(fold.mean(), acq, args.solver)
     fileio.write_profile_csv(profile, out / "profile.csv")
     write_manifest(rc, out / "manifest.cfg")
     print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
@@ -74,44 +74,34 @@ def _cmd_demux(args) -> int:
     with fileio.open_stream(args.stream) as sf:
         cfg = sf.config
         folded = demux.fold_chunks(sf.chunks(), cfg.order, cfg.subsets_per_cycle)
-    profile = _profile(folded, cfg, args.solver, extract=not args.raw)
+    profile = pipeline.reconstruct_folded(folded, cfg, args.solver, extract=not args.raw)
     out = Path(args.out) if args.out else _out_dir(args) / "profile.csv"
     fileio.write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile)} bins)")
     return EXIT_OK
 
 
-def _profile(folded, cfg, solver: str, *, extract: bool) -> demux.DepthProfile:
-    """Depth profile of one folded stream, as reconstruct_profile gives it."""
-    values = pipeline.reconstruct_folded(folded, cfg, solver, extract=extract)
-    return demux.DepthProfile(values, bin_width_m=cfg.bin_width_m)
-
-
 def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
     orders = rc.sweep_orders
     if args.orders is not None:
-        try:
-            orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"--orders: {exc}") from exc
+        orders = parse_orders(args.orders, "--orders")
     if not orders:
         raise ConfigError("no code orders given")
     n_trials = args.trials if args.trials is not None else rc.sweep_trials
     reference = args.reference if args.reference else rc.sweep_reference
-    curve, reports = pipeline.multiplexing_advantage(
+    curve = pipeline.multiplexing_advantage(
         rc.acquisition,
         rc.phantom,
         list(orders),
         n_trials,
         single_pulse_reference=reference,
         subtract_noise_floor=rc.sweep_subtract_noise_floor,
-        with_reports=True,
     )
     out = _out_dir(args)
     fileio.write_advantage_csv(curve, out / "advantage.csv")
     fileio.write_advantage_svg(curve, out / "advantage.svg")
-    fileio.write_snr_reports_csv(reports, out / "snr_reports.csv")
+    fileio.write_snr_reports_csv(curve.reports, out / "snr_reports.csv")
     for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain):
         print(f"order {n}: measured gain {m:.3f}, theoretical {t:.3f}")
     print(f"wrote {out / 'advantage.csv'}, {out / 'advantage.svg'}, "
@@ -204,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"aoimux: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a run too large for this machine is a bad input
+        print(f"aoimux: run too large for memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

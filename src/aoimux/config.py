@@ -143,6 +143,15 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict:
     return out
 
 
+def parse_orders(text: str, source: str) -> tuple[int, ...]:
+    """Code orders from comma-separated text; empty items are skipped.
+    A ConfigError names the source of the text."""
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
 def parse_run_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     text = Path(path).read_text()
@@ -173,10 +182,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
         sound_speed=pha["sound_speed_m_s"],
         depth_extent=pha["depth_extent_m"],
     )
-    try:
-        orders = tuple(int(tok) for tok in sweep["orders"].split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"[sweep] orders: {exc}") from exc
+    orders = parse_orders(sweep["orders"], "[sweep] orders")
     if sweep["reference"] not in ("matched", "max-rate"):
         raise ConfigError("[sweep] reference must be matched or max-rate")
     return RunConfig(

@@ -24,7 +24,7 @@ from .errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from .simulator import SampledStream, integer_ratio
+from .simulator import MODE_CODED, SampledStream
 
 _DENSE_MAX = 1024
 
@@ -119,9 +119,9 @@ class CirculantSystem:
 
     def condition_number(self) -> float:
         """Spectral 2-norm condition number (singular values of a circulant
-        are the magnitudes of its eigenvalues)."""
-        full = np.fft.fft(np.roll(self.sequence.bits[::-1], 1).astype(np.float64))
-        mags = np.abs(full)
+        are the magnitudes of its eigenvalues).  The kernel is real, so the
+        stored half spectrum holds every distinct magnitude."""
+        mags = np.abs(self._spectrum)
         return float(mags.max() / mags.min())
 
 
@@ -256,7 +256,7 @@ def average_periods(stream: SampledStream) -> DepthProfile:
     """
     cfg = stream.config_snapshot
     folded = fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
-    return DepthProfile(folded.reshape(-1), bin_width_m=cfg.c / stream.f_s)
+    return DepthProfile(folded.reshape(-1), bin_width_m=cfg.bin_width_m)
 
 
 def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProfile:
@@ -272,10 +272,9 @@ def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProf
     """
     cfg = stream.config_snapshot
     n = sys.order
-    if cfg.mode == "coded" and cfg.order != n:
+    if cfg.mode == MODE_CODED and cfg.order != n:
         raise LengthMismatch(
             f"stream was coded with order {cfg.order}, system has order {n}"
         )
-    k = integer_ratio(stream.f_s, cfg.f_us)
-    profile = solve_folded(sys, fold_periods(stream.samples, n, k))
-    return DepthProfile(profile, bin_width_m=cfg.c / stream.f_s)
+    profile = solve_folded(sys, fold_periods(stream.samples, n, cfg.subsets_per_cycle))
+    return DepthProfile(profile, bin_width_m=cfg.bin_width_m)

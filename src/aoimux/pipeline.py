@@ -42,39 +42,25 @@ def _circular_box_mean(x: np.ndarray, width: int) -> np.ndarray:
     return (csum[..., width:] - csum[..., :-width])[..., :n] / width
 
 
-def extract_modulated(
-    profile: DepthProfile | np.ndarray,
-    f_us: float,
-    f_s: float,
-    bin_width_m: float | None = None,
-) -> DepthProfile:
+def extract_modulated(profile: DepthProfile, f_us: float, f_s: float) -> DepthProfile:
     """Quadrature-demodulate the carrier out of a demultiplexed signal.
 
     Mixes with cos and sin at f_us, low-passes each branch over exactly
     one carrier period (circular window; profiles cover whole periods)
-    and returns the magnitude 2 sqrt(I^2 + Q^2), which for a clean
-    carrier of amplitude A is A.  Works along the last axis, so a stack
-    of signals is demodulated row by row in one pass.  The envelope peak
-    of a single pulse lands up to one carrier period shy of the pulse's
-    trailing bin, an offset inherent to envelope detection.
+    and returns the profile with values 2 sqrt(I^2 + Q^2), which for a
+    clean carrier of amplitude A is A.  Works along the last axis, so a
+    stack of signals is demodulated row by row in one pass.  The envelope
+    peak of a single pulse lands up to one carrier period shy of the
+    pulse's trailing bin, an offset inherent to envelope detection.
     """
-    if isinstance(profile, DepthProfile):
-        values = profile.values
-        bin_width = profile.bin_width_m
-        origin = profile.depth_origin_m
-    else:
-        values = np.asarray(profile, dtype=np.float64)
-        bin_width = bin_width_m if bin_width_m is not None else 1.0
-        origin = 0.0
     k = simulator.integer_ratio(f_s, f_us)
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
+    values = profile.values
     phase = 2.0 * np.pi * f_us / f_s * np.arange(values.shape[-1])
     i_arm = _circular_box_mean(values * np.cos(phase), k)
     q_arm = _circular_box_mean(values * np.sin(phase), k)
-    return DepthProfile(
-        2.0 * np.hypot(i_arm, q_arm), bin_width_m=bin_width, depth_origin_m=origin
-    )
+    return replace(profile, values=2.0 * np.hypot(i_arm, q_arm))
 
 
 def measure_fwhm(profile: DepthProfile) -> float:
@@ -112,22 +98,14 @@ def measure_fwhm(profile: DepthProfile) -> float:
 def reconstruct_profile(
     stream: simulator.SampledStream,
     kind: InverseKind | str = InverseKind.SPECTRAL,
-    system: demux.CirculantSystem | None = None,
     *,
     extract: bool = True,
 ) -> DepthProfile:
-    """Stream to depth profile: demultiplex (coded) or fold (single pulse),
-    then extract the modulated magnitude unless ``extract=False``."""
+    """Depth profile of one in-memory stream: its period mean, reconstructed
+    by ``reconstruct_folded``."""
     cfg = stream.config_snapshot
-    if cfg.mode == simulator.MODE_CODED:
-        if system is None:
-            system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
-        raw = demux.demultiplex_stream(system, stream)
-    else:
-        raw = demux.average_periods(stream)
-    if not extract:
-        return raw
-    return extract_modulated(raw, cfg.f_us, stream.f_s)
+    folded = demux.fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
+    return reconstruct_folded(folded, cfg, kind, extract=extract)
 
 
 def reconstruct_folded(
@@ -136,24 +114,25 @@ def reconstruct_folded(
     kind: InverseKind | str = InverseKind.SPECTRAL,
     *,
     extract: bool = True,
-) -> np.ndarray:
-    """Envelope profiles of a stack of folded streams, (..., order, K) -> (..., bins).
+) -> DepthProfile:
+    """Depth profiles of a stack of period means, (..., order, K) -> (..., bins).
 
-    The batched form of ``reconstruct_profile`` for period means from
-    ``demux.fold_chunks``: one ``solve_folded`` call over the whole stack
-    (coded) or the flattened period means (single pulse), then one
-    envelope extraction unless ``extract=False``.  Each row equals
-    reconstruct_profile of its stream bit for bit, whatever the stack
-    size.
+    The one reconstruction path: a coded stack is demultiplexed by one
+    ``solve_folded`` call with the solver of the given kind, a
+    single-pulse stack is its flattened period means; then one envelope
+    extraction runs unless ``extract=False``.  Each row depends only on
+    its own period mean, bit for bit, whatever the stack size.  The
+    profile's bins are cfg.bin_width_m wide.
     """
     if cfg.mode == simulator.MODE_CODED:
         system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
         raw = demux.solve_folded(system, folded)
     else:
         raw = folded.reshape(folded.shape[:-2] + (-1,))
+    profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)
     if not extract:
-        return raw
-    return extract_modulated(raw, cfg.f_us, cfg.f_s).values
+        return profile
+    return extract_modulated(profile, cfg.f_us, cfg.f_s)
 
 
 @dataclass(frozen=True)
@@ -176,6 +155,7 @@ class AdvantageCurve:
     orders: list[int]
     measured_gain: list[float]
     theoretical_gain: list[float]
+    reports: tuple[SnrReport, ...] = ()  # coded and single-pulse per order
 
     def __post_init__(self):
         if not (len(self.orders) == len(self.measured_gain) == len(self.theoretical_gain)):
@@ -222,7 +202,7 @@ def measure_snr(
         seed = derive_seed(cfg.seed, TRIAL_SALT, t)
         chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
         folded[t + 1] = demux.fold_chunks(chunks, n, k)
-    profiles = reconstruct_folded(folded, cfg, solver_kind)
+    profiles = reconstruct_folded(folded, cfg, solver_kind).values
 
     reference = profiles[0]
     peak_bin = int(np.argmax(reference))
@@ -257,16 +237,15 @@ def multiplexing_advantage(
     *,
     single_pulse_reference: str = "matched",
     subtract_noise_floor: bool = False,
-    with_reports: bool = False,
-) -> AdvantageCurve | tuple[AdvantageCurve, list[SnrReport]]:
+) -> AdvantageCurve:
     """Measured SNR gain of coded over single-pulse acquisition per order.
 
     Both modes run for cfg_base.duration_s (equal wall-clock time).  The
     default reference fires one pulse per code length, prf = f_us / N;
     ``single_pulse_reference="max-rate"`` instead packs pulses as tightly
     as the medium allows, which lowers the measured advantage by the
-    square root of the rate ratio.  With ``with_reports`` the per-order
-    SnrReport pairs come back alongside the curve.
+    square root of the rate ratio.  The curve's reports hold the
+    coded and single-pulse SnrReport of each order.
     """
     if not orders:
         raise ConfigError("orders list is empty")
@@ -288,9 +267,9 @@ def multiplexing_advantage(
         )
         measured.append(coded.snr / single.snr)
         reports += [coded, single]
-    curve = AdvantageCurve(
+    return AdvantageCurve(
         orders=orders,
         measured_gain=measured,
         theoretical_gain=[theoretical_multiplexing_gain(n) for n in orders],
+        reports=tuple(reports),
     )
-    return (curve, reports) if with_reports else curve

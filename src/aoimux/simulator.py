@@ -168,10 +168,6 @@ class AcquisitionConfig:
         return integer_ratio(self.f_s, self.f_us)
 
     @property
-    def carrier_period_s(self) -> float:
-        return 1.0 / self.f_us
-
-    @property
     def prf(self) -> float:
         """Repetition rate of the pulse (or of the full code sequence), Hz."""
         return self.f_us / self.order
@@ -233,6 +229,13 @@ def _effective_endpoints(ph: Phantom) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(ph.src_pos) + shift, np.asarray(ph.det_pos) + shift
 
 
+def _axis_points(axis_xy: tuple[float, float], zs: np.ndarray) -> np.ndarray:
+    """(n, 3) points at depths zs on the acoustic axis through axis_xy."""
+    return np.column_stack(
+        [np.full_like(zs, axis_xy[0]), np.full_like(zs, axis_xy[1]), zs]
+    )
+
+
 def _fluence_raw(ph: Phantom, points: np.ndarray) -> np.ndarray:
     """Unnormalized G(src->r) G(r->det) at an (n, 3) array of points."""
     src, det = _effective_endpoints(ph)
@@ -253,10 +256,7 @@ def fluence_scale(ph: Phantom) -> float:
     Memoised per phantom.
     """
     zs = np.linspace(ph.boundary_z, ph.boundary_z + ph.depth_extent, _SCALE_GRID + 1)
-    pts = np.column_stack(
-        [np.full_like(zs, ph.src_pos[0]), np.full_like(zs, ph.src_pos[1]), zs]
-    )
-    return float(_fluence_raw(ph, pts).max())
+    return float(_fluence_raw(ph, _axis_points(ph.src_pos[:2], zs)).max())
 
 
 def fluence_profile(
@@ -277,10 +277,7 @@ def fluence_profile(
         raise OutOfDomain(
             f"positions must lie within [{lo}, {hi}] along the acoustic axis"
         )
-    pts = np.column_stack(
-        [np.full_like(zs, axis_xy[0]), np.full_like(zs, axis_xy[1]), zs]
-    )
-    raw = _fluence_raw(ph, pts)
+    raw = _fluence_raw(ph, _axis_points(axis_xy, zs))
     return raw / raw.max()
 
 
@@ -301,13 +298,7 @@ def axial_profile(
     inside = (zs >= ph.boundary_z) & (zs <= ph.boundary_z + ph.depth_extent)
     x = np.zeros(period)
     if inside.any():
-        pts = np.column_stack(
-            [
-                np.full(inside.sum(), axis_xy[0]),
-                np.full(inside.sum(), axis_xy[1]),
-                zs[inside],
-            ]
-        )
+        pts = _axis_points(axis_xy, zs[inside])
         x[inside] = _fluence_raw(ph, pts) / fluence_scale(ph)
     return x
 
@@ -359,7 +350,13 @@ def clean_period(
     *,
     rectified_carrier: bool = False,
 ) -> np.ndarray:
-    """One repetition period of the noise-free stream (cfg.period_samples)."""
+    """One repetition period of the noise-free stream (cfg.period_samples).
+
+    ``rectified_carrier=True`` replaces the signed one-cycle sine by its
+    absolute value; this diagnostic mode makes raw sample energies
+    directly comparable between coded and single-pulse transmission but
+    is not demodulatable.
+    """
     x = axial_profile(cfg, ph, axis_xy)
     prof = _spatial_code_profile(cfg, rectified_carrier)
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
@@ -399,8 +396,6 @@ def stream_chunks(
     cfg: AcquisitionConfig,
     ph: Phantom,
     axis_xy: tuple[float, float] = (0.0, 0.0),
-    *,
-    rectified_carrier: bool = False,
 ) -> Iterator[np.ndarray]:
     """The stream of one transducer position as ``noisy_chunks``.
 
@@ -413,7 +408,7 @@ def stream_chunks(
         raise InsufficientSamples(
             f"duration {cfg.duration_s} s at {cfg.f_s} Hz gives no samples"
         )
-    period = clean_period(cfg, ph, axis_xy, rectified_carrier=rectified_carrier)
+    period = clean_period(cfg, ph, axis_xy)
     return noisy_chunks(period, cfg.n_samples, cfg.noise_sigma, cfg.seed)
 
 
@@ -421,18 +416,12 @@ def simulate_stream(
     cfg: AcquisitionConfig,
     ph: Phantom,
     axis_xy: tuple[float, float] = (0.0, 0.0),
-    *,
-    rectified_carrier: bool = False,
 ) -> SampledStream:
     """Synthesize a detector stream for one transducer position in memory.
 
     The samples are those of ``stream_chunks``, gathered into one array.
-    ``rectified_carrier=True`` replaces the signed one-cycle sine by its
-    absolute value; this diagnostic mode makes raw sample energies
-    directly comparable between coded and single-pulse transmission but
-    is not demodulatable.
     """
-    chunks = stream_chunks(cfg, ph, axis_xy, rectified_carrier=rectified_carrier)
+    chunks = stream_chunks(cfg, ph, axis_xy)
     samples = np.empty(cfg.n_samples)
     start = 0
     for chunk in chunks:
@@ -460,14 +449,24 @@ class ScanResult:
 def scan_positions(
     x_range: tuple[float, float], y_range: tuple[float, float], step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    if step <= 0:
-        raise ConfigError("scan step must be positive")
-    nx = int(round((x_range[1] - x_range[0]) / step)) + 1
-    ny = int(round((y_range[1] - y_range[0]) / step)) + 1
-    return (
-        x_range[0] + step * np.arange(max(nx, 1)),
-        y_range[0] + step * np.arange(max(ny, 1)),
-    )
+    """x and y positions from each range's min up to its max in steps of step.
+
+    Raises ConfigError for a step that is not finite and positive, and
+    for a range with a non-finite end or with max < min.
+    """
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"scan step must be finite and positive, got {step}")
+    axes = []
+    for name, (lo, hi) in (("x", x_range), ("y", y_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"scan {name} range must be finite, got [{lo}, {hi}]")
+        if hi < lo:
+            raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
+        steps = (hi - lo) / step
+        if not math.isfinite(steps):
+            raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
+        axes.append(lo + step * np.arange(int(round(steps)) + 1))
+    return tuple(axes)
 
 
 def scan_2d(
@@ -499,7 +498,7 @@ def scan_2d(
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
             chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
             folded[iy, ix] = fold_chunks(chunks, cfg.order, cfg.subsets_per_cycle)
-    stack = reconstruct_folded(folded, cfg, solver_kind)
+    stack = reconstruct_folded(folded, cfg, solver_kind).values
     peak = stack.max()
     if peak > 0:
         stack = stack / peak

@@ -122,7 +122,7 @@ class TestSimulate:
     def test_run_shorter_than_one_period_writes_nothing(self, tmp_path, capsys):
         quick = (CONFIGS / "quick.cfg").read_text()
         bad = tmp_path / "short.cfg"
-        bad.write_text(_set_acquisition_value(quick, "duration_s", "1e-5"))
+        bad.write_text(_set_value(quick, "duration_s", "1e-5"))
         out = tmp_path / "o"
         assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
         assert "50 samples < one period of 316" in capsys.readouterr().err
@@ -250,12 +250,20 @@ class TestDemux:
         assert main(["demux", "--stream", str(tmp_path / "none.bin")]) == 3
 
 
-def _set_acquisition_value(text, key, value):
-    """Config text with the first ``key = ...`` line (or a new [acquisition] line) set."""
+def _set_value(text, key, value, section="acquisition"):
+    """Config text with the first ``key = ...`` line (or a new line in section) set."""
     line = re.compile(rf"^{key} = .*$", re.M)
     if line.search(text):
         return line.sub(f"{key} = {value}", text, count=1)
-    return text.replace("[acquisition]\n", f"[acquisition]\n{key} = {value}\n")
+    assert f"[{section}]\n" in text
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def _assert_config_error(capsys, out, prefix="aoimux: "):
+    """The command printed one error line with the prefix and wrote nothing."""
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "Traceback" not in err, err
+    assert not list(out.glob("*"))
 
 
 class TestBadValues:
@@ -281,7 +289,7 @@ class TestBadValues:
     ):
         if source == "config":
             bad = tmp_path / "bad.cfg"
-            bad.write_text(_set_acquisition_value(cfg_file.read_text(), key, value))
+            bad.write_text(_set_value(cfg_file.read_text(), key, value))
             argv = ["--out-dir", str(tmp_path / "o"), "simulate", "--config", str(bad)]
             written = tmp_path / "o" / "stream.bin"
         else:
@@ -344,6 +352,15 @@ class TestSnrSweep:
                      str(cfg_file), "--trials", trials]) == 2
         assert "n_trials must be at least 2" in capsys.readouterr().err
 
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        # 10^15 trials of order 7 ask for a 199 PiB stack, beyond any 64-bit
+        # user address space: the allocation fails at once, touching nothing
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "snr-sweep", "--config",
+                     str(CONFIGS / "quick.cfg"), "--orders", "7",
+                     "--trials", "1000000000000000"]) == 2
+        _assert_config_error(capsys, out, "aoimux: run too large for memory")
+
 
 class TestScan2d:
     def test_grid_outputs(self, tmp_path, cfg_file):
@@ -369,6 +386,39 @@ class TestScan2d:
         rows = (out / "scan_map.csv").read_text().strip().splitlines()
         assert len(rows) == 2
         assert float(rows[1].split(",")[2]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"step_m": "nan"}, "scan step must be finite and positive"),
+            ({"step_m": "inf"}, "scan step must be finite and positive"),
+            ({"x_max_m": "inf"}, "scan x range must be finite"),
+            ({"x_min_m": "nan"}, "scan x range must be finite"),
+            ({"y_max_m": "inf"}, "scan y range must be finite"),
+            ({"y_min_m": "-inf"}, "scan y range must be finite"),
+            ({"x_min_m": "0.009", "x_max_m": "-0.009"}, "scan x range is reversed"),
+            ({"y_min_m": "0.009", "y_max_m": "-0.009"}, "scan y range is reversed"),
+            ({"x_min_m": "-1e308", "x_max_m": "1e308"}, "scan x range [-1e+308, 1e+308]"),
+        ],
+    )
+    def test_bad_scan_grid_exit_2(self, tmp_path, capsys, values, message):
+        text = (CONFIGS / "quick.cfg").read_text()
+        for key, value in values.items():
+            text = _set_value(text, key, value, section="scan")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "scan2d", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, f"aoimux: {message}")
+
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
+        # a 1e-18 m step over quick.cfg's 16 mm asks for 1.6e16 x positions
+        # (114 PiB): the allocation fails at once, touching nothing
+        bad = tmp_path / "tiny.cfg"
+        bad.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "step_m", "1e-18"))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "scan2d", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, "aoimux: run too large for memory")
 
 
 class TestShippedConfigs:

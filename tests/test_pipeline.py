@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import codes, demux, pipeline, simulator
+from aoimux import demux, pipeline, simulator
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
 from aoimux.pipeline import _circular_box_mean
@@ -49,11 +49,11 @@ class TestExtraction:
     def test_pure_carrier_recovers_amplitude(self, amp, phi):
         n = np.arange(128)
         sig = amp * np.sin(2 * np.pi * F_US / F_S * n + phi)
-        prof = pipeline.extract_modulated(sig, F_US, F_S, bin_width_m=BIN)
+        prof = pipeline.extract_modulated(DepthProfile(sig, BIN), F_US, F_S)
         assert np.abs(prof.values - amp).max() < 0.01 * amp
 
     def test_zero_input_zero_output(self):
-        prof = pipeline.extract_modulated(np.zeros(64), F_US, F_S, bin_width_m=BIN)
+        prof = pipeline.extract_modulated(DepthProfile(np.zeros(64), BIN), F_US, F_S)
         assert np.abs(prof.values).max() == 0.0
 
     def test_delta_phantom_peak_width_equals_pulse_length(self):
@@ -80,16 +80,16 @@ class TestExtraction:
 
     def test_nyquist_violation(self):
         with pytest.raises(NyquistViolation):
-            pipeline.extract_modulated(np.zeros(16), 1e6, 1e6, bin_width_m=1.0)
+            pipeline.extract_modulated(DepthProfile(np.zeros(16), 1.0), 1e6, 1e6)
 
     def test_stack_equals_row_by_row(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(0.0, 1.0, (2, 3, 64))
-        stack = pipeline.extract_modulated(rows, F_US, F_S, bin_width_m=BIN)
+        stack = pipeline.extract_modulated(DepthProfile(rows, BIN), F_US, F_S)
         assert stack.values.shape == (2, 3, 64)
         assert len(stack) == 64
         for idx in np.ndindex(2, 3):
-            row = pipeline.extract_modulated(rows[idx], F_US, F_S, bin_width_m=BIN)
+            row = pipeline.extract_modulated(DepthProfile(rows[idx], BIN), F_US, F_S)
             assert np.array_equal(stack.values[idx], row.values)
 
     def test_profile_metadata_carried_through(self):
@@ -97,6 +97,24 @@ class TestExtraction:
         out = pipeline.extract_modulated(prof, F_US, F_S)
         assert out.bin_width_m == BIN
         assert out.depth_origin_m == 0.01
+
+
+class TestReconstructFolded:
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_stack_profile_rows_equal_the_stream_path(self, mode):
+        cfg = config(mode, order=31, periods=3, noise_sigma=0.1)
+        stream = simulator.simulate_stream(cfg, phantom())
+        folded = demux.fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
+        for extract in (True, False):
+            stack = pipeline.reconstruct_folded(
+                np.stack([folded, -folded]), cfg, extract=extract
+            )
+            assert isinstance(stack, DepthProfile)
+            assert stack.bin_width_m == cfg.bin_width_m
+            assert stack.values.shape == (2, cfg.period_samples)
+            one = pipeline.reconstruct_profile(stream, extract=extract)
+            assert one.bin_width_m == cfg.bin_width_m
+            assert np.array_equal(stack.values[0], one.values)
 
 
 class TestMeasureFwhm:
@@ -140,11 +158,8 @@ class TestMeasureFwhm:
 def per_trial_snr(cfg, ph, n_trials, solver_kind):
     """(signal_mean, noise_std) from one simulate_stream and one
     reconstruct_profile per trial: the unbatched definition."""
-    system = None
-    if cfg.mode == simulator.MODE_CODED:
-        system = demux.build_system(codes.generate_s_sequence(cfg.order), solver_kind)
     quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
-    reference = pipeline.reconstruct_profile(quiet, system=system).values
+    reference = pipeline.reconstruct_profile(quiet, solver_kind).values
     peak_bin = int(np.argmax(reference))
     off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
     peaks = np.empty(n_trials)
@@ -152,7 +167,7 @@ def per_trial_snr(cfg, ph, n_trials, solver_kind):
     for t in range(n_trials):
         trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, TRIAL_SALT, t))
         prof = pipeline.reconstruct_profile(
-            simulator.simulate_stream(trial_cfg, ph), system=system
+            simulator.simulate_stream(trial_cfg, ph), solver_kind
         ).values
         peaks[t] = prof[peak_bin]
         offs[t] = prof[off_bin]
@@ -209,7 +224,7 @@ class TestRayleighFloor:
         i_arms = np.empty(10_000)
         for t in range(10_000):
             noise = rng.normal(0.0, 1.0, 64)
-            prof = pipeline.extract_modulated(noise, F_US, F_S, bin_width_m=BIN)
+            prof = pipeline.extract_modulated(DepthProfile(noise, BIN), F_US, F_S)
             mags[t] = prof.values[32]
             i_arms[t] = 2.0 * _circular_box_mean(noise * np.cos(phase), k)[32]
         sigma_q = i_arms.std(ddof=1)
@@ -250,6 +265,16 @@ class TestMultiplexingAdvantage:
             config(noise_sigma=0.05), phantom(), [19, 7, 19], 4
         )
         assert curve.orders == [7, 19]
+
+    def test_reports_pair_coded_and_single_pulse_per_order(self):
+        curve = pipeline.multiplexing_advantage(
+            config(noise_sigma=0.05), phantom(), [19, 7], 4
+        )
+        assert [(r.mode, r.order) for r in curve.reports] == [
+            ("coded", 7), ("single-pulse", 7), ("coded", 19), ("single-pulse", 19)
+        ]
+        pairs = zip(curve.reports[::2], curve.reports[1::2])
+        assert curve.measured_gain == [coded.snr / single.snr for coded, single in pairs]
 
     def test_empty_orders_raise(self):
         with pytest.raises(ConfigError):

@@ -173,9 +173,9 @@ class TestSimulateStream:
         ph = phantom(boundary=0.0002, extent=0.004)
         cfg_c = config("coded", order=7, periods=1)
         cfg_s = config("single-pulse", order=7, periods=1)
-        coded = simulator.simulate_stream(cfg_c, ph, rectified_carrier=True)
-        single = simulator.simulate_stream(cfg_s, ph, rectified_carrier=True)
-        ratio = coded.samples.sum() / single.samples.sum()
+        coded = simulator.clean_period(cfg_c, ph, rectified_carrier=True)
+        single = simulator.clean_period(cfg_s, ph, rectified_carrier=True)
+        ratio = coded.sum() / single.sum()
         assert ratio == pytest.approx((7 + 1) / 2, rel=1e-12)
 
     def test_noise_level_realism(self):
