@@ -24,6 +24,7 @@ from .demux import (
 from .pipeline import (
     AdvantageCurve,
     SnrReport,
+    SweepPlan,
     exact_multiplexing_gain,
     extract_modulated,
     measure_fwhm,
@@ -36,6 +37,7 @@ from .simulator import (
     AcquisitionConfig,
     Phantom,
     SampledStream,
+    ScanGrid,
     ScanResult,
     axial_profile,
     fluence_profile,
@@ -55,8 +57,10 @@ __all__ = [
     "Phantom",
     "SSequence",
     "SampledStream",
+    "ScanGrid",
     "ScanResult",
     "SnrReport",
+    "SweepPlan",
     "analytic_inverse_check",
     "average_periods",
     "axial_profile",

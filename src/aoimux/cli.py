@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import codes, demux, fileio, pipeline, simulator
 from .config import parse_orders, parse_run_config, write_manifest
 from .errors import (
     AoimuxError,
-    ConfigError,
     EdgePeak,
     NonFiniteSamples,
     NoPeak,
@@ -83,21 +83,11 @@ def _cmd_demux(args) -> int:
 
 def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
-    orders = rc.sweep_orders
+    overrides = {"n_trials": args.trials, "reference": args.reference}
     if args.orders is not None:
-        orders = parse_orders(args.orders, "--orders")
-    if not orders:
-        raise ConfigError("no code orders given")
-    n_trials = args.trials if args.trials is not None else rc.sweep_trials
-    reference = args.reference if args.reference else rc.sweep_reference
-    curve = pipeline.multiplexing_advantage(
-        rc.acquisition,
-        rc.phantom,
-        list(orders),
-        n_trials,
-        single_pulse_reference=reference,
-        subtract_noise_floor=rc.sweep_subtract_noise_floor,
-    )
+        overrides["orders"] = parse_orders(args.orders, "--orders")
+    plan = replace(rc.sweep, **{k: v for k, v in overrides.items() if v is not None})
+    curve = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, plan)
     out = _out_dir(args)
     fileio.write_advantage_csv(curve, out / "advantage.csv")
     fileio.write_advantage_svg(curve, out / "advantage.svg")
@@ -111,14 +101,7 @@ def _cmd_snr_sweep(args) -> int:
 
 def _cmd_scan2d(args) -> int:
     rc = parse_run_config(args.config)
-    result = simulator.scan_2d(
-        rc.acquisition,
-        rc.phantom,
-        rc.scan_x,
-        rc.scan_y,
-        rc.scan_step,
-        solver_kind=args.solver,
-    )
+    result = simulator.scan_2d(rc.acquisition, rc.phantom, rc.scan, solver_kind=args.solver)
     out = _out_dir(args)
     fileio.write_scan_map_csv(result, out / "scan_map.csv")
     fileio.write_pgm(result.peak_map, out / "scan_map.pgm")
@@ -169,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run configuration file")
     p.add_argument("--orders", default=None, help="comma-separated code orders")
     p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials")
-    p.add_argument("--reference", choices=["matched", "max-rate"], default=None)
+    p.add_argument("--reference", default=None, help="matched or max-rate")
     p.set_defaults(func=_cmd_snr_sweep)
 
     p = sub.add_parser("scan2d", help="scan the transducer over an XY grid")

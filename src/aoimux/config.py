@@ -3,10 +3,15 @@
 A run manifest is the same format with every value resolved, so a
 manifest can be fed back in as the config of an identical run.
 
-The [acquisition] keys are the fields of ``AcquisitionConfig`` in
-declaration order: the config key is the attribute name, or its
+The [acquisition], [scan] and [sweep] keys are the fields of
+``AcquisitionConfig``, ``ScanGrid`` and ``SweepPlan`` in declaration
+order (``record_fields``): the config key is the attribute name, or its
 unit-suffixed form from ``_UNIT_KEYS``; the type and default are the
-field's own.  Stream headers use the attribute names of the same fields.
+field's own, and a tuple of orders is written comma-separated.  Each
+record checks its values when it is built, so every command rejects a
+bad value in any of these sections.  The [phantom] keys do not map one
+to one onto ``Phantom``'s fields, so they stay a hand table.  Stream
+headers use the attribute names of the ``AcquisitionConfig`` fields.
 """
 
 from __future__ import annotations
@@ -19,9 +24,10 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError
-from .simulator import MODE_CODED, AcquisitionConfig, Phantom
+from .pipeline import SweepPlan
+from .simulator import MODE_CODED, AcquisitionConfig, Phantom, ScanGrid
 
-# attribute -> config key, where the key carries a unit suffix
+# AcquisitionConfig attribute -> config key, where the key carries a unit suffix
 _UNIT_KEYS = {
     "f_us": "f_us_hz",
     "f_s": "f_s_hz",
@@ -30,12 +36,14 @@ _UNIT_KEYS = {
 }
 # defaults a config file may rely on that AcquisitionConfig does not set
 _CONFIG_DEFAULTS = {"mode": MODE_CODED, "order": 79}
+_ORDERS = tuple[int, ...]  # the type of SweepPlan.orders
 
 
 @functools.cache
-def acquisition_fields() -> tuple[tuple[str, str, type, object], ...]:
-    """(attribute, config key, type, default or None if required) per field."""
-    hints = typing.get_type_hints(AcquisitionConfig)
+def record_fields(record: type) -> tuple[tuple[str, str, type, object], ...]:
+    """(attribute, config key, type, default or None if required) per field
+    of a config record class."""
+    hints = typing.get_type_hints(record)
     return tuple(
         (
             f.name,
@@ -43,15 +51,18 @@ def acquisition_fields() -> tuple[tuple[str, str, type, object], ...]:
             hints[f.name],
             _CONFIG_DEFAULTS.get(f.name) if f.default is MISSING else f.default,
         )
-        for f in fields(AcquisitionConfig)
+        for f in fields(record)
     )
 
 
-# config key -> (type, default or None if required, resolved value for the manifest)
-_ACQ_KEYS = {
-    key: (kind, default, attrgetter(f"acquisition.{attr}"))
-    for attr, key, kind, default in acquisition_fields()
-}
+# A section's key table maps config key -> (type, default or None if
+# required, resolved value for the manifest).
+def _record_keys(section: str, record: type) -> dict:
+    return {
+        key: (kind, default, attrgetter(f"{section}.{attr}"))
+        for attr, key, kind, default in record_fields(record)
+    }
+
 
 _PHANTOM_KEYS = {
     "mu_s_prime_per_cm": (float, None, lambda rc: rc.phantom.mu_s_prime),
@@ -65,26 +76,11 @@ _PHANTOM_KEYS = {
     "depth_extent_m": (float, None, lambda rc: rc.phantom.depth_extent),
 }
 
-_SCAN_KEYS = {
-    "x_min_m": (float, 0.0, lambda rc: rc.scan_x[0]),
-    "x_max_m": (float, 0.0, lambda rc: rc.scan_x[1]),
-    "y_min_m": (float, 0.0, lambda rc: rc.scan_y[0]),
-    "y_max_m": (float, 0.0, lambda rc: rc.scan_y[1]),
-    "step_m": (float, 0.0005, lambda rc: rc.scan_step),
-}
-
-_SWEEP_KEYS = {
-    "orders": (str, "7,19,31,79", lambda rc: ",".join(map(str, rc.sweep_orders))),
-    "n_trials": (int, 200, lambda rc: rc.sweep_trials),
-    "reference": (str, "matched", lambda rc: rc.sweep_reference),
-    "subtract_noise_floor": (bool, False, lambda rc: rc.sweep_subtract_noise_floor),
-}
-
 _SECTIONS = {
-    "acquisition": _ACQ_KEYS,
+    "acquisition": _record_keys("acquisition", AcquisitionConfig),
     "phantom": _PHANTOM_KEYS,
-    "scan": _SCAN_KEYS,
-    "sweep": _SWEEP_KEYS,
+    "scan": _record_keys("scan", ScanGrid),
+    "sweep": _record_keys("sweep", SweepPlan),
 }
 
 
@@ -94,6 +90,8 @@ def format_value(value, kind: type = float) -> str:
         return repr(float(value))
     if kind is bool:
         return "true" if value else "false"
+    if kind == _ORDERS:
+        return ",".join(map(str, value))
     return str(value)
 
 
@@ -103,16 +101,13 @@ class RunConfig:
 
     acquisition: AcquisitionConfig
     phantom: Phantom
-    scan_x: tuple[float, float]
-    scan_y: tuple[float, float]
-    scan_step: float
-    sweep_orders: tuple[int, ...]
-    sweep_trials: int
-    sweep_reference: str
-    sweep_subtract_noise_floor: bool
+    scan: ScanGrid
+    sweep: SweepPlan
 
 
 def _coerce(section: str, key: str, raw: str, kind):
+    if kind == _ORDERS:
+        return parse_orders(raw, f"[{section}] {key}")
     try:
         if kind is bool:
             low = raw.strip().lower()
@@ -166,35 +161,24 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if not parser.has_section(required):
             raise ConfigError(f"{path}: missing [{required}] section")
 
-    acq = _read_section(parser, "acquisition")
-    pha = _read_section(parser, "phantom")
-    scan = _read_section(parser, "scan")
-    sweep = _read_section(parser, "sweep")
+    values = {name: _read_section(parser, name) for name in _SECTIONS}
 
-    acquisition = AcquisitionConfig(
-        **{attr: acq[key] for attr, key, _, _ in acquisition_fields()}
-    )
-    phantom = Phantom(
-        mu_s_prime=pha["mu_s_prime_per_cm"],
-        mu_a=pha["mu_a_per_cm"],
-        src_pos=(pha["src_x_m"], pha["src_y_m"], pha["boundary_z_m"]),
-        det_pos=(pha["det_x_m"], pha["det_y_m"], pha["boundary_z_m"]),
-        sound_speed=pha["sound_speed_m_s"],
-        depth_extent=pha["depth_extent_m"],
-    )
-    orders = parse_orders(sweep["orders"], "[sweep] orders")
-    if sweep["reference"] not in ("matched", "max-rate"):
-        raise ConfigError("[sweep] reference must be matched or max-rate")
+    def record(cls, section):
+        return cls(**{attr: values[section][key] for attr, key, _, _ in record_fields(cls)})
+
+    pha = values["phantom"]
     return RunConfig(
-        acquisition=acquisition,
-        phantom=phantom,
-        scan_x=(scan["x_min_m"], scan["x_max_m"]),
-        scan_y=(scan["y_min_m"], scan["y_max_m"]),
-        scan_step=scan["step_m"],
-        sweep_orders=orders,
-        sweep_trials=sweep["n_trials"],
-        sweep_reference=sweep["reference"],
-        sweep_subtract_noise_floor=sweep["subtract_noise_floor"],
+        acquisition=record(AcquisitionConfig, "acquisition"),
+        phantom=Phantom(
+            mu_s_prime=pha["mu_s_prime_per_cm"],
+            mu_a=pha["mu_a_per_cm"],
+            src_pos=(pha["src_x_m"], pha["src_y_m"], pha["boundary_z_m"]),
+            det_pos=(pha["det_x_m"], pha["det_y_m"], pha["boundary_z_m"]),
+            sound_speed=pha["sound_speed_m_s"],
+            depth_extent=pha["depth_extent_m"],
+        ),
+        scan=record(ScanGrid, "scan"),
+        sweep=record(SweepPlan, "sweep"),
     )
 
 

@@ -38,7 +38,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .codes import SSequence
-from .config import acquisition_fields, format_value as _fmt
+from .config import format_value as _fmt, record_fields
 from .demux import DepthProfile
 from .errors import ConfigError, LengthMismatch
 from .pipeline import AdvantageCurve, SnrReport
@@ -65,7 +65,7 @@ def read_sequence(path: str | Path) -> SSequence:
 
 def _stream_header(cfg: AcquisitionConfig, t0: float, length: int) -> bytes:
     fields = {"f_s": _fmt(cfg.f_s), "t0": _fmt(t0), "length": str(length)}
-    for attr, _, kind, _ in acquisition_fields():  # f_s is already there
+    for attr, _, kind, _ in record_fields(AcquisitionConfig):  # f_s is already there
         fields.setdefault(attr, _fmt(getattr(cfg, attr), kind))
     tokens = [_STREAM_MAGIC, str(_STREAM_VERSION)] + [f"{k}={v}" for k, v in fields.items()]
     return (" ".join(tokens) + "\n").encode("ascii")
@@ -130,7 +130,7 @@ class StreamFile:
         try:
             kv = dict(tok.split("=", 1) for tok in tokens[2:])
             self.config = AcquisitionConfig(
-                **{attr: kind(kv[attr]) for attr, _, kind, _ in acquisition_fields()}
+                **{attr: kind(kv[attr]) for attr, _, kind, _ in record_fields(AcquisitionConfig)}
             )
             self.length = int(kv["length"])
             self.t0 = float(kv["t0"])
@@ -179,15 +179,6 @@ def read_stream(path: str | Path) -> SampledStream:
         samples = np.empty(sf.length, dtype="<f8")
         sf.read_into(samples)
     return SampledStream(samples, sf.config.f_s, sf.t0, sf.config)
-
-
-def write_stream_csv(stream: SampledStream, path: str | Path) -> None:
-    """Plain-text alternative for small streams."""
-    lines = ["t_s,sample"]
-    inv_fs = 1.0 / stream.f_s
-    for i, v in enumerate(stream.samples):
-        lines.append(f"{_fmt(stream.t0 + i * inv_fs)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ----------------------------------------------------------------- profiles

@@ -229,42 +229,54 @@ def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> 
     return max(1, math.ceil(occupied_bins / k))
 
 
+@dataclass(frozen=True)
+class SweepPlan:
+    """An SNR sweep; the fields are the [sweep] config keys.
+
+    ``reference`` picks the single-pulse reference: "matched" fires one
+    pulse per code length, prf = f_us / N; "max-rate" packs pulses as
+    tightly as the medium allows, which lowers the measured advantage by
+    the square root of the rate ratio.
+    """
+
+    orders: tuple[int, ...] = (7, 19, 31, 79)
+    n_trials: int = 200  # Monte-Carlo trials per order and mode
+    reference: str = "matched"  # "matched" | "max-rate"
+    subtract_noise_floor: bool = False
+
+    def __post_init__(self):
+        if self.reference not in ("matched", "max-rate"):
+            raise ConfigError(
+                f"sweep reference must be matched or max-rate, got {self.reference!r}"
+            )
+
+
 def multiplexing_advantage(
     cfg_base: simulator.AcquisitionConfig,
     ph: simulator.Phantom,
-    orders: list[int],
-    n_trials: int,
-    *,
-    single_pulse_reference: str = "matched",
-    subtract_noise_floor: bool = False,
+    plan: SweepPlan,
 ) -> AdvantageCurve:
     """Measured SNR gain of coded over single-pulse acquisition per order.
 
-    Both modes run for cfg_base.duration_s (equal wall-clock time).  The
-    default reference fires one pulse per code length, prf = f_us / N;
-    ``single_pulse_reference="max-rate"`` instead packs pulses as tightly
-    as the medium allows, which lowers the measured advantage by the
-    square root of the rate ratio.  The curve's reports hold the
-    coded and single-pulse SnrReport of each order.
+    Both modes run for cfg_base.duration_s (equal wall-clock time), at
+    each of the plan's orders, sorted and without repeats, with the
+    plan's single-pulse reference.  The curve's reports hold the coded
+    and single-pulse SnrReport of each order.
     """
-    if not orders:
+    if not plan.orders:
         raise ConfigError("orders list is empty")
-    orders = sorted(set(int(n) for n in orders))
-    if single_pulse_reference not in ("matched", "max-rate"):
-        raise ConfigError(f"unknown reference {single_pulse_reference!r}")
+    orders = sorted(set(int(n) for n in plan.orders))
 
     measured = []
     reports: list[SnrReport] = []
     for n in orders:
         coded_cfg = replace(cfg_base, mode=simulator.MODE_CODED, order=n)
-        sp_order = n if single_pulse_reference == "matched" else _max_rate_order(cfg_base, ph)
+        sp_order = n if plan.reference == "matched" else _max_rate_order(cfg_base, ph)
         sp_cfg = replace(cfg_base, mode=simulator.MODE_SINGLE_PULSE, order=sp_order)
-        coded = measure_snr(
-            coded_cfg, ph, n_trials, subtract_noise_floor=subtract_noise_floor
-        )
-        single = measure_snr(
-            sp_cfg, ph, n_trials, subtract_noise_floor=subtract_noise_floor
-        )
+        coded, single = [
+            measure_snr(c, ph, plan.n_trials, subtract_noise_floor=plan.subtract_noise_floor)
+            for c in (coded_cfg, sp_cfg)
+        ]
         measured.append(coded.snr / single.snr)
         reports += [coded, single]
     return AdvantageCurve(

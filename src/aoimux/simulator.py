@@ -439,42 +439,59 @@ class ScanResult:
     peak_map: np.ndarray  # (ny, nx) peak profile value per position
     stack: np.ndarray  # (ny, nx, depth bins) full profiles
     bin_width_m: float
-    depth_origin_m: float = 0.0
 
     @property
     def depths(self) -> np.ndarray:
-        return self.depth_origin_m + np.arange(self.stack.shape[-1]) * self.bin_width_m
+        return np.arange(self.stack.shape[-1]) * self.bin_width_m
 
 
-def scan_positions(
-    x_range: tuple[float, float], y_range: tuple[float, float], step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """x and y positions from each range's min up to its max in steps of step.
+@dataclass(frozen=True)
+class ScanGrid:
+    """Transducer grid of a 2D scan; the fields are the [scan] config keys.
 
-    Raises ConfigError for a step that is not finite and positive, and
-    for a range with a non-finite end or with max < min.
+    Every value must be finite; the grid-shape rules are checked when
+    ``positions`` builds the grid.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"scan step must be finite and positive, got {step}")
-    axes = []
-    for name, (lo, hi) in (("x", x_range), ("y", y_range)):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"scan {name} range must be finite, got [{lo}, {hi}]")
-        if hi < lo:
-            raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
-        steps = (hi - lo) / step
-        if not math.isfinite(steps):
-            raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
-        axes.append(lo + step * np.arange(int(round(steps)) + 1))
-    return tuple(axes)
+
+    x_min_m: float = 0.0
+    x_max_m: float = 0.0
+    y_min_m: float = 0.0
+    y_max_m: float = 0.0
+    step_m: float = 0.0005
+
+    def __post_init__(self):
+        if not math.isfinite(self.step_m):
+            raise ConfigError(f"scan step must be finite and positive, got {self.step_m}")
+        for name, lo, hi in self._ranges():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"scan {name} range must be finite, got [{lo}, {hi}]")
+
+    def _ranges(self) -> tuple[tuple[str, float, float], ...]:
+        return (("x", self.x_min_m, self.x_max_m), ("y", self.y_min_m, self.y_max_m))
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y positions from each range's min up to its max in steps of step_m.
+
+        Raises ConfigError for a step that is not positive, for a range
+        with max < min and for one that spans too many steps to count.
+        """
+        if not self.step_m > 0:
+            raise ConfigError(f"scan step must be finite and positive, got {self.step_m}")
+        axes = []
+        for name, lo, hi in self._ranges():
+            if hi < lo:
+                raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
+            steps = (hi - lo) / self.step_m
+            if not math.isfinite(steps):
+                raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
+            axes.append(lo + self.step_m * np.arange(int(round(steps)) + 1))
+        return tuple(axes)
 
 
 def scan_2d(
     cfg: AcquisitionConfig,
     ph: Phantom,
-    x_range: tuple[float, float],
-    y_range: tuple[float, float],
-    step: float,
+    grid: ScanGrid,
     *,
     solver_kind: str = "spectral",
 ) -> ScanResult:
@@ -491,7 +508,7 @@ def scan_2d(
     from .demux import fold_chunks  # local imports, avoid a cycle
     from .pipeline import reconstruct_folded
 
-    xs, ys = scan_positions(x_range, y_range, step)
+    xs, ys = grid.positions()
     folded = np.empty((ys.size, xs.size, cfg.order, cfg.subsets_per_cycle))
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):

@@ -101,7 +101,7 @@ def advantage_curve():
     cfg = acquisition("coded", 79, duration_s=duration, noise_sigma=0.05)
     start = time.perf_counter()
     curve = pipeline.multiplexing_advantage(
-        cfg, small_phantom(), ADVANTAGE_ORDERS, ADVANTAGE_TRIALS
+        cfg, small_phantom(), pipeline.SweepPlan(tuple(ADVANTAGE_ORDERS), ADVANTAGE_TRIALS)
     )
     elapsed = time.perf_counter() - start
     return curve, elapsed
@@ -264,7 +264,9 @@ class TestCriterion8Scan:
 
     def _scan(self, mode, noise):
         return simulator.scan_2d(
-            self._config(mode, noise), self._phantom(), (-0.008, 0.008), (0.0, 0.0), 0.0005
+            self._config(mode, noise),
+            self._phantom(),
+            simulator.ScanGrid(-0.008, 0.008, 0.0, 0.0, 0.0005),
         )
 
     def test_banana_ridge(self):

@@ -308,6 +308,25 @@ class TestBadValues:
         assert err.startswith("aoimux: ") and "Traceback" not in err
         assert not written.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "snr-sweep"])
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("scan", "step_m", "nan", "scan step must be finite and positive"),
+            ("sweep", "reference", "fastest", "sweep reference must be matched or max-rate"),
+        ],
+    )
+    def test_bad_scan_or_sweep_value_exit_2_at_parse_time(
+        self, tmp_path, cfg_file, capsys, command, section, key, value, message
+    ):
+        # [scan] and [sweep] values are checked when the config is read,
+        # so a command that does not use the section rejects them too
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), key, value, section=section))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), command, "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, f"aoimux: {message}")
+
 
 class TestSnrSweep:
     def test_single_order_outputs(self, tmp_path, cfg_file):
@@ -338,6 +357,12 @@ class TestSnrSweep:
     def test_empty_orders_exit_2(self, tmp_path, cfg_file):
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
                      str(cfg_file), "--orders", ","]) == 2
+
+    def test_unknown_reference_flag_exit_2(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "snr-sweep", "--config", str(cfg_file),
+                     "--reference", "fastest"]) == 2
+        _assert_config_error(capsys, out, "aoimux: sweep reference must be matched or max-rate")
 
     def test_non_integer_order_exit_2(self, tmp_path, cfg_file, capsys):
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
@@ -427,8 +452,8 @@ class TestShippedConfigs:
         # snr-sweep runs each order coded and as its matched single-pulse
         # reference; one repetition period must span the whole phantom
         rc = parse_run_config(path)
-        assert rc.sweep_orders
-        for order in rc.sweep_orders:
+        assert rc.sweep.orders
+        for order in rc.sweep.orders:
             for mode in ("coded", "single-pulse"):
                 cfg = replace(rc.acquisition, mode=mode, order=order)
                 simulator.axial_profile(cfg, rc.phantom)

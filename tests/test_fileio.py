@@ -117,17 +117,6 @@ class TestStreamFiles:
                 write(stream.samples[:28])  # one period short of the header
         assert not list(tmp_path.iterdir())
 
-    def test_csv_variant(self, tmp_path):
-        stream = sample_stream(noise=0.0)
-        path = tmp_path / "stream.csv"
-        fileio.write_stream_csv(stream, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t_s,sample"
-        assert len(rows) == len(stream) + 1
-        t0, v0 = rows[1].split(",")
-        assert float(t0) == stream.t0
-        assert float(v0) == stream.samples[0]
-
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
@@ -211,7 +200,7 @@ class TestScanCsv:
             src_pos=(-0.001, 0.0, 0.0002), det_pos=(0.001, 0.0, 0.0002),
             sound_speed=990.0, depth_extent=0.004,
         )
-        res = simulator.scan_2d(cfg, ph, (-0.001, 0.001), (0.0, 0.0), 0.001)
+        res = simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001))
         map_path = tmp_path / "map.csv"
         stack_path = tmp_path / "stack.csv"
         fileio.write_scan_map_csv(res, map_path)

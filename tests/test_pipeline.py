@@ -9,7 +9,7 @@ import pytest
 from aoimux import demux, pipeline, simulator
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
-from aoimux.pipeline import _circular_box_mean
+from aoimux.pipeline import SweepPlan, _circular_box_mean
 from aoimux.seeding import TRIAL_SALT, derive_seed
 
 F_US = 1.25e6
@@ -256,19 +256,19 @@ class TestMultiplexingAdvantage:
 
     def test_theoretical_column_is_exact(self):
         curve = pipeline.multiplexing_advantage(
-            config(noise_sigma=0.05), phantom(), [7, 19], 4
+            config(noise_sigma=0.05), phantom(), SweepPlan((7, 19), 4)
         )
         assert curve.theoretical_gain == [math.sqrt(7) / 2, math.sqrt(19) / 2]
 
     def test_orders_sorted_and_deduplicated(self):
         curve = pipeline.multiplexing_advantage(
-            config(noise_sigma=0.05), phantom(), [19, 7, 19], 4
+            config(noise_sigma=0.05), phantom(), SweepPlan((19, 7, 19), 4)
         )
         assert curve.orders == [7, 19]
 
     def test_reports_pair_coded_and_single_pulse_per_order(self):
         curve = pipeline.multiplexing_advantage(
-            config(noise_sigma=0.05), phantom(), [19, 7], 4
+            config(noise_sigma=0.05), phantom(), SweepPlan((19, 7), 4)
         )
         assert [(r.mode, r.order) for r in curve.reports] == [
             ("coded", 7), ("single-pulse", 7), ("coded", 19), ("single-pulse", 19)
@@ -278,13 +278,13 @@ class TestMultiplexingAdvantage:
 
     def test_empty_orders_raise(self):
         with pytest.raises(ConfigError):
-            pipeline.multiplexing_advantage(config(), phantom(), [], 4)
+            pipeline.multiplexing_advantage(config(), phantom(), SweepPlan((), 4))
 
     def test_measured_gain_tracks_inverse_row_norm(self):
         # 400 paired trials put the measured gain within a few percent of
         # the exact advantage (N+1)/(2 sqrt(N))
         curve = pipeline.multiplexing_advantage(
-            config(noise_sigma=0.05, seed=5), phantom(), [7, 31], 400
+            config(noise_sigma=0.05, seed=5), phantom(), SweepPlan((7, 31), 400)
         )
         for order, measured in zip(curve.orders, curve.measured_gain):
             assert measured == pytest.approx(
@@ -293,7 +293,7 @@ class TestMultiplexingAdvantage:
 
     def test_gain_increases_with_order(self):
         curve = pipeline.multiplexing_advantage(
-            config(noise_sigma=0.05, seed=6), phantom(), [7, 19, 31, 43, 79], 200
+            config(noise_sigma=0.05, seed=6), phantom(), SweepPlan((7, 19, 31, 43, 79), 200)
         )
         assert rank_correlation(curve.orders, curve.measured_gain) > 0.95
 
@@ -303,9 +303,9 @@ class TestMultiplexingAdvantage:
         ph = phantom()
         base = config(noise_sigma=0.05, seed=7)
         n = 31
-        matched = pipeline.multiplexing_advantage(base, ph, [n], 300)
+        matched = pipeline.multiplexing_advantage(base, ph, SweepPlan((n,), 300))
         packed = pipeline.multiplexing_advantage(
-            base, ph, [n], 300, single_pulse_reference="max-rate"
+            base, ph, SweepPlan((n,), 300, reference="max-rate")
         )
         sp_order = pipeline._max_rate_order(base, ph)
         expected = matched.measured_gain[0] / math.sqrt(n / sp_order)
@@ -314,5 +314,5 @@ class TestMultiplexingAdvantage:
     def test_unknown_reference_rejected(self):
         with pytest.raises(ConfigError):
             pipeline.multiplexing_advantage(
-                config(), phantom(), [7], 4, single_pulse_reference="fastest"
+                config(), phantom(), SweepPlan((7,), 4, reference="fastest")
             )

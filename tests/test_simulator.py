@@ -1,5 +1,6 @@
 """Forward model: waveforms, fluence kernel, stream synthesis, scans."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from aoimux.errors import (
     OutOfDomain,
 )
 from aoimux.seeding import SCAN_SALT, derive_seed
+from aoimux.simulator import ScanGrid
 
 F_US = 1.25e6
 F_S = 5e6
@@ -339,24 +341,42 @@ class TestZeroNoiseEquivalence:
         assert err < 1e-6
 
 
+class TestScanGrid:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x_min_m", math.nan), ("x_max_m", math.inf), ("y_min_m", -math.inf),
+         ("y_max_m", math.nan), ("step_m", math.inf)],
+    )
+    def test_non_finite_value_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            ScanGrid(**{field: value})
+
+    def test_shape_rules_checked_by_positions(self):
+        grid = ScanGrid(x_min_m=0.001, x_max_m=-0.001, step_m=-0.001)  # finite: it builds
+        with pytest.raises(ConfigError, match="scan step must be finite and positive"):
+            grid.positions()
+        with pytest.raises(ConfigError, match="scan x range is reversed"):
+            replace(grid, step_m=0.001).positions()
+
+
 class TestScan2d:
     def test_single_position_grid(self):
         ph = phantom()
-        res = simulator.scan_2d(config(), ph, (0.0, 0.0), (0.0, 0.0), 0.0005)
+        res = simulator.scan_2d(config(), ph, ScanGrid(0.0, 0.0, 0.0, 0.0, 0.0005))
         assert res.peak_map.shape == (1, 1)
         assert res.peak_map[0, 0] == pytest.approx(1.0)
 
     def test_symmetric_phantom_gives_symmetric_map(self):
         ph = phantom()
-        res = simulator.scan_2d(config(), ph, (-0.006, 0.006), (0.0, 0.0), 0.002)
+        res = simulator.scan_2d(config(), ph, ScanGrid(-0.006, 0.006, 0.0, 0.0, 0.002))
         row = res.peak_map[0]
         np.testing.assert_allclose(row, row[::-1], rtol=1e-9)
 
     def test_noise_free_modes_give_identical_maps(self):
         ph = phantom()
-        grid = ((-0.004, 0.004), (0.0, 0.0), 0.002)
-        mc = simulator.scan_2d(config("coded"), ph, *grid)
-        ms = simulator.scan_2d(config("single-pulse"), ph, *grid)
+        grid = ScanGrid(-0.004, 0.004, 0.0, 0.0, 0.002)
+        mc = simulator.scan_2d(config("coded"), ph, grid)
+        ms = simulator.scan_2d(config("single-pulse"), ph, grid)
         np.testing.assert_allclose(mc.peak_map, ms.peak_map, atol=1e-6)
         np.testing.assert_allclose(mc.stack, ms.stack, atol=1e-6)
 
@@ -366,7 +386,7 @@ class TestScan2d:
         ph = phantom()
         cfg = config(mode, periods=3, noise_sigma=0.2, seed=4)
         res = simulator.scan_2d(
-            cfg, ph, (-0.002, 0.002), (0.0, 0.001), 0.001, solver_kind=solver_kind
+            cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001), solver_kind=solver_kind
         )
         expected = np.empty(res.stack.shape)
         for iy, y in enumerate(res.ys):
@@ -382,6 +402,6 @@ class TestScan2d:
     def test_position_seeds_are_traversal_independent(self):
         ph = phantom()
         cfg = config(noise_sigma=0.2, seed=9)
-        a = simulator.scan_2d(cfg, ph, (-0.002, 0.002), (0.0, 0.0), 0.002)
-        b = simulator.scan_2d(cfg, ph, (-0.002, 0.002), (0.0, 0.0), 0.002)
+        a = simulator.scan_2d(cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.002))
+        b = simulator.scan_2d(cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.002))
         np.testing.assert_array_equal(a.stack, b.stack)
