@@ -44,7 +44,6 @@ class DepthProfile:
 
     values: np.ndarray
     bin_width_m: float
-    depth_origin_m: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -57,7 +56,7 @@ class DepthProfile:
 
     @property
     def depths(self) -> np.ndarray:
-        return self.depth_origin_m + np.arange(len(self)) * self.bin_width_m
+        return np.arange(len(self)) * self.bin_width_m
 
     @property
     def span_m(self) -> float:

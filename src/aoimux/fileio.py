@@ -178,7 +178,7 @@ def read_stream(path: str | Path) -> SampledStream:
         # one buffer, filled in place: no second copy of the payload
         samples = np.empty(sf.length, dtype="<f8")
         sf.read_into(samples)
-    return SampledStream(samples, sf.config.f_s, sf.t0, sf.config)
+    return SampledStream(samples, sf.t0, sf.config)
 
 
 # ----------------------------------------------------------------- profiles
@@ -202,8 +202,9 @@ def read_profile_csv(path: str | Path) -> DepthProfile:
         values.append(float(v))
     if len(depths) < 2:
         raise ConfigError(f"{path}: profile needs at least two rows")
-    bin_width = depths[1] - depths[0]
-    return DepthProfile(np.array(values), bin_width_m=bin_width, depth_origin_m=depths[0])
+    if depths[0] != 0.0:
+        raise ConfigError(f"{path}: first depth is {depths[0]}, not 0")
+    return DepthProfile(np.array(values), bin_width_m=depths[1])
 
 
 # -------------------------------------------------------------- experiments

@@ -225,7 +225,7 @@ def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> 
     """Smallest repetition period (in carrier cycles) keeping one pulse in
     the medium at a time."""
     k = cfg.subsets_per_cycle
-    occupied_bins = (ph.boundary_z + ph.depth_extent) / (cfg.c / cfg.f_s)
+    occupied_bins = (ph.boundary_z_m + ph.depth_extent_m) / (cfg.c / cfg.f_s)
     return max(1, math.ceil(occupied_bins / k))
 
 

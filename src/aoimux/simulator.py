@@ -68,62 +68,65 @@ def integer_ratio(f_s: float, f_us: float) -> int:
 
 
 def _check_finite(obj) -> None:
-    """Reject a NaN or infinite value in any float (or tuple of floats) field."""
+    """Reject a NaN or infinite value in any float field."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        for v in value if isinstance(value, tuple) else (value,):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Phantom:
-    """Optically diffuse medium probed along the acoustic axis.
+    """Optically diffuse medium probed along the acoustic axis; the fields
+    are the [phantom] config keys.
 
     Optical coefficients are in 1/cm, geometry in meters.  The source
-    and detector fibers sit on the boundary plane z = src_pos[2]; the
-    medium spans boundary depth .. boundary depth + depth_extent.
+    and detector fibers sit on the boundary plane z = boundary_z_m; the
+    medium spans boundary_z_m .. boundary_z_m + depth_extent_m.
     """
 
-    mu_s_prime: float  # reduced scattering, 1/cm
-    mu_a: float  # absorption, 1/cm
-    src_pos: tuple[float, float, float]
-    det_pos: tuple[float, float, float]
-    sound_speed: float  # m/s
-    depth_extent: float  # m
+    mu_s_prime_per_cm: float  # reduced scattering
+    mu_a_per_cm: float  # absorption
+    src_x_m: float
+    src_y_m: float = 0.0
+    det_x_m: float
+    det_y_m: float = 0.0
+    boundary_z_m: float = 0.0
+    sound_speed_m_s: float
+    depth_extent_m: float
 
     def __post_init__(self):
-        # tuples keep the phantom hashable, so fluence_scale can cache on it
-        for name in ("src_pos", "det_pos"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         _check_finite(self)
-        if self.mu_s_prime <= 0:
-            raise ConfigError("mu_s_prime must be positive")
-        if self.mu_a < 0:
-            raise ConfigError("mu_a must be non-negative")
-        if self.sound_speed <= 0:
-            raise ConfigError("sound_speed must be positive")
-        if self.depth_extent <= 0:
-            raise ConfigError("depth_extent must be positive")
-        if abs(self.src_pos[2] - self.det_pos[2]) > 1e-12:
-            raise ConfigError("source and detector must lie on one z plane")
+        if self.mu_s_prime_per_cm <= 0:
+            raise ConfigError("mu_s_prime_per_cm must be positive")
+        if self.mu_a_per_cm < 0:
+            raise ConfigError("mu_a_per_cm must be non-negative")
+        if self.sound_speed_m_s <= 0:
+            raise ConfigError("sound_speed_m_s must be positive")
+        if self.depth_extent_m <= 0:
+            raise ConfigError("depth_extent_m must be positive")
 
     @property
-    def boundary_z(self) -> float:
-        return self.src_pos[2]
+    def src_pos(self) -> tuple[float, float, float]:
+        return (self.src_x_m, self.src_y_m, self.boundary_z_m)
+
+    @property
+    def det_pos(self) -> tuple[float, float, float]:
+        return (self.det_x_m, self.det_y_m, self.boundary_z_m)
 
     @property
     def transport_length_m(self) -> float:
-        return 1.0 / (self.mu_s_prime * _CM_TO_M)
+        return 1.0 / (self.mu_s_prime_per_cm * _CM_TO_M)
 
     @property
     def mu_eff_per_m(self) -> float:
-        return math.sqrt(3.0 * self.mu_a * self.mu_s_prime) * _CM_TO_M
+        return math.sqrt(3.0 * self.mu_a_per_cm * self.mu_s_prime_per_cm) * _CM_TO_M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AcquisitionConfig:
-    """Physical and sampling parameters of one acquisition.
+    """Physical and sampling parameters of one acquisition; the fields are
+    the [acquisition] config keys.
 
     In coded mode ``order`` is the code length N (prime, 3 mod 4); in
     single-pulse mode it is the repetition period in carrier cycles, so
@@ -133,8 +136,8 @@ class AcquisitionConfig:
     f_us: float  # ultrasound center frequency, Hz
     f_s: float  # sampling rate, Hz
     c: float  # sound speed used for depth mapping, m/s
-    mode: str  # "coded" | "single-pulse"
-    order: int
+    mode: str = MODE_CODED  # "coded" | "single-pulse"
+    order: int = 79
     duration_s: float
     noise_sigma: float = 0.0
     modulation_efficiency: float = 1.0
@@ -207,7 +210,6 @@ class SampledStream:
     """Detector time series plus the configuration that produced it."""
 
     samples: np.ndarray
-    f_s: float
     t0: float
     config_snapshot: AcquisitionConfig
 
@@ -255,7 +257,7 @@ def fluence_scale(ph: Phantom) -> float:
     profiles at different transducer positions stay on a common scale.
     Memoised per phantom.
     """
-    zs = np.linspace(ph.boundary_z, ph.boundary_z + ph.depth_extent, _SCALE_GRID + 1)
+    zs = np.linspace(ph.boundary_z_m, ph.boundary_z_m + ph.depth_extent_m, _SCALE_GRID + 1)
     return float(_fluence_raw(ph, _axis_points(ph.src_pos[:2], zs)).max())
 
 
@@ -270,7 +272,7 @@ def fluence_profile(
     phantom.  The returned profile is normalized to peak 1.
     """
     zs = np.asarray(axis_positions, dtype=np.float64)
-    lo, hi = ph.boundary_z, ph.boundary_z + ph.depth_extent
+    lo, hi = ph.boundary_z_m, ph.boundary_z_m + ph.depth_extent_m
     if zs.size == 0:
         raise OutOfDomain("no positions given")
     if zs.min() < lo - 1e-12 or zs.max() > hi + 1e-12:
@@ -295,7 +297,7 @@ def axial_profile(
     _check_geometry(cfg, ph)
     period = cfg.period_samples
     zs = np.arange(period) * cfg.bin_width_m
-    inside = (zs >= ph.boundary_z) & (zs <= ph.boundary_z + ph.depth_extent)
+    inside = (zs >= ph.boundary_z_m) & (zs <= ph.boundary_z_m + ph.depth_extent_m)
     x = np.zeros(period)
     if inside.any():
         pts = _axis_points(axis_xy, zs[inside])
@@ -304,16 +306,16 @@ def axial_profile(
 
 
 def _check_geometry(cfg: AcquisitionConfig, ph: Phantom) -> None:
-    if abs(ph.sound_speed - cfg.c) > 1e-9 * cfg.c:
+    if abs(ph.sound_speed_m_s - cfg.c) > 1e-9 * cfg.c:
         raise ConfigError(
-            f"phantom sound speed {ph.sound_speed} != acquisition c {cfg.c}"
+            f"phantom sound speed {ph.sound_speed_m_s} != acquisition c {cfg.c}"
         )
-    if ph.boundary_z < 0:
+    if ph.boundary_z_m < 0:
         raise ConfigError("phantom boundary must be at non-negative depth")
-    if ph.boundary_z + ph.depth_extent > cfg.span_m + 1e-12:
+    if ph.boundary_z_m + ph.depth_extent_m > cfg.span_m + 1e-12:
         # more than one pulse/sequence would occupy the medium at once
         raise ConfigError(
-            f"phantom extends to {ph.boundary_z + ph.depth_extent:.4f} m but one "
+            f"phantom extends to {ph.boundary_z_m + ph.depth_extent_m:.4f} m but one "
             f"repetition period spans only {cfg.span_m:.4f} m"
         )
 
@@ -427,7 +429,7 @@ def simulate_stream(
     for chunk in chunks:
         samples[start : start + chunk.size] = chunk
         start += chunk.size
-    return SampledStream(samples, cfg.f_s, cfg.t0, cfg)
+    return SampledStream(samples, cfg.t0, cfg)
 
 
 @dataclass

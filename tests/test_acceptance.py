@@ -32,12 +32,13 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def small_phantom(boundary=0.0005, extent=0.004, mu_a=0.3):
     """Localized phantom that fits inside one order-7 repetition span."""
     return simulator.Phantom(
-        mu_s_prime=15.0,
-        mu_a=mu_a,
-        src_pos=(-0.0075, 0.0, boundary),
-        det_pos=(0.0075, 0.0, boundary),
-        sound_speed=C,
-        depth_extent=extent,
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=mu_a,
+        src_x_m=-0.0075,
+        det_x_m=0.0075,
+        boundary_z_m=boundary,
+        sound_speed_m_s=C,
+        depth_extent_m=extent,
     )
 
 
@@ -272,8 +273,8 @@ class TestCriterion8Scan:
     def test_banana_ridge(self):
         ph = self._phantom()
         ref = self._scan("coded", 0.0)
-        chord_bin = ph.boundary_z / BIN
-        interior = (ref.xs > ph.src_pos[0] + 1e-12) & (ref.xs < ph.det_pos[0] - 1e-12)
+        chord_bin = ph.boundary_z_m / BIN
+        interior = (ref.xs > ph.src_x_m + 1e-12) & (ref.xs < ph.det_x_m - 1e-12)
         ridges = []
         for ix in np.nonzero(interior)[0]:
             column = ref.stack[0, ix]

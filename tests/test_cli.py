@@ -327,6 +327,22 @@ class TestBadValues:
         assert main(["--out-dir", str(out), command, "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, f"aoimux: {message}")
 
+    def test_config_not_utf8_exit_2(self, tmp_path, cfg_file, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(cfg_file.read_bytes().replace(b"mode = coded", b"mode = cod\xffed"))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, f"aoimux: {bad}: ")
+
+    @pytest.mark.parametrize("section", ["acquisition", "phantom"])
+    def test_missing_required_section_exit_2(self, tmp_path, cfg_file, capsys, section):
+        bad = tmp_path / "bad.cfg"
+        blocks = cfg_file.read_text().split("\n\n")
+        bad.write_text("\n\n".join(b for b in blocks if not b.startswith(f"[{section}]")))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, f"aoimux: {bad}: missing [{section}] section")
+
 
 class TestSnrSweep:
     def test_single_order_outputs(self, tmp_path, cfg_file):

@@ -27,7 +27,7 @@ def make_stream(samples, f_us=1.25e6, f_s=5e6, order=3, mode="coded"):
         order=order,
         duration_s=len(samples) / f_s,
     )
-    return simulator.SampledStream(np.asarray(samples, float), f_s, 0.0, cfg)
+    return simulator.SampledStream(np.asarray(samples, float), 0.0, cfg)
 
 
 class TestBuildSystem:
@@ -195,12 +195,13 @@ class TestInterleaving:
 class TestDemultiplexStream:
     def _phantom(self):
         return simulator.Phantom(
-            mu_s_prime=15.0,
-            mu_a=0.1,
-            src_pos=(-0.0075, 0.0, 0.002),
-            det_pos=(0.0075, 0.0, 0.002),
-            sound_speed=990.0,
-            depth_extent=0.03,
+            mu_s_prime_per_cm=15.0,
+            mu_a_per_cm=0.1,
+            src_x_m=-0.0075,
+            det_x_m=0.0075,
+            boundary_z_m=0.002,
+            sound_speed_m_s=990.0,
+            depth_extent_m=0.03,
         )
 
     def _cfg(self, mode, periods=3, order=79):
@@ -240,12 +241,13 @@ class TestDemultiplexStream:
 
     def test_order_mismatch_raises(self):
         small = simulator.Phantom(
-            mu_s_prime=15.0,
-            mu_a=0.1,
-            src_pos=(-0.0075, 0.0, 0.002),
-            det_pos=(0.0075, 0.0, 0.002),
-            sound_speed=990.0,
-            depth_extent=0.01,
+            mu_s_prime_per_cm=15.0,
+            mu_a_per_cm=0.1,
+            src_x_m=-0.0075,
+            det_x_m=0.0075,
+            boundary_z_m=0.002,
+            sound_speed_m_s=990.0,
+            depth_extent_m=0.01,
         )
         stream = simulator.simulate_stream(self._cfg("coded", order=19), small)
         with pytest.raises(LengthMismatch):

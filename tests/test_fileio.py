@@ -22,12 +22,13 @@ def sample_stream(noise=0.25):
         water_path_m=0.09,
     )
     ph = simulator.Phantom(
-        mu_s_prime=15.0,
-        mu_a=0.2,
-        src_pos=(-0.0075, 0.0, 0.0002),
-        det_pos=(0.0075, 0.0, 0.0002),
-        sound_speed=990.0,
-        depth_extent=0.004,
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=0.2,
+        src_x_m=-0.0075,
+        det_x_m=0.0075,
+        boundary_z_m=0.0002,
+        sound_speed_m_s=990.0,
+        depth_extent_m=0.004,
     )
     return simulator.simulate_stream(cfg, ph)
 
@@ -49,7 +50,6 @@ class TestStreamFiles:
         fileio.write_stream(stream, path)
         again = fileio.read_stream(path)
         assert np.array_equal(again.samples, stream.samples)
-        assert again.f_s == stream.f_s
         assert again.t0 == stream.t0
         assert again.config_snapshot == stream.config_snapshot
 
@@ -120,13 +120,18 @@ class TestStreamFiles:
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
-        prof = DepthProfile(np.linspace(0, 1, 33), bin_width_m=2e-4, depth_origin_m=1e-3)
+        prof = DepthProfile(np.linspace(0, 1, 33), bin_width_m=2e-4)
         path = tmp_path / "profile.csv"
         fileio.write_profile_csv(prof, path)
         again = fileio.read_profile_csv(path)
         np.testing.assert_allclose(again.values, prof.values, rtol=0)
         assert again.bin_width_m == pytest.approx(prof.bin_width_m)
-        assert again.depth_origin_m == pytest.approx(prof.depth_origin_m)
+
+    def test_first_depth_not_zero_rejected(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("depth_m,amplitude\n0.001,0.5\n0.0012,1.0\n")
+        with pytest.raises(ConfigError, match="first depth"):
+            fileio.read_profile_csv(path)
 
     def test_header_units(self, tmp_path):
         path = tmp_path / "profile.csv"
@@ -196,9 +201,9 @@ class TestScanCsv:
             duration_s=2 * 28 / 5e6, seed=1,
         )
         ph = simulator.Phantom(
-            mu_s_prime=15.0, mu_a=0.2,
-            src_pos=(-0.001, 0.0, 0.0002), det_pos=(0.001, 0.0, 0.0002),
-            sound_speed=990.0, depth_extent=0.004,
+            mu_s_prime_per_cm=15.0, mu_a_per_cm=0.2,
+            src_x_m=-0.001, det_x_m=0.001, boundary_z_m=0.0002,
+            sound_speed_m_s=990.0, depth_extent_m=0.004,
         )
         res = simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001))
         map_path = tmp_path / "map.csv"

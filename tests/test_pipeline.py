@@ -20,12 +20,13 @@ BIN = C / F_S
 
 def phantom(boundary=0.0004, extent=0.004, mu_a=0.3):
     return simulator.Phantom(
-        mu_s_prime=15.0,
-        mu_a=mu_a,
-        src_pos=(-0.0075, 0.0, boundary),
-        det_pos=(0.0075, 0.0, boundary),
-        sound_speed=C,
-        depth_extent=extent,
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=mu_a,
+        src_x_m=-0.0075,
+        det_x_m=0.0075,
+        boundary_z_m=boundary,
+        sound_speed_m_s=C,
+        depth_extent_m=extent,
     )
 
 
@@ -59,12 +60,13 @@ class TestExtraction:
     def test_delta_phantom_peak_width_equals_pulse_length(self):
         k_bin = 120
         ph = simulator.Phantom(
-            mu_s_prime=15.0,
-            mu_a=0.1,
-            src_pos=(-0.0075, 0.0, k_bin * BIN),
-            det_pos=(0.0075, 0.0, k_bin * BIN),
-            sound_speed=C,
-            depth_extent=0.4 * BIN,
+            mu_s_prime_per_cm=15.0,
+            mu_a_per_cm=0.1,
+            src_x_m=-0.0075,
+            det_x_m=0.0075,
+            boundary_z_m=k_bin * BIN,
+            sound_speed_m_s=C,
+            depth_extent_m=0.4 * BIN,
         )
         cfg = config("single-pulse", periods=2)
         stream = simulator.simulate_stream(cfg, ph)
@@ -93,10 +95,9 @@ class TestExtraction:
             assert np.array_equal(stack.values[idx], row.values)
 
     def test_profile_metadata_carried_through(self):
-        prof = DepthProfile(np.ones(32), bin_width_m=BIN, depth_origin_m=0.01)
+        prof = DepthProfile(np.ones(32), bin_width_m=BIN)
         out = pipeline.extract_modulated(prof, F_US, F_S)
         assert out.bin_width_m == BIN
-        assert out.depth_origin_m == 0.01
 
 
 class TestReconstructFolded:

@@ -156,12 +156,12 @@ def test_config_manifest_config_round_trip(case, workdir):
     t0=finite,
 )
 def test_stream_file_round_trip(cfg, samples, t0, workdir):
-    stream = simulator.SampledStream(samples, cfg.f_s, t0, cfg)
+    stream = simulator.SampledStream(samples, t0, cfg)
     path = workdir / "stream.bin"
     fileio.write_stream(stream, path)
     again = fileio.read_stream(path)
     assert again.config_snapshot == cfg
-    assert again.f_s == cfg.f_s and again.t0 == t0
+    assert again.t0 == t0
     assert again.samples.tobytes() == samples.astype("<f8").tobytes()
 
 
@@ -190,7 +190,7 @@ def _stream_parts(workdir):
         f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=7, duration_s=5.6e-6
     )
     path = workdir / "valid.bin"
-    fileio.write_stream(simulator.SampledStream(np.arange(28.0), cfg.f_s, 0.0, cfg), path)
+    fileio.write_stream(simulator.SampledStream(np.arange(28.0), 0.0, cfg), path)
     head, body = path.read_bytes().split(b"\n", 1)
     return head.decode("ascii").split(" "), body
 
