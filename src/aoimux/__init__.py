@@ -15,7 +15,6 @@ from .codes import (
 from .demux import (
     CirculantSystem,
     DepthProfile,
-    InverseKind,
     analytic_inverse_check,
     average_periods,
     build_system,
@@ -53,7 +52,6 @@ __all__ = [
     "AdvantageCurve",
     "CirculantSystem",
     "DepthProfile",
-    "InverseKind",
     "Phantom",
     "SSequence",
     "SampledStream",

@@ -57,7 +57,7 @@ def _cmd_simulate(args) -> int:
     out = _out_dir(args)
     fold = demux.PeriodFold(acq.order, acq.subsets_per_cycle)
     # stream.bin appears only if the whole block succeeds
-    with fileio.stream_writer(out / "stream.bin", acq, acq.t0, acq.n_samples) as write:
+    with fileio.stream_writer(out / "stream.bin", acq, acq.n_samples) as write:
         for chunk in simulator.stream_chunks(acq, rc.phantom):
             write(chunk)
             fold.add(chunk)  # after the write: add may overwrite the chunk
@@ -101,7 +101,7 @@ def _cmd_snr_sweep(args) -> int:
 
 def _cmd_scan2d(args) -> int:
     rc = parse_run_config(args.config)
-    result = simulator.scan_2d(rc.acquisition, rc.phantom, rc.scan, solver_kind=args.solver)
+    result = simulator.scan_2d(rc.acquisition, rc.phantom, rc.scan, kind=args.solver)
     out = _out_dir(args)
     fileio.write_scan_map_csv(result, out / "scan_map.csv")
     fileio.write_pgm(result.peak_map, out / "scan_map.pgm")
@@ -134,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="synthesize a stream and its depth profile")
     p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--solver", choices=["dense", "spectral"], default="spectral")
+    p.add_argument("--solver", choices=demux.SOLVER_KINDS, default="spectral")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("demux", help="demultiplex a stream file into a profile CSV")
     p.add_argument("--stream", required=True, help="input stream file")
     p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--solver", choices=["dense", "spectral"], default="spectral")
+    p.add_argument("--solver", choices=demux.SOLVER_KINDS, default="spectral")
     p.add_argument(
         "--raw",
         action="store_true",
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan2d", help="scan the transducer over an XY grid")
     p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--solver", choices=["dense", "spectral"], default="spectral")
+    p.add_argument("--solver", choices=demux.SOLVER_KINDS, default="spectral")
     p.add_argument("--stack", action="store_true", help="also write the depth stack")
     p.set_defaults(func=_cmd_scan2d)
     return parser

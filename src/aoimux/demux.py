@@ -6,18 +6,19 @@ bits[(c - r) mod N].  Applying S is then a circular convolution with the
 index-reversed sequence, which gives two interchangeable solvers: a
 dense LAPACK solve against the stored S (the reference) and an FFT
 circular deconvolution (O(N log N) per frame, used for long streams).
+The solver kind is one of ``SOLVER_KINDS``: "dense" or "spectral".
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .codes import SSequence, circulant_matrix
 from .errors import (
+    ConfigError,
     InsufficientSamples,
     LengthMismatch,
     NonFiniteSamples,
@@ -27,11 +28,7 @@ from .errors import (
 from .simulator import MODE_CODED, SampledStream
 
 _DENSE_MAX = 1024
-
-
-class InverseKind(Enum):
-    DENSE = "dense"
-    SPECTRAL = "spectral"
+SOLVER_KINDS = ("dense", "spectral")
 
 
 @dataclass
@@ -48,7 +45,7 @@ class DepthProfile:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.bin_width_m <= 0:
-            raise ValueError("bin_width_m must be positive")
+            raise ConfigError("bin_width_m must be positive")
 
     def __len__(self) -> int:
         """Number of depth bins."""
@@ -66,7 +63,9 @@ class DepthProfile:
 class CirculantSystem:
     """Immutable solver for S x = y; shareable across threads once built."""
 
-    def __init__(self, sequence: SSequence, kind: InverseKind):
+    def __init__(self, sequence: SSequence, kind: str):
+        if kind not in SOLVER_KINDS:
+            raise ConfigError(f"solver kind must be one of {SOLVER_KINDS}, got {kind!r}")
         self.sequence = sequence
         self.order = sequence.order
         self.kind = kind
@@ -80,7 +79,7 @@ class CirculantSystem:
             )
         self._spectrum = spectrum
         self._dense = None
-        if kind is InverseKind.DENSE:
+        if kind == "dense":
             self._dense = self.matrix().astype(np.float64)
 
     def matrix(self) -> np.ndarray:
@@ -107,7 +106,7 @@ class CirculantSystem:
             raise LengthMismatch(
                 f"frame length {ys.shape[-1]} != system order {self.order}"
             )
-        if self.kind is InverseKind.DENSE:
+        if self.kind == "dense":
             # one LAPACK gesv over all frames: a single LU of S per call
             flat = ys.reshape(-1, self.order)
             sol = np.linalg.solve(self._dense, flat.T).T
@@ -124,12 +123,8 @@ class CirculantSystem:
         return float(mags.max() / mags.min())
 
 
-def build_system(
-    seq: SSequence, kind: InverseKind | str = InverseKind.DENSE
-) -> CirculantSystem:
+def build_system(seq: SSequence, kind: str) -> CirculantSystem:
     """Build the solver for the given sequence; kind picks the inverse path."""
-    if isinstance(kind, str):
-        kind = InverseKind(kind)
     return CirculantSystem(seq, kind)
 
 
@@ -217,23 +212,17 @@ def _count_non_finite(values: np.ndarray) -> int:
 
 
 def fold_chunks(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
-    """Mean of the complete repetition periods of a chunked stream (``PeriodFold``)."""
+    """Mean of the complete repetition periods of a chunked stream (``PeriodFold``).
+
+    Column j of the (n, k) frame is interleaved subset j (samples j,
+    j + k, ...), so its row-major flattening is the period mean in time
+    order.  ``fold_chunks([samples], n, k)`` folds an in-memory array
+    and leaves it unmodified.
+    """
     fold = PeriodFold(n, k)
     for chunk in chunks:
         fold.add(chunk)
     return fold.mean()
-
-
-def fold_periods(samples: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Mean of the complete repetition periods as one (n, k) frame.
-
-    Column j is interleaved subset j (samples j, j + k, ...), so the
-    row-major flattening is the period mean in time order.  The array is
-    the one-chunk case of ``fold_chunks`` and is not modified.  A
-    trailing partial period is discarded.  Raises NonFiniteSamples if a
-    used sample is NaN or infinite.
-    """
-    return fold_chunks([np.asarray(samples, dtype=np.float64)], n, k)
 
 
 def solve_folded(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:
@@ -254,7 +243,7 @@ def average_periods(stream: SampledStream) -> DepthProfile:
     repetition period directly yields the depth-resolved signal.
     """
     cfg = stream.config_snapshot
-    folded = fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
+    folded = fold_chunks([stream.samples], cfg.order, cfg.subsets_per_cycle)
     return DepthProfile(folded.reshape(-1), bin_width_m=cfg.bin_width_m)
 
 
@@ -275,5 +264,5 @@ def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProf
         raise LengthMismatch(
             f"stream was coded with order {cfg.order}, system has order {n}"
         )
-    profile = solve_folded(sys, fold_periods(stream.samples, n, cfg.subsets_per_cycle))
+    profile = solve_folded(sys, fold_chunks([stream.samples], n, cfg.subsets_per_cycle))
     return DepthProfile(profile, bin_width_m=cfg.bin_width_m)

@@ -8,9 +8,12 @@ float64 samples::
         seed=... water_sound_speed=... water_path_m=...\\n
 
 (single line, fields space separated, floats in shortest round-trip
-form).  After ``length`` come the ``AcquisitionConfig`` fields in
-declaration order, keyed by attribute name (``f_s`` appears once, first).
-The header line must end within ``_HEADER_MAX_BYTES``.
+form).  ``t0`` is the configuration's ``water_path_m /
+water_sound_speed``; a header whose ``t0`` disagrees with its other
+fields is rejected on read.  After ``length`` come the
+``AcquisitionConfig`` fields in declaration order, keyed by attribute
+name (``f_s`` appears once, first).  The header line must end within
+``_HEADER_MAX_BYTES``.
 
 Streams move through files in chunks of whole repetition periods, so
 memory does not grow with stream length.  ``stream_writer`` writes the
@@ -29,7 +32,6 @@ files.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 from collections.abc import Callable, Iterator
 from pathlib import Path
@@ -63,8 +65,8 @@ def read_sequence(path: str | Path) -> SSequence:
 # ------------------------------------------------------------------ streams
 
 
-def _stream_header(cfg: AcquisitionConfig, t0: float, length: int) -> bytes:
-    fields = {"f_s": _fmt(cfg.f_s), "t0": _fmt(t0), "length": str(length)}
+def _stream_header(cfg: AcquisitionConfig, length: int) -> bytes:
+    fields = {"f_s": _fmt(cfg.f_s), "t0": _fmt(cfg.t0), "length": str(length)}
     for attr, _, kind, _ in record_fields(AcquisitionConfig):  # f_s is already there
         fields.setdefault(attr, _fmt(getattr(cfg, attr), kind))
     tokens = [_STREAM_MAGIC, str(_STREAM_VERSION)] + [f"{k}={v}" for k, v in fields.items()]
@@ -73,7 +75,7 @@ def _stream_header(cfg: AcquisitionConfig, t0: float, length: int) -> bytes:
 
 @contextlib.contextmanager
 def stream_writer(
-    path: str | Path, cfg: AcquisitionConfig, t0: float, length: int
+    path: str | Path, cfg: AcquisitionConfig, length: int
 ) -> Iterator[Callable[[np.ndarray], None]]:
     """Write a stream file of ``length`` samples chunk by chunk.
 
@@ -94,7 +96,7 @@ def stream_writer(
 
     try:
         with open(part, "wb") as fh:
-            fh.write(_stream_header(cfg, t0, length))
+            fh.write(_stream_header(cfg, length))
             yield write
         if written != length:
             raise LengthMismatch(f"{path}: header says {length} samples, {written} written")
@@ -106,7 +108,7 @@ def stream_writer(
 
 def write_stream(stream: SampledStream, path: str | Path) -> None:
     samples = stream.samples
-    with stream_writer(path, stream.config_snapshot, stream.t0, samples.size) as write:
+    with stream_writer(path, stream.config_snapshot, samples.size) as write:
         write(samples)
 
 
@@ -133,11 +135,14 @@ class StreamFile:
                 **{attr: kind(kv[attr]) for attr, _, kind, _ in record_fields(AcquisitionConfig)}
             )
             self.length = int(kv["length"])
-            self.t0 = float(kv["t0"])
+            t0 = float(kv["t0"])
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
-        if not math.isfinite(self.t0):
-            raise ConfigError(f"{path}: stream header t0 must be finite, got {self.t0}")
+        if t0 != self.config.t0:
+            raise ConfigError(
+                f"{path}: stream header t0={kv['t0']} is not water_path_m / "
+                f"water_sound_speed = {_fmt(self.config.t0)}"
+            )
         if payload % 8:
             raise ConfigError(
                 f"{path}: payload of {payload} bytes is not a whole number of samples"
@@ -178,7 +183,7 @@ def read_stream(path: str | Path) -> SampledStream:
         # one buffer, filled in place: no second copy of the payload
         samples = np.empty(sf.length, dtype="<f8")
         sf.read_into(samples)
-    return SampledStream(samples, sf.t0, sf.config)
+    return SampledStream(samples, sf.config)
 
 
 # ----------------------------------------------------------------- profiles
@@ -196,10 +201,13 @@ def read_profile_csv(path: str | Path) -> DepthProfile:
     if not rows or rows[0] != "depth_m,amplitude":
         raise ConfigError(f"{path}: not a depth-profile CSV")
     depths, values = [], []
-    for row in rows[1:]:
-        z, v = row.split(",")
-        depths.append(float(z))
-        values.append(float(v))
+    try:
+        for row in rows[1:]:
+            z, v = row.split(",")
+            depths.append(float(z))
+            values.append(float(v))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed profile row {row!r}: {exc}") from exc
     if len(depths) < 2:
         raise ConfigError(f"{path}: profile needs at least two rows")
     if depths[0] != 0.0:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codes, demux, simulator
-from .demux import DepthProfile, InverseKind
+from .demux import DepthProfile
 from .errors import (
     ConfigError,
     EdgePeak,
@@ -96,22 +96,19 @@ def measure_fwhm(profile: DepthProfile) -> float:
 
 
 def reconstruct_profile(
-    stream: simulator.SampledStream,
-    kind: InverseKind | str = InverseKind.SPECTRAL,
-    *,
-    extract: bool = True,
+    stream: simulator.SampledStream, kind: str = "spectral", *, extract: bool = True
 ) -> DepthProfile:
     """Depth profile of one in-memory stream: its period mean, reconstructed
     by ``reconstruct_folded``."""
     cfg = stream.config_snapshot
-    folded = demux.fold_periods(stream.samples, cfg.order, cfg.subsets_per_cycle)
+    folded = demux.fold_chunks([stream.samples], cfg.order, cfg.subsets_per_cycle)
     return reconstruct_folded(folded, cfg, kind, extract=extract)
 
 
 def reconstruct_folded(
     folded: np.ndarray,
     cfg: simulator.AcquisitionConfig,
-    kind: InverseKind | str = InverseKind.SPECTRAL,
+    kind: str = "spectral",
     *,
     extract: bool = True,
 ) -> DepthProfile:
@@ -137,7 +134,8 @@ def reconstruct_folded(
 
 @dataclass(frozen=True)
 class SnrReport:
-    """Trial statistics at the reference peak bin of one acquisition mode."""
+    """Trial statistics at the reference peak bin of one acquisition mode;
+    snr is inf when noise_std vanished."""
 
     mode: str
     order: int
@@ -145,23 +143,27 @@ class SnrReport:
     signal_mean: float
     noise_std: float
     snr: float
-    noise_free: bool = False  # set when noise_std vanished and snr is inf
 
 
 @dataclass(frozen=True)
 class AdvantageCurve:
-    """Measured and theoretical SNR gain versus code order."""
+    """Measured and theoretical SNR gain versus code order, computed from
+    reports: the coded, then the single-pulse SnrReport of each order."""
 
-    orders: list[int]
-    measured_gain: list[float]
-    theoretical_gain: list[float]
-    reports: tuple[SnrReport, ...] = ()  # coded and single-pulse per order
+    reports: tuple[SnrReport, ...]
 
-    def __post_init__(self):
-        if not (len(self.orders) == len(self.measured_gain) == len(self.theoretical_gain)):
-            raise ConfigError("advantage curve columns must have equal length")
-        if any(b <= a for a, b in zip(self.theoretical_gain, self.theoretical_gain[1:])):
-            raise ConfigError("theoretical gain must increase with order")
+    @property
+    def orders(self) -> list[int]:
+        return [coded.order for coded in self.reports[::2]]
+
+    @property
+    def measured_gain(self) -> list[float]:
+        pairs = zip(self.reports[::2], self.reports[1::2])
+        return [coded.snr / single.snr for coded, single in pairs]
+
+    @property
+    def theoretical_gain(self) -> list[float]:
+        return [theoretical_multiplexing_gain(n) for n in self.orders]
 
 
 def measure_snr(
@@ -170,7 +172,6 @@ def measure_snr(
     n_trials: int,
     *,
     subtract_noise_floor: bool = False,
-    solver_kind: InverseKind | str = InverseKind.SPECTRAL,
 ) -> SnrReport:
     """Monte-Carlo SNR of the reconstructed profile.
 
@@ -202,7 +203,7 @@ def measure_snr(
         seed = derive_seed(cfg.seed, TRIAL_SALT, t)
         chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
         folded[t + 1] = demux.fold_chunks(chunks, n, k)
-    profiles = reconstruct_folded(folded, cfg, solver_kind).values
+    profiles = reconstruct_folded(folded, cfg).values
 
     reference = profiles[0]
     peak_bin = int(np.argmax(reference))
@@ -216,9 +217,8 @@ def measure_snr(
     if subtract_noise_floor:
         signal -= float(offs.mean())
     noise = float(offs.std(ddof=1))
-    if noise == 0.0:
-        return SnrReport(cfg.mode, cfg.order, n_trials, signal, 0.0, math.inf, True)
-    return SnrReport(cfg.mode, cfg.order, n_trials, signal, noise, signal / noise)
+    snr = signal / noise if noise else math.inf
+    return SnrReport(cfg.mode, cfg.order, n_trials, signal, noise, snr)
 
 
 def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> int:
@@ -265,23 +265,13 @@ def multiplexing_advantage(
     """
     if not plan.orders:
         raise ConfigError("orders list is empty")
-    orders = sorted(set(int(n) for n in plan.orders))
-
-    measured = []
     reports: list[SnrReport] = []
-    for n in orders:
+    for n in sorted(set(int(n) for n in plan.orders)):
         coded_cfg = replace(cfg_base, mode=simulator.MODE_CODED, order=n)
         sp_order = n if plan.reference == "matched" else _max_rate_order(cfg_base, ph)
         sp_cfg = replace(cfg_base, mode=simulator.MODE_SINGLE_PULSE, order=sp_order)
-        coded, single = [
+        reports += [
             measure_snr(c, ph, plan.n_trials, subtract_noise_floor=plan.subtract_noise_floor)
             for c in (coded_cfg, sp_cfg)
         ]
-        measured.append(coded.snr / single.snr)
-        reports += [coded, single]
-    return AdvantageCurve(
-        orders=orders,
-        measured_gain=measured,
-        theoretical_gain=[theoretical_multiplexing_gain(n) for n in orders],
-        reports=tuple(reports),
-    )
+    return AdvantageCurve(tuple(reports))

@@ -162,6 +162,8 @@ class AcquisitionConfig:
             raise ConfigError("noise_sigma must be non-negative")
         if self.water_path_m < 0:
             raise ConfigError("water_path_m must be non-negative")
+        if not math.isfinite(self.t0):
+            raise ConfigError("t0 = water_path_m / water_sound_speed must be finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -207,10 +209,10 @@ class AcquisitionConfig:
 
 @dataclass
 class SampledStream:
-    """Detector time series plus the configuration that produced it."""
+    """Detector time series plus the configuration that produced it; the
+    first sample is at config_snapshot.t0."""
 
     samples: np.ndarray
-    t0: float
     config_snapshot: AcquisitionConfig
 
     def __post_init__(self):
@@ -429,7 +431,7 @@ def simulate_stream(
     for chunk in chunks:
         samples[start : start + chunk.size] = chunk
         start += chunk.size
-    return SampledStream(samples, cfg.t0, cfg)
+    return SampledStream(samples, cfg)
 
 
 @dataclass
@@ -495,7 +497,7 @@ def scan_2d(
     ph: Phantom,
     grid: ScanGrid,
     *,
-    solver_kind: str = "spectral",
+    kind: str = "spectral",
 ) -> ScanResult:
     """Run the full acquire/demultiplex/extract pipeline over an XY grid.
 
@@ -517,7 +519,7 @@ def scan_2d(
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
             chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
             folded[iy, ix] = fold_chunks(chunks, cfg.order, cfg.subsets_per_cycle)
-    stack = reconstruct_folded(folded, cfg, solver_kind).values
+    stack = reconstruct_folded(folded, cfg, kind).values
     peak = stack.max()
     if peak > 0:
         stack = stack / peak

@@ -184,6 +184,24 @@ class TestDemux:
                      str(tmp_path / "p.csv")]) == 2
         assert "bad.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", [b"t0=0.001", b"water_path_m=0.09"])
+    def test_header_t0_disagreeing_with_its_config_exit_2(
+        self, tmp_path, cfg_file, capsys, token
+    ):
+        # SMALL_CONFIG has no water path, so its header carries t0=0.0
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        key = token.split(b"=")[0]
+        head, count = re.subn(rb" " + key + rb"=\S+", b" " + token, head)
+        assert count == 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(head + b"\n" + body)
+        demuxed = tmp_path / "demuxed"
+        capsys.readouterr()
+        assert main(["--out-dir", str(demuxed), "demux", "--stream", str(bad)]) == 2
+        _assert_config_error(capsys, demuxed, f"aoimux: {bad}: stream header t0=")
+
     def test_non_finite_sample_exit_4(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "run"
         main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])

@@ -33,6 +33,15 @@ def sample_stream(noise=0.25):
     return simulator.simulate_stream(cfg, ph)
 
 
+def advantage_curve(orders, gains):
+    """Curve whose single-pulse SNR is 1 at each order, so the coded SNR is the gain."""
+    reports = []
+    for n, gain in zip(orders, gains):
+        reports += [SnrReport("coded", n, 30, gain, 1.0, gain),
+                    SnrReport("single-pulse", n, 30, 1.0, 1.0, 1.0)]
+    return AdvantageCurve(tuple(reports))
+
+
 class TestSequenceFiles:
     def test_round_trip(self, tmp_path):
         seq = codes.generate_s_sequence(19)
@@ -50,7 +59,6 @@ class TestStreamFiles:
         fileio.write_stream(stream, path)
         again = fileio.read_stream(path)
         assert np.array_equal(again.samples, stream.samples)
-        assert again.t0 == stream.t0
         assert again.config_snapshot == stream.config_snapshot
 
     def test_payload_bytes_are_little_endian_float64(self, tmp_path):
@@ -89,7 +97,7 @@ class TestStreamFiles:
         fileio.write_stream(stream, path)
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 30)
         with fileio.open_stream(path) as sf:
-            assert (sf.config, sf.t0, sf.length) == (stream.config_snapshot, stream.t0, 59)
+            assert (sf.config, sf.length) == (stream.config_snapshot, 59)
             chunks = [chunk.copy() for chunk in sf.chunks()]
         assert [c.size for c in chunks] == [28, 28, 3]
         assert np.array_equal(np.concatenate(chunks), stream.samples)
@@ -99,7 +107,7 @@ class TestStreamFiles:
         whole, chunked = tmp_path / "whole.bin", tmp_path / "chunked.bin"
         fileio.write_stream(stream, whole)
         cfg = stream.config_snapshot
-        with fileio.stream_writer(chunked, cfg, stream.t0, len(stream)) as write:
+        with fileio.stream_writer(chunked, cfg, len(stream)) as write:
             for start in range(0, len(stream), 28):
                 write(stream.samples[start : start + 28])
         assert chunked.read_bytes() == whole.read_bytes()
@@ -109,11 +117,11 @@ class TestStreamFiles:
         stream = sample_stream()
         path = tmp_path / "stream.bin"
         with pytest.raises(RuntimeError):
-            with fileio.stream_writer(path, stream.config_snapshot, 0.0, 56) as write:
+            with fileio.stream_writer(path, stream.config_snapshot, 56) as write:
                 write(stream.samples[:28])
                 raise RuntimeError("simulated failure")
         with pytest.raises(LengthMismatch):
-            with fileio.stream_writer(path, stream.config_snapshot, 0.0, 56) as write:
+            with fileio.stream_writer(path, stream.config_snapshot, 56) as write:
                 write(stream.samples[:28])  # one period short of the header
         assert not list(tmp_path.iterdir())
 
@@ -131,6 +139,21 @@ class TestProfileCsv:
         path = tmp_path / "profile.csv"
         path.write_text("depth_m,amplitude\n0.001,0.5\n0.0012,1.0\n")
         with pytest.raises(ConfigError, match="first depth"):
+            fileio.read_profile_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0.0,0.5\n0.0002,1.0,2.0\n", "malformed profile row"),
+            ("0.0,0.5\n0.0002,high\n", "malformed profile row"),
+            ("0.0,0.5\n0.0,1.0\n", "bin_width_m must be positive"),
+        ],
+        ids=["three-fields", "not-a-number", "repeated-depth"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, rows, message):
+        path = tmp_path / "profile.csv"
+        path.write_text("depth_m,amplitude\n" + rows)
+        with pytest.raises(ConfigError, match=message):
             fileio.read_profile_csv(path)
 
     def test_header_units(self, tmp_path):
@@ -153,7 +176,7 @@ class TestExperimentCsv:
         assert rows[1].startswith("coded,79,30,")
 
     def test_advantage_csv(self, tmp_path):
-        curve = AdvantageCurve([7, 79], [1.5, 4.5], [7**0.5 / 2, 79**0.5 / 2])
+        curve = advantage_curve([7, 79], [1.5, 4.5])
         path = tmp_path / "curve.csv"
         fileio.write_advantage_csv(curve, path)
         rows = path.read_text().strip().splitlines()
@@ -162,7 +185,7 @@ class TestExperimentCsv:
         assert float(rows[2].split(",")[2]) == pytest.approx(79**0.5 / 2)
 
     def test_advantage_svg(self, tmp_path):
-        curve = AdvantageCurve([7, 19, 79], [1.5, 2.3, 4.5], [1.32, 2.18, 4.44])
+        curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
         path = tmp_path / "curve.svg"
         fileio.write_advantage_svg(curve, path)
         text = path.read_text()

@@ -207,7 +207,7 @@ class TestSimulateStream:
         draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
         assert np.array_equal(noisy.samples, quiet.samples + draw)
 
-    def test_add_noise_in_small_chunks_equals_one_shot_draw(self, monkeypatch):
+    def test_noisy_chunks_in_small_chunks_equals_one_shot_draw(self, monkeypatch):
         # chunks of two periods of 3 samples: four full chunks and a partial one
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 7)
         period = np.array([0.5, -1.0, 2.0])
@@ -216,7 +216,7 @@ class TestSimulateStream:
         draw = np.random.default_rng(11).normal(0.0, 0.3, 25)
         assert np.array_equal(np.concatenate(chunks), np.resize(period, 25) + draw)
 
-    def test_add_noise_with_zero_sigma_draws_nothing(self):
+    def test_noisy_chunks_with_zero_sigma_draws_nothing(self):
         period = np.linspace(-1.0, 1.0, 25)
         chunks = list(simulator.noisy_chunks(period, 25, 0.0, 11))
         assert len(chunks) == 1 and np.array_equal(chunks[0], period)
@@ -280,6 +280,10 @@ class TestSimulateStream:
             config(mode="continuous")
         # single-pulse mode accepts any positive repetition period
         assert config("single-pulse", order=13).prf == pytest.approx(F_US / 13)
+
+    def test_config_rejects_water_path_time_that_overflows(self):
+        with pytest.raises(ConfigError, match="t0 = water_path_m / water_sound_speed"):
+            config(water_path_m=1e300, water_sound_speed=1e-300)
 
     def test_phantom_validation(self):
         with pytest.raises(ConfigError):
@@ -374,7 +378,7 @@ class TestScan2d:
         ph = phantom()
         cfg = config(mode, periods=3, noise_sigma=0.2, seed=4)
         res = simulator.scan_2d(
-            cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001), solver_kind=solver_kind
+            cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001), kind=solver_kind
         )
         expected = np.empty(res.stack.shape)
         for iy, y in enumerate(res.ys):
