@@ -17,21 +17,12 @@ from pathlib import Path
 
 from . import codes, demux, fileio, pipeline, simulator
 from .config import parse_orders, parse_run_config, write_manifest
-from .errors import (
-    AoimuxError,
-    EdgePeak,
-    NonFiniteSamples,
-    NoPeak,
-    OrderTooLarge,
-    SingularSystem,
-)
+from .errors import AoimuxError, NumericalError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-_NUMERICAL_ERRORS = (SingularSystem, NoPeak, EdgePeak, OrderTooLarge, NonFiniteSamples)
 
 
 def _out_dir(args) -> Path:
@@ -168,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"aoimux: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except AoimuxError as exc:  # every other package error is a bad input

@@ -83,21 +83,24 @@ def quadratic_residues(n: int) -> set[int]:
 class SSequence:
     """A length-N binary multiplexing code.
 
-    bits is a uint8 array of 0s and 1s with Hamming weight (N+1)/2.
+    bits is a one-dimensional uint8 array of 0s and 1s with Hamming
+    weight (N+1)/2; the order N is its length.
     """
 
-    order: int
     bits: np.ndarray
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
         object.__setattr__(self, "bits", bits)
-        if bits.shape != (self.order,):
-            raise InvalidOrder(
-                f"bit count {bits.size} does not match order {self.order}"
-            )
+        if bits.ndim != 1:
+            raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
         if not np.all((bits == 0) | (bits == 1)):
             raise InvalidOrder("sequence entries must be 0 or 1")
+
+    @property
+    def order(self) -> int:
+        """The code length N."""
+        return self.bits.size
 
     def __len__(self) -> int:
         return self.order
@@ -109,7 +112,7 @@ class SSequence:
 
     def shifted(self, k: int) -> "SSequence":
         """Cyclic shift by k positions; shifts stay valid codes."""
-        return SSequence(self.order, np.roll(self.bits, k))
+        return SSequence(np.roll(self.bits, k))
 
     def to_text(self) -> str:
         """Single-line text form ``"<order>:<bits>"``, e.g. ``"7:1110100"``."""
@@ -124,7 +127,7 @@ class SSequence:
             raise InvalidOrder(f"malformed sequence line: {text!r}") from exc
         if len(body) != order or set(body) - {"0", "1"}:
             raise InvalidOrder(f"malformed sequence line: {text!r}")
-        return cls(order, np.frombuffer(body.encode(), dtype=np.uint8) - ord("0"))
+        return cls(np.frombuffer(body.encode(), dtype=np.uint8) - ord("0"))
 
 
 def circulant_matrix(seq: SSequence) -> np.ndarray:
@@ -209,7 +212,7 @@ def generate_s_sequence(n: int) -> SSequence:
     k %= n
     bits[k] = 1
     del k  # 4 MB at MAX_ORDER, not held through the check
-    seq = SSequence(n, bits)
+    seq = SSequence(bits)
     _check_identity(seq)
     seq.bits.setflags(write=False)
     return seq

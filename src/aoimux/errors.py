@@ -1,4 +1,7 @@
-"""Exception hierarchy for the aoimux package."""
+"""Exception hierarchy for the aoimux package.
+
+The CLI exits 4 on a NumericalError and 2 on every other AoimuxError.
+"""
 
 
 class AoimuxError(Exception):
@@ -9,7 +12,11 @@ class InvalidOrder(AoimuxError):
     """Code order is not a prime congruent to 3 mod 4, or exceeds the cap."""
 
 
-class SingularSystem(AoimuxError):
+class NumericalError(AoimuxError):
+    """Base class for failures of the numerics rather than of the input."""
+
+
+class SingularSystem(NumericalError):
     """Circulant system is not invertible; indicates a corrupted sequence."""
 
 
@@ -25,7 +32,7 @@ class InsufficientSamples(AoimuxError):
     """Stream is too short for the requested operation."""
 
 
-class OrderTooLarge(AoimuxError):
+class OrderTooLarge(NumericalError):
     """Order exceeds the limit for a dense-matrix operation."""
 
 
@@ -37,11 +44,11 @@ class NyquistViolation(AoimuxError):
     """Sampling rate below twice the carrier frequency."""
 
 
-class NoPeak(AoimuxError):
+class NoPeak(NumericalError):
     """Profile has no usable global maximum."""
 
 
-class EdgePeak(AoimuxError):
+class EdgePeak(NumericalError):
     """Profile maximum sits at the edge or half maximum is never crossed."""
 
 
@@ -49,5 +56,5 @@ class ConfigError(AoimuxError):
     """Invalid or inconsistent run configuration."""
 
 
-class NonFiniteSamples(AoimuxError):
+class NonFiniteSamples(NumericalError):
     """Stream holds NaN or infinite samples in the periods it is folded over."""

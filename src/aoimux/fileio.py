@@ -12,8 +12,9 @@ form).  ``t0`` is the configuration's ``water_path_m /
 water_sound_speed``; a header whose ``t0`` disagrees with its other
 fields is rejected on read.  After ``length`` come the
 ``AcquisitionConfig`` fields in declaration order, keyed by attribute
-name (``f_s`` appears once, first).  The header line must end within
-``_HEADER_MAX_BYTES``.
+name (``f_s`` appears once, first).  A header is rejected on read unless
+each of these keys appears exactly once.  The header line must end
+within ``_HEADER_MAX_BYTES``.
 
 Streams move through files in chunks of whole repetition periods, so
 memory does not grow with stream length.  ``stream_writer`` writes the
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from collections import Counter
 from collections.abc import Callable, Iterator
 from pathlib import Path
 from typing import BinaryIO
@@ -49,6 +51,7 @@ from .simulator import AcquisitionConfig, SampledStream, ScanResult, chunk_lengt
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
 _HEADER_MAX_BYTES = 4096  # a header is about 300 bytes; longer means not a stream
+_HEADER_KEYS = Counter(["t0", "length"] + [attr for attr, *_ in record_fields(AcquisitionConfig)])
 
 
 # ---------------------------------------------------------------- sequences
@@ -129,14 +132,21 @@ class StreamFile:
         tokens = header.split()
         if len(tokens) < 2 or tokens[0] != _STREAM_MAGIC or tokens[1] != str(_STREAM_VERSION):
             raise ConfigError(f"{path}: not an aoimux stream file")
+        pairs = [tok.split("=", 1) for tok in tokens[2:]]
+        counts = Counter(pair[0] for pair in pairs)
+        bad = (counts - _HEADER_KEYS) + (_HEADER_KEYS - counts)  # unknown, repeated, missing
+        if bad:
+            raise ConfigError(
+                f"{path}: stream header keys must each appear once: {', '.join(sorted(bad))}"
+            )
         try:
-            kv = dict(tok.split("=", 1) for tok in tokens[2:])
+            kv = dict(pairs)
             self.config = AcquisitionConfig(
                 **{attr: kind(kv[attr]) for attr, _, kind, _ in record_fields(AcquisitionConfig)}
             )
             self.length = int(kv["length"])
             t0 = float(kv["t0"])
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{path}: malformed stream header: {exc}") from exc
         if t0 != self.config.t0:
             raise ConfigError(

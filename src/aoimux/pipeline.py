@@ -261,10 +261,13 @@ def multiplexing_advantage(
     Both modes run for cfg_base.duration_s (equal wall-clock time), at
     each of the plan's orders, sorted and without repeats, with the
     plan's single-pulse reference.  The curve's reports hold the coded
-    and single-pulse SnrReport of each order.
+    and single-pulse SnrReport of each order.  Without noise every SNR
+    is infinite, so a zero noise_sigma raises ConfigError.
     """
     if not plan.orders:
         raise ConfigError("orders list is empty")
+    if cfg_base.noise_sigma == 0:
+        raise ConfigError("noise_sigma must be positive to measure an SNR gain")
     reports: list[SnrReport] = []
     for n in sorted(set(int(n) for n in plan.orders)):
         coded_cfg = replace(cfg_base, mode=simulator.MODE_CODED, order=n)

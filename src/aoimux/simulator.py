@@ -4,7 +4,9 @@ Model conventions, fixed here for the whole package:
 
 * The acoustic axis is +z.  It is discretized into fine bins of width
   c / f_s; one code element spans K = f_s / f_us fine bins (the element
-  width is one carrier period times the sound speed).
+  width is one carrier period times the sound speed).  There is one
+  sound speed, the acquisition's c: fine bin m sits at depth m c / f_s,
+  and the phantom has no sound speed of its own.
 * Streams are synthesized in cyclic steady state: at sample 0 the code
   pattern lies along the axis in sequence order, and it advances one
   fine bin per sample.  Every complete repetition period of the
@@ -82,7 +84,8 @@ class Phantom:
 
     Optical coefficients are in 1/cm, geometry in meters.  The source
     and detector fibers sit on the boundary plane z = boundary_z_m; the
-    medium spans boundary_z_m .. boundary_z_m + depth_extent_m.
+    medium spans boundary_z_m .. boundary_z_m + depth_extent_m.  Sound
+    crosses it at the acquisition's c.
     """
 
     mu_s_prime_per_cm: float  # reduced scattering
@@ -92,7 +95,6 @@ class Phantom:
     det_x_m: float
     det_y_m: float = 0.0
     boundary_z_m: float = 0.0
-    sound_speed_m_s: float
     depth_extent_m: float
 
     def __post_init__(self):
@@ -101,8 +103,6 @@ class Phantom:
             raise ConfigError("mu_s_prime_per_cm must be positive")
         if self.mu_a_per_cm < 0:
             raise ConfigError("mu_a_per_cm must be non-negative")
-        if self.sound_speed_m_s <= 0:
-            raise ConfigError("sound_speed_m_s must be positive")
         if self.depth_extent_m <= 0:
             raise ConfigError("depth_extent_m must be positive")
 
@@ -308,10 +308,6 @@ def axial_profile(
 
 
 def _check_geometry(cfg: AcquisitionConfig, ph: Phantom) -> None:
-    if abs(ph.sound_speed_m_s - cfg.c) > 1e-9 * cfg.c:
-        raise ConfigError(
-            f"phantom sound speed {ph.sound_speed_m_s} != acquisition c {cfg.c}"
-        )
     if ph.boundary_z_m < 0:
         raise ConfigError("phantom boundary must be at non-negative depth")
     if ph.boundary_z_m + ph.depth_extent_m > cfg.span_m + 1e-12:
@@ -322,11 +318,9 @@ def _check_geometry(cfg: AcquisitionConfig, ph: Phantom) -> None:
         )
 
 
-def _spatial_code_profile(cfg: AcquisitionConfig, rectified: bool) -> np.ndarray:
+def _spatial_code_profile(cfg: AcquisitionConfig) -> np.ndarray:
     """Pressure pattern along the axis at sample 0, one repetition period."""
     pulse = pulse_waveform(cfg.f_us, cfg.f_s)
-    if rectified:
-        pulse = np.abs(pulse)
     if cfg.mode == MODE_CODED:
         bits = codes.generate_s_sequence(cfg.order).bits.astype(np.float64)
         return np.repeat(bits, cfg.subsets_per_cycle) * np.tile(pulse, cfg.order)
@@ -351,18 +345,10 @@ def clean_period(
     cfg: AcquisitionConfig,
     ph: Phantom,
     axis_xy: tuple[float, float] = (0.0, 0.0),
-    *,
-    rectified_carrier: bool = False,
 ) -> np.ndarray:
-    """One repetition period of the noise-free stream (cfg.period_samples).
-
-    ``rectified_carrier=True`` replaces the signed one-cycle sine by its
-    absolute value; this diagnostic mode makes raw sample energies
-    directly comparable between coded and single-pulse transmission but
-    is not demodulatable.
-    """
+    """One repetition period of the noise-free stream (cfg.period_samples)."""
     x = axial_profile(cfg, ph, axis_xy)
-    prof = _spatial_code_profile(cfg, rectified_carrier)
+    prof = _spatial_code_profile(cfg)
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
@@ -440,9 +426,13 @@ class ScanResult:
 
     xs: np.ndarray  # scanned x positions, m
     ys: np.ndarray  # scanned y positions, m
-    peak_map: np.ndarray  # (ny, nx) peak profile value per position
     stack: np.ndarray  # (ny, nx, depth bins) full profiles
     bin_width_m: float
+
+    @property
+    def peak_map(self) -> np.ndarray:
+        """(ny, nx) peak profile value per position."""
+        return self.stack.max(axis=-1)
 
     @property
     def depths(self) -> np.ndarray:
@@ -523,10 +513,4 @@ def scan_2d(
     peak = stack.max()
     if peak > 0:
         stack = stack / peak
-    return ScanResult(
-        xs=xs,
-        ys=ys,
-        peak_map=stack.max(axis=-1),
-        stack=stack,
-        bin_width_m=cfg.bin_width_m,
-    )
+    return ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=cfg.bin_width_m)

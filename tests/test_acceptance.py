@@ -37,7 +37,6 @@ def small_phantom(boundary=0.0005, extent=0.004, mu_a=0.3):
         src_x_m=-0.0075,
         det_x_m=0.0075,
         boundary_z_m=boundary,
-        sound_speed_m_s=C,
         depth_extent_m=extent,
     )
 

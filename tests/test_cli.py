@@ -30,7 +30,6 @@ mu_a_per_cm = 0.3
 src_x_m = -0.0075
 det_x_m = 0.0075
 boundary_z_m = 0.0005
-sound_speed_m_s = 990.0
 depth_extent_m = 0.004
 
 [scan]
@@ -326,6 +325,23 @@ class TestBadValues:
         assert err.startswith("aoimux: ") and "Traceback" not in err
         assert not written.exists()
 
+    @pytest.mark.parametrize("token", [b" foo=1", b" seed=8", b" t0=0.0"])
+    def test_unknown_or_repeated_header_key_exit_2(self, tmp_path, cfg_file, capsys, token):
+        # the writer puts each header key in exactly once, so an unknown key
+        # or a second value for a known one marks a header it did not write
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(head + token + b"\n" + body)
+        demuxed = tmp_path / "demuxed"
+        capsys.readouterr()
+        assert main(["--out-dir", str(demuxed), "demux", "--stream", str(bad)]) == 2
+        key = token.split(b"=")[0].strip().decode()
+        _assert_config_error(
+            capsys, demuxed, f"aoimux: {bad}: stream header keys must each appear once: {key}"
+        )
+
     @pytest.mark.parametrize("command", ["simulate", "snr-sweep"])
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -391,6 +407,14 @@ class TestSnrSweep:
     def test_empty_orders_exit_2(self, tmp_path, cfg_file):
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
                      str(cfg_file), "--orders", ","]) == 2
+
+    def test_zero_noise_exit_2(self, tmp_path, cfg_file, capsys):
+        # without noise every SNR is infinite and no gain can be measured
+        bad = tmp_path / "quiet.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), "noise_sigma", "0.0"))
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "snr-sweep", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, "aoimux: noise_sigma must be positive")
 
     def test_unknown_reference_flag_exit_2(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "o"

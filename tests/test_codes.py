@@ -190,7 +190,7 @@ class TestIdentityCheck:
             bits = seq.bits.copy()
             bits[pos] ^= 1
             with pytest.raises(InvalidOrder, match="identity"):
-                codes._check_identity(codes.SSequence(n, bits))
+                codes._check_identity(codes.SSequence(bits))
 
     def test_float_error_fails_loudly(self, monkeypatch):
         # an FFT result 0.3 off every integer must not round to a pass
@@ -225,6 +225,6 @@ class TestTextFormat:
 
     def test_sequence_validates_entries(self):
         with pytest.raises(InvalidOrder):
-            codes.SSequence(3, np.array([0, 1, 2]))
+            codes.SSequence(np.array([0, 1, 2]))
         with pytest.raises(InvalidOrder):
-            codes.SSequence(4, np.array([0, 1, 1]))
+            codes.SSequence(np.array([[0, 1, 1]]))

@@ -54,7 +54,7 @@ class TestBuildSystem:
         assert oracle == pytest.approx(np.sqrt(n + 1.0), rel=1e-10)
 
     def test_zero_sequence_is_singular(self):
-        broken = codes.SSequence(3, np.zeros(3, dtype=np.uint8))
+        broken = codes.SSequence(np.zeros(3, dtype=np.uint8))
         with pytest.raises(SingularSystem):
             demux.build_system(broken, "dense")
 
@@ -204,7 +204,6 @@ class TestDemultiplexStream:
             src_x_m=-0.0075,
             det_x_m=0.0075,
             boundary_z_m=0.002,
-            sound_speed_m_s=990.0,
             depth_extent_m=0.03,
         )
 
@@ -250,7 +249,6 @@ class TestDemultiplexStream:
             src_x_m=-0.0075,
             det_x_m=0.0075,
             boundary_z_m=0.002,
-            sound_speed_m_s=990.0,
             depth_extent_m=0.01,
         )
         stream = simulator.simulate_stream(self._cfg("coded", order=19), small)

@@ -27,7 +27,6 @@ def sample_stream(noise=0.25):
         src_x_m=-0.0075,
         det_x_m=0.0075,
         boundary_z_m=0.0002,
-        sound_speed_m_s=990.0,
         depth_extent_m=0.004,
     )
     return simulator.simulate_stream(cfg, ph)
@@ -226,7 +225,7 @@ class TestScanCsv:
         ph = simulator.Phantom(
             mu_s_prime_per_cm=15.0, mu_a_per_cm=0.2,
             src_x_m=-0.001, det_x_m=0.001, boundary_z_m=0.0002,
-            sound_speed_m_s=990.0, depth_extent_m=0.004,
+            depth_extent_m=0.004,
         )
         res = simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001))
         map_path = tmp_path / "map.csv"

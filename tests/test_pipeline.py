@@ -25,7 +25,6 @@ def phantom(boundary=0.0004, extent=0.004, mu_a=0.3):
         src_x_m=-0.0075,
         det_x_m=0.0075,
         boundary_z_m=boundary,
-        sound_speed_m_s=C,
         depth_extent_m=extent,
     )
 
@@ -65,7 +64,6 @@ class TestExtraction:
             src_x_m=-0.0075,
             det_x_m=0.0075,
             boundary_z_m=k_bin * BIN,
-            sound_speed_m_s=C,
             depth_extent_m=0.4 * BIN,
         )
         cfg = config("single-pulse", periods=2)
@@ -279,6 +277,11 @@ class TestMultiplexingAdvantage:
     def test_empty_orders_raise(self):
         with pytest.raises(ConfigError):
             pipeline.multiplexing_advantage(config(), phantom(), SweepPlan((), 4))
+
+    def test_zero_noise_raises(self):
+        # every SNR would be infinite, so the gain would be inf or nan
+        with pytest.raises(ConfigError, match="noise_sigma must be positive"):
+            pipeline.multiplexing_advantage(config(), phantom(), SweepPlan((7,), 4))
 
     def test_measured_gain_tracks_inverse_row_norm(self):
         # 400 paired trials put the measured gain within a few percent of

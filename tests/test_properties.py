@@ -111,7 +111,6 @@ def config_texts(draw):
             ("det_x_m", text(draw(finite)), False),
             ("det_y_m", text(draw(finite)), True),
             ("boundary_z_m", text(draw(finite)), True),
-            ("sound_speed_m_s", text(draw(positive)), False),
             ("depth_extent_m", text(draw(positive)), False),
         ],
         "scan": [
