@@ -52,7 +52,7 @@ def _cmd_simulate(args) -> int:
         for chunk in simulator.stream_chunks(acq, rc.phantom):
             write(chunk)
             fold.add(chunk)  # after the write: add may overwrite the chunk
-        profile = pipeline.reconstruct_folded(fold.mean(), acq, args.solver)
+        profile = pipeline.reconstruct_profile(fold.mean(), acq, args.solver)
     fileio.write_profile_csv(profile, out / "profile.csv")
     write_manifest(rc, out / "manifest.cfg")
     print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
@@ -64,8 +64,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_demux(args) -> int:
     with fileio.open_stream(args.stream) as sf:
         cfg = sf.config
-        folded = demux.fold_chunks(sf.chunks(), cfg.order, cfg.subsets_per_cycle)
-    profile = pipeline.reconstruct_folded(folded, cfg, args.solver, extract=not args.raw)
+        folded = demux.average_periods(sf.chunks(), cfg.order, cfg.subsets_per_cycle)
+    profile = pipeline.reconstruct_profile(folded, cfg, args.solver, extract=not args.raw)
     out = Path(args.out) if args.out else _out_dir(args) / "profile.csv"
     fileio.write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile)} bins)")

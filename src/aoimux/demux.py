@@ -7,6 +7,12 @@ index-reversed sequence, which gives two interchangeable solvers: a
 dense LAPACK solve against the stored S (the reference) and an FFT
 circular deconvolution (O(N log N) per frame, used for long streams).
 The solver kind is one of ``SOLVER_KINDS``: "dense" or "spectral".
+
+A stream, in memory or read in chunks, is demultiplexed in two steps:
+``average_periods`` folds its chunks into the (N, K) mean of its
+complete periods, and ``demultiplex_stream`` solves a stack of such
+frames at once.  ``pipeline.reconstruct_profile`` runs both and the
+envelope extraction.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from .simulator import MODE_CODED, SampledStream
 
 _DENSE_MAX = 1024
 SOLVER_KINDS = ("dense", "spectral")
@@ -211,13 +216,14 @@ def _count_non_finite(values: np.ndarray) -> int:
     return values.size - np.count_nonzero(np.isfinite(values))
 
 
-def fold_chunks(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
+def average_periods(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
     """Mean of the complete repetition periods of a chunked stream (``PeriodFold``).
 
     Column j of the (n, k) frame is interleaved subset j (samples j,
     j + k, ...), so its row-major flattening is the period mean in time
-    order.  ``fold_chunks([samples], n, k)`` folds an in-memory array
-    and leaves it unmodified.
+    order: the depth signal of a single-pulse stream, which needs no
+    inversion.  ``average_periods([samples], n, k)`` folds an in-memory
+    array and leaves it unmodified.
     """
     fold = PeriodFold(n, k)
     for chunk in chunks:
@@ -225,44 +231,16 @@ def fold_chunks(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
     return fold.mean()
 
 
-def solve_folded(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:
-    """Depth signal of a stack of folded frames, (..., N, K) -> (..., N * K).
+def demultiplex_stream(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:
+    """Depth signal of a stack of folded coded frames, (..., N, K) -> (..., N * K).
 
     One solve_many call covers every subset of every frame (one length-N
     frame per subset); the K subsets are merged back in time order, so
-    index i * K + j comes from subset j, element i.
+    index i * K + j comes from subset j, element i.  S is linear and
+    exactly invertible, so solving the period mean equals averaging the
+    per-period solutions; only the summation order differs.  Sample i of
+    a result maps to depth i * c / f_s; it spans one code period, N T c.
+    Frames folded at another order raise LengthMismatch.
     """
     solved = sys.solve_many(np.swapaxes(folded, -1, -2))  # (..., K, N)
     return np.swapaxes(solved, -1, -2).reshape(folded.shape[:-2] + (-1,))
-
-
-def average_periods(stream: SampledStream) -> DepthProfile:
-    """Mean over complete repetition periods of a single-pulse stream.
-
-    No inversion is needed without coding; folding the stream at the
-    repetition period directly yields the depth-resolved signal.
-    """
-    cfg = stream.config_snapshot
-    folded = fold_chunks([stream.samples], cfg.order, cfg.subsets_per_cycle)
-    return DepthProfile(folded.reshape(-1), bin_width_m=cfg.bin_width_m)
-
-
-def demultiplex_stream(sys: CirculantSystem, stream: SampledStream) -> DepthProfile:
-    """Invert a coded stream into the single-pulse-equivalent depth signal.
-
-    Folds the complete code periods into their mean (N, K) frame and
-    solves it once (``solve_folded``).  S is linear and exactly
-    invertible, so solving the period mean equals averaging the
-    per-period solutions; only the summation order differs.  A trailing
-    partial period is discarded.  Sample i of the result maps to depth
-    i * c / f_s; the full profile spans one code period, N T c.  Raises
-    NonFiniteSamples if a used sample is NaN or infinite.
-    """
-    cfg = stream.config_snapshot
-    n = sys.order
-    if cfg.mode == MODE_CODED and cfg.order != n:
-        raise LengthMismatch(
-            f"stream was coded with order {cfg.order}, system has order {n}"
-        )
-    profile = solve_folded(sys, fold_chunks([stream.samples], n, cfg.subsets_per_cycle))
-    return DepthProfile(profile, bin_width_m=cfg.bin_width_m)

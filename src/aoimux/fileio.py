@@ -222,6 +222,9 @@ def read_profile_csv(path: str | Path) -> DepthProfile:
         raise ConfigError(f"{path}: profile needs at least two rows")
     if depths[0] != 0.0:
         raise ConfigError(f"{path}: first depth is {depths[0]}, not 0")
+    # write_profile_csv writes the depths of DepthProfile: bin m at m * width
+    if not np.array_equal(depths, np.arange(len(depths)) * depths[1]):
+        raise ConfigError(f"{path}: depths are not the multiples of {depths[1]}")
     return DepthProfile(np.array(values), bin_width_m=depths[1])
 
 

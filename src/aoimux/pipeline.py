@@ -96,16 +96,6 @@ def measure_fwhm(profile: DepthProfile) -> float:
 
 
 def reconstruct_profile(
-    stream: simulator.SampledStream, kind: str = "spectral", *, extract: bool = True
-) -> DepthProfile:
-    """Depth profile of one in-memory stream: its period mean, reconstructed
-    by ``reconstruct_folded``."""
-    cfg = stream.config_snapshot
-    folded = demux.fold_chunks([stream.samples], cfg.order, cfg.subsets_per_cycle)
-    return reconstruct_folded(folded, cfg, kind, extract=extract)
-
-
-def reconstruct_folded(
     folded: np.ndarray,
     cfg: simulator.AcquisitionConfig,
     kind: str = "spectral",
@@ -114,8 +104,11 @@ def reconstruct_folded(
 ) -> DepthProfile:
     """Depth profiles of a stack of period means, (..., order, K) -> (..., bins).
 
+    folded holds ``demux.average_periods`` results, so a stream is
+    reconstructed, whether in memory or chunked, as
+    ``reconstruct_profile(average_periods(chunks, cfg.order, K), cfg)``.
     The one reconstruction path: a coded stack is demultiplexed by one
-    ``solve_folded`` call with the solver of the given kind, a
+    ``demux.demultiplex_stream`` call with the solver of the given kind, a
     single-pulse stack is its flattened period means; then one envelope
     extraction runs unless ``extract=False``.  Each row depends only on
     its own period mean, bit for bit, whatever the stack size.  The
@@ -123,7 +116,7 @@ def reconstruct_folded(
     """
     if cfg.mode == simulator.MODE_CODED:
         system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
-        raw = demux.solve_folded(system, folded)
+        raw = demux.demultiplex_stream(system, folded)
     else:
         raw = folded.reshape(folded.shape[:-2] + (-1,))
     profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)
@@ -184,11 +177,12 @@ def measure_snr(
     One batched path: the noise-free period is simulated once; trial t
     is that period repeated plus the noise of ``default_rng(derive_seed(
     cfg.seed, TRIAL_SALT, t))`` (``simulator.noisy_chunks``, the draw
-    ``simulate_stream`` makes), folded chunk by chunk into one row of an
-    (n_trials + 1, order, K) stack whose row 0 is the noise-free
-    reference.  One ``reconstruct_folded`` call then solves and extracts
-    every row, so each trial equals ``reconstruct_profile`` of its own
-    stream bit for bit, and no stream is ever held whole.
+    ``stream_chunks`` makes), folded chunk by chunk by
+    ``demux.average_periods`` into one row of an (n_trials + 1, order, K)
+    stack whose row 0 is the noise-free reference.  One
+    ``reconstruct_profile`` call then solves and extracts every row, so
+    each trial equals the profile of its own stream reconstructed alone,
+    bit for bit, and no stream is ever held whole.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
@@ -196,14 +190,14 @@ def measure_snr(
     n, k = cfg.order, cfg.subsets_per_cycle
     folded = np.empty((n_trials + 1, n, k))
     clean = simulator.noisy_chunks(period, cfg.n_samples, 0.0, cfg.seed)
-    folded[0] = demux.fold_chunks(clean, n, k)  # raises without a complete period
+    folded[0] = demux.average_periods(clean, n, k)  # raises without a complete period
     # only the complete periods are folded, so only their noise is drawn
     used = cfg.n_samples - cfg.n_samples % period.size
     for t in range(n_trials):
         seed = derive_seed(cfg.seed, TRIAL_SALT, t)
         chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
-        folded[t + 1] = demux.fold_chunks(chunks, n, k)
-    profiles = reconstruct_folded(folded, cfg).values
+        folded[t + 1] = demux.average_periods(chunks, n, k)
+    profiles = reconstruct_profile(folded, cfg).values
 
     reference = profiles[0]
     peak_bin = int(np.argmax(reference))

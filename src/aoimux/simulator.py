@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import codes
+from . import codes, demux
 from .errors import (
     ConfigError,
     InsufficientSamples,
@@ -494,13 +494,13 @@ def scan_2d(
     Per-position noise streams use seeds derived from
     ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
     traversal order.  Each position's stream is folded to its (order, K)
-    period mean chunk by chunk as it is drawn (``stream_chunks``), so no
-    stream is ever held whole; one ``reconstruct_folded`` call then
-    solves and extracts every position, each equal bit for bit to
-    reconstruct_profile of its stream.
+    period mean by ``demux.average_periods`` chunk by chunk as it is
+    drawn (``stream_chunks``), so no stream is ever held whole; one
+    ``pipeline.reconstruct_profile`` call then solves and extracts every
+    position, each equal bit for bit to the profile of its stream
+    reconstructed alone.
     """
-    from .demux import fold_chunks  # local imports, avoid a cycle
-    from .pipeline import reconstruct_folded
+    from .pipeline import reconstruct_profile  # local import, avoids a cycle
 
     xs, ys = grid.positions()
     folded = np.empty((ys.size, xs.size, cfg.order, cfg.subsets_per_cycle))
@@ -508,8 +508,8 @@ def scan_2d(
         for ix, x in enumerate(xs):
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
             chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
-            folded[iy, ix] = fold_chunks(chunks, cfg.order, cfg.subsets_per_cycle)
-    stack = reconstruct_folded(folded, cfg, kind).values
+            folded[iy, ix] = demux.average_periods(chunks, cfg.order, cfg.subsets_per_cycle)
+    stack = reconstruct_profile(folded, cfg, kind).values
     peak = stack.max()
     if peak > 0:
         stack = stack / peak

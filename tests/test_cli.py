@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoimux import codes, fileio, pipeline, simulator
+from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.cli import main
 from aoimux.config import manifest_text, parse_run_config
+from streams import profile_of
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -114,7 +115,7 @@ class TestSimulate:
         rc = parse_run_config(cfg_file)
         stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
         fileio.write_stream(stream, tmp_path / "stream.bin")
-        fileio.write_profile_csv(pipeline.reconstruct_profile(stream), tmp_path / "profile.csv")
+        fileio.write_profile_csv(profile_of(stream), tmp_path / "profile.csv")
         for name in ("stream.bin", "profile.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -151,7 +152,7 @@ class TestDemux:
                      "--out", str(prof_path)]) == 0
         cli_prof = fileio.read_profile_csv(prof_path)
         stream = fileio.read_stream(out / "stream.bin")
-        lib_prof = pipeline.reconstruct_profile(stream)
+        lib_prof = profile_of(stream)
         np.testing.assert_allclose(cli_prof.values, lib_prof.values, rtol=0, atol=0)
 
     def test_raw_flag_skips_extraction(self, tmp_path, cfg_file):
@@ -502,6 +503,37 @@ class TestScan2d:
         out = tmp_path / "o"
         assert main(["--out-dir", str(out), "scan2d", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, "aoimux: run too large for memory")
+
+
+class TestExportedNames:
+    """Every command reconstructs through the names aoimux exports."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+        for module, name in ((demux, "average_periods"), (demux, "demultiplex_stream"),
+                             (pipeline, "reconstruct_profile")):
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_demux_calls_each_once(self, tmp_path, cfg_file, calls):
+        out = tmp_path / "run"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)]) == 0
+        calls.clear()
+        assert main(["demux", "--stream", str(out / "stream.bin"),
+                     "--out", str(tmp_path / "demuxed.csv")]) == 0
+        assert calls == {"average_periods": 1, "demultiplex_stream": 1,
+                         "reconstruct_profile": 1}
+
+    def test_snr_sweep_reconstructs_once_per_order_and_mode(self, tmp_path, cfg_file, calls):
+        # orders 7 and 19, 4 trials: each run folds 4 trials and its reference
+        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config", str(cfg_file)]) == 0
+        assert calls == {"average_periods": 2 * 2 * 5, "demultiplex_stream": 2,
+                         "reconstruct_profile": 2 * 2}
 
 
 class TestShippedConfigs:

@@ -12,6 +12,7 @@ from aoimux.errors import (
     OrderTooLarge,
     SingularSystem,
 )
+from streams import demux_of, fold, profile_of
 
 
 def system(n, kind="dense"):
@@ -172,7 +173,7 @@ class TestInterleaving:
         assert np.array_equal(frames[0, :, 0], [0.0, 4.0, 8.0])
         assert np.array_equal(frames[0, :, 3], [3.0, 7.0, 11.0])
         # one period folds to itself
-        assert np.array_equal(demux.fold_chunks([np.arange(12.0)], 3, 4), frames[0])
+        assert np.array_equal(demux.average_periods([np.arange(12.0)], 3, 4), frames[0])
 
     def test_subset_count_from_reference_rates(self):
         assert simulator.integer_ratio(5e6, 1.25e6) == 4
@@ -189,10 +190,10 @@ class TestInterleaving:
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples, match="11 samples < one period of 12"):
-            demux.fold_chunks([np.arange(11.0)], 3, 4)
+            demux.average_periods([np.arange(11.0)], 3, 4)
 
     def test_trailing_partial_period_discarded(self):
-        folded = demux.fold_chunks([np.arange(15.0)], 3, 4)
+        folded = demux.average_periods([np.arange(15.0)], 3, 4)
         assert np.array_equal(folded, np.arange(12.0).reshape(3, 4))
 
 
@@ -224,20 +225,20 @@ class TestDemultiplexStream:
         coded = simulator.simulate_stream(self._cfg("coded"), ph)
         single = simulator.simulate_stream(self._cfg("single-pulse"), ph)
         sys79 = system(79, "spectral")
-        prof = demux.demultiplex_stream(sys79, coded)
-        truth = demux.average_periods(single)
+        prof = demux_of(sys79, coded)
+        truth = profile_of(single, extract=False)
         err = np.linalg.norm(prof.values - truth.values) / np.linalg.norm(truth.values)
         assert err < 1e-9
 
     def test_zero_stream_gives_zero_profile(self):
         stream = make_stream(np.zeros(79 * 4 * 2), order=79)
-        prof = demux.demultiplex_stream(system(79, "spectral"), stream)
+        prof = demux_of(system(79, "spectral"), stream)
         assert np.abs(prof.values).max() == 0.0
 
     def test_code_period_span(self):
         # 79 elements of width c/f_us: 79 * 990 / 1.25e6 = 62.568 mm
         stream = simulator.simulate_stream(self._cfg("coded"), self._phantom())
-        prof = demux.demultiplex_stream(system(79, "spectral"), stream)
+        prof = demux_of(system(79, "spectral"), stream)
         assert prof.span_m == pytest.approx(79 * 990.0 / 1.25e6, rel=1e-12)
         assert prof.span_m == pytest.approx(0.0626, abs=1e-4)
         assert prof.bin_width_m == pytest.approx(990.0 / 5e6, rel=1e-12)
@@ -253,11 +254,11 @@ class TestDemultiplexStream:
         )
         stream = simulator.simulate_stream(self._cfg("coded", order=19), small)
         with pytest.raises(LengthMismatch):
-            demux.demultiplex_stream(system(79, "spectral"), stream)
+            demux_of(system(79, "spectral"), stream)
 
     def test_average_periods_needs_one_period(self):
         with pytest.raises(InsufficientSamples):
-            demux.average_periods(make_stream(np.zeros(100), order=79, mode="single-pulse"))
+            fold(make_stream(np.zeros(100), order=79, mode="single-pulse"))
 
 
 class TestFoldThenSolve:
@@ -285,7 +286,7 @@ class TestFoldThenSolve:
         stream = make_stream(samples, order=n)
         sys_n = system(n, kind)
         reference = self._per_frame_reference(sys_n, stream, n, k)
-        folded = demux.demultiplex_stream(sys_n, stream).values
+        folded = demux_of(sys_n, stream).values
         assert folded.shape == reference.shape == (n * k,)
         err = np.abs(folded - reference).max() / np.abs(reference).max()
         assert err < 1e-12
@@ -302,7 +303,7 @@ class TestFoldThenSolve:
 
         monkeypatch.setattr(demux.CirculantSystem, "solve_many", counting)
         stream = make_stream(np.random.default_rng(2).normal(size=10 * n * k), order=n)
-        demux.demultiplex_stream(system(n, kind), stream)
+        demux_of(system(n, kind), stream)
         assert calls == [(k, n)]
 
 
@@ -312,7 +313,7 @@ class TestNonFiniteSamples:
         samples = np.random.default_rng(4).normal(size=3 * 7 * 4)
         samples[33] = bad
         with pytest.raises(NonFiniteSamples, match="1 of 84 samples"):
-            demux.demultiplex_stream(system(7, "spectral"), make_stream(samples, order=7))
+            demux_of(system(7, "spectral"), make_stream(samples, order=7))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_single_pulse_stream_raises(self, bad):
@@ -320,12 +321,12 @@ class TestNonFiniteSamples:
         samples[[0, 50]] = bad
         stream = make_stream(samples, order=7, mode="single-pulse")
         with pytest.raises(NonFiniteSamples, match="2 of 84 samples"):
-            demux.average_periods(stream)
+            fold(stream)
 
     def test_trailing_partial_period_is_not_checked(self):
         samples = np.zeros(2 * 7 * 4 + 5)
         samples[-1] = np.nan  # discarded with the partial period
-        prof = demux.demultiplex_stream(system(7, "spectral"), make_stream(samples, order=7))
+        prof = demux_of(system(7, "spectral"), make_stream(samples, order=7))
         assert np.isfinite(prof.values).all()
 
 
@@ -346,13 +347,13 @@ class TestPeriodFold:
         samples = rng.normal(size=100 * n * k + 13) * 1e3
         reference = samples[: 100 * n * k].reshape(100, n, k).mean(axis=0)
         chunks = self._chunks(samples, periods_per_chunk, n * k)
-        folded = demux.fold_chunks(chunks, n, k)
+        folded = demux.average_periods(chunks, n, k)
         assert np.array_equal(folded, reference)
 
     def test_array_fold_leaves_its_input_untouched(self):
         samples = np.random.default_rng(1).normal(size=5 * 28)
         before = samples.copy()
-        demux.fold_chunks([samples], 7, 4)
+        demux.average_periods([samples], 7, 4)
         assert np.array_equal(samples, before)
 
     def test_nan_in_a_later_chunk_counts_every_bad_sample(self):
@@ -362,11 +363,11 @@ class TestPeriodFold:
         samples[9 * 28 + 27] = np.inf  # the last complete period
         samples[-1] = np.nan  # the trailing partial period is not used
         with pytest.raises(NonFiniteSamples, match="3 of 280 samples"):
-            demux.fold_chunks(self._chunks(samples, 2, n * k), n, k)
+            demux.average_periods(self._chunks(samples, 2, n * k), n, k)
 
     def test_no_complete_period_raises(self):
         with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
-            demux.fold_chunks([np.zeros(20), np.zeros(7)], 7, 4)
+            demux.average_periods([np.zeros(20), np.zeros(7)], 7, 4)
 
     def test_order_and_subsets_must_be_positive(self):
         with pytest.raises(LengthMismatch):

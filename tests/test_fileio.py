@@ -146,8 +146,9 @@ class TestProfileCsv:
             ("0.0,0.5\n0.0002,1.0,2.0\n", "malformed profile row"),
             ("0.0,0.5\n0.0002,high\n", "malformed profile row"),
             ("0.0,0.5\n0.0,1.0\n", "bin_width_m must be positive"),
+            ("0,1\n0.001,2\n0.5,3\n-7.0,4\n", "depths are not the multiples of 0.001"),
         ],
-        ids=["three-fields", "not-a-number", "repeated-depth"],
+        ids=["three-fields", "not-a-number", "repeated-depth", "irregular-depths"],
     )
     def test_malformed_rows_rejected(self, tmp_path, rows, message):
         path = tmp_path / "profile.csv"

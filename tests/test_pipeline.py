@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import demux, pipeline, simulator
+from aoimux import pipeline, simulator
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
 from aoimux.pipeline import SweepPlan, _circular_box_mean
 from aoimux.seeding import TRIAL_SALT, derive_seed
+from streams import fold, profile_of
 
 F_US = 1.25e6
 F_S = 5e6
@@ -68,7 +69,7 @@ class TestExtraction:
         )
         cfg = config("single-pulse", periods=2)
         stream = simulator.simulate_stream(cfg, ph)
-        prof = pipeline.reconstruct_profile(stream)
+        prof = profile_of(stream)
         # single peak near the occupied bin; width is pulse-length limited.
         # The K=4 one-cycle pulse samples to {0,1,0,-1}, so its discrete
         # footprint crosses half maximum at K-1 bins.
@@ -103,15 +104,15 @@ class TestReconstructFolded:
     def test_stack_profile_rows_equal_the_stream_path(self, mode):
         cfg = config(mode, order=31, periods=3, noise_sigma=0.1)
         stream = simulator.simulate_stream(cfg, phantom())
-        folded = demux.fold_chunks([stream.samples], cfg.order, cfg.subsets_per_cycle)
+        folded = fold(stream)
         for extract in (True, False):
-            stack = pipeline.reconstruct_folded(
+            stack = pipeline.reconstruct_profile(
                 np.stack([folded, -folded]), cfg, extract=extract
             )
             assert isinstance(stack, DepthProfile)
             assert stack.bin_width_m == cfg.bin_width_m
             assert stack.values.shape == (2, cfg.period_samples)
-            one = pipeline.reconstruct_profile(stream, extract=extract)
+            one = profile_of(stream, extract=extract)
             assert one.bin_width_m == cfg.bin_width_m
             assert np.array_equal(stack.values[0], one.values)
 
@@ -150,24 +151,22 @@ class TestMeasureFwhm:
         fwhm = {}
         for mode in ("coded", "single-pulse"):
             stream = simulator.simulate_stream(config(mode), ph)
-            fwhm[mode] = pipeline.measure_fwhm(pipeline.reconstruct_profile(stream))
+            fwhm[mode] = pipeline.measure_fwhm(profile_of(stream))
         assert abs(fwhm["coded"] - fwhm["single-pulse"]) <= BIN
 
 
 def per_trial_snr(cfg, ph, n_trials, solver_kind):
     """(signal_mean, noise_std) from one simulate_stream and one
-    reconstruct_profile per trial: the unbatched definition."""
+    profile_of per trial: the unbatched definition."""
     quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
-    reference = pipeline.reconstruct_profile(quiet, solver_kind).values
+    reference = profile_of(quiet, solver_kind).values
     peak_bin = int(np.argmax(reference))
     off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
     peaks = np.empty(n_trials)
     offs = np.empty(n_trials)
     for t in range(n_trials):
         trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, TRIAL_SALT, t))
-        prof = pipeline.reconstruct_profile(
-            simulator.simulate_stream(trial_cfg, ph), solver_kind
-        ).values
+        prof = profile_of(simulator.simulate_stream(trial_cfg, ph), solver_kind).values
         peaks[t] = prof[peak_bin]
         offs[t] = prof[off_bin]
     return float(peaks.mean()), float(offs.std(ddof=1))

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import codes, pipeline, simulator
+from aoimux import codes, simulator
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -16,6 +16,7 @@ from aoimux.errors import (
 )
 from aoimux.seeding import SCAN_SALT, derive_seed
 from aoimux.simulator import ScanGrid
+from streams import profile_of
 
 F_US = 1.25e6
 F_S = 5e6
@@ -296,14 +297,12 @@ class TestSimulateStream:
 class TestZeroNoiseEquivalence:
     @pytest.mark.parametrize("order", [7, 79])
     def test_coded_equals_single_pulse(self, order):
-        from aoimux.pipeline import reconstruct_profile
-
         extent = 0.004 if order == 7 else 0.03
         ph = phantom(boundary=0.0004, extent=extent)
         coded = simulator.simulate_stream(config("coded", order=order), ph)
         single = simulator.simulate_stream(config("single-pulse", order=order), ph)
-        pc = reconstruct_profile(coded)
-        ps = reconstruct_profile(single)
+        pc = profile_of(coded)
+        ps = profile_of(single)
         err = np.linalg.norm(pc.values - ps.values) / np.linalg.norm(ps.values)
         assert err < 1e-6
 
@@ -360,7 +359,7 @@ class TestScan2d:
             for ix, x in enumerate(res.xs):
                 pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
                 stream = simulator.simulate_stream(pos_cfg, ph, axis_xy=(x, y))
-                expected[iy, ix] = pipeline.reconstruct_profile(stream, kind=solver_kind).values
+                expected[iy, ix] = profile_of(stream, solver_kind).values
         expected /= expected.max()
         assert res.stack.shape == (2, 5, cfg.period_samples)
         assert np.array_equal(res.stack, expected)
