@@ -46,13 +46,12 @@ def _cmd_simulate(args) -> int:
     rc = parse_run_config(args.config)
     acq = rc.acquisition
     out = _out_dir(args)
-    fold = demux.PeriodFold(acq.order, acq.subsets_per_cycle)
-    # stream.bin appears only if the whole block succeeds
+    # stream.bin appears only if the whole block succeeds; each chunk is
+    # written before the fold may overwrite its first period
     with fileio.stream_writer(out / "stream.bin", acq, acq.n_samples) as write:
-        for chunk in simulator.stream_chunks(acq, rc.phantom):
-            write(chunk)
-            fold.add(chunk)  # after the write: add may overwrite the chunk
-        profile = pipeline.reconstruct_profile(fold.mean(), acq, args.solver)
+        chunks = map(write, simulator.stream_chunks(acq, rc.phantom))
+        folded = demux.average_periods(chunks, acq)
+        profile = pipeline.reconstruct_profile(folded, acq, args.solver)
     fileio.write_profile_csv(profile, out / "profile.csv")
     write_manifest(rc, out / "manifest.cfg")
     print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
@@ -63,9 +62,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_demux(args) -> int:
     with fileio.open_stream(args.stream) as sf:
-        cfg = sf.config
-        folded = demux.average_periods(sf.chunks(), cfg.order, cfg.subsets_per_cycle)
-    profile = pipeline.reconstruct_profile(folded, cfg, args.solver, extract=not args.raw)
+        folded = demux.average_periods(sf.chunks(), sf.config)
+    profile = pipeline.reconstruct_profile(folded, sf.config, args.solver, extract=not args.raw)
     out = Path(args.out) if args.out else _out_dir(args) / "profile.csv"
     fileio.write_profile_csv(profile, out)
     print(f"wrote {out} ({len(profile)} bins)")
@@ -95,8 +93,9 @@ def _cmd_scan2d(args) -> int:
     result = simulator.scan_2d(rc.acquisition, rc.phantom, rc.scan, kind=args.solver)
     out = _out_dir(args)
     fileio.write_scan_map_csv(result, out / "scan_map.csv")
-    fileio.write_pgm(result.peak_map, out / "scan_map.pgm")
-    fileio.write_pgm(result.peak_map, out / "scan_map_db.pgm", db_floor=-40.0)
+    peak_map = result.peak_map
+    fileio.write_pgm(peak_map, out / "scan_map.pgm")
+    fileio.write_pgm(peak_map, out / "scan_map_db.pgm", db_floor=-40.0)
     written = ["scan_map.csv", "scan_map.pgm", "scan_map_db.pgm"]
     if args.stack:
         fileio.write_scan_stack_csv(result, out / "scan_stack.csv")

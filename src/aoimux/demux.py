@@ -10,15 +10,16 @@ The solver kind is one of ``SOLVER_KINDS``: "dense" or "spectral".
 
 A stream, in memory or read in chunks, is demultiplexed in two steps:
 ``average_periods`` folds its chunks into the (N, K) mean of its
-complete periods, and ``demultiplex_stream`` solves a stack of such
-frames at once.  ``pipeline.reconstruct_profile`` runs both and the
-envelope extraction.
+complete periods, N and K read from the stream's acquisition config,
+and ``demultiplex_stream`` solves a stack of such frames at once.
+``pipeline.reconstruct_profile`` runs both and the envelope extraction.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +32,9 @@ from .errors import (
     OrderTooLarge,
     SingularSystem,
 )
+
+if TYPE_CHECKING:  # simulator imports demux
+    from .simulator import AcquisitionConfig
 
 _DENSE_MAX = 1024
 SOLVER_KINDS = ("dense", "spectral")
@@ -151,84 +155,59 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
     return float(np.abs(solver_inv - closed).max())
 
 
-class PeriodFold:
-    """Running mean of the complete repetition periods of a stream, fed in chunks.
+def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.ndarray:
+    """Mean of the complete repetition periods of a chunked stream.
 
-    Each chunk must start on a period boundary; the samples after its
-    last complete period are discarded, so only the last chunk of a
-    stream may end in a partial period.  The sum runs in period order:
-    the previous sum is added into the first period of each chunk, which
-    is then summed along the period axis.  That is the sum
-    ``arr.mean(axis=0)`` forms over the whole (periods, n, k) array, so
-    the mean equals it bit for bit whatever the chunk sizes.  ``add``
-    may overwrite the first period of its chunk.
+    Each chunk must start on a period boundary of ``cfg.order *
+    cfg.subsets_per_cycle`` samples; the samples after its last complete
+    period are discarded, so only the last chunk of a stream may end in
+    a partial period.  The sum runs in period order: the previous sum is
+    added into the first period of each chunk, which is then summed along
+    the period axis.  That is the sum ``arr.mean(axis=0)`` forms over the
+    whole (periods, N, K) array, so the mean equals it bit for bit
+    whatever the chunk sizes.  The first period of every chunk but the
+    first may be overwritten; ``average_periods([samples], cfg)`` folds
+    an in-memory array and leaves it unmodified.
 
-    Any NaN or Inf among the used samples makes the sum non-finite; from
-    the chunk where that happens on, the bad samples are counted, so
-    ``mean`` can report their exact number.
+    Column j of the (N, K) frame is interleaved subset j (samples j,
+    j + K, ...), so its row-major flattening is the period mean in time
+    order: the depth signal of a single-pulse stream, which needs no
+    inversion.  Raises InsufficientSamples without a complete period and
+    NonFiniteSamples if a used sample is NaN or infinite; from the chunk
+    where the sum stops being finite on, the bad samples are counted, so
+    the message gives their exact number.
     """
-
-    def __init__(self, n: int, k: int):
-        if n < 1 or k < 1:
-            raise LengthMismatch("order and subset count must be positive")
-        self.n, self.k = n, k
-        self.samples = 0  # seen, including a trailing partial period
-        self.periods = 0  # complete periods folded
-        self._sum: np.ndarray | None = None
-        self._bad: int | None = None  # non-finite samples, once the sum is not finite
-
-    def add(self, chunk: np.ndarray) -> None:
-        """Fold the complete periods of one chunk into the running sum."""
-        period = self.n * self.k
-        self.samples += chunk.size
-        frames = chunk[: chunk.size - chunk.size % period].reshape(-1, self.n, self.k)
+    n, k = cfg.order, cfg.subsets_per_cycle
+    samples = 0  # seen, including a trailing partial period
+    periods = 0  # complete periods folded
+    total: np.ndarray | None = None
+    bad: int | None = None  # non-finite samples, once the sum is not finite
+    for chunk in chunks:
+        samples += chunk.size
+        frames = chunk[: chunk.size - chunk.size % (n * k)].reshape(-1, n, k)
         if not frames.size:
-            return
-        self.periods += frames.shape[0]
-        if self._bad is not None:  # the sum is lost already: only count
-            self._bad += _count_non_finite(frames)
-            return
-        if self._sum is not None:
-            frames[0] += self._sum
-        self._sum = frames.sum(axis=0)
-        if not np.isfinite(self._sum).all():
-            self._bad = _count_non_finite(frames)
-
-    def mean(self) -> np.ndarray:
-        """The (n, k) period mean; column j is interleaved subset j.
-
-        Raises InsufficientSamples without a complete period and
-        NonFiniteSamples if a used sample is NaN or infinite.
-        """
-        if not self.periods:
-            raise InsufficientSamples(
-                f"{self.samples} samples < one period of {self.n * self.k}"
-            )
-        if self._bad is not None:
-            raise NonFiniteSamples(
-                f"{self._bad} of {self.periods * self.n * self.k} samples in the "
-                f"complete periods are NaN or infinite; the period mean is not finite"
-            )
-        return self._sum / self.periods
+            continue
+        periods += frames.shape[0]
+        if bad is not None:  # the sum is lost already: only count
+            bad += _count_non_finite(frames)
+            continue
+        if total is not None:
+            frames[0] += total
+        total = frames.sum(axis=0)
+        if not np.isfinite(total).all():
+            bad = _count_non_finite(frames)
+    if not periods:
+        raise InsufficientSamples(f"{samples} samples < one period of {n * k}")
+    if bad is not None:
+        raise NonFiniteSamples(
+            f"{bad} of {periods * n * k} samples in the "
+            f"complete periods are NaN or infinite; the period mean is not finite"
+        )
+    return total / periods
 
 
 def _count_non_finite(values: np.ndarray) -> int:
     return values.size - np.count_nonzero(np.isfinite(values))
-
-
-def average_periods(chunks: Iterable[np.ndarray], n: int, k: int) -> np.ndarray:
-    """Mean of the complete repetition periods of a chunked stream (``PeriodFold``).
-
-    Column j of the (n, k) frame is interleaved subset j (samples j,
-    j + k, ...), so its row-major flattening is the period mean in time
-    order: the depth signal of a single-pulse stream, which needs no
-    inversion.  ``average_periods([samples], n, k)`` folds an in-memory
-    array and leaves it unmodified.
-    """
-    fold = PeriodFold(n, k)
-    for chunk in chunks:
-        fold.add(chunk)
-    return fold.mean()
 
 
 def demultiplex_stream(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:

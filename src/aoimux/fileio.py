@@ -79,23 +79,25 @@ def _stream_header(cfg: AcquisitionConfig, length: int) -> bytes:
 @contextlib.contextmanager
 def stream_writer(
     path: str | Path, cfg: AcquisitionConfig, length: int
-) -> Iterator[Callable[[np.ndarray], None]]:
+) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
     """Write a stream file of ``length`` samples chunk by chunk.
 
-    Yields a function that appends samples to the payload.  The file is
-    written under a temporary name and renamed to ``path`` only when the
-    block ends without error and every sample was written, so a failed
-    run leaves no partial stream file behind.
+    Yields a function that appends samples to the payload and returns
+    them, so ``map(write, chunks)`` writes each chunk as it is drawn.
+    The file is written under a temporary name and renamed to ``path``
+    only when the block ends without error and every sample was written,
+    so a failed run leaves no partial stream file behind.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
     written = 0
 
-    def write(samples: np.ndarray) -> None:
+    def write(samples: np.ndarray) -> np.ndarray:
         nonlocal written
         # the array's own buffer: no second copy of the payload
         fh.write(np.ascontiguousarray(samples, dtype="<f8").data)
         written += samples.size
+        return samples
 
     try:
         with open(part, "wb") as fh:
@@ -318,9 +320,10 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
 
 def write_scan_map_csv(result: ScanResult, path: str | Path) -> None:
     lines = ["x_m,y_m,peak_amplitude"]
+    peak_map = result.peak_map  # a property: one max over the stack per read
     for iy, y in enumerate(result.ys):
         for ix, x in enumerate(result.xs):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(result.peak_map[iy, ix])}")
+            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(peak_map[iy, ix])}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -106,7 +106,7 @@ def reconstruct_profile(
 
     folded holds ``demux.average_periods`` results, so a stream is
     reconstructed, whether in memory or chunked, as
-    ``reconstruct_profile(average_periods(chunks, cfg.order, K), cfg)``.
+    ``reconstruct_profile(average_periods(chunks, cfg), cfg)``.
     The one reconstruction path: a coded stack is demultiplexed by one
     ``demux.demultiplex_stream`` call with the solver of the given kind, a
     single-pulse stack is its flattened period means; then one envelope
@@ -187,16 +187,15 @@ def measure_snr(
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
     period = simulator.clean_period(cfg, ph)
-    n, k = cfg.order, cfg.subsets_per_cycle
-    folded = np.empty((n_trials + 1, n, k))
+    folded = np.empty((n_trials + 1, cfg.order, cfg.subsets_per_cycle))
     clean = simulator.noisy_chunks(period, cfg.n_samples, 0.0, cfg.seed)
-    folded[0] = demux.average_periods(clean, n, k)  # raises without a complete period
+    folded[0] = demux.average_periods(clean, cfg)  # raises without a complete period
     # only the complete periods are folded, so only their noise is drawn
     used = cfg.n_samples - cfg.n_samples % period.size
     for t in range(n_trials):
         seed = derive_seed(cfg.seed, TRIAL_SALT, t)
         chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
-        folded[t + 1] = demux.average_periods(chunks, n, k)
+        folded[t + 1] = demux.average_periods(chunks, cfg)
     profiles = reconstruct_profile(folded, cfg).values
 
     reference = profiles[0]

@@ -508,7 +508,7 @@ def scan_2d(
         for ix, x in enumerate(xs):
             pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
             chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
-            folded[iy, ix] = demux.average_periods(chunks, cfg.order, cfg.subsets_per_cycle)
+            folded[iy, ix] = demux.average_periods(chunks, cfg)
     stack = reconstruct_profile(folded, cfg, kind).values
     peak = stack.max()
     if peak > 0:

@@ -12,8 +12,7 @@ from aoimux.demux import DepthProfile
 
 def fold(stream):
     """The (order, K) mean of the stream's complete periods."""
-    cfg = stream.config_snapshot
-    return demux.average_periods([stream.samples], cfg.order, cfg.subsets_per_cycle)
+    return demux.average_periods([stream.samples], stream.config_snapshot)
 
 
 def profile_of(stream, kind="spectral", extract=True):

@@ -520,6 +520,11 @@ class TestExportedNames:
             monkeypatch.setattr(module, name, counting)
         return calls
 
+    def test_simulate_calls_each_once(self, tmp_path, cfg_file, calls):
+        assert main(["--out-dir", str(tmp_path), "simulate", "--config", str(cfg_file)]) == 0
+        assert calls == {"average_periods": 1, "demultiplex_stream": 1,
+                         "reconstruct_profile": 1}
+
     def test_demux_calls_each_once(self, tmp_path, cfg_file, calls):
         out = tmp_path / "run"
         assert main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)]) == 0

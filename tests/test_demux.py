@@ -9,6 +9,7 @@ from aoimux.errors import (
     InsufficientSamples,
     LengthMismatch,
     NonFiniteSamples,
+    NonIntegerRatio,
     OrderTooLarge,
     SingularSystem,
 )
@@ -29,6 +30,13 @@ def make_stream(samples, f_us=1.25e6, f_s=5e6, order=3, mode="coded"):
         duration_s=len(samples) / f_s,
     )
     return simulator.SampledStream(np.asarray(samples, float), cfg)
+
+
+def fold_cfg(n, k):
+    """The smallest config whose period is n code elements of k samples."""
+    return simulator.AcquisitionConfig(
+        f_us=1.25e6, f_s=k * 1.25e6, c=990.0, mode="single-pulse", order=n, duration_s=0.0
+    )
 
 
 class TestBuildSystem:
@@ -173,7 +181,8 @@ class TestInterleaving:
         assert np.array_equal(frames[0, :, 0], [0.0, 4.0, 8.0])
         assert np.array_equal(frames[0, :, 3], [3.0, 7.0, 11.0])
         # one period folds to itself
-        assert np.array_equal(demux.average_periods([np.arange(12.0)], 3, 4), frames[0])
+        folded = demux.average_periods([np.arange(12.0)], fold_cfg(3, 4))
+        assert np.array_equal(folded, frames[0])
 
     def test_subset_count_from_reference_rates(self):
         assert simulator.integer_ratio(5e6, 1.25e6) == 4
@@ -190,10 +199,10 @@ class TestInterleaving:
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples, match="11 samples < one period of 12"):
-            demux.average_periods([np.arange(11.0)], 3, 4)
+            demux.average_periods([np.arange(11.0)], fold_cfg(3, 4))
 
     def test_trailing_partial_period_discarded(self):
-        folded = demux.average_periods([np.arange(15.0)], 3, 4)
+        folded = demux.average_periods([np.arange(15.0)], fold_cfg(3, 4))
         assert np.array_equal(folded, np.arange(12.0).reshape(3, 4))
 
 
@@ -331,7 +340,7 @@ class TestNonFiniteSamples:
 
 
 class TestPeriodFold:
-    """The running fold over chunks equals arr.mean(axis=0) of the whole
+    """The fold over chunks equals arr.mean(axis=0) of the whole
     (periods, N, K) array bit for bit, whatever the chunk sizes."""
 
     @staticmethod
@@ -347,13 +356,13 @@ class TestPeriodFold:
         samples = rng.normal(size=100 * n * k + 13) * 1e3
         reference = samples[: 100 * n * k].reshape(100, n, k).mean(axis=0)
         chunks = self._chunks(samples, periods_per_chunk, n * k)
-        folded = demux.average_periods(chunks, n, k)
+        folded = demux.average_periods(chunks, fold_cfg(n, k))
         assert np.array_equal(folded, reference)
 
     def test_array_fold_leaves_its_input_untouched(self):
         samples = np.random.default_rng(1).normal(size=5 * 28)
         before = samples.copy()
-        demux.average_periods([samples], 7, 4)
+        demux.average_periods([samples], fold_cfg(7, 4))
         assert np.array_equal(samples, before)
 
     def test_nan_in_a_later_chunk_counts_every_bad_sample(self):
@@ -363,12 +372,16 @@ class TestPeriodFold:
         samples[9 * 28 + 27] = np.inf  # the last complete period
         samples[-1] = np.nan  # the trailing partial period is not used
         with pytest.raises(NonFiniteSamples, match="3 of 280 samples"):
-            demux.average_periods(self._chunks(samples, 2, n * k), n, k)
+            demux.average_periods(self._chunks(samples, 2, n * k), fold_cfg(n, k))
 
     def test_no_complete_period_raises(self):
         with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
-            demux.average_periods([np.zeros(20), np.zeros(7)], 7, 4)
+            demux.average_periods([np.zeros(20), np.zeros(7)], fold_cfg(7, 4))
 
     def test_order_and_subsets_must_be_positive(self):
-        with pytest.raises(LengthMismatch):
-            demux.PeriodFold(0, 4)
+        # the fold reads N and K from a config, which rules out both below 1
+        with pytest.raises(ConfigError, match="order must be a positive integer"):
+            fold_cfg(0, 4)
+        for k in (0.4, 2.5):  # K below 1 or not an integer
+            with pytest.raises(NonIntegerRatio, match="is not a natural number"):
+                fold_cfg(7, k)

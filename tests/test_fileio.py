@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aoimux import codes, fileio, pipeline, simulator
+from aoimux.config import format_value
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, LengthMismatch
 from aoimux.pipeline import AdvantageCurve, SnrReport
@@ -108,7 +109,8 @@ class TestStreamFiles:
         cfg = stream.config_snapshot
         with fileio.stream_writer(chunked, cfg, len(stream)) as write:
             for start in range(0, len(stream), 28):
-                write(stream.samples[start : start + 28])
+                chunk = stream.samples[start : start + 28]
+                assert write(chunk) is chunk  # so map(write, chunks) can feed a fold
         assert chunked.read_bytes() == whole.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chunked.bin", "whole.bin"]
 
@@ -239,3 +241,25 @@ class TestScanCsv:
         stack_rows = stack_path.read_text().strip().splitlines()
         assert stack_rows[0] == "x_m,y_m,depth_m,amplitude"
         assert len(stack_rows) == 1 + 3 * res.stack.shape[-1]
+
+    def test_map_reads_the_peak_map_once(self, tmp_path, monkeypatch):
+        reads = []
+
+        def counted(result):
+            reads.append(1)
+            return result.stack.max(axis=-1)
+
+        monkeypatch.setattr(simulator.ScanResult, "peak_map", property(counted))
+        xs, ys = np.array([-0.002, 0.0, 0.001, 0.0035]), np.array([0.0, 0.0005, 0.001])
+        stack = np.random.default_rng(3).random((ys.size, xs.size, 11))
+        res = simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=2e-4)
+        path = tmp_path / "map.csv"
+        fileio.write_scan_map_csv(res, path)
+        assert len(reads) == 1
+        peaks = stack.max(axis=-1)
+        rows = ["x_m,y_m,peak_amplitude"] + [
+            f"{format_value(x)},{format_value(y)},{format_value(peaks[iy, ix])}"
+            for iy, y in enumerate(ys)
+            for ix, x in enumerate(xs)
+        ]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
