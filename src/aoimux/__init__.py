@@ -30,7 +30,6 @@ from .pipeline import (
     measure_snr,
     multiplexing_advantage,
     reconstruct_profile,
-    theoretical_multiplexing_gain,
 )
 from .simulator import (
     AcquisitionConfig,
@@ -76,7 +75,6 @@ __all__ = [
     "reconstruct_profile",
     "scan_2d",
     "simulate_stream",
-    "theoretical_multiplexing_gain",
     "valid_orders",
     "validate_order",
     "__version__",

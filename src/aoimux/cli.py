@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import codes, demux, fileio, pipeline, simulator
-from .config import parse_orders, parse_run_config, write_manifest
+from .config import parse_run_config, write_manifest
 from .errors import AoimuxError, NumericalError
 
 EXIT_OK = 0
@@ -72,11 +71,7 @@ def _cmd_demux(args) -> int:
 
 def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
-    overrides = {"n_trials": args.trials, "reference": args.reference}
-    if args.orders is not None:
-        overrides["orders"] = parse_orders(args.orders, "--orders")
-    plan = replace(rc.sweep, **{k: v for k, v in overrides.items() if v is not None})
-    curve = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, plan)
+    curve = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, rc.sweep)
     out = _out_dir(args)
     fileio.write_advantage_csv(curve, out / "advantage.csv")
     fileio.write_advantage_svg(curve, out / "advantage.svg")
@@ -140,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("snr-sweep", help="measure the multiplexing advantage")
     p.add_argument("--config", required=True, help="run configuration file")
-    p.add_argument("--orders", default=None, help="comma-separated code orders")
-    p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials")
-    p.add_argument("--reference", default=None, help="matched or max-rate")
     p.set_defaults(func=_cmd_snr_sweep)
 
     p = sub.add_parser("scan2d", help="scan the transducer over an XY grid")

@@ -10,9 +10,10 @@ each section's keys are the fields of its record (``AcquisitionConfig``,
 unit-suffixed form from ``_UNIT_KEYS``; the type and default are the
 field's own, and a tuple of orders is written comma-separated.  A
 section may be left out only when its record has a default for every
-field.  Each record checks its values when it is built, so every command
-rejects a bad value in any section.  Stream headers use the attribute
-names of the ``AcquisitionConfig`` fields.
+field.  Each record checks every rule on its values when it is built,
+so every command rejects a bad value in any section.  The config is a
+run's whole plan: no command-line flag overrides a section.  Stream
+headers use the attribute names of the ``AcquisitionConfig`` fields.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ _SECTIONS = typing.get_type_hints(RunConfig)  # section name -> record class
 
 
 def _coerce(section: str, key: str, raw: str, kind):
-    if kind == _ORDERS:
-        return parse_orders(raw, f"[{section}] {key}")
     try:
+        if kind == _ORDERS:  # comma-separated; empty items are skipped
+            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "yes", "1", "on"):
@@ -107,15 +108,6 @@ def _read_section(parser: configparser.ConfigParser, name: str, record: type):
         elif default is None:
             raise ConfigError(f"[{name}]: missing required key {key}")
     return record(**values)
-
-
-def parse_orders(text: str, source: str) -> tuple[int, ...]:
-    """Code orders from comma-separated text; empty items are skipped.
-    A ConfigError names the source of the text."""
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def parse_run_config(path: str | Path) -> RunConfig:

@@ -302,7 +302,7 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
         polyline(curve.measured_gain, "red"),
         markers(curve.measured_gain, "red"),
         f'<text x="{width - mr - 10}" y="{mt + 10}" font-size="12" text-anchor="end" '
-        f'fill="blue">theoretical sqrt(N)/2</text>',
+        f'fill="blue">theoretical (N+1)/(2 sqrt N)</text>',
         f'<text x="{width - mr - 10}" y="{mt + 26}" font-size="12" text-anchor="end" '
         f'fill="red">measured</text>',
         f'<text x="{(ml + width - mr) / 2}" y="{height - 12}" font-size="13" '

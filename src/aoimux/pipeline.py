@@ -13,15 +13,11 @@ from .errors import (
     ConfigError,
     EdgePeak,
     InsufficientSamples,
+    InvalidOrder,
     NoPeak,
     NyquistViolation,
 )
 from .seeding import TRIAL_SALT, derive_seed
-
-
-def theoretical_multiplexing_gain(order: int) -> float:
-    """Asymptotic SNR gain of coded over single-pulse transmission, sqrt(N)/2."""
-    return math.sqrt(order) / 2.0
 
 
 def exact_multiplexing_gain(order: int) -> float:
@@ -156,7 +152,7 @@ class AdvantageCurve:
 
     @property
     def theoretical_gain(self) -> list[float]:
-        return [theoretical_multiplexing_gain(n) for n in self.orders]
+        return [exact_multiplexing_gain(n) for n in self.orders]
 
 
 def measure_snr(
@@ -182,12 +178,16 @@ def measure_snr(
     stack whose row 0 is the noise-free reference.  One
     ``reconstruct_profile`` call then solves and extracts every row, so
     each trial equals the profile of its own stream reconstructed alone,
-    bit for bit, and no stream is ever held whole.
+    bit for bit, and no stream is ever held whole.  A stack too large for
+    numpy to shape raises MemoryError, as one too large to allocate does.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
     period = simulator.clean_period(cfg, ph)
-    folded = np.empty((n_trials + 1, cfg.order, cfg.subsets_per_cycle))
+    shape = (n_trials + 1, cfg.order, cfg.subsets_per_cycle)
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
+        raise MemoryError(f"a stack of {n_trials} trials of shape {shape[1:]}")
+    folded = np.empty(shape)
     clean = simulator.noisy_chunks(period, cfg.n_samples, 0.0, cfg.seed)
     folded[0] = demux.average_periods(clean, cfg)  # raises without a complete period
     # only the complete periods are folded, so only their noise is drawn
@@ -229,7 +229,9 @@ class SweepPlan:
     ``reference`` picks the single-pulse reference: "matched" fires one
     pulse per code length, prf = f_us / N; "max-rate" packs pulses as
     tightly as the medium allows, which lowers the measured advantage by
-    the square root of the rate ratio.
+    the square root of the rate ratio.  Every rule is checked when the
+    plan is built: ``orders`` must be usable code orders, at least one,
+    and ``n_trials`` at least 2.
     """
 
     orders: tuple[int, ...] = (7, 19, 31, 79)
@@ -238,6 +240,15 @@ class SweepPlan:
     subtract_noise_floor: bool = False
 
     def __post_init__(self):
+        if not self.orders:
+            raise ConfigError("orders list is empty")
+        try:
+            for n in self.orders:
+                codes.check_order(n)
+        except InvalidOrder as exc:
+            raise ConfigError(f"sweep {exc}") from exc
+        if self.n_trials < 2:
+            raise ConfigError("n_trials must be at least 2")
         if self.reference not in ("matched", "max-rate"):
             raise ConfigError(
                 f"sweep reference must be matched or max-rate, got {self.reference!r}"
@@ -257,8 +268,6 @@ def multiplexing_advantage(
     and single-pulse SnrReport of each order.  Without noise every SNR
     is infinite, so a zero noise_sigma raises ConfigError.
     """
-    if not plan.orders:
-        raise ConfigError("orders list is empty")
     if cfg_base.noise_sigma == 0:
         raise ConfigError("noise_sigma must be positive to measure an SNR gain")
     reports: list[SnrReport] = []

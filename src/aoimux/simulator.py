@@ -443,8 +443,11 @@ class ScanResult:
 class ScanGrid:
     """Transducer grid of a 2D scan; the fields are the [scan] config keys.
 
-    Every value must be finite; the grid-shape rules are checked when
-    ``positions`` builds the grid.
+    Each axis runs from its min up to its max in steps of step_m.  Every
+    rule is checked when the grid is built: every value must be finite,
+    the step positive, no range reversed (max < min), and each range
+    must span fewer than 2^53 steps, beyond which a float no longer
+    counts them exactly.
     """
 
     x_min_m: float = 0.0
@@ -454,32 +457,25 @@ class ScanGrid:
     step_m: float = 0.0005
 
     def __post_init__(self):
-        if not math.isfinite(self.step_m):
+        if not (math.isfinite(self.step_m) and self.step_m > 0):
             raise ConfigError(f"scan step must be finite and positive, got {self.step_m}")
         for name, lo, hi in self._ranges():
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"scan {name} range must be finite, got [{lo}, {hi}]")
+            if hi < lo:
+                raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
+            if not (hi - lo) / self.step_m < 2**53:
+                raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
 
     def _ranges(self) -> tuple[tuple[str, float, float], ...]:
         return (("x", self.x_min_m, self.x_max_m), ("y", self.y_min_m, self.y_max_m))
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y positions from each range's min up to its max in steps of step_m.
-
-        Raises ConfigError for a step that is not positive, for a range
-        with max < min and for one that spans too many steps to count.
-        """
-        if not self.step_m > 0:
-            raise ConfigError(f"scan step must be finite and positive, got {self.step_m}")
-        axes = []
-        for name, lo, hi in self._ranges():
-            if hi < lo:
-                raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
-            steps = (hi - lo) / self.step_m
-            if not math.isfinite(steps):
-                raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
-            axes.append(lo + self.step_m * np.arange(int(round(steps)) + 1))
-        return tuple(axes)
+        """x and y positions from each range's min up to its max in steps of step_m."""
+        return tuple(
+            lo + self.step_m * np.arange(round((hi - lo) / self.step_m) + 1)
+            for _, lo, hi in self._ranges()
+        )
 
 
 def scan_2d(

@@ -8,6 +8,7 @@ S-matrix advantage, written as sqrt(N)/2 times (N+1)/N, at orders 7, 19,
 31 and 79.
 """
 
+import math
 import time
 
 import numpy as np
@@ -120,11 +121,11 @@ def test_criterion_3_gain_within_ten_percent_of_sqrt_n_over_2(advantage_curve, o
     curve, _ = advantage_curve
     idx = curve.orders.index(order)
     measured = curve.measured_gain[idx]
-    asymptotic = curve.theoretical_gain[idx]
-    # sqrt(N)/2 is the large-N limit; the finite-N factor (N+1)/N gives the
-    # exact advantage (N+1)/(2 sqrt(N)), 14.3% above the limit at N = 7
-    target = asymptotic * (order + 1) / order
+    # the exact advantage (N+1)/(2 sqrt(N)) is sqrt(N)/2 * (N+1)/N, 14.3% above
+    # its large-N limit sqrt(N)/2 at N = 7
+    target = curve.theoretical_gain[idx]
     assert target == pytest.approx(pipeline.exact_multiplexing_gain(order), rel=1e-12)
+    asymptotic = math.sqrt(order) / 2
     rel = measured / target - 1.0
     rel_asymptotic = measured / asymptotic - 1.0
     ok = abs(rel) <= 0.10

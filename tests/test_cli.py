@@ -99,13 +99,17 @@ class TestSimulate:
         assert (out1 / "stream.bin").read_bytes() == (out2 / "stream.bin").read_bytes()
 
     def test_manifest_round_trip(self, tmp_path, cfg_file):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["--out-dir", str(out1), "simulate", "--config", str(cfg_file)])
-        # the manifest is itself a valid config reproducing the run
-        rc1 = parse_run_config(out1 / "manifest.cfg")
-        assert manifest_text(rc1) == (out1 / "manifest.cfg").read_text()
-        main(["--out-dir", str(out2), "simulate", "--config", str(out1 / "manifest.cfg")])
-        assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
+        # the manifest is itself a valid config reproducing the run; the
+        # solver is a flag, not a config value, so it is given again
+        for solver in ("spectral", "dense"):
+            out1, out2 = tmp_path / solver / "a", tmp_path / solver / "b"
+            flags = ["--solver", solver]
+            main(["--out-dir", str(out1), "simulate", "--config", str(cfg_file), *flags])
+            rc1 = parse_run_config(out1 / "manifest.cfg")
+            assert manifest_text(rc1) == (out1 / "manifest.cfg").read_text()
+            main(["--out-dir", str(out2), "simulate", "--config", str(out1 / "manifest.cfg"),
+                  *flags])
+            assert (out1 / "profile.csv").read_bytes() == (out2 / "profile.csv").read_bytes()
 
     def test_chunked_outputs_equal_the_in_memory_path(self, tmp_path, cfg_file, monkeypatch):
         # one period (76 samples) a chunk: the stream is written and folded in four
@@ -343,12 +347,19 @@ class TestBadValues:
             capsys, demuxed, f"aoimux: {bad}: stream header keys must each appear once: {key}"
         )
 
-    @pytest.mark.parametrize("command", ["simulate", "snr-sweep"])
+    @pytest.mark.parametrize("command", ["simulate", "snr-sweep", "scan2d"])
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
             ("scan", "step_m", "nan", "scan step must be finite and positive"),
             ("sweep", "reference", "fastest", "sweep reference must be matched or max-rate"),
+            ("sweep", "n_trials", "0", "n_trials must be at least 2"),
+            ("sweep", "orders", "8,12", "sweep order must be a prime congruent to 3 mod 4, got 8"),
+            ("sweep", "orders", ",", "orders list is empty"),
+            ("scan", "step_m", "0.0", "scan step must be finite and positive"),
+            ("scan", "x_max_m", "-0.002", "scan x range is reversed"),
+            # 2e297 steps, far beyond the 2^53 that a float counts exactly
+            ("scan", "step_m", "1e-300", "scan x range [-0.001, 0.001] spans too many steps"),
         ],
     )
     def test_bad_scan_or_sweep_value_exit_2_at_parse_time(
@@ -383,18 +394,16 @@ class TestSnrSweep:
     def test_single_order_outputs(self, tmp_path, cfg_file):
         # two periods of order 79 need 632 samples; stretch the duration
         long_cfg = tmp_path / "long.cfg"
-        long_cfg.write_text(
-            cfg_file.read_text().replace("duration_s = 6.08e-5", "duration_s = 1.264e-4")
-        )
+        long_text = cfg_file.read_text().replace("duration_s = 6.08e-5", "duration_s = 1.264e-4")
+        long_cfg.write_text(_set_value(long_text, "orders", "79"))
         out = tmp_path / "sweep"
-        rc = main(["--out-dir", str(out), "snr-sweep", "--config", str(long_cfg),
-                   "--orders", "79", "--trials", "4"])
+        rc = main(["--out-dir", str(out), "snr-sweep", "--config", str(long_cfg)])
         assert rc == 0
         rows = (out / "advantage.csv").read_text().strip().splitlines()
         assert rows[0] == "order,measured_gain,theoretical_gain"
         assert len(rows) == 2
         theo = float(rows[1].split(",")[2])
-        assert theo == pytest.approx(79**0.5 / 2, abs=1e-12)
+        assert theo == pytest.approx(80 / (2 * 79**0.5), abs=1e-12)  # (N+1)/(2 sqrt N)
         assert (out / "advantage.svg").exists()
         reports = (out / "snr_reports.csv").read_text().strip().splitlines()
         assert len(reports) == 3  # header + coded + single-pulse
@@ -406,8 +415,9 @@ class TestSnrSweep:
         assert [r.split(",")[0] for r in rows[1:]] == ["7", "19"]
 
     def test_empty_orders_exit_2(self, tmp_path, cfg_file):
-        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
-                     str(cfg_file), "--orders", ","]) == 2
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), "orders", ","))
+        assert main(["--out-dir", str(tmp_path / "o"), "snr-sweep", "--config", str(bad)]) == 2
 
     def test_zero_noise_exit_2(self, tmp_path, cfg_file, capsys):
         # without noise every SNR is infinite and no gain can be measured
@@ -417,33 +427,38 @@ class TestSnrSweep:
         assert main(["--out-dir", str(out), "snr-sweep", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, "aoimux: noise_sigma must be positive")
 
-    def test_unknown_reference_flag_exit_2(self, tmp_path, cfg_file, capsys):
+    def test_unknown_reference_exit_2(self, tmp_path, cfg_file, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), "reference", "fastest", section="sweep"))
         out = tmp_path / "o"
-        assert main(["--out-dir", str(out), "snr-sweep", "--config", str(cfg_file),
-                     "--reference", "fastest"]) == 2
+        assert main(["--out-dir", str(out), "snr-sweep", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, "aoimux: sweep reference must be matched or max-rate")
 
     def test_non_integer_order_exit_2(self, tmp_path, cfg_file, capsys):
-        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
-                     str(cfg_file), "--orders", "7,x"]) == 2
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), "orders", "7,x"))
+        assert main(["--out-dir", str(tmp_path / "o"), "snr-sweep", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("aoimux: --orders") and "Traceback" not in err
+        assert err.startswith("aoimux: [sweep] orders") and "Traceback" not in err
 
     @pytest.mark.parametrize("trials", ["0", "1", "-3"])
     def test_too_few_trials_exit_2(self, tmp_path, cfg_file, capsys, trials):
-        # 0 is not "unset": it must not fall back to the config's n_trials
-        assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config",
-                     str(cfg_file), "--trials", trials]) == 2
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(_set_value(cfg_file.read_text(), "n_trials", trials))
+        assert main(["--out-dir", str(tmp_path / "o"), "snr-sweep", "--config", str(bad)]) == 2
         assert "n_trials must be at least 2" in capsys.readouterr().err
 
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
         # 10^15 trials of order 7 ask for a 199 PiB stack, beyond any 64-bit
-        # user address space: the allocation fails at once, touching nothing
-        out = tmp_path / "o"
-        assert main(["--out-dir", str(out), "snr-sweep", "--config",
-                     str(CONFIGS / "quick.cfg"), "--orders", "7",
-                     "--trials", "1000000000000000"]) == 2
-        _assert_config_error(capsys, out, "aoimux: run too large for memory")
+        # user address space: the allocation fails at once, touching nothing;
+        # numpy refuses the shape of 10^17 trials before allocating at all
+        for trials in ("1000000000000000", "100000000000000000"):
+            text = _set_value((CONFIGS / "quick.cfg").read_text(), "orders", "7")
+            bad = tmp_path / f"{trials}.cfg"
+            bad.write_text(_set_value(text, "n_trials", trials))
+            out = tmp_path / trials
+            assert main(["--out-dir", str(out), "snr-sweep", "--config", str(bad)]) == 2
+            _assert_config_error(capsys, out, "aoimux: run too large for memory")
 
 
 class TestScan2d:
@@ -496,10 +511,11 @@ class TestScan2d:
         _assert_config_error(capsys, out, f"aoimux: {message}")
 
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
-        # a 1e-18 m step over quick.cfg's 16 mm asks for 1.6e16 x positions
-        # (114 PiB): the allocation fails at once, touching nothing
+        # a 1e-16 m step over quick.cfg's 16 mm asks for 1.6e14 x positions
+        # (1.28e15 B, beyond a 2^47-byte user address space): the allocation
+        # fails at once, touching nothing
         bad = tmp_path / "tiny.cfg"
-        bad.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "step_m", "1e-18"))
+        bad.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "step_m", "1e-16"))
         out = tmp_path / "o"
         assert main(["--out-dir", str(out), "scan2d", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, "aoimux: run too large for memory")

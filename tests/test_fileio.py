@@ -184,7 +184,7 @@ class TestExperimentCsv:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "order,measured_gain,theoretical_gain"
         assert rows[1].split(",")[0] == "7"
-        assert float(rows[2].split(",")[2]) == pytest.approx(79**0.5 / 2)
+        assert float(rows[2].split(",")[2]) == pytest.approx(80 / (2 * 79**0.5))
 
     def test_advantage_svg(self, tmp_path):
         curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
@@ -194,6 +194,7 @@ class TestExperimentCsv:
         assert text.count("<polyline") == 2
         assert 'stroke="blue"' in text and 'stroke="red"' in text
         assert text.startswith("<svg ")
+        assert "theoretical (N+1)/(2 sqrt N)" in text
 
 
 class TestPgm:

@@ -1,6 +1,7 @@
 """Envelope extraction, FWHM, SNR trials and the multiplexing advantage."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -244,18 +245,17 @@ def test_rank_correlation():
 
 class TestMultiplexingAdvantage:
     def test_gain_formulas(self):
-        assert pipeline.theoretical_multiplexing_gain(3) == pytest.approx(
-            math.sqrt(3) / 2
-        )
-        assert pipeline.theoretical_multiplexing_gain(3) < 1.0  # coded loses at N=3
-        assert pipeline.theoretical_multiplexing_gain(79) == pytest.approx(4.4441, abs=1e-4)
+        assert pipeline.exact_multiplexing_gain(3) == pytest.approx(4 / (2 * math.sqrt(3)))
+        assert pipeline.exact_multiplexing_gain(3) == pytest.approx(1.1547, abs=1e-4)
+        # (N+1)/2 >= sqrt(N): coding never loses under detector-limited noise
+        assert all(pipeline.exact_multiplexing_gain(n) >= 1.0 for n in range(1, 1000))
         assert pipeline.exact_multiplexing_gain(79) == pytest.approx(4.5004, abs=1e-4)
 
     def test_theoretical_column_is_exact(self):
         curve = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05), phantom(), SweepPlan((7, 19), 4)
         )
-        assert curve.theoretical_gain == [math.sqrt(7) / 2, math.sqrt(19) / 2]
+        assert curve.theoretical_gain == [8 / (2 * math.sqrt(7)), 20 / (2 * math.sqrt(19))]
 
     def test_orders_sorted_and_deduplicated(self):
         curve = pipeline.multiplexing_advantage(
@@ -274,8 +274,8 @@ class TestMultiplexingAdvantage:
         assert curve.measured_gain == [coded.snr / single.snr for coded, single in pairs]
 
     def test_empty_orders_raise(self):
-        with pytest.raises(ConfigError):
-            pipeline.multiplexing_advantage(config(), phantom(), SweepPlan((), 4))
+        with pytest.raises(ConfigError, match="orders list is empty"):
+            SweepPlan((), 4)
 
     def test_zero_noise_raises(self):
         # every SNR would be infinite, so the gain would be inf or nan
@@ -315,6 +315,25 @@ class TestMultiplexingAdvantage:
 
     def test_unknown_reference_rejected(self):
         with pytest.raises(ConfigError):
-            pipeline.multiplexing_advantage(
-                config(), phantom(), SweepPlan((7,), 4, reference="fastest")
-            )
+            SweepPlan((7,), 4, reference="fastest")
+
+
+class TestSweepPlan:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"orders": ()}, "orders list is empty"),
+            ({"orders": (7, 8)}, "sweep order must be a prime congruent to 3 mod 4, got 8"),
+            ({"orders": (-7,)}, "sweep order must be a prime congruent to 3 mod 4, got -7"),
+            ({"orders": (2**61 - 1,)}, "sweep order 2305843009213693951 exceeds"),
+            ({"n_trials": 1}, "n_trials must be at least 2"),
+            ({"n_trials": -3}, "n_trials must be at least 2"),
+            ({"reference": "fastest"}, "sweep reference must be matched or max-rate"),
+        ],
+    )
+    def test_every_rule_checked_when_built(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SweepPlan(**kwargs)
+
+    def test_defaults_build(self):
+        assert SweepPlan().orders == (7, 19, 31, 79)

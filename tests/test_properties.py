@@ -1,5 +1,6 @@
 """Property tests: config, manifest, stream and sequence text round trips."""
 
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from aoimux import codes, fileio, simulator
 from aoimux.config import manifest_text, parse_run_config
-from aoimux.errors import AoimuxError
+from aoimux.errors import AoimuxError, ConfigError
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -81,11 +82,15 @@ ACQ_DEFAULTS = {
 
 
 @st.composite
-def config_texts(draw):
+def config_texts(draw, bad=None):
     """(config text, the AcquisitionConfig it describes).
 
     Entries are (key, value text, may be left out); a left-out
-    [acquisition] key must read back as its default.
+    [acquisition] key must read back as its default.  The grid and the
+    plan are valid whichever keys are left out: each range holds the
+    default 0.0 and spans fewer than 2^53 steps.  ``bad`` maps
+    (section, key) to a value text that replaces that entry, never left
+    out.
     """
 
     def text(value):
@@ -96,7 +101,7 @@ def config_texts(draw):
 
     omitted = draw(st.sets(st.sampled_from(sorted(ACQ_DEFAULTS))))
     acq = replace(draw(acquisition_configs()), **{a: ACQ_DEFAULTS[a] for a in omitted})
-    orders = draw(st.lists(st.integers(-999, 999), max_size=5))
+    orders = draw(st.lists(st.sampled_from(SMALL_ORDERS), min_size=1, max_size=5))
     sections = {
         "acquisition": [
             (key, text(getattr(acq, attr)), False)
@@ -114,21 +119,27 @@ def config_texts(draw):
             ("depth_extent_m", text(draw(positive)), False),
         ],
         "scan": [
-            (key, text(draw(finite)), True)
-            for key in ("x_min_m", "x_max_m", "y_min_m", "y_max_m", "step_m")
+            ("x_min_m", text(-draw(non_negative)), True),
+            ("x_max_m", text(draw(non_negative)), True),
+            ("y_min_m", text(-draw(non_negative)), True),
+            ("y_max_m", text(draw(non_negative)), True),
+            ("step_m", text(draw(st.floats(1e-3, 1e12))), True),
         ],
         "sweep": [
             ("orders", ",".join(map(str, orders)), True),
-            ("n_trials", text(draw(st.integers(-(10**6), 10**6))), True),
+            ("n_trials", text(draw(st.integers(2, 10**6))), True),
             ("reference", draw(st.sampled_from(["matched", "max-rate"])), True),
             ("subtract_noise_floor", draw(st.sampled_from(["true", "no", "1", "off"])), True),
         ],
     }
+    bad = bad or {}
     lines = []
     for name, entries in sections.items():
         lines.append(f"[{name}]")
         for key, value, optional in entries:
-            if not optional or draw(st.booleans()):
+            if (name, key) in bad:
+                lines.append(f"{key} = {bad[name, key]}")
+            elif not optional or draw(st.booleans()):
                 lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n", acq
 
@@ -146,6 +157,42 @@ def test_config_manifest_config_round_trip(case, workdir):
     again = parse_run_config(path)
     assert again == rc
     assert manifest_text(again) == manifest
+
+
+def _floats_text(*args, **kwargs):
+    return st.floats(*args, **kwargs).map(repr)
+
+
+# (section, value texts that break one of its rules, the rule's message)
+INVALID_GRIDS_AND_PLANS = [
+    ("scan", {"step_m": _floats_text(max_value=0.0) | st.just("nan")},
+     "scan step must be finite and positive"),
+    ("scan", {"x_min_m": _floats_text(1e-9, 1e12), "x_max_m": _floats_text(-1e12, 0.0)},
+     "scan x range is reversed"),
+    ("scan", {"y_min_m": _floats_text(1e-9, 1e12), "y_max_m": _floats_text(-1e12, 0.0)},
+     "scan y range is reversed"),
+    ("scan", {"x_min_m": _floats_text(-1e12, -1.0), "x_max_m": _floats_text(1.0, 1e12),
+              "step_m": _floats_text(1e-300, 1e-16)},
+     "spans too many steps"),
+    ("sweep", {"orders": st.lists(st.integers(-999, 999), min_size=1, max_size=5)
+               .filter(lambda orders: not all(map(codes.validate_order, orders)))
+               .map(lambda orders: ",".join(map(str, orders)))},
+     "sweep order "),
+    ("sweep", {"orders": st.sampled_from(["", ",", " , ,"])}, "orders list is empty"),
+    ("sweep", {"n_trials": st.integers(max_value=1).map(str)}, "n_trials must be at least 2"),
+]
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), case=st.sampled_from(INVALID_GRIDS_AND_PLANS))
+def test_invalid_grid_or_plan_rejected(data, case, workdir):
+    section, values, message = case
+    bad = {(section, key): data.draw(value) for key, value in values.items()}
+    text, _ = data.draw(config_texts(bad))
+    path = workdir / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_run_config(path)
 
 
 @PROPERTY_SETTINGS

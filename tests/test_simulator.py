@@ -317,12 +317,26 @@ class TestScanGrid:
         with pytest.raises(ConfigError, match="must be finite"):
             ScanGrid(**{field: value})
 
-    def test_shape_rules_checked_by_positions(self):
-        grid = ScanGrid(x_min_m=0.001, x_max_m=-0.001, step_m=-0.001)  # finite: it builds
+    def test_shape_rules_checked_when_built(self):
         with pytest.raises(ConfigError, match="scan step must be finite and positive"):
-            grid.positions()
+            ScanGrid(x_min_m=0.001, x_max_m=-0.001, step_m=-0.001)
         with pytest.raises(ConfigError, match="scan x range is reversed"):
-            replace(grid, step_m=0.001).positions()
+            ScanGrid(x_min_m=0.001, x_max_m=-0.001, step_m=0.001)
+        with pytest.raises(ConfigError, match="scan y range is reversed"):
+            ScanGrid(y_min_m=0.001, y_max_m=-0.001, step_m=0.001)
+
+    def test_step_count_must_be_below_2_to_the_53(self):
+        # beyond 2^53 a float step count is no longer an exact integer
+        ScanGrid(x_max_m=2.0**53 - 1, step_m=1.0)  # builds; positions() is not asked for
+        with pytest.raises(ConfigError, match=r"scan x range \[0.0, 9007199254740992.0\] spans"):
+            ScanGrid(x_max_m=2.0**53, step_m=1.0)
+        with pytest.raises(ConfigError, match="scan y range .* spans too many steps"):
+            ScanGrid(y_min_m=-1e308, y_max_m=1e308)  # the span overflows to inf
+
+    def test_positions_run_from_min_to_max(self):
+        xs, ys = ScanGrid(x_min_m=-0.002, x_max_m=0.002, step_m=0.001).positions()
+        np.testing.assert_allclose(xs, [-0.002, -0.001, 0.0, 0.001, 0.002], atol=1e-18)
+        assert ys.tolist() == [0.0]
 
 
 class TestScan2d:
