@@ -8,7 +8,6 @@ acquisition over a diffuse phantom, and Monte-Carlo SNR experiments.
 from .codes import (
     SSequence,
     generate_s_sequence,
-    quadratic_residues,
     valid_orders,
     validate_order,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "measure_snr",
     "multiplexing_advantage",
     "pulse_waveform",
-    "quadratic_residues",
     "reconstruct_profile",
     "scan_2d",
     "simulate_stream",

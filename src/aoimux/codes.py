@@ -18,6 +18,11 @@ with a blocked FFT autocorrelation: FFTs of 2**16-bit blocks plus one
 multiply-add per block pair and frequency (136 pairs at MAX_ORDER),
 about 20 N bytes of memory, and rounding to integers only after a guard
 that no lag is 1/4 or more away from an integer.
+
+One table answers "is N a usable order?" for validate_order, check_order
+and valid_orders alike: a sieve of the candidates 3, 7, 11, ... up to
+MAX_ORDER, built once on first use.  Every order outside it is rejected
+in O(1), however large.
 """
 
 from __future__ import annotations
@@ -37,46 +42,43 @@ MAX_ORDER = 1 << 20
 _BLOCK = 1 << 16
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test, exact for n <= 2**31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+@functools.cache
+def _order_table() -> np.ndarray:
+    """Read-only bool table of the usable orders up to MAX_ORDER.
+
+    Slot (n - 3) / 4 holds n = 3, 7, 11, ...; it is True exactly when n
+    is prime.  A sieve: a multiple m * p of an odd p is 3 mod 4 for every
+    fourth odd m, so striking it for m > 1 steps 4 p through n, p slots
+    through the table.  Every odd p up to sqrt(MAX_ORDER) strikes;
+    composite p only repeat their factors' strikes.  Built on first use
+    (262 144 slots), so importing the package does not pay for it.
+    """
+    usable = np.ones((MAX_ORDER - 3) // 4 + 1, dtype=bool)
+    for p in range(3, math.isqrt(MAX_ORDER) + 1, 2):
+        first = (5 if p % 4 == 3 else 3) * p  # smallest m * p > p that is 3 mod 4
+        usable[(first - 3) // 4 :: p] = False
+    usable.setflags(write=False)
+    return usable
 
 
 def validate_order(n: int) -> bool:
-    """True iff n is a usable code order: prime and congruent to 3 mod 4."""
-    return n >= 3 and n % 4 == 3 and is_prime(n)
+    """True iff n is a usable code order: a prime congruent to 3 mod 4, at most MAX_ORDER."""
+    return 3 <= n <= MAX_ORDER and n % 4 == 3 and bool(_order_table()[(n - 3) // 4])
 
 
 def check_order(n: int) -> None:
-    """Raise InvalidOrder unless n is a usable order no larger than MAX_ORDER.
-
-    The cap is checked first: trial division is slow on huge orders.
-    """
+    """Raise InvalidOrder unless n is a usable order no larger than MAX_ORDER."""
     if n > MAX_ORDER:
         raise InvalidOrder(f"order {n} exceeds the supported maximum {MAX_ORDER}")
     if not validate_order(n):
         raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
 
 
-def quadratic_residues(n: int) -> set[int]:
-    """Set {k*k mod n : k = 1 .. (n-1)/2} for an odd prime n.
-
-    Has exactly (n-1)/2 elements and never contains 0.
-    """
-    if n < 3 or n % 2 == 0 or not is_prime(n):
-        raise InvalidOrder(f"quadratic residues need an odd prime, got {n}")
-    return {pow(k, 2, n) for k in range(1, (n - 1) // 2 + 1)}
+def valid_orders(limit: int) -> list[int]:
+    """All usable code orders up to and including min(limit, MAX_ORDER), ascending."""
+    if limit < 3:
+        return []
+    return (np.flatnonzero(_order_table()[: (limit - 3) // 4 + 1]) * 4 + 3).tolist()
 
 
 @dataclass(frozen=True)
@@ -216,21 +218,3 @@ def generate_s_sequence(n: int) -> SSequence:
     _check_identity(seq)
     seq.bits.setflags(write=False)
     return seq
-
-
-def valid_orders(limit: int) -> list[int]:
-    """All usable code orders up to and including limit, in ascending order.
-
-    A sieve over the candidates n = 3, 7, 11, ... (slot (n - 3) / 4).  A
-    multiple m * p of an odd p is 3 mod 4 for every fourth odd m, so
-    striking it for m > 1 steps 4 p through n, p slots through the
-    table.  Every odd p up to sqrt(limit) strikes; composite p only
-    repeat their factors' strikes.
-    """
-    if limit < 3:
-        return []
-    candidate = np.ones((limit - 3) // 4 + 1, dtype=bool)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        first = (5 if p % 4 == 3 else 3) * p  # smallest m * p > p that is 3 mod 4
-        candidate[(first - 3) // 4 :: p] = False
-    return (np.flatnonzero(candidate) * 4 + 3).tolist()

@@ -471,9 +471,14 @@ class ScanGrid:
         return (("x", self.x_min_m, self.x_max_m), ("y", self.y_min_m, self.y_max_m))
 
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y positions from each range's min up to its max in steps of step_m."""
+        """x and y positions from each range's min up to its max in steps of step_m.
+
+        A range that is not a whole number of steps stops at the last step
+        below its max; a step past the max by less than 1e-9 of the span is
+        float error, and counts as reaching it.
+        """
         return tuple(
-            lo + self.step_m * np.arange(round((hi - lo) / self.step_m) + 1)
+            lo + self.step_m * np.arange(math.floor((hi - lo) / self.step_m * (1 + 1e-9)) + 1)
             for _, lo, hi in self._ranges()
         )
 

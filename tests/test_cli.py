@@ -66,8 +66,8 @@ class TestGenCode:
         assert "prime" in err and "3 mod 4" in err
 
     def test_order_above_cap_exit_2_at_once(self, tmp_path, capsys):
-        # 2^61 - 1 is prime and 3 mod 4; the cap is checked before the
-        # primality test, whose trial division would run for minutes
+        # 2^61 - 1 is prime and 3 mod 4, beyond the order table; the cap
+        # is checked first and answers at once
         assert main(["--out-dir", str(tmp_path), "gen-code", str(2**61 - 1)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("aoimux: ") and "exceeds the supported maximum" in err

@@ -1,6 +1,8 @@
 """Code generation: brute-force oracles, algebraic identity, text format."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,13 @@ def brute_force_sequences(n):
     return hits
 
 
+def trial_division_order(n):
+    """Independent oracle: n is prime, 3 mod 4 and at most MAX_ORDER."""
+    if n < 3 or n % 4 != 3 or n > codes.MAX_ORDER:
+        return False
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+
+
 class TestValidateOrder:
     def test_reference_order_79(self):
         assert codes.validate_order(79)
@@ -46,14 +55,22 @@ class TestValidateOrder:
         assert not codes.validate_order(2)
         assert codes.validate_order(3)
 
+    def test_equals_trial_division(self):
+        # negative n must not wrap around into the table
+        for n in range(-10, 200_000):
+            assert codes.validate_order(n) == trial_division_order(n), n
+
+    def test_above_cap_rejected(self):
+        # 2^21 - 9 = 2097143 and 2^61 - 1 are primes = 3 mod 4
+        for n in [*range(codes.MAX_ORDER + 1, codes.MAX_ORDER + 9), 2097143, 2**61 - 1]:
+            assert not codes.validate_order(n), n
+
     def test_valid_orders_listing(self):
         assert codes.valid_orders(103) == VALID_ORDERS_TO_103
 
-    def test_valid_orders_sieve_equals_trial_division(self):
-        expected = [n for n in range(3, 10**4 + 1, 4) if codes.validate_order(n)]
-        assert codes.valid_orders(10**4) == expected
+    def test_valid_orders_every_small_limit(self):
         for limit in range(-1, 104):
-            assert codes.valid_orders(limit) == [n for n in expected if n <= limit]
+            assert codes.valid_orders(limit) == [n for n in VALID_ORDERS_TO_103 if n <= limit]
 
     def test_valid_orders_count_at_max_order(self):
         orders = codes.valid_orders(codes.MAX_ORDER)
@@ -61,31 +78,30 @@ class TestValidateOrder:
         assert orders[-1] == 1048571
         assert all(type(n) is int for n in orders[:3])
 
+    def test_valid_orders_capped(self):
+        assert codes.valid_orders(2**21) == codes.valid_orders(codes.MAX_ORDER)
 
-class TestQuadraticResidues:
-    def test_n7(self):
-        oracle = {k * k % 7 for k in range(1, 4)}
-        assert oracle == {1, 2, 4}
-        assert codes.quadratic_residues(7) == oracle
+    def test_huge_limit_allocates_nothing_new(self):
+        # an uncapped sieve to 10^12 would need 250 GB
+        codes.valid_orders(3)  # builds the table
+        tracemalloc.start()
+        try:
+            orders = codes.valid_orders(10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert orders == codes.valid_orders(codes.MAX_ORDER)
+        assert peak < 8 * 2**20
 
-    def test_n3(self):
-        assert codes.quadratic_residues(3) == {1}
 
-    def test_n11(self):
-        oracle = {k * k % 11 for k in range(1, 6)}
-        assert oracle == {1, 3, 4, 5, 9}
-        assert codes.quadratic_residues(11) == oracle
-
-    @pytest.mark.parametrize("n", VALID_ORDERS_TO_103)
-    def test_cardinality_and_no_zero(self, n):
-        qr = codes.quadratic_residues(n)
-        assert len(qr) == (n - 1) // 2
-        assert 0 not in qr
-
-    @pytest.mark.parametrize("bad", [8, 9, 15, 2])
-    def test_rejects_non_odd_primes(self, bad):
-        with pytest.raises(InvalidOrder):
-            codes.quadratic_residues(bad)
+class TestResidueBits:
+    @pytest.mark.parametrize("n", [*VALID_ORDERS_TO_103, 1019, 1031])
+    def test_bits_are_zero_and_the_quadratic_residues(self, n):
+        residues = {k * k % n for k in range(1, (n - 1) // 2 + 1)}
+        assert len(residues) == (n - 1) // 2
+        assert 0 not in residues
+        bits = codes.generate_s_sequence(n).bits
+        assert set(np.flatnonzero(bits).tolist()) == {0} | residues
 
 
 class TestGeneration:
@@ -155,7 +171,7 @@ class TestGeneration:
         assert codes.s_matrix_identity_error(seq) == 0
 
     def test_huge_order_rejected_before_primality_test(self):
-        # 2^61 - 1 is prime and 3 mod 4; trial division would run for minutes
+        # 2^61 - 1 is prime and 3 mod 4, far beyond the order table
         with pytest.raises(InvalidOrder, match="exceeds"):
             codes.generate_s_sequence(2**61 - 1)
 

@@ -174,7 +174,9 @@ INVALID_GRIDS_AND_PLANS = [
     ("scan", {"x_min_m": _floats_text(-1e12, -1.0), "x_max_m": _floats_text(1.0, 1e12),
               "step_m": _floats_text(1e-300, 1e-16)},
      "spans too many steps"),
-    ("sweep", {"orders": st.lists(st.integers(-999, 999), min_size=1, max_size=5)
+    ("sweep", {"orders": st.lists(st.integers(-999, 999)
+                                  | st.integers(codes.MAX_ORDER + 1, 2**62)
+                                  | st.just(2**61 - 1), min_size=1, max_size=5)
                .filter(lambda orders: not all(map(codes.validate_order, orders)))
                .map(lambda orders: ",".join(map(str, orders)))},
      "sweep order "),

@@ -1,7 +1,8 @@
-"""The package runs on numpy alone.
+"""Importing the CLI is lean: it loads no scipy and builds no order table.
 
-A fresh interpreter imports the CLI and lists the scipy modules it
-loaded; there must be none, even where scipy is installed.
+A fresh interpreter imports the CLI and reports what it loaded; there
+must be no scipy module, even where scipy is installed, and the order
+table must wait for the first order check.
 """
 
 import os
@@ -20,10 +21,19 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_import_loads_no_scipy():
+def _run(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _run(PROBE) == "[]"
+
+
+def test_cli_import_builds_no_order_table():
+    code = "import aoimux.cli\nfrom aoimux import codes\nprint(codes._order_table.cache_info().currsize)"
+    assert _run(code) == "0"

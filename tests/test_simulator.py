@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aoimux import codes, simulator
+from aoimux.config import parse_run_config
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -17,6 +19,8 @@ from aoimux.errors import (
 from aoimux.seeding import SCAN_SALT, derive_seed
 from aoimux.simulator import ScanGrid
 from streams import profile_of
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 F_US = 1.25e6
 F_S = 5e6
@@ -337,6 +341,17 @@ class TestScanGrid:
         xs, ys = ScanGrid(x_min_m=-0.002, x_max_m=0.002, step_m=0.001).positions()
         np.testing.assert_allclose(xs, [-0.002, -0.001, 0.0, 0.001, 0.002], atol=1e-18)
         assert ys.tolist() == [0.0]
+        # 0.0013 is not a whole number of 0.0005 steps; no position passes it
+        xs, _ = ScanGrid(x_max_m=0.0013, step_m=0.0005).positions()
+        np.testing.assert_allclose(xs, [0.0, 0.0005, 0.001], atol=1e-18)
+
+    @pytest.mark.parametrize("name, count", [("quick.cfg", 33), ("default.cfg", 37)])
+    def test_shipped_grids_keep_their_positions(self, name, count):
+        # 37 is also the benchmark's scan workload oracle on default.cfg
+        grid = parse_run_config(CONFIGS / name).scan
+        xs, ys = grid.positions()
+        assert (xs.size, ys.size) == (count, 1)
+        assert xs[-1] == pytest.approx(grid.x_max_m, abs=1e-15)
 
 
 class TestScan2d:
