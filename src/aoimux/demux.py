@@ -12,6 +12,9 @@ A stream, in memory or read in chunks, is demultiplexed in two steps:
 ``average_periods`` folds its chunks into the (N, K) mean of its
 complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
+``average_periods`` also folds many streams chunked together, one per
+row, into such a stack: ``simulator.fold_streams`` draws the streams of
+scan positions and Monte-Carlo trials that way, over the usable cores.
 ``pipeline.reconstruct_profile`` runs both and the envelope extraction.
 """
 
@@ -156,51 +159,56 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
 
 
 def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.ndarray:
-    """Mean of the complete repetition periods of a chunked stream.
+    """Mean of the complete repetition periods of a chunked stream, or of a
+    stack of streams chunked together.
 
-    Each chunk must start on a period boundary of ``cfg.order *
-    cfg.subsets_per_cycle`` samples; the samples after its last complete
-    period are discarded, so only the last chunk of a stream may end in
-    a partial period.  The sum runs in period order: the previous sum is
-    added into the first period of each chunk, which is then summed along
-    the period axis.  That is the sum ``arr.mean(axis=0)`` forms over the
-    whole (periods, N, K) array, so the mean equals it bit for bit
-    whatever the chunk sizes.  The first period of every chunk but the
-    first may be overwritten; ``average_periods([samples], cfg)`` folds
-    an in-memory array and leaves it unmodified.
+    Chunks are 1-D, or (rows, m) with one stream per row, all of the
+    same rows; the result is (N, K), or (rows, N, K).  Each chunk must
+    start on a period boundary of ``cfg.order * cfg.subsets_per_cycle``
+    samples; the samples after its last complete period are discarded,
+    so only the last chunk of a stream may end in a partial period.  The
+    sum runs in period order, row by row: the previous sum is added into
+    the first period of each chunk, which is then summed along the
+    period axis.  That is the sum ``arr.mean(axis=0)`` forms over one
+    stream's whole (periods, N, K) array, so each row's mean equals it
+    bit for bit whatever the chunk sizes or the rows folded beside it.
+    The first period of every chunk but the first may be overwritten;
+    ``average_periods([samples], cfg)`` folds an in-memory array and
+    leaves it unmodified.
 
     Column j of the (N, K) frame is interleaved subset j (samples j,
     j + K, ...), so its row-major flattening is the period mean in time
     order: the depth signal of a single-pulse stream, which needs no
     inversion.  Raises InsufficientSamples without a complete period and
     NonFiniteSamples if a used sample is NaN or infinite; from the chunk
-    where the sum stops being finite on, the bad samples are counted, so
-    the message gives their exact number.
+    where the sum stops being finite on, the bad samples of every row are
+    counted, so the message gives their exact number.
     """
     n, k = cfg.order, cfg.subsets_per_cycle
-    samples = 0  # seen, including a trailing partial period
-    periods = 0  # complete periods folded
+    samples = 0  # per stream, seen, including a trailing partial period
+    periods = 0  # per stream, complete periods folded
     total: np.ndarray | None = None
     bad: int | None = None  # non-finite samples, once the sum is not finite
     for chunk in chunks:
-        samples += chunk.size
-        frames = chunk[: chunk.size - chunk.size % (n * k)].reshape(-1, n, k)
+        m = chunk.shape[-1]
+        samples += m
+        frames = chunk[..., : m - m % (n * k)].reshape(chunk.shape[:-1] + (-1, n, k))
         if not frames.size:
             continue
-        periods += frames.shape[0]
+        periods += frames.shape[-3]
         if bad is not None:  # the sum is lost already: only count
             bad += _count_non_finite(frames)
             continue
         if total is not None:
-            frames[0] += total
-        total = frames.sum(axis=0)
+            frames[..., 0, :, :] += total
+        total = frames.sum(axis=-3)
         if not np.isfinite(total).all():
             bad = _count_non_finite(frames)
     if not periods:
         raise InsufficientSamples(f"{samples} samples < one period of {n * k}")
     if bad is not None:
         raise NonFiniteSamples(
-            f"{bad} of {periods * n * k} samples in the "
+            f"{bad} of {periods * total.size} samples in the "
             f"complete periods are NaN or infinite; the period mean is not finite"
         )
     return total / periods

@@ -203,7 +203,7 @@ def read_stream(path: str | Path) -> SampledStream:
 
 def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
     lines = ["depth_m,amplitude"]
-    for z, v in zip(profile.depths, profile.values):
+    for z, v in zip(profile.depths.tolist(), profile.values.tolist()):
         lines.append(f"{_fmt(z)},{_fmt(v)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -320,22 +320,22 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
 
 def write_scan_map_csv(result: ScanResult, path: str | Path) -> None:
     lines = ["x_m,y_m,peak_amplitude"]
-    peak_map = result.peak_map  # a property: one max over the stack per read
-    for iy, y in enumerate(result.ys):
-        for ix, x in enumerate(result.xs):
-            lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(peak_map[iy, ix])}")
+    xs = [_fmt(x) for x in result.xs.tolist()]
+    for y, peaks in zip(result.ys.tolist(), result.peak_map.tolist()):
+        y_text = _fmt(y)
+        lines += [f"{x},{y_text},{_fmt(v)}" for x, v in zip(xs, peaks)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_scan_stack_csv(result: ScanResult, path: str | Path) -> None:
+    # each position and depth is formatted once, not once per row
     lines = ["x_m,y_m,depth_m,amplitude"]
-    depths = result.depths
-    for iy, y in enumerate(result.ys):
-        for ix, x in enumerate(result.xs):
-            for iz, z in enumerate(depths):
-                lines.append(
-                    f"{_fmt(x)},{_fmt(y)},{_fmt(z)},{_fmt(result.stack[iy, ix, iz])}"
-                )
+    xs = [_fmt(x) for x in result.xs.tolist()]
+    depths = [_fmt(z) for z in result.depths.tolist()]
+    for y, plane in zip(result.ys.tolist(), result.stack.tolist()):
+        y_text = _fmt(y)
+        for x, profile in zip(xs, plane):
+            lines += [f"{x},{y_text},{z},{_fmt(v)}" for z, v in zip(depths, profile)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

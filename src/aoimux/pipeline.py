@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -172,14 +173,18 @@ def measure_snr(
 
     One batched path: the noise-free period is simulated once; trial t
     is that period repeated plus the noise of ``default_rng(derive_seed(
-    cfg.seed, TRIAL_SALT, t))`` (``simulator.noisy_chunks``, the draw
-    ``stream_chunks`` makes), folded chunk by chunk by
-    ``demux.average_periods`` into one row of an (n_trials + 1, order, K)
-    stack whose row 0 is the noise-free reference.  One
+    cfg.seed, TRIAL_SALT, t))`` (the draw ``simulator.noisy_chunks``
+    makes).  One ``simulator.fold_streams`` call draws the trials over
+    the usable cores and folds them, chunk by chunk, into rows 0..
+    n_trials - 1 of an (n_trials + 1, order, K) stack whose last row is
+    the noise-free reference.  The reference draws nothing, so it goes
+    last: when the rows go in groups of two, the first groups then hold
+    two trials each, one a thread.  One
     ``reconstruct_profile`` call then solves and extracts every row, so
     each trial equals the profile of its own stream reconstructed alone,
-    bit for bit, and no stream is ever held whole.  A stack too large for
-    numpy to shape raises MemoryError, as one too large to allocate does.
+    bit for bit, whatever the number of cores, and no stream is ever
+    held whole.  A stack too large for numpy to shape raises
+    MemoryError, as one too large to allocate does.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
@@ -187,24 +192,24 @@ def measure_snr(
     shape = (n_trials + 1, cfg.order, cfg.subsets_per_cycle)
     if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
         raise MemoryError(f"a stack of {n_trials} trials of shape {shape[1:]}")
-    folded = np.empty(shape)
-    clean = simulator.noisy_chunks(period, cfg.n_samples, 0.0, cfg.seed)
-    folded[0] = demux.average_periods(clean, cfg)  # raises without a complete period
-    # only the complete periods are folded, so only their noise is drawn
-    used = cfg.n_samples - cfg.n_samples % period.size
-    for t in range(n_trials):
-        seed = derive_seed(cfg.seed, TRIAL_SALT, t)
-        chunks = simulator.noisy_chunks(period, used, cfg.noise_sigma, seed)
-        folded[t + 1] = demux.average_periods(chunks, cfg)
+    # derived lazily: fold_streams reads the seeds once its stack is allocated
+    seeds = (derive_seed(cfg.seed, TRIAL_SALT, t) for t in range(n_trials))
+    folded = simulator.fold_streams(
+        cfg,
+        np.broadcast_to(period, (shape[0], period.size)),
+        cfg.n_samples,
+        cfg.noise_sigma,
+        itertools.chain(seeds, [None]),  # the reference draws no noise
+    )
     profiles = reconstruct_profile(folded, cfg).values
 
-    reference = profiles[0]
+    reference = profiles[-1]
     peak_bin = int(np.argmax(reference))
     if reference[peak_bin] <= 0:
         raise NoPeak("noise-free reference profile is empty")
     off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
-    peaks = profiles[1:, peak_bin]
-    offs = profiles[1:, off_bin]
+    peaks = profiles[:-1, peak_bin]
+    offs = profiles[:-1, off_bin]
 
     signal = float(peaks.mean())
     if subtract_noise_floor:

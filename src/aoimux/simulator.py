@@ -29,9 +29,12 @@ Model conventions, fixed here for the whole package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, fields, replace
+import os
+import threading
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -352,6 +355,29 @@ def clean_period(
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
+def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> None:
+    """Fill row r of out, (rows, m), with periods[r] repeated from its first
+    sample plus sigma times the standard normals of rngs[r]; a row whose
+    rng is None gets no noise.
+
+    The noise is drawn in place, with no temporary array, and row r is bit
+    for bit ``np.resize(periods[r], m) + rngs[r].normal(0.0, sigma, m)``:
+    numpy's ``normal`` is ``loc + scale * z`` over the same standard normals.
+    """
+    for row, rng in zip(out, rngs):
+        if rng is None:
+            row.fill(-0.0)  # x + -0.0 is x, bit for bit, for every x
+        else:
+            rng.standard_normal(out=row)
+    out *= sigma
+    p = periods.shape[-1]
+    whole = out.shape[-1] - out.shape[-1] % p
+    # a view, as the split axis is contiguous; a share of a chunk may have no rows
+    tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
+    tiled += periods[:, None]
+    out[:, whole:] += periods[:, : out.shape[-1] - whole]
+
+
 def noisy_chunks(
     period: np.ndarray, n_samples: int, sigma: float, seed: int
 ) -> Iterator[np.ndarray]:
@@ -359,27 +385,147 @@ def noisy_chunks(
 
     Chunks hold ``chunk_length(period.size)`` samples (whole periods),
     or the whole stream if it is shorter; only the last may be shorter
-    and end in a partial period.  The noise
-    continues one ``default_rng(seed)`` Generator across chunks, and its
-    draws do not depend on the chunk size, so the samples equal a
-    one-shot draw over the whole stream.  Nothing is drawn when sigma is
-    0.  Every chunk is a view of one reused buffer: use it before asking
-    for the next.
+    and end in a partial period.  The noise continues one
+    ``default_rng(seed)`` Generator across chunks and is drawn in place
+    (``standard_normal(out=chunk)``, scaled, then the period added), so
+    the samples equal ``period + rng.normal(0.0, sigma, n_samples)`` over
+    the whole stream, bit for bit, whatever the chunk size.  Nothing is
+    drawn when sigma is 0.  Every chunk is a view of one reused buffer:
+    use it before asking for the next.
     """
     p = period.size
     # no longer than the stream rounded up to whole periods, and at least one
     step = min(chunk_length(p), -(-n_samples // p) * p) or p
     buf = np.empty(step)
-    rng = np.random.default_rng(seed) if sigma > 0 else None
+    rngs = [np.random.default_rng(seed) if sigma > 0 else None]
     for start in range(0, n_samples, step):
         chunk = buf[: min(step, n_samples - start)]
-        whole = chunk.size - chunk.size % p
-        chunk[:whole].reshape(-1, p)[:] = period
-        if whole < chunk.size:  # the last chunk's partial period
-            chunk[whole:] = period[: chunk.size - whole]
-        if rng is not None:
-            chunk += rng.normal(0.0, sigma, chunk.size)
+        _draw(chunk[None], period[None], rngs, sigma)
         yield chunk
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    or a cpuset limits, where the platform has one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def fold_streams(
+    cfg: AcquisitionConfig,
+    periods: np.ndarray,
+    n_samples: int,
+    sigma: float,
+    seeds: Iterable[int | None],
+) -> np.ndarray:
+    """Period means of one noisy stream per row of periods, (R, P) -> (R, order, K).
+
+    Row r is periods[r] repeated for n_samples samples plus the N(0,
+    sigma^2) noise of ``default_rng(seeds[r])``, folded: bit for bit
+    ``demux.average_periods(noisy_chunks(periods[r], n_samples, sigma,
+    seeds[r]), cfg)``.  A row whose seed is None gets no noise, and
+    nothing is drawn when sigma is 0.  Only the complete periods are
+    drawn, since the fold discards the rest; without one, raises
+    InsufficientSamples.
+
+    The rows are drawn in groups, each chunk by chunk into one (rows, m)
+    buffer: a row's chunks are those of one stream (``chunk_length``
+    samples, or the whole stream if shorter), and a group has one row per
+    thread, or as many more as fit ``CHUNK_SAMPLES`` samples per thread.
+    The draws of a chunk are spread over ``min(usable_cpus(), R)``
+    threads, the calling thread among them.  Only the calling thread
+    derives, folds or calls anything else: it folds each group with one
+    ``demux.average_periods`` call over its stacked chunks.  The result
+    depends on neither the thread count nor the chunk size.  It is
+    allocated first and seeds is read group by group, so a stack too
+    large for memory raises MemoryError before any seed is derived.
+    """
+    rows, p = periods.shape
+    used = n_samples - n_samples % p
+    if not used:
+        raise InsufficientSamples(f"{n_samples} samples < one period of {p}")
+    workers = min(usable_cpus(), rows)
+    step = min(chunk_length(p), used)
+    group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
+    folded = np.empty((rows, cfg.order, cfg.subsets_per_cycle))
+    buf = np.empty((group, step))
+    seeds = iter(seeds)
+    with _DrawThreads(workers) as draw:
+        for lo in range(0, rows, group):
+            hi = min(lo + group, rows)
+            rngs = [
+                None if seed is None or sigma == 0 else np.random.default_rng(seed)
+                for seed in itertools.islice(seeds, hi - lo)
+            ]
+            chunks = (
+                draw(buf[: hi - lo, : min(step, used - start)], periods[lo:hi], rngs, sigma)
+                for start in range(0, used, step)
+            )
+            folded[lo:hi] = demux.average_periods(chunks, cfg)
+    return folded
+
+
+class _DrawThreads:
+    """The calling thread and ``workers - 1`` worker threads, drawing the
+    rows of one chunk together.
+
+    ``draw(out, periods, rngs, sigma)`` fills out as ``_draw`` does, thread
+    w taking rows w, w + workers, ..., and returns out once every row is
+    drawn.  The threads meet at a barrier before and after each chunk, so
+    the workers wait while the caller folds.  Only ``_draw`` runs on a
+    worker, and a worker's exception is raised in the calling thread.
+    Leaving the ``with`` block stops and joins the workers.
+    """
+
+    def __init__(self, workers: int):
+        self._barrier = threading.Barrier(workers)
+        self._task: tuple = ()
+        self._failed: list[BaseException] = []
+        self._threads = [threading.Thread(target=self._work, args=(w,)) for w in range(1, workers)]
+
+    def __enter__(self) -> _DrawThreads:
+        try:
+            for thread in self._threads:
+                thread.start()
+        except BaseException:  # such as no thread left to start: stop those that did
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._barrier.abort()  # wakes the workers waiting for a next chunk
+        for thread in self._threads:
+            if thread.ident is not None:  # started
+                thread.join()
+
+    def __call__(self, out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float):
+        self._task = (out, periods, rngs, sigma)
+        try:
+            self._barrier.wait()
+            self._share(0)
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            raise self._failed[0] from None
+        return out
+
+    def _share(self, w: int) -> None:
+        out, periods, rngs, sigma = self._task
+        n = self._barrier.parties
+        _draw(out[w::n], periods[w::n], rngs[w::n], sigma)
+
+    def _work(self, w: int) -> None:
+        try:
+            while True:
+                self._barrier.wait()
+                self._share(w)
+                self._barrier.wait()
+        except threading.BrokenBarrierError:  # the calling thread is done
+            pass
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            self._failed.append(exc)
+            self._barrier.abort()
 
 
 def stream_chunks(
@@ -494,22 +640,25 @@ def scan_2d(
 
     Per-position noise streams use seeds derived from
     ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
-    traversal order.  Each position's stream is folded to its (order, K)
-    period mean by ``demux.average_periods`` chunk by chunk as it is
-    drawn (``stream_chunks``), so no stream is ever held whole; one
+    traversal order.  The noise-free period of every position is
+    simulated on the calling thread, then one ``fold_streams`` call
+    draws each position's stream (the draw ``stream_chunks`` makes)
+    over the usable cores and folds it to its (order, K) period mean,
+    chunk by chunk, so no stream is ever held whole.  One
     ``pipeline.reconstruct_profile`` call then solves and extracts every
     position, each equal bit for bit to the profile of its stream
-    reconstructed alone.
+    reconstructed alone, whatever the number of cores.
     """
     from .pipeline import reconstruct_profile  # local import, avoids a cycle
 
     xs, ys = grid.positions()
-    folded = np.empty((ys.size, xs.size, cfg.order, cfg.subsets_per_cycle))
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
-            chunks = stream_chunks(pos_cfg, ph, axis_xy=(float(x), float(y)))
-            folded[iy, ix] = demux.average_periods(chunks, cfg)
+    cells = [(iy, ix) for iy in range(ys.size) for ix in range(xs.size)]
+    seeds = [derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in cells]
+    periods = np.stack(
+        [clean_period(cfg, ph, axis_xy=(float(xs[ix]), float(ys[iy]))) for iy, ix in cells]
+    )
+    folded = fold_streams(cfg, periods, cfg.n_samples, cfg.noise_sigma, seeds)
+    folded = folded.reshape(ys.size, xs.size, cfg.order, cfg.subsets_per_cycle)
     stack = reconstruct_profile(folded, cfg, kind).values
     peak = stack.max()
     if peak > 0:

@@ -551,9 +551,10 @@ class TestExportedNames:
                          "reconstruct_profile": 1}
 
     def test_snr_sweep_reconstructs_once_per_order_and_mode(self, tmp_path, cfg_file, calls):
-        # orders 7 and 19, 4 trials: each run folds 4 trials and its reference
+        # orders 7 and 19, 4 trials: each run folds its 4 trials and its
+        # reference as one stack
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config", str(cfg_file)]) == 0
-        assert calls == {"average_periods": 2 * 2 * 5, "demultiplex_stream": 2,
+        assert calls == {"average_periods": 2 * 2, "demultiplex_stream": 2,
                          "reconstruct_profile": 2 * 2}
 
 

@@ -359,6 +359,28 @@ class TestPeriodFold:
         folded = demux.average_periods(chunks, fold_cfg(n, k))
         assert np.array_equal(folded, reference)
 
+    @pytest.mark.parametrize("periods_per_chunk", [1, 3, 64])
+    def test_stacked_fold_equals_each_row_folded_alone_exactly(self, periods_per_chunk):
+        # three streams chunked together, one a row, fold as each does alone
+        n, k = 7, 4
+        rows = np.random.default_rng(periods_per_chunk).normal(size=(3, 100 * n * k + 13)) * 1e3
+        step = periods_per_chunk * n * k
+        chunks = [rows[:, i : i + step].copy() for i in range(0, rows.shape[1], step)]
+        folded = demux.average_periods(chunks, fold_cfg(n, k))
+        assert folded.shape == (3, n, k)
+        for row, alone in zip(rows, folded):
+            assert np.array_equal(alone, demux.average_periods([row], fold_cfg(n, k)))
+
+    def test_nan_in_a_stacked_fold_counts_every_bad_sample(self):
+        n, k = 7, 4
+        rows = np.random.default_rng(3).normal(size=(2, 10 * n * k + 5))
+        rows[1, [3 * 28 + 1, 3 * 28 + 2]] = np.nan  # chunk 2 of 2-period chunks
+        rows[0, 9 * 28 + 27] = np.inf  # the last complete period
+        rows[:, -1] = np.nan  # the trailing partial periods are not used
+        chunks = [rows[:, i : i + 56].copy() for i in range(0, rows.shape[1], 56)]
+        with pytest.raises(NonFiniteSamples, match="3 of 560 samples"):
+            demux.average_periods(chunks, fold_cfg(n, k))
+
     def test_array_fold_leaves_its_input_untouched(self):
         samples = np.random.default_rng(1).normal(size=5 * 28)
         before = samples.copy()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aoimux import codes, simulator
+from aoimux import codes, demux, simulator
 from aoimux.config import parse_run_config
 from aoimux.errors import (
     ConfigError,
@@ -214,6 +214,17 @@ class TestSimulateStream:
         chunks = list(simulator.noisy_chunks(period, 25, 0.0, 11))
         assert len(chunks) == 1 and np.array_equal(chunks[0], period)
 
+    def test_in_place_draw_keeps_every_bit_of_the_period(self):
+        # -0.0 and a partial last period: a noisy row is period + normal bit
+        # for bit, and a row without noise is the period repeated, sign of zero
+        # included
+        periods = np.array([[-0.0, 0.0, 1.5], [-0.0, -2.0, 3.0]])
+        out = np.full((2, 8), np.nan)
+        simulator._draw(out, periods, [np.random.default_rng(3), None], 0.25)
+        noisy = np.resize(periods[0], 8) + np.random.default_rng(3).normal(0.0, 0.25, 8)
+        assert out[0].tobytes() == noisy.tobytes()
+        assert out[1].tobytes() == np.resize(periods[1], 8).tobytes()
+
     def test_stream_chunks_are_whole_periods_and_gather_to_simulate_stream(
         self, monkeypatch
     ):
@@ -352,6 +363,29 @@ class TestScanGrid:
         xs, ys = grid.positions()
         assert (xs.size, ys.size) == (count, 1)
         assert xs[-1] == pytest.approx(grid.x_max_m, abs=1e-15)
+
+
+class TestFoldStreams:
+    """fold_streams folds each row as its own stream, bit for bit."""
+
+    @pytest.mark.parametrize("chunk_samples", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_each_row_equals_its_stream_folded_alone(self, monkeypatch, chunk_samples, sigma):
+        # 9 periods of 28 and a partial one; row 1 draws no noise
+        cfg = config(order=7, duration_s=(9 * 28 + 5) / F_S)
+        periods = np.random.default_rng(1).normal(size=(3, 28))
+        seeds = [5, None, 7]
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
+        folded = simulator.fold_streams(cfg, periods, cfg.n_samples, sigma, seeds)
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1 << 16)
+        for period, seed, row in zip(periods, seeds, folded):
+            chunks = simulator.noisy_chunks(period, cfg.n_samples, sigma if seed else 0.0, seed)
+            assert np.array_equal(row, demux.average_periods(chunks, cfg))
+
+    def test_no_complete_period_raises(self):
+        cfg = config(order=7)
+        with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
+            simulator.fold_streams(cfg, np.zeros((2, 28)), 27, 0.5, [1, 2])
 
 
 class TestScan2d:
