@@ -20,6 +20,7 @@ scan positions and Monte-Carlo trials that way, over the usable cores.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -41,6 +42,9 @@ if TYPE_CHECKING:  # simulator imports demux
 
 _DENSE_MAX = 1024
 SOLVER_KINDS = ("dense", "spectral")
+# Values per block of the stack loops of the spectral solve and of
+# pipeline.extract_modulated: 128 kB of float64, a cache-sized scratch.
+BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass
@@ -112,20 +116,33 @@ class CirculantSystem:
         return self.solve_many(np.asarray(y, dtype=np.float64)[None, :])[0]
 
     def solve_many(self, ys: np.ndarray) -> np.ndarray:
-        """Solve S x = y for each row of ys, shape (..., N)."""
+        """Solve S x = y for each row of ys, shape (..., N).
+
+        The dense solver makes one LAPACK gesv over all frames, a single
+        LU of S per call.  The spectral one works through blocks of
+        ys's first axis, about BLOCK_SAMPLES values each, so its scratch
+        does not grow with the stack, and writes into one result laid
+        out in memory as ys is: a view with swapped axes swaps back
+        without a copy.  Each row equals the row solved alone, bit for
+        bit, whatever the stack size.
+        """
         ys = np.asarray(ys, dtype=np.float64)
         if ys.shape[-1] != self.order:
             raise LengthMismatch(
                 f"frame length {ys.shape[-1]} != system order {self.order}"
             )
         if self.kind == "dense":
-            # one LAPACK gesv over all frames: a single LU of S per call
             flat = ys.reshape(-1, self.order)
             sol = np.linalg.solve(self._dense, flat.T).T
             return sol.reshape(ys.shape)
-        return np.fft.irfft(
-            np.fft.rfft(ys, axis=-1) / self._spectrum, n=self.order, axis=-1
-        )
+        out = np.empty_like(ys)
+        xs, sol = (ys, out) if ys.ndim > 1 else (ys[None], out[None])
+        step = max(1, BLOCK_SAMPLES // max(1, math.prod(xs.shape[1:])))
+        for start in range(0, len(xs), step):
+            spectrum = np.fft.rfft(xs[start : start + step], axis=-1)
+            spectrum /= self._spectrum
+            sol[start : start + step] = np.fft.irfft(spectrum, n=self.order, axis=-1)
+        return out
 
     def condition_number(self) -> float:
         """Spectral 2-norm condition number (singular values of a circulant
@@ -182,7 +199,9 @@ def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.
     inversion.  Raises InsufficientSamples without a complete period and
     NonFiniteSamples if a used sample is NaN or infinite; from the chunk
     where the sum stops being finite on, the bad samples of every row are
-    counted, so the message gives their exact number.
+    counted, so the message gives their exact number.  A sum of finite
+    samples that overflows raises NonFiniteSamples too, saying so, and
+    emits no warning.
     """
     n, k = cfg.order, cfg.subsets_per_cycle
     samples = 0  # per stream, seen, including a trailing partial period
@@ -199,13 +218,21 @@ def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.
         if bad is not None:  # the sum is lost already: only count
             bad += _count_non_finite(frames)
             continue
-        if total is not None:
-            frames[..., 0, :, :] += total
-        total = frames.sum(axis=-3)
+        untouched, bad_first = frames, 0
+        with np.errstate(over="ignore", invalid="ignore"):  # a lost sum is reported below
+            if total is not None:  # into the first period, once its own samples are counted
+                untouched, bad_first = frames[..., 1:, :, :], _count_non_finite(frames[..., 0, :, :])
+                frames[..., 0, :, :] += total
+            total = frames.sum(axis=-3)
         if not np.isfinite(total).all():
-            bad = _count_non_finite(frames)
+            bad = bad_first + _count_non_finite(untouched)
     if not periods:
         raise InsufficientSamples(f"{samples} samples < one period of {n * k}")
+    if bad == 0:
+        raise NonFiniteSamples(
+            f"the sum of the {periods * total.size} samples in the complete periods "
+            f"overflowed, though every one is finite; the period mean is not finite"
+        )
     if bad is not None:
         raise NonFiniteSamples(
             f"{bad} of {periods * total.size} samples in the "
@@ -227,7 +254,10 @@ def demultiplex_stream(sys: CirculantSystem, folded: np.ndarray) -> np.ndarray:
     exactly invertible, so solving the period mean equals averaging the
     per-period solutions; only the summation order differs.  Sample i of
     a result maps to depth i * c / f_s; it spans one code period, N T c.
-    Frames folded at another order raise LengthMismatch.
+    Frames folded at another order raise LengthMismatch.  The spectral
+    solve lays its result out as folded, so swapping the axes back and
+    flattening them copies nothing: the stack path holds the frames,
+    one result of their size and one block of solver scratch.
     """
     solved = sys.solve_many(np.swapaxes(folded, -1, -2))  # (..., K, N)
     return np.swapaxes(solved, -1, -2).reshape(folded.shape[:-2] + (-1,))

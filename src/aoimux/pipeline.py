@@ -26,17 +26,23 @@ def exact_multiplexing_gain(order: int) -> float:
     return (order + 1) / (2.0 * math.sqrt(order))
 
 
-def _circular_box_mean(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered circular moving average along the last axis; the window
-    covers width samples."""
-    n = x.shape[-1]
-    if n < width:
-        raise InsufficientSamples(f"{n} samples < smoothing window {width}")
+def _circular_box_mean(ext: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """Centered circular moving average along the last axis, over width
+    samples, into out, (..., n), which is returned.
+
+    ext is (..., n + width) and holds the signal at [half, half + n),
+    half = width // 2.  Its other columns are filled with the signal's
+    wrap-around, and ext is overwritten with its running sum.
+    """
+    n = out.shape[-1]
     half = width // 2
-    ext = np.concatenate([x[..., -half:], x, x[..., : width - half]], axis=-1)
-    csum = np.cumsum(ext, axis=-1)
-    csum = np.concatenate([np.zeros(x.shape[:-1] + (1,)), csum], axis=-1)
-    return (csum[..., width:] - csum[..., :-width])[..., :n] / width
+    ext[..., :half] = ext[..., n : n + half]
+    ext[..., half + n :] = ext[..., half:width]
+    np.cumsum(ext, axis=-1, out=ext)
+    out[..., 0] = ext[..., width - 1]  # the first window sum needs nothing subtracted
+    np.subtract(ext[..., width : width + n - 1], ext[..., : n - 1], out=out[..., 1:])
+    out /= width
+    return out
 
 
 def extract_modulated(profile: DepthProfile, f_us: float, f_s: float) -> DepthProfile:
@@ -45,19 +51,40 @@ def extract_modulated(profile: DepthProfile, f_us: float, f_s: float) -> DepthPr
     Mixes with cos and sin at f_us, low-passes each branch over exactly
     one carrier period (circular window; profiles cover whole periods)
     and returns the profile with values 2 sqrt(I^2 + Q^2), which for a
-    clean carrier of amplitude A is A.  Works along the last axis, so a
-    stack of signals is demodulated row by row in one pass.  The envelope
-    peak of a single pulse lands up to one carrier period shy of the
-    pulse's trailing bin, an offset inherent to envelope detection.
+    clean carrier of amplitude A is A.  Works along the last axis: a
+    stack of signals is demodulated in blocks of rows, about
+    ``demux.BLOCK_SAMPLES`` samples each, into one preallocated result,
+    so its scratch is one block whatever the stack size, and each row
+    equals the row demodulated alone, bit for bit.  profile.values is
+    not modified.  The envelope peak of a single pulse lands up to one
+    carrier period shy of the pulse's trailing bin, an offset inherent
+    to envelope detection.
     """
     k = simulator.integer_ratio(f_s, f_us)
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
     values = profile.values
-    phase = 2.0 * np.pi * f_us / f_s * np.arange(values.shape[-1])
-    i_arm = _circular_box_mean(values * np.cos(phase), k)
-    q_arm = _circular_box_mean(values * np.sin(phase), k)
-    return replace(profile, values=2.0 * np.hypot(i_arm, q_arm))
+    n = values.shape[-1]
+    if n < k:
+        raise InsufficientSamples(f"{n} samples < smoothing window {k}")
+    phase = 2.0 * np.pi * f_us / f_s * np.arange(n)
+    cos, sin = np.cos(phase), np.sin(phase)
+    rows = values.reshape(-1, n)
+    envelope = np.empty(rows.shape)
+    step = max(1, demux.BLOCK_SAMPLES // n)
+    ext = np.empty((min(step, len(rows)), n + k))  # one arm of a block, wrapped
+    q_arm = np.empty((len(ext), n))
+    signal = slice(k // 2, k // 2 + n)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        b = len(block)
+        out = envelope[start : start + b]
+        np.multiply(block, cos, out=ext[:b, signal])
+        i_arm = _circular_box_mean(ext[:b], k, out)
+        np.multiply(block, sin, out=ext[:b, signal])
+        np.hypot(i_arm, _circular_box_mean(ext[:b], k, q_arm[:b]), out=out)
+        out *= 2.0
+    return replace(profile, values=envelope.reshape(values.shape))
 
 
 def measure_fwhm(profile: DepthProfile) -> float:
@@ -109,7 +136,11 @@ def reconstruct_profile(
     single-pulse stack is its flattened period means; then one envelope
     extraction runs unless ``extract=False``.  Each row depends only on
     its own period mean, bit for bit, whatever the stack size.  The
-    profile's bins are cfg.bin_width_m wide.
+    profile's bins are cfg.bin_width_m wide.  The spectral solve and
+    the extraction work in row blocks, so besides folded a stack holds
+    its demultiplexed signal, its envelope and one block of scratch at
+    a time; the dense solve's one gesv over the stack takes stack-sized
+    copies of its own before the extraction starts.
     """
     if cfg.mode == simulator.MODE_CODED:
         system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)

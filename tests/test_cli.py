@@ -1,12 +1,16 @@
 """Command-line interface: commands, exit codes, determinism, manifests."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aoimux
 from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.cli import main
 from aoimux.config import manifest_text, parse_run_config
@@ -216,6 +220,29 @@ class TestDemux:
         assert main(["demux", "--stream", str(bad), "--out",
                      str(tmp_path / "p.csv")]) == 4
         assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_overflowing_sum_exit_4_without_numpy_output(self, tmp_path, cfg_file):
+        # every sample finite, their sum not: run in a child interpreter, so
+        # a numpy warning would reach its stderr as it does a user's
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        huge = tmp_path / "huge.bin"
+        huge.write_bytes(head + b"\n" + np.full(len(body) // 8, 1e308).astype("<f8").tobytes())
+        env = dict(os.environ)
+        src = str(Path(aoimux.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "aoimux.cli", "demux", "--stream", str(huge),
+             "--out", str(tmp_path / "p.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 4
+        assert done.stderr == (
+            "aoimux: numerical failure: the sum of the 304 samples in the complete "
+            "periods overflowed, though every one is finite; the period mean is not finite\n"
+        )
         assert not (tmp_path / "p.csv").exists()
 
     def _one_period_chunks(self, tmp_path, cfg_file, monkeypatch, extra=0):

@@ -332,6 +332,21 @@ class TestNonFiniteSamples:
         with pytest.raises(NonFiniteSamples, match="2 of 84 samples"):
             fold(stream)
 
+    @pytest.mark.parametrize("shape", [(56,), (3, 56)])
+    @pytest.mark.parametrize("periods_per_chunk", [1, 2])
+    def test_finite_samples_whose_sum_overflows_raise_without_warning(
+        self, shape, periods_per_chunk
+    ):
+        # two periods of 1e308 sum past the float64 range, in one chunk or
+        # when the first period's sum goes into the second chunk; the
+        # warnings filter of the suite turns any numpy warning into an error
+        samples = np.full(shape, 1e308)
+        step = periods_per_chunk * 28
+        chunks = [samples[..., i : i + step].copy() for i in range(0, 56, step)]
+        expected = f"the sum of the {samples.size} samples in the complete periods overflowed"
+        with pytest.raises(NonFiniteSamples, match=expected):
+            demux.average_periods(chunks, fold_cfg(7, 4))
+
     def test_trailing_partial_period_is_not_checked(self):
         samples = np.zeros(2 * 7 * 4 + 5)
         samples[-1] = np.nan  # discarded with the partial period

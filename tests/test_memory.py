@@ -1,19 +1,27 @@
-"""Peak memory of the long-stream commands does not grow with stream length.
+"""Peak memory does not grow with stream length, nor scratch with stack size.
 
-Each command runs in a fresh interpreter, once on a stream of 4 M samples
-(a 32 MB payload) and once on a one-period stream; the two peak resident
-sizes (ru_maxrss from os.wait4 on Linux, in kB) must differ by well under
-the payload.
+Each long-stream command runs in a fresh interpreter, once on a stream of
+4 M samples (a 32 MB payload) and once on a one-period stream; the two
+peak resident sizes (ru_maxrss from os.wait4 on Linux, in kB) must differ
+by well under the payload.  The reconstruction of a stack of 2001 folded
+frames and its envelope extraction are measured in-process with
+tracemalloc: besides their input they may hold their result, the
+demultiplexed stack in between and blocks of scratch, not stack-sized
+temporaries.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aoimux
+from aoimux import pipeline, simulator
+from aoimux.demux import DepthProfile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(aoimux.__file__).resolve().parents[1]
@@ -73,3 +81,42 @@ def test_peak_rss_does_not_grow_with_stream_length(peaks, command):
         f"{command}: {peaks[command, 'long']:.1f} MB on {LONG_SAMPLES} samples vs "
         f"{peaks[command, 'short']:.1f} MB on one period"
     )
+
+
+STACK_ROWS = 2001
+SCRATCH_BYTES = 2 << 20  # well above one block of scratch, below one stack
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def coded_stack():
+    """Config and a (2001, 79, 4) stack of folded coded frames, about 5.1 MB."""
+    cfg = simulator.AcquisitionConfig(
+        f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=79, duration_s=5e-4
+    )
+    folded = np.random.default_rng(6).normal(size=(STACK_ROWS, cfg.order, 4))
+    pipeline.reconstruct_profile(folded[:2], cfg)  # one-time caches: order table, code
+    return cfg, folded
+
+
+def test_reconstruct_profile_holds_its_result_and_one_block(coded_stack):
+    cfg, folded = coded_stack
+    peak = _traced_peak(pipeline.reconstruct_profile, folded, cfg, "spectral")
+    # the demultiplexed stack and the envelope, each the size of the input
+    assert peak < 2 * folded.nbytes + SCRATCH_BYTES, peak / folded.nbytes
+
+
+def test_extract_modulated_holds_its_result_and_one_block(coded_stack):
+    cfg, folded = coded_stack
+    profile = DepthProfile(folded.reshape(STACK_ROWS, -1), cfg.bin_width_m)
+    peak = _traced_peak(pipeline.extract_modulated, profile, cfg.f_us, cfg.f_s)
+    assert peak < 2 * folded.nbytes + SCRATCH_BYTES, peak / folded.nbytes

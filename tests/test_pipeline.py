@@ -7,10 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aoimux import pipeline, simulator
+from aoimux import demux, pipeline, simulator
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
-from aoimux.pipeline import SweepPlan, _circular_box_mean
+from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import fold, profile_of
 
@@ -86,13 +86,19 @@ class TestExtraction:
 
     def test_stack_equals_row_by_row(self):
         rng = np.random.default_rng(3)
-        rows = rng.normal(0.0, 1.0, (2, 3, 64))
-        stack = pipeline.extract_modulated(DepthProfile(rows, BIN), F_US, F_S)
-        assert stack.values.shape == (2, 3, 64)
-        assert len(stack) == 64
-        for idx in np.ndindex(2, 3):
-            row = pipeline.extract_modulated(DepthProfile(rows[idx], BIN), F_US, F_S)
-            assert np.array_equal(stack.values[idx], row.values)
+        per_block = demux.BLOCK_SAMPLES // 64  # rows of 64 bins in one block
+        # a stack of stacks; two full blocks and a partial one; one profile
+        for shape in [(2, 3, 64), (2 * per_block + 7, 64), (64,)]:
+            rows = rng.normal(0.0, 1.0, shape)
+            before = rows.copy()
+            profile = DepthProfile(rows, BIN)
+            stack = pipeline.extract_modulated(profile, F_US, F_S)
+            assert stack.values.shape == shape
+            assert len(stack) == 64
+            assert np.array_equal(profile.values, before)
+            for idx in np.ndindex(shape[:-1]):
+                row = pipeline.extract_modulated(DepthProfile(rows[idx].copy(), BIN), F_US, F_S)
+                assert np.array_equal(stack.values[idx], row.values)
 
     def test_profile_metadata_carried_through(self):
         prof = DepthProfile(np.ones(32), bin_width_m=BIN)
@@ -218,13 +224,14 @@ class TestRayleighFloor:
         rng = np.random.default_rng(8)
         k = 4
         phase = 2 * np.pi * F_US / F_S * np.arange(64)
+        window = np.arange(k) + 32 - k // 2  # the centered low-pass window of bin 32
         mags = np.empty(10_000)
         i_arms = np.empty(10_000)
         for t in range(10_000):
             noise = rng.normal(0.0, 1.0, 64)
             prof = pipeline.extract_modulated(DepthProfile(noise, BIN), F_US, F_S)
             mags[t] = prof.values[32]
-            i_arms[t] = 2.0 * _circular_box_mean(noise * np.cos(phase), k)[32]
+            i_arms[t] = 2.0 * (noise * np.cos(phase))[window].mean()
         sigma_q = i_arms.std(ddof=1)
         assert mags.mean() / sigma_q == pytest.approx(math.sqrt(math.pi / 2), rel=0.05)
 
