@@ -14,7 +14,8 @@ complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
 ``average_periods`` also folds many streams chunked together, one per
 row, into such a stack: ``simulator.fold_streams`` draws the streams of
-scan positions and Monte-Carlo trials that way, over the usable cores.
+scan positions and Monte-Carlo trials that way, over the usable cores,
+by the chunk generator whose one-row case is ``simulator.stream_chunks``.
 ``pipeline.reconstruct_profile`` runs both and the envelope extraction.
 """
 

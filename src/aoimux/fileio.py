@@ -343,8 +343,12 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
     """8-bit binary portable graymap of a non-negative image.
 
     Linear mapping by default (0 .. peak -> 0 .. 255); with ``db_floor``
-    the image is written on a decibel scale clipped at that floor.
+    the image is written on a decibel scale clipped at that floor.  A
+    db_floor that is not negative, NaN included, raises ConfigError
+    whatever the image.
     """
+    if db_floor is not None and not db_floor < 0:
+        raise ConfigError("db_floor must be negative")
     img = np.asarray(image, dtype=np.float64)
     peak = img.max()
     if peak <= 0:
@@ -352,8 +356,6 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
     elif db_floor is None:
         scaled = img / peak
     else:
-        if db_floor >= 0:
-            raise ConfigError("db_floor must be negative")
         db = 20.0 * np.log10(np.maximum(img, 1e-300) / peak)
         scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
     data = np.round(255.0 * scaled).astype(np.uint8)

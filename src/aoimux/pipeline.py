@@ -134,7 +134,8 @@ def reconstruct_profile(
     The one reconstruction path: a coded stack is demultiplexed by one
     ``demux.demultiplex_stream`` call with the solver of the given kind, a
     single-pulse stack is its flattened period means; then one envelope
-    extraction runs unless ``extract=False``.  Each row depends only on
+    extraction runs unless ``extract=False``.  In either mode a kind not
+    in ``demux.SOLVER_KINDS`` raises ConfigError.  Each row depends only on
     its own period mean, bit for bit, whatever the stack size.  The
     profile's bins are cfg.bin_width_m wide.  The spectral solve and
     the extraction work in row blocks, so besides folded a stack holds
@@ -142,6 +143,8 @@ def reconstruct_profile(
     a time; the dense solve's one gesv over the stack takes stack-sized
     copies of its own before the extraction starts.
     """
+    if kind not in demux.SOLVER_KINDS:
+        raise ConfigError(f"solver kind must be one of {demux.SOLVER_KINDS}, got {kind!r}")
     if cfg.mode == simulator.MODE_CODED:
         system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
         raw = demux.demultiplex_stream(system, folded)
@@ -204,7 +207,7 @@ def measure_snr(
 
     One batched path: the noise-free period is simulated once; trial t
     is that period repeated plus the noise of ``default_rng(derive_seed(
-    cfg.seed, TRIAL_SALT, t))`` (the draw ``simulator.noisy_chunks``
+    cfg.seed, TRIAL_SALT, t))`` (the draw ``simulator.stream_chunks``
     makes).  One ``simulator.fold_streams`` call draws the trials over
     the usable cores and folds them, chunk by chunk, into rows 0..
     n_trials - 1 of an (n_trials + 1, order, K) stack whose last row is
@@ -228,8 +231,6 @@ def measure_snr(
     folded = simulator.fold_streams(
         cfg,
         np.broadcast_to(period, (shape[0], period.size)),
-        cfg.n_samples,
-        cfg.noise_sigma,
         itertools.chain(seeds, [None]),  # the reference draws no noise
     )
     profiles = reconstruct_profile(folded, cfg).values

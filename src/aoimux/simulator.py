@@ -110,14 +110,6 @@ class Phantom:
             raise ConfigError("depth_extent_m must be positive")
 
     @property
-    def src_pos(self) -> tuple[float, float, float]:
-        return (self.src_x_m, self.src_y_m, self.boundary_z_m)
-
-    @property
-    def det_pos(self) -> tuple[float, float, float]:
-        return (self.det_x_m, self.det_y_m, self.boundary_z_m)
-
-    @property
     def transport_length_m(self) -> float:
         return 1.0 / (self.mu_s_prime_per_cm * _CM_TO_M)
 
@@ -231,25 +223,15 @@ def pulse_waveform(f_us: float, f_s: float) -> np.ndarray:
     return np.sin(2.0 * np.pi * np.arange(k) / k)
 
 
-def _effective_endpoints(ph: Phantom) -> tuple[np.ndarray, np.ndarray]:
-    shift = np.array([0.0, 0.0, ph.transport_length_m])
-    return np.asarray(ph.src_pos) + shift, np.asarray(ph.det_pos) + shift
-
-
-def _axis_points(axis_xy: tuple[float, float], zs: np.ndarray) -> np.ndarray:
-    """(n, 3) points at depths zs on the acoustic axis through axis_xy."""
-    return np.column_stack(
-        [np.full_like(zs, axis_xy[0]), np.full_like(zs, axis_xy[1]), zs]
-    )
-
-
-def _fluence_raw(ph: Phantom, points: np.ndarray) -> np.ndarray:
-    """Unnormalized G(src->r) G(r->det) at an (n, 3) array of points."""
-    src, det = _effective_endpoints(ph)
+def _fluence_raw(ph: Phantom, x, y, z) -> np.ndarray:
+    """Unnormalized G(src->r) G(r->det) at the points (x, y, z), whose
+    coordinates broadcast together."""
     mu = ph.mu_eff_per_m
     floor = ph.transport_length_m
-    d1 = np.maximum(np.linalg.norm(points - src, axis=-1), floor)
-    d2 = np.maximum(np.linalg.norm(points - det, axis=-1), floor)
+    # both fibers sit one transport length into the medium
+    dz2 = np.square(z - (ph.boundary_z_m + floor))
+    d1 = np.maximum(np.sqrt(np.square(x - ph.src_x_m) + np.square(y - ph.src_y_m) + dz2), floor)
+    d2 = np.maximum(np.sqrt(np.square(x - ph.det_x_m) + np.square(y - ph.det_y_m) + dz2), floor)
     return np.exp(-mu * (d1 + d2)) / (d1 * d2)
 
 
@@ -263,7 +245,7 @@ def fluence_scale(ph: Phantom) -> float:
     Memoised per phantom.
     """
     zs = np.linspace(ph.boundary_z_m, ph.boundary_z_m + ph.depth_extent_m, _SCALE_GRID + 1)
-    return float(_fluence_raw(ph, _axis_points(ph.src_pos[:2], zs)).max())
+    return float(_fluence_raw(ph, ph.src_x_m, ph.src_y_m, zs).max())
 
 
 def fluence_profile(
@@ -284,29 +266,32 @@ def fluence_profile(
         raise OutOfDomain(
             f"positions must lie within [{lo}, {hi}] along the acoustic axis"
         )
-    raw = _fluence_raw(ph, _axis_points(axis_xy, zs))
+    raw = _fluence_raw(ph, *axis_xy, zs)
     return raw / raw.max()
 
 
 def axial_profile(
     cfg: AcquisitionConfig,
     ph: Phantom,
-    axis_xy: tuple[float, float] = (0.0, 0.0),
+    axis_xy: tuple[float, float] | np.ndarray = (0.0, 0.0),
 ) -> np.ndarray:
     """Fine-binned source vector x over one repetition period.
 
+    axis_xy is one transducer position (x, y), or a stack of them,
+    (..., 2); the result is (period_samples,), or (..., period_samples).
     Bin m sits at z = m * c / f_s; bins outside the phantom carry 0.
     Values are the diffusion kernel product divided by fluence_scale, so
     different transducer positions remain mutually comparable.
     """
     _check_geometry(cfg, ph)
+    xy = np.asarray(axis_xy, dtype=np.float64)
     period = cfg.period_samples
     zs = np.arange(period) * cfg.bin_width_m
     inside = (zs >= ph.boundary_z_m) & (zs <= ph.boundary_z_m + ph.depth_extent_m)
-    x = np.zeros(period)
+    x = np.zeros(xy.shape[:-1] + (period,))
     if inside.any():
-        pts = _axis_points(axis_xy, zs[inside])
-        x[inside] = _fluence_raw(ph, pts) / fluence_scale(ph)
+        raw = _fluence_raw(ph, xy[..., 0, None], xy[..., 1, None], zs[inside])
+        x[..., inside] = raw / fluence_scale(ph)
     return x
 
 
@@ -333,9 +318,8 @@ def _spatial_code_profile(cfg: AcquisitionConfig) -> np.ndarray:
 
 
 def _circular_correlate(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """out[n] = sum_m x[m] * c[(m - n) mod P]."""
-    p = x.size
-    return np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(c)), n=p)
+    """out[..., n] = sum_m x[..., m] * c[(m - n) mod P], P = c.size."""
+    return np.fft.irfft(np.fft.rfft(x) * np.conj(np.fft.rfft(c)), n=c.size)
 
 
 def chunk_length(period: int) -> int:
@@ -347,18 +331,20 @@ def chunk_length(period: int) -> int:
 def clean_period(
     cfg: AcquisitionConfig,
     ph: Phantom,
-    axis_xy: tuple[float, float] = (0.0, 0.0),
+    axis_xy: tuple[float, float] | np.ndarray = (0.0, 0.0),
 ) -> np.ndarray:
-    """One repetition period of the noise-free stream (cfg.period_samples)."""
+    """One repetition period of the noise-free stream (cfg.period_samples),
+    or one per position of a stack axis_xy, (..., 2) -> (..., P); the code
+    pattern and its spectrum are built once for the whole stack."""
     x = axial_profile(cfg, ph, axis_xy)
     prof = _spatial_code_profile(cfg)
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
-def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> None:
+def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> np.ndarray:
     """Fill row r of out, (rows, m), with periods[r] repeated from its first
-    sample plus sigma times the standard normals of rngs[r]; a row whose
-    rng is None gets no noise.
+    sample plus sigma times the standard normals of rngs[r], and return
+    out; a row whose rng is None gets no noise.
 
     The noise is drawn in place, with no temporary array, and row r is bit
     for bit ``np.resize(periods[r], m) + rngs[r].normal(0.0, sigma, m)``:
@@ -376,32 +362,24 @@ def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> Non
     tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
     tiled += periods[:, None]
     out[:, whole:] += periods[:, : out.shape[-1] - whole]
+    return out
 
 
-def noisy_chunks(
-    period: np.ndarray, n_samples: int, sigma: float, seed: int
+def _draw_chunks(
+    buf: np.ndarray, periods: np.ndarray, seeds: Iterable, sigma: float, n_samples: int, draw=_draw
 ) -> Iterator[np.ndarray]:
-    """The first n_samples of period repeated, plus N(0, sigma^2) noise, in chunks.
+    """Chunks of the streams of periods, one a row, as (rows, m) views of
+    buf, drawn in place by draw (``_draw`` or a ``_DrawThreads``).
 
-    Chunks hold ``chunk_length(period.size)`` samples (whole periods),
-    or the whole stream if it is shorter; only the last may be shorter
-    and end in a partial period.  The noise continues one
-    ``default_rng(seed)`` Generator across chunks and is drawn in place
-    (``standard_normal(out=chunk)``, scaled, then the period added), so
-    the samples equal ``period + rng.normal(0.0, sigma, n_samples)`` over
-    the whole stream, bit for bit, whatever the chunk size.  Nothing is
-    drawn when sigma is 0.  Every chunk is a view of one reused buffer:
-    use it before asking for the next.
+    Row r is periods[r] repeated for n_samples samples plus the
+    N(0, sigma^2) noise of ``default_rng(seeds[r])``, in chunks of
+    buf.shape[-1] samples but the last; a None seed or a zero sigma
+    draws nothing.  Each chunk reuses buf: use it before asking for the next.
     """
-    p = period.size
-    # no longer than the stream rounded up to whole periods, and at least one
-    step = min(chunk_length(p), -(-n_samples // p) * p) or p
-    buf = np.empty(step)
-    rngs = [np.random.default_rng(seed) if sigma > 0 else None]
+    rngs = [None if seed is None or sigma == 0 else np.random.default_rng(seed) for seed in seeds]
+    rows, step = len(periods), buf.shape[-1]
     for start in range(0, n_samples, step):
-        chunk = buf[: min(step, n_samples - start)]
-        _draw(chunk[None], period[None], rngs, sigma)
-        yield chunk
+        yield draw(buf[:rows, : min(step, n_samples - start)], periods, rngs, sigma)
 
 
 def usable_cpus() -> int:
@@ -414,38 +392,36 @@ def usable_cpus() -> int:
 
 
 def fold_streams(
-    cfg: AcquisitionConfig,
-    periods: np.ndarray,
-    n_samples: int,
-    sigma: float,
-    seeds: Iterable[int | None],
+    cfg: AcquisitionConfig, periods: np.ndarray, seeds: Iterable[int | None]
 ) -> np.ndarray:
     """Period means of one noisy stream per row of periods, (R, P) -> (R, order, K).
 
-    Row r is periods[r] repeated for n_samples samples plus the N(0,
-    sigma^2) noise of ``default_rng(seeds[r])``, folded: bit for bit
-    ``demux.average_periods(noisy_chunks(periods[r], n_samples, sigma,
-    seeds[r]), cfg)``.  A row whose seed is None gets no noise, and
-    nothing is drawn when sigma is 0.  Only the complete periods are
-    drawn, since the fold discards the rest; without one, raises
-    InsufficientSamples.
+    Row r is periods[r] repeated for cfg.n_samples samples plus the
+    N(0, cfg.noise_sigma^2) noise of ``default_rng(seeds[r])``, folded:
+    bit for bit ``demux.average_periods([np.resize(periods[r], n) +
+    default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  A row whose
+    seed is None gets no noise, and nothing is drawn when sigma is 0.
+    Only the complete periods are drawn, since the fold discards the
+    rest; without one, raises InsufficientSamples.
 
     The rows are drawn in groups, each chunk by chunk into one (rows, m)
-    buffer: a row's chunks are those of one stream (``chunk_length``
-    samples, or the whole stream if shorter), and a group has one row per
-    thread, or as many more as fit ``CHUNK_SAMPLES`` samples per thread.
-    The draws of a chunk are spread over ``min(usable_cpus(), R)``
-    threads, the calling thread among them.  Only the calling thread
-    derives, folds or calls anything else: it folds each group with one
+    buffer by the chunk generator of ``stream_chunks``: a row's
+    chunks are those of one stream (``chunk_length`` samples, or the
+    whole stream if shorter), and a group has one row per thread, or as
+    many more as fit ``CHUNK_SAMPLES`` samples per thread.  The draws of
+    a chunk are spread over ``min(usable_cpus(), R)`` threads, the
+    calling thread among them.  Only the calling thread derives, folds
+    or calls anything else: it folds each group with one
     ``demux.average_periods`` call over its stacked chunks.  The result
     depends on neither the thread count nor the chunk size.  It is
     allocated first and seeds is read group by group, so a stack too
     large for memory raises MemoryError before any seed is derived.
     """
     rows, p = periods.shape
-    used = n_samples - n_samples % p
+    n, sigma = cfg.n_samples, cfg.noise_sigma
+    used = n - n % p
     if not used:
-        raise InsufficientSamples(f"{n_samples} samples < one period of {p}")
+        raise InsufficientSamples(f"{n} samples < one period of {p}")
     workers = min(usable_cpus(), rows)
     step = min(chunk_length(p), used)
     group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
@@ -455,14 +431,8 @@ def fold_streams(
     with _DrawThreads(workers) as draw:
         for lo in range(0, rows, group):
             hi = min(lo + group, rows)
-            rngs = [
-                None if seed is None or sigma == 0 else np.random.default_rng(seed)
-                for seed in itertools.islice(seeds, hi - lo)
-            ]
-            chunks = (
-                draw(buf[: hi - lo, : min(step, used - start)], periods[lo:hi], rngs, sigma)
-                for start in range(0, used, step)
-            )
+            group_seeds = itertools.islice(seeds, hi - lo)
+            chunks = _draw_chunks(buf, periods[lo:hi], group_seeds, sigma, used, draw)
             folded[lo:hi] = demux.average_periods(chunks, cfg)
     return folded
 
@@ -533,19 +503,30 @@ def stream_chunks(
     ph: Phantom,
     axis_xy: tuple[float, float] = (0.0, 0.0),
 ) -> Iterator[np.ndarray]:
-    """The stream of one transducer position as ``noisy_chunks``.
+    """The stream of one transducer position in chunks, the one-row case
+    of the chunk generator of ``fold_streams``.
 
-    The zero-noise stream is periodic with cfg.period_samples; noise is
-    drawn from ``default_rng(cfg.seed)``, so identical configurations
-    give bit-identical streams, whatever the chunk size.  The
-    configuration is checked before the first chunk is asked for.
+    Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
+    periods), or the whole stream if it is shorter; only the last may
+    end in a partial period.  The noise continues one
+    ``default_rng(cfg.seed)`` Generator across chunks, so the samples
+    equal ``period + rng.normal(0.0, cfg.noise_sigma, n_samples)``, bit
+    for bit, whatever the chunk size; nothing is drawn when the sigma is
+    0.  Each chunk is a view of one reused buffer: use it before asking
+    for the next.  The configuration is checked before the first chunk
+    is asked for.
     """
-    if cfg.n_samples < 1:
+    n = cfg.n_samples
+    if n < 1:
         raise InsufficientSamples(
             f"duration {cfg.duration_s} s at {cfg.f_s} Hz gives no samples"
         )
     period = clean_period(cfg, ph, axis_xy)
-    return noisy_chunks(period, cfg.n_samples, cfg.noise_sigma, cfg.seed)
+    p = period.size
+    # no longer than the stream rounded up to whole periods
+    buf = np.empty((1, min(chunk_length(p), -(-n // p) * p)))
+    chunks = _draw_chunks(buf, period[None], [cfg.seed], cfg.noise_sigma, n)
+    return (rows[0] for rows in chunks)
 
 
 def simulate_stream(
@@ -640,9 +621,10 @@ def scan_2d(
 
     Per-position noise streams use seeds derived from
     ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
-    traversal order.  The noise-free period of every position is
-    simulated on the calling thread, then one ``fold_streams`` call
-    draws each position's stream (the draw ``stream_chunks`` makes)
+    traversal order.  One ``clean_period`` call on the calling thread
+    simulates the noise-free period of every position, over the
+    (ny, nx, 2) stack of the grid's positions; then one ``fold_streams``
+    call draws each position's stream (the draw ``stream_chunks`` makes)
     over the usable cores and folds it to its (order, K) period mean,
     chunk by chunk, so no stream is ever held whole.  One
     ``pipeline.reconstruct_profile`` call then solves and extracts every
@@ -652,12 +634,10 @@ def scan_2d(
     from .pipeline import reconstruct_profile  # local import, avoids a cycle
 
     xs, ys = grid.positions()
-    cells = [(iy, ix) for iy in range(ys.size) for ix in range(xs.size)]
-    seeds = [derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in cells]
-    periods = np.stack(
-        [clean_period(cfg, ph, axis_xy=(float(xs[ix]), float(ys[iy]))) for iy, ix in cells]
-    )
-    folded = fold_streams(cfg, periods, cfg.n_samples, cfg.noise_sigma, seeds)
+    # derived lazily: fold_streams reads the seeds once its stack is allocated
+    seeds = (derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in np.ndindex(ys.size, xs.size))
+    periods = clean_period(cfg, ph, np.stack(np.meshgrid(xs, ys), axis=-1))
+    folded = fold_streams(cfg, periods.reshape(-1, cfg.period_samples), seeds)
     folded = folded.reshape(ys.size, xs.size, cfg.order, cfg.subsets_per_cycle)
     stack = reconstruct_profile(folded, cfg, kind).values
     peak = stack.max()

@@ -185,20 +185,18 @@ def test_stress_many_rounds_with_frequent_thread_switches(cpus, monkeypatch):
     # one period a row per chunk and a switch every microsecond: a row drawn
     # twice, skipped or folded before it is drawn changes the result
     monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
-    cfg = config(order=7, periods=300)
+    cfg = config(order=7, periods=300, noise_sigma=0.2)
     periods = np.random.default_rng(4).normal(size=(5, cfg.period_samples))
     seeds = [1, None, 3, 4, 5]
     cpus(1)
-    expected = simulator.fold_streams(cfg, periods, cfg.n_samples, 0.2, seeds)
+    expected = simulator.fold_streams(cfg, periods, seeds)
     cpus(2)
     result = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         runner = threading.Thread(
-            target=lambda: result.append(
-                simulator.fold_streams(cfg, periods, cfg.n_samples, 0.2, seeds)
-            )
+            target=lambda: result.append(simulator.fold_streams(cfg, periods, seeds))
         )
         runner.start()
         runner.join(timeout=60)

@@ -1,5 +1,7 @@
 """File formats: streams, CSVs, PGM images, SVG charts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,9 +217,13 @@ class TestPgm:
         # 0 dB -> 255, -20 dB -> half scale, -120 dB -> clipped to 0
         assert list(payload) == [255, 128, 0]
 
-    def test_db_floor_must_be_negative(self, tmp_path):
-        with pytest.raises(ConfigError):
-            fileio.write_pgm(np.ones((2, 2)), tmp_path / "x.pgm", db_floor=3.0)
+    @pytest.mark.parametrize("db_floor", [3.0, math.nan])
+    @pytest.mark.parametrize("image", [np.ones((2, 2)), np.zeros((2, 2))], ids=["ones", "zeros"])
+    def test_db_floor_must_be_negative(self, tmp_path, image, db_floor):
+        # checked before the image is looked at: an all-zero image is no exception
+        with pytest.raises(ConfigError, match="db_floor must be negative"):
+            fileio.write_pgm(image, tmp_path / "x.pgm", db_floor=db_floor)
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestScanCsv:

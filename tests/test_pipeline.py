@@ -123,6 +123,13 @@ class TestReconstructFolded:
             assert one.bin_width_m == cfg.bin_width_m
             assert np.array_equal(stack.values[0], one.values)
 
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_unknown_solver_kind_raises_in_either_mode(self, mode):
+        cfg = config(mode, order=7, periods=2)
+        folded = np.zeros((cfg.order, cfg.subsets_per_cycle))
+        with pytest.raises(ConfigError, match="solver kind must be one of"):
+            pipeline.reconstruct_profile(folded, cfg, "bogus")
+
 
 class TestMeasureFwhm:
     def test_triangle(self):

@@ -200,19 +200,30 @@ class TestSimulateStream:
         draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
         assert np.array_equal(noisy.samples, quiet.samples + draw)
 
-    def test_noisy_chunks_in_small_chunks_equals_one_shot_draw(self, monkeypatch):
+    def test_stream_chunks_in_small_chunks_equal_one_shot_draw(self, monkeypatch):
         # chunks of two periods of 3 samples: four full chunks and a partial one
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 7)
-        period = np.array([0.5, -1.0, 2.0])
-        chunks = [c.copy() for c in simulator.noisy_chunks(period, 25, 0.3, 11)]
+        ph = phantom(boundary=0.0001, extent=0.0005)
+        cfg = config(
+            "single-pulse", order=1, f_s=3 * F_US, duration_s=25 / (3 * F_US),
+            noise_sigma=0.3, seed=11,
+        )
+        chunks = [c.copy() for c in simulator.stream_chunks(cfg, ph)]
         assert [c.size for c in chunks] == [6, 6, 6, 6, 1]
-        draw = np.random.default_rng(11).normal(0.0, 0.3, 25)
-        assert np.array_equal(np.concatenate(chunks), np.resize(period, 25) + draw)
+        period = simulator.clean_period(cfg, ph)
+        draw = np.random.default_rng(11).normal(0.0, 0.3, cfg.n_samples)
+        assert np.array_equal(np.concatenate(chunks), np.resize(period, cfg.n_samples) + draw)
 
-    def test_noisy_chunks_with_zero_sigma_draws_nothing(self):
-        period = np.linspace(-1.0, 1.0, 25)
-        chunks = list(simulator.noisy_chunks(period, 25, 0.0, 11))
-        assert len(chunks) == 1 and np.array_equal(chunks[0], period)
+    def test_stream_chunks_with_zero_sigma_draw_nothing(self, monkeypatch):
+        def no_rng(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        ph = phantom(extent=0.003)
+        cfg = config(order=7, periods=1, noise_sigma=0.0, seed=11)
+        chunks = list(simulator.stream_chunks(cfg, ph))
+        assert len(chunks) == 1
+        assert np.array_equal(chunks[0], simulator.clean_period(cfg, ph))
 
     def test_in_place_draw_keeps_every_bit_of_the_period(self):
         # -0.0 and a partial last period: a noisy row is period + normal bit
@@ -372,20 +383,39 @@ class TestFoldStreams:
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_each_row_equals_its_stream_folded_alone(self, monkeypatch, chunk_samples, sigma):
         # 9 periods of 28 and a partial one; row 1 draws no noise
-        cfg = config(order=7, duration_s=(9 * 28 + 5) / F_S)
+        n = 9 * 28 + 5
+        cfg = config(order=7, duration_s=n / F_S, noise_sigma=sigma)
         periods = np.random.default_rng(1).normal(size=(3, 28))
         seeds = [5, None, 7]
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
-        folded = simulator.fold_streams(cfg, periods, cfg.n_samples, sigma, seeds)
-        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1 << 16)
+        folded = simulator.fold_streams(cfg, periods, seeds)
         for period, seed, row in zip(periods, seeds, folded):
-            chunks = simulator.noisy_chunks(period, cfg.n_samples, sigma if seed else 0.0, seed)
-            assert np.array_equal(row, demux.average_periods(chunks, cfg))
+            stream = np.resize(period, n)
+            if seed is not None:
+                stream = stream + np.random.default_rng(seed).normal(0.0, sigma, n)
+            assert np.array_equal(row, demux.average_periods([stream], cfg))
 
     def test_no_complete_period_raises(self):
-        cfg = config(order=7)
+        cfg = config(order=7, duration_s=27 / F_S, noise_sigma=0.5)
         with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
-            simulator.fold_streams(cfg, np.zeros((2, 28)), 27, 0.5, [1, 2])
+            simulator.fold_streams(cfg, np.zeros((2, 28)), [1, 2])
+
+
+class TestStackedPeriods:
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_stack_rows_equal_single_position_calls(self, mode):
+        # off-axis positions on a (ny, nx) grid, including a fiber's own x
+        cfg = config(mode, modulation_efficiency=0.7)
+        ph = phantom()
+        xs = np.array([-0.0075, -0.001, 0.0, 0.0023])
+        ys = np.array([-0.002, 0.0, 0.0015])
+        grid = np.stack(np.meshgrid(xs, ys), axis=-1)
+        for f in (simulator.axial_profile, simulator.clean_period):
+            stack = f(cfg, ph, grid)
+            assert stack.shape == (ys.size, xs.size, cfg.period_samples)
+            for iy, ix in np.ndindex(ys.size, xs.size):
+                one = f(cfg, ph, (float(xs[ix]), float(ys[iy])))
+                assert stack[iy, ix].tobytes() == one.tobytes()
 
 
 class TestScan2d:
