@@ -32,7 +32,6 @@ import functools
 import itertools
 import math
 import os
-import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 
@@ -369,7 +368,8 @@ def _draw_chunks(
     buf: np.ndarray, periods: np.ndarray, seeds: Iterable, sigma: float, n_samples: int, draw=_draw
 ) -> Iterator[np.ndarray]:
     """Chunks of the streams of periods, one a row, as (rows, m) views of
-    buf, drawn in place by draw (``_draw`` or a ``_DrawThreads``).
+    buf, drawn in place by draw: ``_draw``, or the threaded draw of
+    ``fold_streams``, which fills its chunk as ``_draw`` does.
 
     Row r is periods[r] repeated for n_samples samples plus the
     N(0, sigma^2) noise of ``default_rng(seeds[r])``, in chunks of
@@ -402,100 +402,61 @@ def fold_streams(
     default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  A row whose
     seed is None gets no noise, and nothing is drawn when sigma is 0.
     Only the complete periods are drawn, since the fold discards the
-    rest; without one, raises InsufficientSamples.
+    rest; without one, raises InsufficientSamples.  No rows give the
+    empty (0, order, K) stack; fewer seeds than rows raise ValueError.
 
     The rows are drawn in groups, each chunk by chunk into one (rows, m)
     buffer by the chunk generator of ``stream_chunks``: a row's
     chunks are those of one stream (``chunk_length`` samples, or the
     whole stream if shorter), and a group has one row per thread, or as
     many more as fit ``CHUNK_SAMPLES`` samples per thread.  The draws of
-    a chunk are spread over ``min(usable_cpus(), R)`` threads, the
-    calling thread among them.  Only the calling thread derives, folds
-    or calls anything else: it folds each group with one
+    a chunk are spread over ``min(usable_cpus(), R)`` threads: thread w
+    draws rows w, w + threads, ..., the calling thread taking share 0
+    and a ``ThreadPoolExecutor`` the others, and a chunk is folded once
+    every share is drawn.  A worker's exception is raised in the calling
+    thread, and the workers are joined before this returns or raises; a
+    single usable CPU starts no thread.  Only the calling thread derives,
+    folds or calls anything else: it folds each group with one
     ``demux.average_periods`` call over its stacked chunks.  The result
     depends on neither the thread count nor the chunk size.  It is
     allocated first and seeds is read group by group, so a stack too
     large for memory raises MemoryError before any seed is derived.
     """
+    from concurrent.futures import ThreadPoolExecutor  # local import: it loads logging
+
     rows, p = periods.shape
     n, sigma = cfg.n_samples, cfg.noise_sigma
     used = n - n % p
     if not used:
         raise InsufficientSamples(f"{n} samples < one period of {p}")
+    folded = np.empty((rows, cfg.order, cfg.subsets_per_cycle))
+    if not rows:
+        return folded
     workers = min(usable_cpus(), rows)
     step = min(chunk_length(p), used)
     group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
-    folded = np.empty((rows, cfg.order, cfg.subsets_per_cycle))
     buf = np.empty((group, step))
     seeds = iter(seeds)
-    with _DrawThreads(workers) as draw:
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+
+        def draw(out, periods, rngs, sigma):
+            shares = [
+                pool.submit(_draw, out[w::workers], periods[w::workers], rngs[w::workers], sigma)
+                for w in range(1, workers)
+            ]
+            _draw(out[::workers], periods[::workers], rngs[::workers], sigma)
+            for share in shares:
+                share.result()
+            return out
+
         for lo in range(0, rows, group):
             hi = min(lo + group, rows)
-            group_seeds = itertools.islice(seeds, hi - lo)
+            group_seeds = list(itertools.islice(seeds, hi - lo))
+            if len(group_seeds) < hi - lo:
+                raise ValueError(f"{rows} rows but {lo + len(group_seeds)} seeds")
             chunks = _draw_chunks(buf, periods[lo:hi], group_seeds, sigma, used, draw)
             folded[lo:hi] = demux.average_periods(chunks, cfg)
     return folded
-
-
-class _DrawThreads:
-    """The calling thread and ``workers - 1`` worker threads, drawing the
-    rows of one chunk together.
-
-    ``draw(out, periods, rngs, sigma)`` fills out as ``_draw`` does, thread
-    w taking rows w, w + workers, ..., and returns out once every row is
-    drawn.  The threads meet at a barrier before and after each chunk, so
-    the workers wait while the caller folds.  Only ``_draw`` runs on a
-    worker, and a worker's exception is raised in the calling thread.
-    Leaving the ``with`` block stops and joins the workers.
-    """
-
-    def __init__(self, workers: int):
-        self._barrier = threading.Barrier(workers)
-        self._task: tuple = ()
-        self._failed: list[BaseException] = []
-        self._threads = [threading.Thread(target=self._work, args=(w,)) for w in range(1, workers)]
-
-    def __enter__(self) -> _DrawThreads:
-        try:
-            for thread in self._threads:
-                thread.start()
-        except BaseException:  # such as no thread left to start: stop those that did
-            self.__exit__()
-            raise
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._barrier.abort()  # wakes the workers waiting for a next chunk
-        for thread in self._threads:
-            if thread.ident is not None:  # started
-                thread.join()
-
-    def __call__(self, out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float):
-        self._task = (out, periods, rngs, sigma)
-        try:
-            self._barrier.wait()
-            self._share(0)
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise self._failed[0] from None
-        return out
-
-    def _share(self, w: int) -> None:
-        out, periods, rngs, sigma = self._task
-        n = self._barrier.parties
-        _draw(out[w::n], periods[w::n], rngs[w::n], sigma)
-
-    def _work(self, w: int) -> None:
-        try:
-            while True:
-                self._barrier.wait()
-                self._share(w)
-                self._barrier.wait()
-        except threading.BrokenBarrierError:  # the calling thread is done
-            pass
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            self._failed.append(exc)
-            self._barrier.abort()
 
 
 def stream_chunks(

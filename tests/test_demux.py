@@ -354,7 +354,7 @@ class TestNonFiniteSamples:
         assert np.isfinite(prof.values).all()
 
 
-class TestPeriodFold:
+class TestAveragePeriods:
     """The fold over chunks equals arr.mean(axis=0) of the whole
     (periods, N, K) array bit for bit, whatever the chunk sizes."""
 

@@ -155,6 +155,23 @@ def test_a_worker_error_is_raised_in_the_calling_thread(cpus, monkeypatch):
     assert threading.active_count() == before
 
 
+def test_an_error_in_the_calling_threads_share_joins_its_workers(cpus, monkeypatch):
+    main = threading.get_ident()
+    draw = simulator._draw
+
+    def failing_draw(*args):
+        if threading.get_ident() == main:
+            raise FloatingPointError("caller failed")
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "_draw", failing_draw)
+    cpus(2)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="caller failed"):
+        snr(config())
+    assert threading.active_count() == before
+
+
 def test_a_fold_that_stops_early_joins_its_workers(cpus, monkeypatch):
     def first_chunk_only(chunks, cfg):
         next(iter(chunks))

@@ -1,8 +1,10 @@
-"""Importing the CLI is lean: it loads no scipy and builds no order table.
+"""Importing the CLI is lean: it loads no scipy, no thread pool and builds
+no order table.
 
 A fresh interpreter imports the CLI and reports what it loaded; there
-must be no scipy module, even where scipy is installed, and the order
-table must wait for the first order check.
+must be no scipy module, even where scipy is installed, and no
+``concurrent.futures``, which loads logging and waits for the first
+noise fan-out; the order table must wait for the first order check.
 """
 
 import os
@@ -17,7 +19,7 @@ SRC = Path(aoimux.__file__).resolve().parents[1]
 PROBE = """\
 import sys
 import aoimux.cli
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.startswith(("scipy", "concurrent.futures"))))
 """
 
 

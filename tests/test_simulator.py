@@ -400,6 +400,19 @@ class TestFoldStreams:
         with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
             simulator.fold_streams(cfg, np.zeros((2, 28)), [1, 2])
 
+    def test_fewer_seeds_than_rows_raises(self, monkeypatch):
+        # one row a group, so the seeds run out in the last group only
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)
+        cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
+        with pytest.raises(ValueError, match="3 rows but 2 seeds"):
+            simulator.fold_streams(cfg, np.zeros((3, 28)), [1, 2])
+
+    def test_no_rows_give_the_empty_stack(self):
+        cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
+        folded = simulator.fold_streams(cfg, np.zeros((0, 28)), [])
+        assert folded.shape == (0, 7, cfg.subsets_per_cycle)
+
 
 class TestStackedPeriods:
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
