@@ -217,8 +217,12 @@ def measure_snr(
     ``reconstruct_profile`` call then solves and extracts every row, so
     each trial equals the profile of its own stream reconstructed alone,
     bit for bit, whatever the number of cores, and no stream is ever
-    held whole.  A stack too large for numpy to shape raises
-    MemoryError, as one too large to allocate does.
+    held whole.  ``derive_seed`` is called once per trial, and both of a
+    trial's ``SeedSequence`` hashes (its seed and its generator's state)
+    are cached per process, so the other orders and modes of a sweep
+    reuse them; the results do not depend on what is cached.  A stack
+    too large for numpy to shape raises MemoryError, as one too large to
+    allocate does.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")

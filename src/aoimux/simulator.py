@@ -44,7 +44,7 @@ from .errors import (
     NonIntegerRatio,
     OutOfDomain,
 )
-from .seeding import SCAN_SALT, derive_seed
+from .seeding import SCAN_SALT, derive_seed, generator
 
 SPEED_OF_SOUND_WATER = 1482.0  # m/s, distilled water near room temperature
 
@@ -375,8 +375,10 @@ def _draw_chunks(
     N(0, sigma^2) noise of ``default_rng(seeds[r])``, in chunks of
     buf.shape[-1] samples but the last; a None seed or a zero sigma
     draws nothing.  Each chunk reuses buf: use it before asking for the next.
+    The generators are ``seeding.generator``'s, bit for bit
+    ``default_rng``'s, so a seed seen before in this process costs no hash.
     """
-    rngs = [None if seed is None or sigma == 0 else np.random.default_rng(seed) for seed in seeds]
+    rngs = [None if seed is None or sigma == 0 else generator(seed) for seed in seeds]
     rows, step = len(periods), buf.shape[-1]
     for start in range(0, n_samples, step):
         yield draw(buf[:rows, : min(step, n_samples - start)], periods, rngs, sigma)
@@ -416,7 +418,10 @@ def fold_streams(
     every share is drawn.  A worker's exception is raised in the calling
     thread, and the workers are joined before this returns or raises; a
     single usable CPU starts no thread.  Only the calling thread derives,
-    folds or calls anything else: it folds each group with one
+    seeds, folds or calls anything else: it seeds each row's generator
+    through ``seeding.generator``, whose cached hashes make a seed seen
+    before in this process (another order or mode of a sweep) cost no
+    ``SeedSequence`` hash, and folds each group with one
     ``demux.average_periods`` call over its stacked chunks.  The result
     depends on neither the thread count nor the chunk size.  It is
     allocated first and seeds is read group by group, so a stack too
