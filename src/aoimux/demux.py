@@ -13,9 +13,12 @@ A stream, in memory or read in chunks, is demultiplexed in two steps:
 complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
 ``average_periods`` also folds many streams chunked together, one per
-row, into such a stack: ``simulator.fold_streams`` draws the streams of
-scan positions and Monte-Carlo trials that way, over the usable cores,
-by the chunk generator whose one-row case is ``simulator.stream_chunks``.
+row, into such a stack: ``simulator.fold_stream_groups`` draws the
+streams of scan positions, and of one config's Monte-Carlo trials, that
+way, over the usable cores, by the chunk generator whose one-row case
+is ``simulator.stream_chunks``.  ``PeriodFold`` is the fold
+``average_periods`` runs, fed one chunk at a time: the configs of an
+SNR sweep fold side by side through it from one draw.
 ``pipeline.reconstruct_profile`` runs both and the envelope extraction.
 """
 
@@ -204,42 +207,70 @@ def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.
     samples that overflows raises NonFiniteSamples too, saying so, and
     emits no warning.
     """
-    n, k = cfg.order, cfg.subsets_per_cycle
-    samples = 0  # per stream, seen, including a trailing partial period
-    periods = 0  # per stream, complete periods folded
-    total: np.ndarray | None = None
-    bad: int | None = None  # non-finite samples, once the sum is not finite
+    fold = PeriodFold(cfg)
     for chunk in chunks:
+        fold.add(chunk)
+    return fold.mean()
+
+
+class PeriodFold:
+    """The running fold of ``average_periods``, fed one chunk at a time.
+
+    ``add`` folds a chunk as ``average_periods`` folds each of its
+    chunks, under the same rules, and ``mean`` is what ``average_periods``
+    returns for the chunks added so far, raising as it raises.  So a fold
+    fed chunk by chunk equals ``average_periods`` over the same chunks,
+    bit for bit; ``simulator.fold_stream_groups`` keeps one per
+    acquisition config, so several configs fold side by side from one
+    draw.
+    """
+
+    def __init__(self, cfg: AcquisitionConfig):
+        self.order, self.subsets = cfg.order, cfg.subsets_per_cycle
+        self.samples = 0  # per stream, seen, including a trailing partial period
+        self.periods = 0  # per stream, complete periods folded
+        self.total: np.ndarray | None = None
+        self.bad: int | None = None  # non-finite samples, once the sum is not finite
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Fold one chunk; its first period may be overwritten."""
+        n, k = self.order, self.subsets
         m = chunk.shape[-1]
-        samples += m
+        self.samples += m
         frames = chunk[..., : m - m % (n * k)].reshape(chunk.shape[:-1] + (-1, n, k))
         if not frames.size:
-            continue
-        periods += frames.shape[-3]
-        if bad is not None:  # the sum is lost already: only count
-            bad += _count_non_finite(frames)
-            continue
+            return
+        self.periods += frames.shape[-3]
+        if self.bad is not None:  # the sum is lost already: only count
+            self.bad += _count_non_finite(frames)
+            return
         untouched, bad_first = frames, 0
-        with np.errstate(over="ignore", invalid="ignore"):  # a lost sum is reported below
-            if total is not None:  # into the first period, once its own samples are counted
+        with np.errstate(over="ignore", invalid="ignore"):  # a lost sum is reported by mean
+            if self.total is not None:  # into the first period, once its own samples are counted
                 untouched, bad_first = frames[..., 1:, :, :], _count_non_finite(frames[..., 0, :, :])
-                frames[..., 0, :, :] += total
-            total = frames.sum(axis=-3)
-        if not np.isfinite(total).all():
-            bad = bad_first + _count_non_finite(untouched)
-    if not periods:
-        raise InsufficientSamples(f"{samples} samples < one period of {n * k}")
-    if bad == 0:
-        raise NonFiniteSamples(
-            f"the sum of the {periods * total.size} samples in the complete periods "
-            f"overflowed, though every one is finite; the period mean is not finite"
-        )
-    if bad is not None:
-        raise NonFiniteSamples(
-            f"{bad} of {periods * total.size} samples in the "
-            f"complete periods are NaN or infinite; the period mean is not finite"
-        )
-    return total / periods
+                frames[..., 0, :, :] += self.total
+            self.total = frames.sum(axis=-3)
+        if not np.isfinite(self.total).all():
+            self.bad = bad_first + _count_non_finite(untouched)
+
+    def mean(self) -> np.ndarray:
+        """The mean of the complete periods folded so far."""
+        periods, total, bad = self.periods, self.total, self.bad
+        if not periods:
+            raise InsufficientSamples(
+                f"{self.samples} samples < one period of {self.order * self.subsets}"
+            )
+        if bad == 0:
+            raise NonFiniteSamples(
+                f"the sum of the {periods * total.size} samples in the complete periods "
+                f"overflowed, though every one is finite; the period mean is not finite"
+            )
+        if bad is not None:
+            raise NonFiniteSamples(
+                f"{bad} of {periods * total.size} samples in the "
+                f"complete periods are NaN or infinite; the period mean is not finite"
+            )
+        return total / periods
 
 
 def _count_non_finite(values: np.ndarray) -> int:

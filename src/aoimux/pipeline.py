@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,54 +205,88 @@ def measure_snr(
     ``subtract_noise_floor`` the mean off-peak amplitude (the envelope
     detector's Rayleigh floor) is removed from the signal first.
 
-    One batched path: the noise-free period is simulated once; trial t
-    is that period repeated plus the noise of ``default_rng(derive_seed(
-    cfg.seed, TRIAL_SALT, t))`` (the draw ``simulator.stream_chunks``
-    makes).  One ``simulator.fold_streams`` call draws the trials over
-    the usable cores and folds them, chunk by chunk, into rows 0..
-    n_trials - 1 of an (n_trials + 1, order, K) stack whose last row is
-    the noise-free reference.  The reference draws nothing, so it goes
-    last: when the rows go in groups of two, the first groups then hold
-    two trials each, one a thread.  One
-    ``reconstruct_profile`` call then solves and extracts every row, so
-    each trial equals the profile of its own stream reconstructed alone,
-    bit for bit, whatever the number of cores, and no stream is ever
-    held whole.  ``derive_seed`` is called once per trial, and both of a
-    trial's ``SeedSequence`` hashes (its seed and its generator's state)
-    are cached per process, so the other orders and modes of a sweep
-    reuse them; the results do not depend on what is cached.  A stack
-    too large for numpy to shape raises MemoryError, as one too large to
-    allocate does.
+    Trial t is the noise-free period repeated plus the noise of
+    ``default_rng(derive_seed(cfg.seed, TRIAL_SALT, t))`` (the draw
+    ``simulator.stream_chunks`` makes).  This is the one-config case of
+    the sweep's Monte-Carlo path, ``_measure_snrs``: its report equals
+    that of the same config measured beside others in a sweep, bit for
+    bit, whatever the number of cores, and no stream is ever held whole.
+    """
+    return _measure_snrs([cfg], ph, n_trials, subtract_noise_floor)[0]
+
+
+def _trial_seeds(seed: int, n_trials: int) -> Iterator[int | None]:
+    """None for the noise-free reference row, then each trial's seed,
+    derived as it is read."""
+    yield None
+    for t in range(n_trials):
+        yield derive_seed(seed, TRIAL_SALT, t)
+
+
+def _measure_snrs(
+    cfgs: list[simulator.AcquisitionConfig],
+    ph: simulator.Phantom,
+    n_trials: int,
+    subtract_noise_floor: bool,
+) -> list[SnrReport]:
+    """The SnrReport of each config, as ``measure_snr`` defines it, from
+    one pass over the trials.
+
+    Each config's noise-free period is simulated once.  One
+    ``simulator.fold_stream_groups`` call folds, group of rows by group
+    of rows, each config's noise-free reference (row 0) and its trials
+    (row t + 1 is trial t).  Each trial's seed is derived once per
+    config on the calling thread, but configs whose trial seeds are
+    equal (every config of a sweep) share one draw of its noise, drawn
+    to the longest stream among them.  Each config's group is then
+    reconstructed by one ``reconstruct_profile`` call, and only the
+    amplitudes of its trials at the reference's peak and off bins are
+    kept: the reference sits in the first group, so the bins are known
+    before any trial's amplitudes.  Each trial's profile equals that of
+    its own stream reconstructed alone, bit for bit, so the reports do
+    not depend on the group size, the number of cores or the configs
+    measured beside each other.  The per-trial amplitudes are allocated
+    before any seed is derived, so a run too large for memory raises
+    MemoryError first.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
-    period = simulator.clean_period(cfg, ph)
-    shape = (n_trials + 1, cfg.order, cfg.subsets_per_cycle)
+    shape = (len(cfgs), 2, n_trials)  # the peak and off-bin amplitude of each trial
     if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
-        raise MemoryError(f"a stack of {n_trials} trials of shape {shape[1:]}")
-    # derived lazily: fold_streams reads the seeds once its stack is allocated
-    seeds = (derive_seed(cfg.seed, TRIAL_SALT, t) for t in range(n_trials))
-    folded = simulator.fold_streams(
-        cfg,
-        np.broadcast_to(period, (shape[0], period.size)),
-        itertools.chain(seeds, [None]),  # the reference draws no noise
+        raise MemoryError(f"the amplitudes of {n_trials} trials of {len(cfgs)} configs")
+    amplitudes = np.empty(shape)
+    periods = [simulator.clean_period(cfg, ph) for cfg in cfgs]
+    bins: list[list[int]] = []  # each config's peak and off bin
+
+    def measure(lo: int, hi: int, folded: list[np.ndarray]) -> None:
+        first = max(lo, 1)  # the group's first trial row
+        for c, (cfg, stack) in enumerate(zip(cfgs, folded)):
+            profiles = reconstruct_profile(stack, cfg).values
+            if lo == 0:  # row 0 is the noise-free reference
+                reference = profiles[0]
+                peak_bin = int(np.argmax(reference))
+                if reference[peak_bin] <= 0:
+                    raise NoPeak("noise-free reference profile is empty")
+                off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
+                bins.append([peak_bin, off_bin])
+            amplitudes[c, :, first - 1 : hi - 1] = profiles[first - lo :, bins[c]].T
+
+    rows = n_trials + 1
+    simulator.fold_stream_groups(
+        cfgs,
+        [np.broadcast_to(period, (rows, period.size)) for period in periods],
+        [_trial_seeds(cfg.seed, n_trials) for cfg in cfgs],
+        measure,
     )
-    profiles = reconstruct_profile(folded, cfg).values
-
-    reference = profiles[-1]
-    peak_bin = int(np.argmax(reference))
-    if reference[peak_bin] <= 0:
-        raise NoPeak("noise-free reference profile is empty")
-    off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
-    peaks = profiles[:-1, peak_bin]
-    offs = profiles[:-1, off_bin]
-
-    signal = float(peaks.mean())
-    if subtract_noise_floor:
-        signal -= float(offs.mean())
-    noise = float(offs.std(ddof=1))
-    snr = signal / noise if noise else math.inf
-    return SnrReport(cfg.mode, cfg.order, n_trials, signal, noise, snr)
+    reports = []
+    for cfg, (peaks, offs) in zip(cfgs, amplitudes):
+        signal = float(peaks.mean())
+        if subtract_noise_floor:
+            signal -= float(offs.mean())
+        noise = float(offs.std(ddof=1))
+        snr = signal / noise if noise else math.inf
+        reports.append(SnrReport(cfg.mode, cfg.order, n_trials, signal, noise, snr))
+    return reports
 
 
 def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> int:
@@ -308,16 +342,20 @@ def multiplexing_advantage(
     plan's single-pulse reference.  The curve's reports hold the coded
     and single-pulse SnrReport of each order.  Without noise every SNR
     is infinite, so a zero noise_sigma raises ConfigError.
+
+    Every order and mode shares cfg_base's seed, so trial t has the same
+    seed in each: one ``_measure_snrs`` pass draws each trial's noise
+    once, to the longest stream among them, and each order and mode
+    folds its own prefix of it.  Each report equals that of
+    ``measure_snr`` on its config alone, bit for bit.
     """
     if cfg_base.noise_sigma == 0:
         raise ConfigError("noise_sigma must be positive to measure an SNR gain")
-    reports: list[SnrReport] = []
+    cfgs = []
     for n in sorted(set(int(n) for n in plan.orders)):
-        coded_cfg = replace(cfg_base, mode=simulator.MODE_CODED, order=n)
         sp_order = n if plan.reference == "matched" else _max_rate_order(cfg_base, ph)
-        sp_cfg = replace(cfg_base, mode=simulator.MODE_SINGLE_PULSE, order=sp_order)
-        reports += [
-            measure_snr(c, ph, plan.n_trials, subtract_noise_floor=plan.subtract_noise_floor)
-            for c in (coded_cfg, sp_cfg)
+        cfgs += [
+            replace(cfg_base, mode=simulator.MODE_CODED, order=n),
+            replace(cfg_base, mode=simulator.MODE_SINGLE_PULSE, order=sp_order),
         ]
-    return AdvantageCurve(tuple(reports))
+    return AdvantageCurve(tuple(_measure_snrs(cfgs, ph, plan.n_trials, plan.subtract_noise_floor)))

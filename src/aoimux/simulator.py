@@ -32,7 +32,7 @@ import functools
 import itertools
 import math
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -340,10 +340,22 @@ def clean_period(
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
-def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> np.ndarray:
+def _repeats(periods: np.ndarray, length: int) -> np.ndarray:
+    """Each row's period repeated from its first sample to length samples,
+    (R, p) -> (R, length); a broadcast stack, whose rows all hold one
+    period, gives one repeat broadcast to every row."""
+    index = np.arange(length) % periods.shape[-1]
+    if len(periods) > 1 and not periods.strides[0]:
+        return np.broadcast_to(periods[0, index], (len(periods), length))
+    return periods[:, index]
+
+
+def _draw(out: np.ndarray, periods: np.ndarray | None, rngs: list, sigma) -> np.ndarray:
     """Fill row r of out, (rows, m), with periods[r] repeated from its first
     sample plus sigma times the standard normals of rngs[r], and return
-    out; a row whose rng is None gets no noise.
+    out; a row whose rng is None gets no noise.  sigma is one scale, or
+    one a row, (rows, 1); with periods None, no period is added, and a
+    row whose rng is None is -0.0.
 
     The noise is drawn in place, with no temporary array, and row r is bit
     for bit ``np.resize(periods[r], m) + rngs[r].normal(0.0, sigma, m)``:
@@ -355,12 +367,13 @@ def _draw(out: np.ndarray, periods: np.ndarray, rngs: list, sigma: float) -> np.
         else:
             rng.standard_normal(out=row)
     out *= sigma
-    p = periods.shape[-1]
-    whole = out.shape[-1] - out.shape[-1] % p
-    # a view, as the split axis is contiguous; a share of a chunk may have no rows
-    tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
-    tiled += periods[:, None]
-    out[:, whole:] += periods[:, : out.shape[-1] - whole]
+    if periods is not None:
+        p = periods.shape[-1]
+        whole = out.shape[-1] - out.shape[-1] % p
+        # a view, as the split axis is contiguous; a share of a chunk may have no rows
+        tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
+        tiled += periods[:, None]
+        out[:, whole:] += periods[:, : out.shape[-1] - whole]
     return out
 
 
@@ -369,7 +382,7 @@ def _draw_chunks(
 ) -> Iterator[np.ndarray]:
     """Chunks of the streams of periods, one a row, as (rows, m) views of
     buf, drawn in place by draw: ``_draw``, or the threaded draw of
-    ``fold_streams``, which fills its chunk as ``_draw`` does.
+    ``fold_stream_groups``, which fills its chunk as ``_draw`` does.
 
     Row r is periods[r] repeated for n_samples samples plus the
     N(0, sigma^2) noise of ``default_rng(seeds[r])``, in chunks of
@@ -393,6 +406,160 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _rows(index: list[int]) -> slice | np.ndarray:
+    """Row indices as a slice where they count up by one, else as an array."""
+    if index == list(range(index[0], index[0] + len(index))):
+        return slice(index[0], index[0] + len(index))
+    return np.array(index)
+
+
+def fold_stream_groups(
+    cfgs: Sequence[AcquisitionConfig],
+    periods: Sequence[np.ndarray],
+    seeds: Sequence[Iterable[int | None]],
+    use: Callable[[int, int, list[np.ndarray]], object],
+) -> None:
+    """Fold the noisy streams of several configs side by side, group of rows
+    by group of rows, drawing the noise of each seed once for all of them.
+
+    For each config c, periods[c] is (R, P_c), the same R rows for every
+    config, and row r stands for the stream of periods[c][r] repeated for
+    cfgs[c].n_samples samples plus the N(0, cfgs[c].noise_sigma^2) noise
+    of ``default_rng(seeds[c][r])``; a None seed or a zero sigma draws
+    nothing.  For each group of rows lo..hi - 1, in order,
+    ``use(lo, hi, folded)`` gets folded[c], the (hi - lo, order, K) period
+    means of config c: each row bit for bit ``demux.average_periods`` of
+    its own stream, whatever the group, the window or the number of
+    threads.  Only the complete periods are drawn, since the fold
+    discards the rest; a config without one raises InsufficientSamples
+    before any seed is read.  seeds[c] is read group by group, and fewer
+    seeds than rows raise ValueError.
+
+    The streams are drawn in windows of ``chunk_length`` of the shortest
+    period, or of the longest stream if that is shorter, and a group has
+    one row per thread, or as many more as fit ``CHUNK_SAMPLES`` samples
+    per thread.  A lone config is drawn in place, each window a chunk of
+    whole periods that ``demux.average_periods`` folds, the draw of
+    ``stream_chunks``.  Several configs share one draw per distinct seed
+    and sigma of a group, scaled by the sigma and as long as the longest
+    stream: a generator's first m normals do not depend on how many it
+    draws after them, so each config adds its period to the prefix it
+    needs, in one add a window from its period repeated over the window
+    (a broadcast stack repeats it once for all rows), and folds it into
+    a ``demux.PeriodFold`` of its own.  A window need not end on a
+    config's period boundary, so each config carries its partial last
+    period, less than one period a row, into its next chunk, and every
+    chunk it folds starts on a period boundary.  Shared windows are cut
+    to CHUNK_SAMPLES over the number of configs, but never below the
+    shortest period, so that the repeated periods hold about
+    CHUNK_SAMPLES samples together.
+
+    The draws of a window are spread over ``min(usable_cpus(), R)``
+    threads: thread w draws rows w, w + threads, ..., the calling thread
+    taking share 0 and a ``ThreadPoolExecutor`` the others, and a window
+    is used once every share is drawn.  A worker's exception is raised
+    in the calling thread, and the workers are joined before this
+    returns or raises, also when ``use`` raises; a single usable CPU
+    starts no thread.  Only the calling thread derives, seeds, folds or
+    calls anything else: it seeds each drawn row's generator through
+    ``seeding.generator``, whose cached hashes make a seed seen before
+    in this process cost no ``SeedSequence`` hash.  Memory holds one
+    group's draws and one config's chunk, not the streams.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # local import: it loads logging
+
+    used = []
+    for cfg, stack in zip(cfgs, periods):
+        n, p = cfg.n_samples, stack.shape[-1]
+        if n < p:
+            raise InsufficientSamples(f"{n} samples < one period of {p}")
+        used.append(n - n % p)
+    lengths = [len(stack) for stack in periods]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"every config needs the same rows, got {lengths}")
+    rows = lengths[0]
+    if not rows:
+        return
+    shared = len(cfgs) > 1
+    length = max(used)
+    workers = min(usable_cpus(), rows)
+    shortest = min(stack.shape[-1] for stack in periods)
+    step = min(chunk_length(shortest), length)
+    if shared:  # so the configs' repeated periods hold about CHUNK_SAMPLES samples together
+        step = min(step, max(shortest, CHUNK_SAMPLES // len(cfgs)))
+    group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
+    # a lone config's chunk, or a shared config's: its carried samples, then the window
+    carry = max(stack.shape[-1] for stack in periods) - 1 if shared else 0
+    buf = np.empty((group, step + carry))
+    normals = np.empty((0, step))  # the shared draws, grown to a group's distinct seeds
+    # each config's partial last period, where a stream spans several windows
+    carried = [
+        np.empty((group, stack.shape[-1] - 1)) if carry and length > step else None
+        for stack in periods
+    ]
+    seeds = [iter(s) for s in seeds]
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+
+        def draw(*args):  # _draw's arguments; those with one entry a row are split
+            def share(w):
+                return [arg[w::workers] if np.ndim(arg) else arg for arg in args]
+
+            shares = [pool.submit(_draw, *share(w)) for w in range(1, workers)]
+            _draw(*share(0))
+            for done in shares:
+                done.result()
+            return args[0]
+
+        for lo in range(0, rows, group):
+            hi = min(lo + group, rows)
+            group_seeds = [list(itertools.islice(s, hi - lo)) for s in seeds]
+            for got in group_seeds:
+                if len(got) < hi - lo:
+                    raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
+            if not shared:
+                sigma = cfgs[0].noise_sigma
+                chunks = _draw_chunks(buf, periods[0][lo:hi], group_seeds[0], sigma, length, draw)
+                use(lo, hi, [demux.average_periods(chunks, cfgs[0])])
+                continue
+            # (seed, sigma) -> its row of scaled normals; None draws nothing
+            keys: dict[tuple[int, float] | None, int] = {}
+            sources = [
+                _rows([
+                    keys.setdefault(None if s is None or not sigma else (s, sigma), len(keys))
+                    for s in got
+                ])
+                for sigma, got in zip((cfg.noise_sigma for cfg in cfgs), group_seeds)
+            ]
+            rngs = [None if key is None else generator(key[0]) for key in keys]
+            scales = np.array([[0.0 if key is None else key[1]] for key in keys])
+            if len(normals) < len(rngs):
+                normals = np.empty((len(rngs), step))
+            folds = [demux.PeriodFold(cfg) for cfg in cfgs]
+            # each config's periods over a window and its carried samples, one add a chunk
+            repeats = [_repeats(stack[lo:hi], step + stack.shape[-1] - 1) for stack in periods]
+            for start in range(0, length, step):
+                m = min(step, length - start)
+                draw(normals[: len(rngs), :m], None, rngs, scales)
+                for stack, fold, source, end, repeat, tail in zip(
+                    periods, folds, sources, used, repeats, carried
+                ):
+                    take = min(m, end - start)
+                    if take <= 0:
+                        continue
+                    p = stack.shape[-1]
+                    r = start % p  # the samples carried from the last window
+                    out = buf[: hi - lo, : r + take]
+                    if r:
+                        out[:, :r] = tail[: hi - lo, :r]
+                    np.add(normals[source, :take], repeat[:, r : r + take], out=out[:, r:])
+                    whole = r + take - (r + take) % p
+                    if whole:
+                        fold.add(out[:, :whole])
+                    if whole < r + take:
+                        tail[: hi - lo, : r + take - whole] = out[:, whole:]
+            use(lo, hi, [fold.mean() for fold in folds])
+
+
 def fold_streams(
     cfg: AcquisitionConfig, periods: np.ndarray, seeds: Iterable[int | None]
 ) -> np.ndarray:
@@ -401,66 +568,22 @@ def fold_streams(
     Row r is periods[r] repeated for cfg.n_samples samples plus the
     N(0, cfg.noise_sigma^2) noise of ``default_rng(seeds[r])``, folded:
     bit for bit ``demux.average_periods([np.resize(periods[r], n) +
-    default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  A row whose
-    seed is None gets no noise, and nothing is drawn when sigma is 0.
-    Only the complete periods are drawn, since the fold discards the
-    rest; without one, raises InsufficientSamples.  No rows give the
-    empty (0, order, K) stack; fewer seeds than rows raise ValueError.
-
-    The rows are drawn in groups, each chunk by chunk into one (rows, m)
-    buffer by the chunk generator of ``stream_chunks``: a row's
-    chunks are those of one stream (``chunk_length`` samples, or the
-    whole stream if shorter), and a group has one row per thread, or as
-    many more as fit ``CHUNK_SAMPLES`` samples per thread.  The draws of
-    a chunk are spread over ``min(usable_cpus(), R)`` threads: thread w
-    draws rows w, w + threads, ..., the calling thread taking share 0
-    and a ``ThreadPoolExecutor`` the others, and a chunk is folded once
-    every share is drawn.  A worker's exception is raised in the calling
-    thread, and the workers are joined before this returns or raises; a
-    single usable CPU starts no thread.  Only the calling thread derives,
-    seeds, folds or calls anything else: it seeds each row's generator
-    through ``seeding.generator``, whose cached hashes make a seed seen
-    before in this process (another order or mode of a sweep) cost no
-    ``SeedSequence`` hash, and folds each group with one
-    ``demux.average_periods`` call over its stacked chunks.  The result
-    depends on neither the thread count nor the chunk size.  It is
-    allocated first and seeds is read group by group, so a stack too
+    default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  It is the
+    one-config case of ``fold_stream_groups``, each row drawn in place
+    and its groups gathered into one stack: a row whose seed is None
+    gets no noise, nothing is drawn when sigma is 0, a stream without a
+    complete period raises InsufficientSamples, no rows give the empty
+    (0, order, K) stack and fewer seeds than rows raise ValueError.  The
+    result depends on neither the thread count nor the chunk size.  It
+    is allocated first and seeds is read group by group, so a stack too
     large for memory raises MemoryError before any seed is derived.
     """
-    from concurrent.futures import ThreadPoolExecutor  # local import: it loads logging
+    folded = np.empty((len(periods), cfg.order, cfg.subsets_per_cycle))
 
-    rows, p = periods.shape
-    n, sigma = cfg.n_samples, cfg.noise_sigma
-    used = n - n % p
-    if not used:
-        raise InsufficientSamples(f"{n} samples < one period of {p}")
-    folded = np.empty((rows, cfg.order, cfg.subsets_per_cycle))
-    if not rows:
-        return folded
-    workers = min(usable_cpus(), rows)
-    step = min(chunk_length(p), used)
-    group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
-    buf = np.empty((group, step))
-    seeds = iter(seeds)
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+    def gather(lo, hi, group):
+        folded[lo:hi] = group[0]
 
-        def draw(out, periods, rngs, sigma):
-            shares = [
-                pool.submit(_draw, out[w::workers], periods[w::workers], rngs[w::workers], sigma)
-                for w in range(1, workers)
-            ]
-            _draw(out[::workers], periods[::workers], rngs[::workers], sigma)
-            for share in shares:
-                share.result()
-            return out
-
-        for lo in range(0, rows, group):
-            hi = min(lo + group, rows)
-            group_seeds = list(itertools.islice(seeds, hi - lo))
-            if len(group_seeds) < hi - lo:
-                raise ValueError(f"{rows} rows but {lo + len(group_seeds)} seeds")
-            chunks = _draw_chunks(buf, periods[lo:hi], group_seeds, sigma, used, draw)
-            folded[lo:hi] = demux.average_periods(chunks, cfg)
+    fold_stream_groups([cfg], [periods], [seeds], gather)
     return folded
 
 
@@ -470,7 +593,8 @@ def stream_chunks(
     axis_xy: tuple[float, float] = (0.0, 0.0),
 ) -> Iterator[np.ndarray]:
     """The stream of one transducer position in chunks, the one-row case
-    of the chunk generator of ``fold_streams``.
+    of the chunk generator with which ``fold_stream_groups`` draws a lone
+    config.
 
     Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
     periods), or the whole stream if it is shorter; only the last may

@@ -476,9 +476,9 @@ class TestSnrSweep:
         assert "n_trials must be at least 2" in capsys.readouterr().err
 
     def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
-        # 10^15 trials of order 7 ask for a 199 PiB stack, beyond any 64-bit
-        # user address space: the allocation fails at once, touching nothing;
-        # numpy refuses the shape of 10^17 trials before allocating at all
+        # 10^15 and 10^17 trials of order 7 in two modes ask for 32 PB and
+        # 3.2 EB of per-trial amplitudes, beyond any 64-bit user address
+        # space: the allocation fails at once, before any seed is derived
         for trials in ("1000000000000000", "100000000000000000"):
             text = _set_value((CONFIGS / "quick.cfg").read_text(), "orders", "7")
             bad = tmp_path / f"{trials}.cfg"
@@ -577,12 +577,19 @@ class TestExportedNames:
         assert calls == {"average_periods": 1, "demultiplex_stream": 1,
                          "reconstruct_profile": 1}
 
-    def test_snr_sweep_reconstructs_once_per_order_and_mode(self, tmp_path, cfg_file, calls):
-        # orders 7 and 19, 4 trials: each run folds its 4 trials and its
-        # reference as one stack
+    def test_snr_sweep_reconstructs_once_per_order_and_mode(
+        self, tmp_path, cfg_file, calls, monkeypatch
+    ):
+        # orders 7 and 19, 4 trials: the 4 trials and the reference form one
+        # group, which each order and mode folds side by side with the others
+        # from one draw, in a demux.PeriodFold of its own (the running fold
+        # average_periods is made of), and reconstructs once
+        folds = []
+        fold = demux.PeriodFold
+        monkeypatch.setattr(demux, "PeriodFold", lambda cfg: folds.append(cfg) or fold(cfg))
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config", str(cfg_file)]) == 0
-        assert calls == {"average_periods": 2 * 2, "demultiplex_stream": 2,
-                         "reconstruct_profile": 2 * 2}
+        assert len(folds) == 2 * 2
+        assert calls == {"demultiplex_stream": 2, "reconstruct_profile": 2 * 2}
 
 
 class TestShippedConfigs:

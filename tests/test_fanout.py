@@ -61,9 +61,15 @@ def snr(cfg):
     return np.array([rep.signal_mean, rep.noise_std])
 
 
+def sweep(cfg):
+    # two orders in two modes, folded side by side from one draw per trial
+    curve = pipeline.multiplexing_advantage(cfg, phantom(), pipeline.SweepPlan((7, 19), 9))
+    return np.array([(rep.signal_mean, rep.noise_std) for rep in curve.reports])
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the usable CPU count that fold_streams sees."""
+    """Set the usable CPU count that fold_stream_groups sees."""
 
     def set_cpus(n):
         monkeypatch.setattr(simulator, "usable_cpus", lambda: n)
@@ -77,7 +83,9 @@ def test_usable_cpus_is_the_affinity_mask():
     assert simulator.usable_cpus() >= 1
 
 
-@pytest.mark.parametrize("run", [scan, snr], ids=["scan_2d", "measure_snr"])
+@pytest.mark.parametrize(
+    "run", [scan, snr, sweep], ids=["scan_2d", "measure_snr", "multiplexing_advantage"]
+)
 @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
 @pytest.mark.parametrize("chunk_samples", [100, 1 << 16])
 def test_one_or_two_cpus_give_identical_results(cpus, monkeypatch, run, mode, chunk_samples):
@@ -131,8 +139,10 @@ def test_traced_functions_run_only_on_the_calling_thread(cpus, monkeypatch):
     cpus(2)
     scan(config())
     snr(config())
+    sweep(config())
     names = {name for name, _ in calls}
     assert {"derive_seed", "axial_profile", "average_periods", "scan_2d"} <= names
+    assert {"measure_snr", "multiplexing_advantage", "reconstruct_profile"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
     # the calling thread drew, and so did each call's one worker
     assert threading.get_ident() in draws and len(draws) > 1
@@ -198,6 +208,38 @@ def test_a_worker_that_cannot_start_leaves_no_thread_behind(cpus, monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_draw_error_in_a_sweep_is_raised_and_joins_its_workers(cpus, monkeypatch, failing):
+    # the draws several configs share go through the same threaded draw
+    main = threading.get_ident()
+    draw = simulator._draw
+
+    def failing_draw(*args):
+        if (threading.get_ident() == main) == (failing == "caller"):
+            raise FloatingPointError(f"{failing} failed")
+        return draw(*args)
+
+    monkeypatch.setattr(simulator, "_draw", failing_draw)
+    cpus(2)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match=f"{failing} failed"):
+        sweep(config())
+    assert threading.active_count() == before
+
+
+def test_a_sweep_fold_that_raises_joins_its_workers(cpus, monkeypatch):
+    def failing_add(self, chunk):
+        raise KeyError("stop")
+
+    monkeypatch.setattr(demux.PeriodFold, "add", failing_add)
+    monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 100)
+    cpus(2)
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="stop"):
+        sweep(config())
+    assert threading.active_count() == before
+
+
 def test_stress_many_rounds_with_frequent_thread_switches(cpus, monkeypatch):
     # one period a row per chunk and a switch every microsecond: a row drawn
     # twice, skipped or folded before it is drawn changes the result
@@ -222,3 +264,36 @@ def test_stress_many_rounds_with_frequent_thread_switches(cpus, monkeypatch):
     assert not runner.is_alive()
     assert np.array_equal(result[0], expected)
 
+
+
+def test_stress_shared_draws_with_frequent_thread_switches(cpus, monkeypatch):
+    # two configs fold one draw per seed, window by window: a window used
+    # before every share is drawn, or a share drawn twice, changes the result
+    monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
+    cfgs = [config(order=7, periods=300, noise_sigma=0.2), config(order=19, periods=100)]
+    rng = np.random.default_rng(4)
+    periods = [rng.normal(size=(5, cfg.period_samples)) for cfg in cfgs]
+    seeds = [1, None, 3, 4, 5]
+
+    def fold():
+        groups = []
+        simulator.fold_stream_groups(
+            cfgs, periods, [seeds, seeds], lambda lo, hi, folded: groups.append(folded)
+        )
+        return [np.concatenate([group[c] for group in groups]) for c in range(len(cfgs))]
+
+    cpus(1)
+    expected = fold()
+    cpus(2)
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(fold()))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    for got, want in zip(result[0], expected):
+        assert np.array_equal(got, want)

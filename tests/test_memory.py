@@ -1,9 +1,12 @@
-"""Peak memory does not grow with stream length, nor scratch with stack size.
+"""Peak memory does not grow with stream length or trial count, nor scratch
+with stack size.
 
 Each long-stream command runs in a fresh interpreter, once on a stream of
 4 M samples (a 32 MB payload) and once on a one-period stream; the two
 peak resident sizes (ru_maxrss from os.wait4 on Linux, in kB) must differ
-by well under the payload.  The reconstruction of a stack of 2001 folded
+by well under the payload.  snr-sweep runs on quick.cfg at 50 and at 2000
+trials, and its peak may grow by its per-trial amplitudes and cached seeds,
+not by stacks of trials.  The reconstruction of a stack of 2001 folded
 frames and its envelope extraction are measured in-process with
 tracemalloc: besides their input they may hold their result, the
 demultiplexed stack in between and blocks of scratch, not stack-sized
@@ -80,6 +83,26 @@ def test_peak_rss_does_not_grow_with_stream_length(peaks, command):
     assert growth < MAX_GROWTH_MB, (
         f"{command}: {peaks[command, 'long']:.1f} MB on {LONG_SAMPLES} samples vs "
         f"{peaks[command, 'short']:.1f} MB on one period"
+    )
+
+
+SWEEP_TRIALS = (50, 2000)
+MAX_SWEEP_GROWTH_MB = 4.0
+
+
+def test_snr_sweep_peak_rss_does_not_grow_with_trials(tmp_path):
+    quick = (CONFIGS / "quick.cfg").read_text()
+    peaks = {}
+    for trials in SWEEP_TRIALS:
+        cfg = tmp_path / f"trials{trials}.cfg"
+        cfg.write_text(quick.replace("n_trials = 200", f"n_trials = {trials}"))
+        assert cfg.read_text() != quick
+        out = tmp_path / f"out{trials}"
+        argv = ("--out-dir", str(out), "snr-sweep", "--config", str(cfg))
+        peaks[trials] = _peak_rss_mb(tmp_path, *argv)
+    (few, low), (many, high) = peaks.items()
+    assert high - low < MAX_SWEEP_GROWTH_MB, (
+        f"snr-sweep: {high:.1f} MB at {many} trials vs {low:.1f} MB at {few}"
     )
 
 

@@ -3,17 +3,20 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aoimux import demux, pipeline, simulator
+from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
 from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import fold, profile_of
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 F_US = 1.25e6
 F_S = 5e6
 C = 990.0
@@ -330,6 +333,35 @@ class TestMultiplexingAdvantage:
     def test_unknown_reference_rejected(self):
         with pytest.raises(ConfigError):
             SweepPlan((7,), 4, reference="fastest")
+
+
+class TestOnePassSweep:
+    """A sweep draws each trial once for all of its orders and modes, and
+    reports what each of them measured alone reports, bit for bit."""
+
+    @pytest.mark.parametrize("reference", ["matched", "max-rate"])
+    # windows of one shortest period, of 375 samples, and of a whole stream
+    @pytest.mark.parametrize("chunk_samples", [1, 100, 3000, 1 << 16])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_reports_equal_each_config_measured_alone(
+        self, monkeypatch, reference, chunk_samples, cpus
+    ):
+        run = parse_run_config(CONFIGS / "quick.cfg")
+        cfg, ph = run.acquisition, run.phantom
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
+        plan = SweepPlan(run.sweep.orders, 3, reference=reference)
+        curve = pipeline.multiplexing_advantage(cfg, ph, plan)
+        periods = {r.order * cfg.subsets_per_cycle for r in curve.reports}
+        # max-rate pulses every 24 samples, beside coded periods of 28 to 316;
+        # every period but 316 leaves a partial last period of the 2528 samples
+        assert periods == ({24} if reference == "max-rate" else set()) | {28, 76, 124, 316}
+        assert sum(cfg.n_samples % p > 0 for p in periods) == len(periods) - 1
+        alone = [
+            pipeline.measure_snr(replace(cfg, mode=r.mode, order=r.order), ph, plan.n_trials)
+            for r in curve.reports
+        ]
+        assert list(curve.reports) == alone
 
 
 class TestSweepPlan:

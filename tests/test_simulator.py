@@ -414,6 +414,62 @@ class TestFoldStreams:
         assert folded.shape == (0, 7, cfg.subsets_per_cycle)
 
 
+class TestFoldStreamGroups:
+    """Configs folded side by side from one draw per seed: each row equals
+    its own stream folded alone, bit for bit."""
+
+    @pytest.mark.parametrize("chunk_samples", [1, 100, 1 << 16])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_config_equals_its_streams_folded_alone(self, monkeypatch, chunk_samples, cpus):
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(2)
+        # periods of 28, 76 and 12 samples, each stream ending in a partial
+        # period; the third stream is shorter and draws no noise
+        cfgs = [
+            config(order=7, duration_s=257 / F_S, noise_sigma=0.3),
+            config(order=19, duration_s=257 / F_S, noise_sigma=0.5),
+            config("single-pulse", order=3, duration_s=100 / F_S, noise_sigma=0.0),
+        ]
+        periods = [
+            rng.normal(size=(5, 28)),
+            np.broadcast_to(rng.normal(size=76), (5, 76)),  # one period for every row
+            rng.normal(size=(5, 12)),
+        ]
+        # shared, distinct and missing seeds
+        seeds = [[5, None, 7, 8, 9], [5, 6, 7, None, 9], [5, 6, 7, 8, 9]]
+        groups = []
+
+        def keep(lo, hi, folded):
+            groups.append((lo, hi, [stack.copy() for stack in folded]))
+
+        simulator.fold_stream_groups(cfgs, periods, seeds, keep)
+        assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
+        assert groups[-1][1] == 5
+        for c, (cfg, stack, row_seeds) in enumerate(zip(cfgs, periods, seeds)):
+            folded = np.concatenate([group[c] for _, _, group in groups])
+            n = cfg.n_samples
+            for period, seed, row in zip(stack, row_seeds, folded):
+                stream = np.resize(period, n)
+                if seed is not None and cfg.noise_sigma:
+                    stream = stream + np.random.default_rng(seed).normal(0.0, cfg.noise_sigma, n)
+                assert np.array_equal(row, demux.average_periods([stream], cfg))
+
+    def test_a_config_without_a_complete_period_raises_before_any_seed_is_read(self):
+        def no_seed():
+            raise AssertionError("a seed was read")
+            yield
+
+        def no_group(*group):
+            raise AssertionError("a group was folded")
+
+        cfgs = [config(order=7, periods=2), config(order=19, duration_s=75 / F_S)]
+        with pytest.raises(InsufficientSamples, match="75 samples < one period of 76"):
+            simulator.fold_stream_groups(
+                cfgs, [np.zeros((2, 28)), np.zeros((2, 76))], [no_seed(), no_seed()], no_group
+            )
+
+
 class TestStackedPeriods:
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
     def test_stack_rows_equal_single_position_calls(self, mode):
