@@ -37,7 +37,6 @@ from .simulator import (
     ScanGrid,
     ScanResult,
     axial_profile,
-    fluence_profile,
     pulse_waveform,
     scan_2d,
     simulate_stream,
@@ -64,7 +63,6 @@ __all__ = [
     "demultiplex_stream",
     "exact_multiplexing_gain",
     "extract_modulated",
-    "fluence_profile",
     "generate_s_sequence",
     "measure_fwhm",
     "measure_snr",

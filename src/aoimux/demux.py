@@ -12,14 +12,12 @@ A stream, in memory or read in chunks, is demultiplexed in two steps:
 ``average_periods`` folds its chunks into the (N, K) mean of its
 complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
-``average_periods`` also folds many streams chunked together, one per
-row, into such a stack: ``simulator.fold_stream_groups`` draws the
-streams of scan positions, and of one config's Monte-Carlo trials, that
-way, over the usable cores, by the chunk generator whose one-row case
-is ``simulator.stream_chunks``.  ``PeriodFold`` is the fold
-``average_periods`` runs, fed one chunk at a time: the configs of an
-SNR sweep fold side by side through it from one draw.
-``pipeline.reconstruct_profile`` runs both and the envelope extraction.
+``PeriodFold`` is the fold ``average_periods`` runs, fed one chunk at a
+time, one stream per row of a chunk: ``simulator.fold_stream_groups``
+folds the streams of scan positions and of Monte-Carlo trials through
+it, window by window, each config into one of its own.
+``pipeline.reconstruct_profile`` runs the solve and the envelope
+extraction.
 """
 
 from __future__ import annotations

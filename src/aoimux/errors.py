@@ -36,10 +36,6 @@ class OrderTooLarge(NumericalError):
     """Order exceeds the limit for a dense-matrix operation."""
 
 
-class OutOfDomain(AoimuxError):
-    """Query position lies outside the phantom."""
-
-
 class NyquistViolation(AoimuxError):
     """Sampling rate below twice the carrier frequency."""
 

@@ -38,12 +38,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import codes, demux
-from .errors import (
-    ConfigError,
-    InsufficientSamples,
-    NonIntegerRatio,
-    OutOfDomain,
-)
+from .errors import ConfigError, InsufficientSamples, NonIntegerRatio
 from .seeding import SCAN_SALT, derive_seed, generator
 
 SPEED_OF_SOUND_WATER = 1482.0  # m/s, distilled water near room temperature
@@ -247,28 +242,6 @@ def fluence_scale(ph: Phantom) -> float:
     return float(_fluence_raw(ph, ph.src_x_m, ph.src_y_m, zs).max())
 
 
-def fluence_profile(
-    ph: Phantom,
-    axis_positions: np.ndarray,
-    axis_xy: tuple[float, float] = (0.0, 0.0),
-) -> np.ndarray:
-    """Relative modulated-light strength along the acoustic axis.
-
-    axis_positions are absolute z coordinates and must lie inside the
-    phantom.  The returned profile is normalized to peak 1.
-    """
-    zs = np.asarray(axis_positions, dtype=np.float64)
-    lo, hi = ph.boundary_z_m, ph.boundary_z_m + ph.depth_extent_m
-    if zs.size == 0:
-        raise OutOfDomain("no positions given")
-    if zs.min() < lo - 1e-12 or zs.max() > hi + 1e-12:
-        raise OutOfDomain(
-            f"positions must lie within [{lo}, {hi}] along the acoustic axis"
-        )
-    raw = _fluence_raw(ph, *axis_xy, zs)
-    return raw / raw.max()
-
-
 def axial_profile(
     cfg: AcquisitionConfig,
     ph: Phantom,
@@ -340,61 +313,35 @@ def clean_period(
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
-def _repeats(periods: np.ndarray, length: int) -> np.ndarray:
-    """Each row's period repeated from its first sample to length samples,
-    (R, p) -> (R, length); a broadcast stack, whose rows all hold one
-    period, gives one repeat broadcast to every row."""
-    index = np.arange(length) % periods.shape[-1]
-    if len(periods) > 1 and not periods.strides[0]:
-        return np.broadcast_to(periods[0, index], (len(periods), length))
-    return periods[:, index]
-
-
-def _draw(out: np.ndarray, periods: np.ndarray | None, rngs: list, sigma) -> np.ndarray:
-    """Fill row r of out, (rows, m), with periods[r] repeated from its first
-    sample plus sigma times the standard normals of rngs[r], and return
-    out; a row whose rng is None gets no noise.  sigma is one scale, or
-    one a row, (rows, 1); with periods None, no period is added, and a
-    row whose rng is None is -0.0.
+def _draw(out: np.ndarray, rngs: list, sigma) -> np.ndarray:
+    """Fill row r of out, (rows, m), with sigma times the standard normals
+    of rngs[r], and return out; a row whose rng is None is -0.0, which
+    added to x is x, bit for bit.  sigma is one scale, or one a row,
+    (rows, 1).
 
     The noise is drawn in place, with no temporary array, and row r is bit
-    for bit ``np.resize(periods[r], m) + rngs[r].normal(0.0, sigma, m)``:
-    numpy's ``normal`` is ``loc + scale * z`` over the same standard normals.
+    for bit ``rngs[r].normal(0.0, sigma, m)``: numpy's ``normal`` is
+    ``loc + scale * z`` over the same standard normals.
     """
     for row, rng in zip(out, rngs):
         if rng is None:
-            row.fill(-0.0)  # x + -0.0 is x, bit for bit, for every x
+            row.fill(-0.0)
         else:
             rng.standard_normal(out=row)
     out *= sigma
-    if periods is not None:
-        p = periods.shape[-1]
-        whole = out.shape[-1] - out.shape[-1] % p
-        # a view, as the split axis is contiguous; a share of a chunk may have no rows
-        tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
-        tiled += periods[:, None]
-        out[:, whole:] += periods[:, : out.shape[-1] - whole]
     return out
 
 
-def _draw_chunks(
-    buf: np.ndarray, periods: np.ndarray, seeds: Iterable, sigma: float, n_samples: int, draw=_draw
-) -> Iterator[np.ndarray]:
-    """Chunks of the streams of periods, one a row, as (rows, m) views of
-    buf, drawn in place by draw: ``_draw``, or the threaded draw of
-    ``fold_stream_groups``, which fills its chunk as ``_draw`` does.
-
-    Row r is periods[r] repeated for n_samples samples plus the
-    N(0, sigma^2) noise of ``default_rng(seeds[r])``, in chunks of
-    buf.shape[-1] samples but the last; a None seed or a zero sigma
-    draws nothing.  Each chunk reuses buf: use it before asking for the next.
-    The generators are ``seeding.generator``'s, bit for bit
-    ``default_rng``'s, so a seed seen before in this process costs no hash.
-    """
-    rngs = [None if seed is None or sigma == 0 else generator(seed) for seed in seeds]
-    rows, step = len(periods), buf.shape[-1]
-    for start in range(0, n_samples, step):
-        yield draw(buf[:rows, : min(step, n_samples - start)], periods, rngs, sigma)
+def _add_periods(out: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Add periods[r], repeated from its first sample, to row r of out,
+    (rows, m), in place, and return out."""
+    p = periods.shape[-1]
+    whole = out.shape[-1] - out.shape[-1] % p
+    # a view, as the split axis is contiguous
+    tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
+    tiled += periods[:, None]
+    out[:, whole:] += periods[:, : out.shape[-1] - whole]
+    return out
 
 
 def usable_cpus() -> int:
@@ -419,8 +366,9 @@ def fold_stream_groups(
     seeds: Sequence[Iterable[int | None]],
     use: Callable[[int, int, list[np.ndarray]], object],
 ) -> None:
-    """Fold the noisy streams of several configs side by side, group of rows
-    by group of rows, drawing the noise of each seed once for all of them.
+    """Fold the noisy streams of one or more configs side by side, group of
+    rows by group of rows, drawing the noise of each seed once for all of
+    them.
 
     For each config c, periods[c] is (R, P_c), the same R rows for every
     config, and row r stands for the stream of periods[c][r] repeated for
@@ -435,24 +383,18 @@ def fold_stream_groups(
     before any seed is read.  seeds[c] is read group by group, and fewer
     seeds than rows raise ValueError.
 
-    The streams are drawn in windows of ``chunk_length`` of the shortest
-    period, or of the longest stream if that is shorter, and a group has
-    one row per thread, or as many more as fit ``CHUNK_SAMPLES`` samples
-    per thread.  A lone config is drawn in place, each window a chunk of
-    whole periods that ``demux.average_periods`` folds, the draw of
-    ``stream_chunks``.  Several configs share one draw per distinct seed
-    and sigma of a group, scaled by the sigma and as long as the longest
-    stream: a generator's first m normals do not depend on how many it
-    draws after them, so each config adds its period to the prefix it
-    needs, in one add a window from its period repeated over the window
-    (a broadcast stack repeats it once for all rows), and folds it into
-    a ``demux.PeriodFold`` of its own.  A window need not end on a
-    config's period boundary, so each config carries its partial last
-    period, less than one period a row, into its next chunk, and every
-    chunk it folds starts on a period boundary.  Shared windows are cut
-    to CHUNK_SAMPLES over the number of configs, but never below the
-    shortest period, so that the repeated periods hold about
-    CHUNK_SAMPLES samples together.
+    A group draws each distinct (seed, sigma) once, scaled by the sigma,
+    to the longest stream, in windows of ``chunk_length`` of the shortest
+    period, cut to CHUNK_SAMPLES over the number of configs but never
+    below the shortest period, or of the longest stream if that is
+    shorter: a generator's first m normals do not depend on how many it
+    draws after them.  A group has one row per thread, or as many more as
+    fit CHUNK_SAMPLES samples per thread.  Each config copies the prefix
+    of a window it needs into a contiguous chunk of whole periods, after
+    the noise it carried from the last window, keeps the noise of its
+    new partial last period (less than one period a row) for the next,
+    adds its periods in place and folds the chunk into a
+    ``demux.PeriodFold`` of its own.
 
     The draws of a window are spread over ``min(usable_cpus(), R)``
     threads: thread w draws rows w, w + threads, ..., the calling thread
@@ -464,7 +406,7 @@ def fold_stream_groups(
     calls anything else: it seeds each drawn row's generator through
     ``seeding.generator``, whose cached hashes make a seed seen before
     in this process cost no ``SeedSequence`` hash.  Memory holds one
-    group's draws and one config's chunk, not the streams.
+    group's draws of a window and one config's chunk, not the streams.
     """
     from concurrent.futures import ThreadPoolExecutor  # local import: it loads logging
 
@@ -480,47 +422,28 @@ def fold_stream_groups(
     rows = lengths[0]
     if not rows:
         return
-    shared = len(cfgs) > 1
     length = max(used)
     workers = min(usable_cpus(), rows)
     shortest = min(stack.shape[-1] for stack in periods)
-    step = min(chunk_length(shortest), length)
-    if shared:  # so the configs' repeated periods hold about CHUNK_SAMPLES samples together
-        step = min(step, max(shortest, CHUNK_SAMPLES // len(cfgs)))
+    longest = max(stack.shape[-1] for stack in periods)
+    # so the configs' chunks hold about CHUNK_SAMPLES samples together
+    step = min(chunk_length(shortest), length, max(shortest, CHUNK_SAMPLES // len(cfgs)))
     group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
-    # a lone config's chunk, or a shared config's: its carried samples, then the window
-    carry = max(stack.shape[-1] for stack in periods) - 1 if shared else 0
-    buf = np.empty((group, step + carry))
-    normals = np.empty((0, step))  # the shared draws, grown to a group's distinct seeds
-    # each config's partial last period, where a stream spans several windows
+    normals = np.empty((0, step))  # a window's draws, grown to a group's distinct seeds
+    # a config's chunk: its carried noise, then its share of the window
+    flat = np.empty(group * (step + longest - 1))
+    # each config's partial last period, noise only, where a stream spans several windows
     carried = [
-        np.empty((group, stack.shape[-1] - 1)) if carry and length > step else None
-        for stack in periods
+        np.empty((group, stack.shape[-1] - 1)) if length > step else None for stack in periods
     ]
     seeds = [iter(s) for s in seeds]
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-
-        def draw(*args):  # _draw's arguments; those with one entry a row are split
-            def share(w):
-                return [arg[w::workers] if np.ndim(arg) else arg for arg in args]
-
-            shares = [pool.submit(_draw, *share(w)) for w in range(1, workers)]
-            _draw(*share(0))
-            for done in shares:
-                done.result()
-            return args[0]
-
         for lo in range(0, rows, group):
             hi = min(lo + group, rows)
             group_seeds = [list(itertools.islice(s, hi - lo)) for s in seeds]
             for got in group_seeds:
                 if len(got) < hi - lo:
                     raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
-            if not shared:
-                sigma = cfgs[0].noise_sigma
-                chunks = _draw_chunks(buf, periods[0][lo:hi], group_seeds[0], sigma, length, draw)
-                use(lo, hi, [demux.average_periods(chunks, cfgs[0])])
-                continue
             # (seed, sigma) -> its row of scaled normals; None draws nothing
             keys: dict[tuple[int, float] | None, int] = {}
             sources = [
@@ -535,28 +458,34 @@ def fold_stream_groups(
             if len(normals) < len(rngs):
                 normals = np.empty((len(rngs), step))
             folds = [demux.PeriodFold(cfg) for cfg in cfgs]
-            # each config's periods over a window and its carried samples, one add a chunk
-            repeats = [_repeats(stack[lo:hi], step + stack.shape[-1] - 1) for stack in periods]
             for start in range(0, length, step):
                 m = min(step, length - start)
-                draw(normals[: len(rngs), :m], None, rngs, scales)
-                for stack, fold, source, end, repeat, tail in zip(
-                    periods, folds, sources, used, repeats, carried
-                ):
+                window = normals[: len(rngs), :m]
+                shares = [
+                    (window[w::workers], rngs[w::workers], scales[w::workers])
+                    for w in range(workers)
+                ]
+                drawn = [pool.submit(_draw, *share) for share in shares[1:]]
+                _draw(*shares[0])
+                for done in drawn:
+                    done.result()
+                for stack, fold, source, end, tail in zip(periods, folds, sources, used, carried):
                     take = min(m, end - start)
                     if take <= 0:
                         continue
                     p = stack.shape[-1]
                     r = start % p  # the samples carried from the last window
-                    out = buf[: hi - lo, : r + take]
-                    if r:
-                        out[:, :r] = tail[: hi - lo, :r]
-                    np.add(normals[source, :take], repeat[:, r : r + take], out=out[:, r:])
-                    whole = r + take - (r + take) % p
-                    if whole:
-                        fold.add(out[:, :whole])
-                    if whole < r + take:
-                        tail[: hi - lo, : r + take - whole] = out[:, whole:]
+                    rest = (r + take) % p  # the new partial period
+                    whole = r + take - rest
+                    if whole:  # column 0 is a period boundary
+                        chunk = flat[: (hi - lo) * whole].reshape(hi - lo, whole)
+                        if r:
+                            chunk[:, :r] = tail[: hi - lo, :r]
+                        chunk[:, r:] = window[source, : whole - r]
+                        fold.add(_add_periods(chunk, stack[lo:hi]))
+                    fresh = min(rest, take)  # the new partial period's samples in this window
+                    if fresh:
+                        tail[: hi - lo, rest - fresh : rest] = window[source, take - fresh : take]
             use(lo, hi, [fold.mean() for fold in folds])
 
 
@@ -569,14 +498,14 @@ def fold_streams(
     N(0, cfg.noise_sigma^2) noise of ``default_rng(seeds[r])``, folded:
     bit for bit ``demux.average_periods([np.resize(periods[r], n) +
     default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  It is the
-    one-config case of ``fold_stream_groups``, each row drawn in place
-    and its groups gathered into one stack: a row whose seed is None
-    gets no noise, nothing is drawn when sigma is 0, a stream without a
-    complete period raises InsufficientSamples, no rows give the empty
-    (0, order, K) stack and fewer seeds than rows raise ValueError.  The
-    result depends on neither the thread count nor the chunk size.  It
-    is allocated first and seeds is read group by group, so a stack too
-    large for memory raises MemoryError before any seed is derived.
+    one-config case of ``fold_stream_groups``, its groups gathered into
+    one stack: a row whose seed is None gets no noise, nothing is drawn
+    when sigma is 0, a stream without a complete period raises
+    InsufficientSamples, no rows give the empty (0, order, K) stack and
+    fewer seeds than rows raise ValueError.  The result depends on
+    neither the thread count nor the chunk size.  It is allocated first
+    and seeds is read group by group, so a stack too large for memory
+    raises MemoryError before any seed is derived.
     """
     folded = np.empty((len(periods), cfg.order, cfg.subsets_per_cycle))
 
@@ -592,9 +521,9 @@ def stream_chunks(
     ph: Phantom,
     axis_xy: tuple[float, float] = (0.0, 0.0),
 ) -> Iterator[np.ndarray]:
-    """The stream of one transducer position in chunks, the one-row case
-    of the chunk generator with which ``fold_stream_groups`` draws a lone
-    config.
+    """The stream of one transducer position in chunks, each drawn in
+    place by ``_draw`` and ``_add_periods``, as ``fold_stream_groups``
+    draws and adds a window.
 
     Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
     periods), or the whole stream if it is shorter; only the last may
@@ -615,8 +544,12 @@ def stream_chunks(
     p = period.size
     # no longer than the stream rounded up to whole periods
     buf = np.empty((1, min(chunk_length(p), -(-n // p) * p)))
-    chunks = _draw_chunks(buf, period[None], [cfg.seed], cfg.noise_sigma, n)
-    return (rows[0] for rows in chunks)
+    rngs = [generator(cfg.seed) if cfg.noise_sigma else None]
+    step = buf.shape[-1]
+    return (
+        _add_periods(_draw(buf[:, : min(step, n - start)], rngs, cfg.noise_sigma), period[None])[0]
+        for start in range(0, n, step)
+    )
 
 
 def simulate_stream(

@@ -136,14 +136,23 @@ def test_traced_functions_run_only_on_the_calling_thread(cpus, monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(simulator, "_draw", recording_draw)
+    add = demux.PeriodFold.add
+    folds = set()
+
+    def recording_add(self, chunk):
+        folds.add(threading.get_ident())
+        return add(self, chunk)
+
+    monkeypatch.setattr(demux.PeriodFold, "add", recording_add)
     cpus(2)
     scan(config())
     snr(config())
     sweep(config())
     names = {name for name, _ in calls}
-    assert {"derive_seed", "axial_profile", "average_periods", "scan_2d"} <= names
+    assert {"derive_seed", "axial_profile", "scan_2d"} <= names
     assert {"measure_snr", "multiplexing_advantage", "reconstruct_profile"} <= names
     assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert folds == {threading.get_ident()}
     # the calling thread drew, and so did each call's one worker
     assert threading.get_ident() in draws and len(draws) > 1
 
@@ -183,11 +192,16 @@ def test_an_error_in_the_calling_threads_share_joins_its_workers(cpus, monkeypat
 
 
 def test_a_fold_that_stops_early_joins_its_workers(cpus, monkeypatch):
-    def first_chunk_only(chunks, cfg):
-        next(iter(chunks))
-        raise KeyError("stop")
+    add = demux.PeriodFold.add
+    added = []
 
-    monkeypatch.setattr(demux, "average_periods", first_chunk_only)
+    def first_chunk_only(self, chunk):
+        if added:
+            raise KeyError("stop")
+        added.append(chunk.shape)
+        add(self, chunk)
+
+    monkeypatch.setattr(demux.PeriodFold, "add", first_chunk_only)
     monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 100)
     cpus(2)
     before = threading.active_count()

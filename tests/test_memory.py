@@ -10,13 +10,15 @@ not by stacks of trials.  The reconstruction of a stack of 2001 folded
 frames and its envelope extraction are measured in-process with
 tracemalloc: besides their input they may hold their result, the
 demultiplexed stack in between and blocks of scratch, not stack-sized
-temporaries.
+temporaries.  So is the fold of the scan workload's 37 streams: besides
+its result it may hold a window of draws and a chunk per thread.
 """
 
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ import pytest
 
 import aoimux
 from aoimux import pipeline, simulator
+from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -143,3 +146,22 @@ def test_extract_modulated_holds_its_result_and_one_block(coded_stack):
     profile = DepthProfile(folded.reshape(STACK_ROWS, -1), cfg.bin_width_m)
     peak = _traced_peak(pipeline.extract_modulated, profile, cfg.f_us, cfg.f_s)
     assert peak < 2 * folded.nbytes + SCRATCH_BYTES, peak / folded.nbytes
+
+
+FOLD_ROWS = 37  # the positions of default.cfg's scan
+FOLD_THREADS = 2
+
+
+def test_fold_streams_scratch_is_a_window_and_a_chunk_per_thread(monkeypatch):
+    run = parse_run_config(CONFIGS / "default.cfg")
+    cfg = replace(run.acquisition, duration_s=0.1)  # 500 000 samples a stream
+    xs, _ = run.scan.positions()
+    assert xs.size == FOLD_ROWS
+    periods = simulator.clean_period(cfg, run.phantom, np.stack([xs, np.zeros_like(xs)], axis=-1))
+    monkeypatch.setattr(simulator, "usable_cpus", lambda: FOLD_THREADS)
+    simulator.fold_streams(cfg, periods[:2], [1, 2])  # one-time imports and caches
+    peak = _traced_peak(simulator.fold_streams, cfg, periods, range(FOLD_ROWS))
+    result = FOLD_ROWS * cfg.order * cfg.subsets_per_cycle * 8
+    window = FOLD_THREADS * simulator.CHUNK_SAMPLES * 8
+    # the draws of a window and a chunk beside them, each one window
+    assert peak - result < 2.5 * window, (peak - result) / window
