@@ -15,9 +15,11 @@ Entry (r, c) of S @ S.T is the cyclic autocorrelation of the bits at lag
 c - r, so the identity holds exactly when lag 0 equals (N+1)/2 and every
 other lag equals (N+1)/4.  Generation checks all N lags at every order
 with a blocked FFT autocorrelation: FFTs of 2**16-bit blocks plus one
-multiply-add per block pair and frequency (136 pairs at MAX_ORDER),
-about 20 N bytes of memory, and rounding to integers only after a guard
-that no lag is 1/4 or more away from an integer.
+multiply-add per block pair and frequency (136 pairs at MAX_ORDER), and
+rounding to integers only after a guard that no lag is 1/4 or more away
+from an integer.  Its memory is the spectrum table of 16 N bytes and
+little more: the check traces a peak of 22.0 MB at N = 1 048 571, 1.31
+times its 16.8 MB table.
 
 One table answers "is N a usable order?" for validate_order, check_order
 and valid_orders alike: a sieve of the candidates 3, 7, 11, ... up to
@@ -92,12 +94,18 @@ class SSequence:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        object.__setattr__(self, "bits", bits)
+        # checked in their own dtype: a cast to uint8 first would wrap 257
+        # to 1 and truncate 1.5 to 1
+        bits = np.asarray(self.bits)
         if bits.ndim != 1:
             raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
-        if not np.all((bits == 0) | (bits == 1)):
+        if bits.dtype == np.uint8:
+            binary = bits.max(initial=0) <= 1
+        else:
+            binary = np.all((bits == 0) | (bits == 1))
+        if not binary:
             raise InvalidOrder("sequence entries must be 0 or 1")
+        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
 
     @property
     def order(self) -> int:
@@ -132,11 +140,23 @@ class SSequence:
         return cls(np.frombuffer(body.encode(), dtype=np.uint8) - ord("0"))
 
 
-def circulant_matrix(seq: SSequence) -> np.ndarray:
-    """Dense int64 circulant whose row r is the sequence shifted right by r."""
+def circulant_view(seq: SSequence, dtype: np.dtype | type) -> np.ndarray:
+    """Read-only (N, N) view of S, entry (r, c) = bits[(c - r) % N].
+
+    Row r is the window ext[N - r : 2N - r] of the sequence written out
+    twice in ``dtype``, so the view holds 2 N values, not N**2.
+    """
     n = seq.order
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return seq.bits.astype(np.int64)[idx]
+    ext = np.concatenate([seq.bits, seq.bits], dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(ext, n)[n:0:-1]
+
+
+def circulant_matrix(seq: SSequence) -> np.ndarray:
+    """Dense int64 circulant whose row r is the sequence shifted right by r.
+
+    A contiguous copy of ``circulant_view``: the one N**2 array it allocates.
+    """
+    return circulant_view(seq, np.int64).copy()
 
 
 def s_matrix_identity_error(seq: SSequence) -> int:
@@ -153,8 +173,11 @@ def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:
     The bits are cut into blocks of _BLOCK; each block's rfft, zero-padded
     to twice the block, fills one row of a preallocated table.  Blocks i
     and i + d together give the linear lags d*B - B + 1 .. d*B + B - 1, so
-    one irfft per block offset d yields a run of lags; the run is added at
-    +lag and, for lags > 0, at N - lag (the pairs that wrap around).
+    one irfft per block offset d yields a run of lags.  Linear lag m adds
+    to c[m] and, for m > 0, to c[N - m] (the pairs that wrap around), and
+    c[l] == c[N - l]; so the runs are summed into the lags 0 .. N // 2
+    alone, each straight from the rounded irfft, and the other half is
+    their mirror, made once the table is freed.
     """
     n = bits.size
     block = min(_BLOCK, n)
@@ -164,7 +187,9 @@ def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:
         table[i] = np.fft.rfft(bits[i * block:(i + 1) * block], 2 * block)
     acc = np.empty(block + 1, dtype=np.complex128)
     prod = np.empty_like(acc)
-    lags = np.zeros(n, dtype=np.int32)
+    r_int = prod.view(np.float64)[:2 * block]  # prod's bytes, free once acc is summed
+    half = n // 2
+    lags = np.zeros(half + 1, dtype=np.int32)
     for d in range(n_blocks):
         acc[:] = 0
         for i in range(n_blocks - d):
@@ -172,20 +197,27 @@ def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:
             prod *= table[i + d]
             acc += prod
         r = np.fft.irfft(acc, 2 * block)
-        r_int = np.rint(r)
+        np.rint(r, out=r_int)
         r -= r_int
-        if np.abs(r, out=r).max() >= 0.25:
+        off = np.abs(r, out=r).max()
+        del r  # freed before the next irfft allocates its output
+        if off >= 0.25:
             raise InvalidOrder(f"order {n}: FFT autocorrelation is not near an integer")
-        # lag t of this block pair sits at r[t % 2B], t in (-B, B); after the
-        # roll run[k] holds linear lag base + k
-        run = np.roll(r_int.astype(np.int32), block - 1)
-        base = (d - 1) * block + 1
-        lo, hi = max(base, 0), min(base + 2 * block - 1, n)
-        seg = run[lo - base:hi - base]
-        lags[lo:hi] += seg
-        lo_wrap = max(lo, 1)
-        lags[n - hi + 1:n - lo_wrap + 1] += seg[lo_wrap - lo:][::-1]
-    return lags
+        # lag t of this block pair, t in (-B, B), is linear lag d*B + t and
+        # sits at r_int[t % 2B]: its t < 0 part at 2B + t, its t >= 0 part at t
+        for t_lo, t_hi, at in ((1 - block, 0, 2 * block), (0, block, 0)):
+            m_lo, m_hi = d * block + t_lo, d * block + t_hi
+            shift = at - d * block  # r_int index of linear lag m is m + shift
+            lo, hi = max(m_lo, 0), min(m_hi, half + 1)  # c[m]
+            if lo < hi:
+                dest = lags[lo:hi]
+                np.add(dest, r_int[lo + shift:hi + shift], out=dest, casting="unsafe")
+            lo, hi = max(m_lo, n - half), min(m_hi, n)  # c[N - m]
+            if lo < hi:
+                dest = lags[n - hi + 1:n - lo + 1]
+                np.add(dest, r_int[lo + shift:hi + shift][::-1], out=dest, casting="unsafe")
+    del table, acc, prod, r_int
+    return np.concatenate([lags, lags[n - half - 1:0:-1]])
 
 
 def _check_identity(seq: SSequence) -> None:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codes import SSequence, circulant_matrix
+from .codes import SSequence, circulant_matrix, circulant_view
 from .errors import (
     ConfigError,
     InsufficientSamples,
@@ -79,7 +79,12 @@ class DepthProfile:
 
 
 class CirculantSystem:
-    """Immutable solver for S x = y; shareable across threads once built."""
+    """Immutable solver for S x = y; shareable across threads once built.
+
+    The dense solver stores S as ``codes.circulant_view``, a read-only
+    strided view over 2 N floats; LAPACK's copy of it, made per solve,
+    is the one N**2 array.
+    """
 
     def __init__(self, sequence: SSequence, kind: str):
         if kind not in SOLVER_KINDS:
@@ -98,7 +103,7 @@ class CirculantSystem:
         self._spectrum = spectrum
         self._dense = None
         if kind == "dense":
-            self._dense = self.matrix().astype(np.float64)
+            self._dense = circulant_view(sequence, np.float64)
 
     def matrix(self) -> np.ndarray:
         """Dense integer S, rows are successive right shifts of the sequence."""
@@ -169,7 +174,7 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
     n = sys.order
     if n > _DENSE_MAX:
         raise OrderTooLarge(f"dense check limited to order {_DENSE_MAX}, got {n}")
-    s = sys.matrix().astype(np.float64)
+    s = circulant_view(sys.sequence, np.float64).copy()
     closed = (2.0 / (n + 1)) * (2.0 * s.T - np.ones((n, n)))
     if np.abs(s @ closed - np.eye(n)).max() > 1e-9:
         raise SingularSystem("closed-form inverse failed the identity check")

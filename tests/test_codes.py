@@ -135,6 +135,17 @@ class TestGeneration:
         assert np.all(s.sum(axis=0) == (n + 1) // 2)
         assert np.all(s.sum(axis=1) == (n + 1) // 2)
 
+    @pytest.mark.parametrize("n", [*VALID_ORDERS_TO_103, 1019])
+    def test_circulant_matrix_is_the_explicit_shift(self, n):
+        seq = codes.generate_s_sequence(n)
+        r, c = np.indices((n, n))
+        s = codes.circulant_matrix(seq)
+        assert s.dtype == np.int64 and s.flags.c_contiguous and s.flags.writeable
+        assert np.array_equal(s, seq.bits[(c - r) % n])
+        view = codes.circulant_view(seq, np.float64)
+        assert view.dtype == np.float64 and not view.flags.writeable
+        assert np.array_equal(view, s)
+
     @pytest.mark.parametrize("n", [7, 19])
     def test_cyclic_shift_closure(self, n):
         seq = codes.generate_s_sequence(n)
@@ -244,3 +255,23 @@ class TestTextFormat:
             codes.SSequence(np.array([0, 1, 2]))
         with pytest.raises(InvalidOrder):
             codes.SSequence(np.array([[0, 1, 1]]))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([1, 1, 257, 0, 256, 0, 0]),  # a uint8 cast wraps these to 1 and 0
+            np.array([1.5, 1, 1, 0, 1, 0, 0]),  # and truncates this to 1
+            np.array([1, 1, 1, 0, -1, 0, 0]),
+            np.array([1, 1, 1, 0, 2, 0, 0], dtype=np.uint8),
+        ],
+    )
+    def test_entries_checked_before_the_cast(self, bits):
+        with pytest.raises(InvalidOrder, match="0 or 1"):
+            codes.SSequence(bits)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.int8, np.float64, np.uint8])
+    def test_zero_one_entries_of_any_dtype_pass(self, dtype):
+        seq = codes.SSequence(np.array([1, 1, 1, 0, 1, 0, 0], dtype=dtype))
+        assert seq.bits.dtype == np.uint8
+        assert seq.to_text() == "7:1110100"
+        assert codes.SSequence(np.zeros(0, dtype=dtype)).order == 0

@@ -11,7 +11,11 @@ frames and its envelope extraction are measured in-process with
 tracemalloc: besides their input they may hold their result, the
 demultiplexed stack in between and blocks of scratch, not stack-sized
 temporaries.  So is the fold of the scan workload's 37 streams: besides
-its result it may hold a window of draws and a chunk per thread.
+its result it may hold a window of draws and a chunk per thread.  The two
+reference paths of the S-matrix identity are bounded by their one big
+array: a dense simulate at order 1019 may peak above the spectral one by
+less than two float64 copies of S, and the all-lags check at the largest
+order may trace less than 1.4 times its spectrum table.
 """
 
 import os
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 
 import aoimux
-from aoimux import pipeline, simulator
+from aoimux import codes, pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 
@@ -165,3 +169,38 @@ def test_fold_streams_scratch_is_a_window_and_a_chunk_per_thread(monkeypatch):
     window = FOLD_THREADS * simulator.CHUNK_SAMPLES * 8
     # the draws of a window and a chunk beside them, each one window
     assert peak - result < 2.5 * window, (peak - result) / window
+
+
+DENSE_ORDER = 1019
+DENSE_PERIODS = 4
+
+
+def test_dense_simulate_holds_one_copy_of_s(tmp_path):
+    # the stored S is a view over 2 N floats; LAPACK's copy is the one N**2
+    # array, where an index matrix and int and float copies of S once sat
+    quick = (CONFIGS / "quick.cfg").read_text()
+    duration = DENSE_PERIODS * DENSE_ORDER / 1.25e6
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(
+        quick.replace("order = 79", f"order = {DENSE_ORDER}").replace(
+            "duration_s = 5.056e-4", f"duration_s = {duration!r}"
+        )
+    )
+    assert cfg.read_text().count(str(DENSE_ORDER)) == 1 and "5.056e-4" not in cfg.read_text()
+    peaks = {
+        kind: _peak_rss_mb(
+            tmp_path, "--out-dir", str(tmp_path / kind), "simulate", "--config", str(cfg),
+            "--solver", kind,
+        )
+        for kind in ("dense", "spectral")
+    }
+    gap = (peaks["dense"] - peaks["spectral"]) * 2**20
+    assert gap < 2 * DENSE_ORDER**2 * 8, peaks
+
+
+def test_identity_check_holds_its_table_and_little_more():
+    n = 1048571  # the largest usable order
+    seq = codes.generate_s_sequence(n)
+    table = -(-n // codes._BLOCK) * (codes._BLOCK + 1) * 16  # complex128 rows
+    peak = _traced_peak(codes._check_identity, seq)
+    assert peak < 1.4 * table, peak / table
