@@ -15,7 +15,8 @@ its result it may hold a window of draws and a chunk per thread.  The two
 reference paths of the S-matrix identity are bounded by their one big
 array: a dense simulate at order 1019 may peak above the spectral one by
 less than two float64 copies of S, and the all-lags check at the largest
-order may trace less than 1.4 times its spectrum table.
+order may trace less than 1.4 times its spectrum table, and the entry
+check of a uint8 code at that order makes no N-sized temporaries.
 """
 
 import os
@@ -204,3 +205,10 @@ def test_identity_check_holds_its_table_and_little_more():
     table = -(-n // codes._BLOCK) * (codes._BLOCK + 1) * 16  # complex128 rows
     peak = _traced_peak(codes._check_identity, seq)
     assert peak < 1.4 * table, peak / table
+
+
+def test_uint8_entry_check_makes_no_n_sized_temporaries():
+    bits = codes.generate_s_sequence(1048571).bits
+    assert bits.dtype == np.uint8
+    peak = _traced_peak(codes.SSequence, bits)
+    assert peak < bits.nbytes // 4, peak
