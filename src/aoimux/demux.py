@@ -13,9 +13,8 @@ A stream, in memory or read in chunks, is demultiplexed in two steps:
 complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
 ``PeriodFold`` is the fold ``average_periods`` runs, fed one chunk at a
-time, one stream per row of a chunk: ``simulator.fold_stream_groups``
-folds the streams of scan positions and of Monte-Carlo trials through
-it, window by window, each config into one of its own.
+time.  Scan positions and Monte-Carlo trials make no stream:
+``simulator.draw_folded`` draws their period means directly.
 ``pipeline.reconstruct_profile`` runs the solve and the envelope
 extraction.
 """
@@ -223,9 +222,7 @@ class PeriodFold:
     chunks, under the same rules, and ``mean`` is what ``average_periods``
     returns for the chunks added so far, raising as it raises.  So a fold
     fed chunk by chunk equals ``average_periods`` over the same chunks,
-    bit for bit; ``simulator.fold_stream_groups`` keeps one per
-    acquisition config, so several configs fold side by side from one
-    draw.
+    bit for bit.
     """
 
     def __init__(self, cfg: AcquisitionConfig):

@@ -53,4 +53,4 @@ class ConfigError(AoimuxError):
 
 
 class NonFiniteSamples(NumericalError):
-    """Stream holds NaN or infinite samples in the periods it is folded over."""
+    """Samples folded or a profile reconstructed hold NaN or infinite values."""

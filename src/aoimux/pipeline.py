@@ -16,6 +16,7 @@ from .errors import (
     InsufficientSamples,
     InvalidOrder,
     NoPeak,
+    NonFiniteSamples,
     NyquistViolation,
 )
 from .seeding import TRIAL_SALT, derive_seed
@@ -141,19 +142,23 @@ def reconstruct_profile(
     the extraction work in row blocks, so besides folded a stack holds
     its demultiplexed signal, its envelope and one block of scratch at
     a time; the dense solve's one gesv over the stack takes stack-sized
-    copies of its own before the extraction starts.
+    copies of its own before the extraction starts.  A result that is
+    not finite, as from an overflow, raises NonFiniteSamples, unwarned.
     """
     if kind not in demux.SOLVER_KINDS:
         raise ConfigError(f"solver kind must be one of {demux.SOLVER_KINDS}, got {kind!r}")
-    if cfg.mode == simulator.MODE_CODED:
-        system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
-        raw = demux.demultiplex_stream(system, folded)
-    else:
-        raw = folded.reshape(folded.shape[:-2] + (-1,))
-    profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)
-    if not extract:
-        return profile
-    return extract_modulated(profile, cfg.f_us, cfg.f_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.mode == simulator.MODE_CODED:
+            system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
+            raw = demux.demultiplex_stream(system, folded)
+        else:
+            raw = folded.reshape(folded.shape[:-2] + (-1,))
+        profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)
+        if extract:
+            profile = extract_modulated(profile, cfg.f_us, cfg.f_s)
+    if not np.isfinite(profile.values).all():
+        raise NonFiniteSamples("the reconstructed profile is not finite: its samples overflow")
+    return profile
 
 
 @dataclass(frozen=True)
@@ -205,12 +210,13 @@ def measure_snr(
     ``subtract_noise_floor`` the mean off-peak amplitude (the envelope
     detector's Rayleigh floor) is removed from the signal first.
 
-    Trial t is the noise-free period repeated plus the noise of
-    ``default_rng(derive_seed(cfg.seed, TRIAL_SALT, t))`` (the draw
-    ``simulator.stream_chunks`` makes).  This is the one-config case of
+    Trial t is the (order, K) mean of a stream's p complete periods,
+    drawn folded: the noise-free period plus sigma / sqrt(p) times the
+    standard normals of ``default_rng(derive_seed(cfg.seed, TRIAL_SALT,
+    t))`` (``simulator.draw_folded``).  This is the one-config case of
     the sweep's Monte-Carlo path, ``_measure_snrs``: its report equals
     that of the same config measured beside others in a sweep, bit for
-    bit, whatever the number of cores, and no stream is ever held whole.
+    bit, and no stream is made.
     """
     return _measure_snrs([cfg], ph, n_trials, subtract_noise_floor)[0]
 
@@ -233,18 +239,17 @@ def _measure_snrs(
     one pass over the trials.
 
     Each config's noise-free period is simulated once.  One
-    ``simulator.fold_stream_groups`` call folds, group of rows by group
-    of rows, each config's noise-free reference (row 0) and its trials
-    (row t + 1 is trial t).  Each trial's seed is derived once per
-    config on the calling thread, but configs whose trial seeds are
-    equal (every config of a sweep) share one draw of its noise, drawn
-    to the longest stream among them.  Each config's group is then
-    reconstructed by one ``reconstruct_profile`` call, and only the
-    amplitudes of its trials at the reference's peak and off bins are
-    kept: the reference sits in the first group, so the bins are known
-    before any trial's amplitudes.  Each trial's profile equals that of
-    its own stream reconstructed alone, bit for bit, so the reports do
-    not depend on the group size, the number of cores or the configs
+    ``simulator.draw_folded`` pass draws, block of rows by block of rows,
+    each config's noise-free reference (row 0) and its trials (row t + 1
+    is trial t).  Each trial's seed is derived once per config, but
+    configs whose trial seeds are equal (every config of a sweep) share
+    one generator, drawn to the longest period among them.  Each
+    config's block is then reconstructed by one ``reconstruct_profile``
+    call, and only the amplitudes of its trials at the reference's peak
+    and off bins are kept: the reference sits in the first block, so the
+    bins are known before any trial's amplitudes.  Each trial's profile
+    equals that of its own folded draw reconstructed alone, bit for bit,
+    so the reports do not depend on the block size or the configs
     measured beside each other.  The per-trial amplitudes are allocated
     before any seed is derived, so a run too large for memory raises
     MemoryError first.
@@ -255,11 +260,15 @@ def _measure_snrs(
     if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
         raise MemoryError(f"the amplitudes of {n_trials} trials of {len(cfgs)} configs")
     amplitudes = np.empty(shape)
-    periods = [simulator.clean_period(cfg, ph) for cfg in cfgs]
+    rows = n_trials + 1
+    periods = [  # the reference and every trial share one period
+        np.broadcast_to(simulator.clean_period(cfg, ph), (rows, cfg.period_samples))
+        for cfg in cfgs
+    ]
+    seeds = [_trial_seeds(cfg.seed, n_trials) for cfg in cfgs]
     bins: list[list[int]] = []  # each config's peak and off bin
-
-    def measure(lo: int, hi: int, folded: list[np.ndarray]) -> None:
-        first = max(lo, 1)  # the group's first trial row
+    for lo, folded in simulator.draw_folded(cfgs, periods, seeds):
+        first = max(lo, 1)  # the block's first trial row
         for c, (cfg, stack) in enumerate(zip(cfgs, folded)):
             profiles = reconstruct_profile(stack, cfg).values
             if lo == 0:  # row 0 is the noise-free reference
@@ -269,15 +278,7 @@ def _measure_snrs(
                     raise NoPeak("noise-free reference profile is empty")
                 off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
                 bins.append([peak_bin, off_bin])
-            amplitudes[c, :, first - 1 : hi - 1] = profiles[first - lo :, bins[c]].T
-
-    rows = n_trials + 1
-    simulator.fold_stream_groups(
-        cfgs,
-        [np.broadcast_to(period, (rows, period.size)) for period in periods],
-        [_trial_seeds(cfg.seed, n_trials) for cfg in cfgs],
-        measure,
-    )
+            amplitudes[c, :, first - 1 : lo + len(stack) - 1] = profiles[first - lo :, bins[c]].T
     reports = []
     for cfg, (peaks, offs) in zip(cfgs, amplitudes):
         signal = float(peaks.mean())
@@ -344,9 +345,9 @@ def multiplexing_advantage(
     is infinite, so a zero noise_sigma raises ConfigError.
 
     Every order and mode shares cfg_base's seed, so trial t has the same
-    seed in each: one ``_measure_snrs`` pass draws each trial's noise
-    once, to the longest stream among them, and each order and mode
-    folds its own prefix of it.  Each report equals that of
+    seed in each: one ``_measure_snrs`` pass draws each trial's normals
+    once, to the longest period among them, and each order and mode
+    scales its own prefix of them.  Each report equals that of
     ``measure_snr`` on its config alone, bit for bit.
     """
     if cfg_base.noise_sigma == 0:

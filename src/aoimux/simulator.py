@@ -31,15 +31,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import codes, demux
+from . import codes
 from .errors import ConfigError, InsufficientSamples, NonIntegerRatio
-from .seeding import SCAN_SALT, derive_seed, generator
+from .seeding import SCAN_SALT, derive_seed
 
 SPEED_OF_SOUND_WATER = 1482.0  # m/s, distilled water near room temperature
 
@@ -49,7 +48,8 @@ MODE_CODED = "coded"
 _CM_TO_M = 100.0  # 1/cm -> 1/m for optical coefficients
 _SCALE_GRID = 2048  # axial samples used to fix the phantom fluence scale
 # Streams are made, written and read in chunks of whole periods of at most
-# this many samples (512 kB), so memory does not grow with stream length.
+# this many samples (512 kB), and folded draws in blocks of at most this many
+# values, so memory grows with neither stream length nor row count.
 CHUNK_SAMPLES = 1 << 16
 
 
@@ -344,176 +344,67 @@ def _add_periods(out: np.ndarray, periods: np.ndarray) -> np.ndarray:
     return out
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, which ``taskset``
-    or a cpuset limits, where the platform has one, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _rows(index: list[int]) -> slice | np.ndarray:
-    """Row indices as a slice where they count up by one, else as an array."""
-    if index == list(range(index[0], index[0] + len(index))):
-        return slice(index[0], index[0] + len(index))
-    return np.array(index)
-
-
-def fold_stream_groups(
+def draw_folded(
     cfgs: Sequence[AcquisitionConfig],
     periods: Sequence[np.ndarray],
     seeds: Sequence[Iterable[int | None]],
-    use: Callable[[int, int, list[np.ndarray]], object],
-) -> None:
-    """Fold the noisy streams of one or more configs side by side, group of
-    rows by group of rows, drawing the noise of each seed once for all of
-    them.
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Period means of noisy streams, drawn folded, block of rows by block
+    of rows.
 
     For each config c, periods[c] is (R, P_c), the same R rows for every
-    config, and row r stands for the stream of periods[c][r] repeated for
-    cfgs[c].n_samples samples plus the N(0, cfgs[c].noise_sigma^2) noise
-    of ``default_rng(seeds[c][r])``; a None seed or a zero sigma draws
-    nothing.  For each group of rows lo..hi - 1, in order,
-    ``use(lo, hi, folded)`` gets folded[c], the (hi - lo, order, K) period
-    means of config c: each row bit for bit ``demux.average_periods`` of
-    its own stream, whatever the group, the window or the number of
-    threads.  Only the complete periods are drawn, since the fold
-    discards the rest; a config without one raises InsufficientSamples
-    before any seed is read.  seeds[c] is read group by group, and fewer
-    seeds than rows raise ValueError.
+    config, and row r stands for periods[c][r] repeated for n_samples
+    samples plus N(0, sigma^2) noise.  The mean of p i.i.d. N(0, sigma^2)
+    samples is N(0, sigma^2 / p), so the mean of its p complete periods
+    is drawn directly as ``periods[c][r] + (sigma / sqrt(p)) *
+    default_rng(seeds[c][r]).standard_normal(P_c)``, reshaped to
+    (order, K): exact in distribution, no stream made.  A None seed or a
+    zero sigma gives the clean period itself, bit for bit.  A config
+    without a complete period raises InsufficientSamples before any seed
+    is read.
 
-    A group draws each distinct (seed, sigma) once, scaled by the sigma,
-    to the longest stream, in windows of ``chunk_length`` of the shortest
-    period, cut to CHUNK_SAMPLES over the number of configs but never
-    below the shortest period, or of the longest stream if that is
-    shorter: a generator's first m normals do not depend on how many it
-    draws after them.  A group has one row per thread, or as many more as
-    fit CHUNK_SAMPLES samples per thread.  Each config copies the prefix
-    of a window it needs into a contiguous chunk of whole periods, after
-    the noise it carried from the last window, keeps the noise of its
-    new partial last period (less than one period a row) for the next,
-    adds its periods in place and folds the chunk into a
-    ``demux.PeriodFold`` of its own.
-
-    The draws of a window are spread over ``min(usable_cpus(), R)``
-    threads: thread w draws rows w, w + threads, ..., the calling thread
-    taking share 0 and a ``ThreadPoolExecutor`` the others, and a window
-    is used once every share is drawn.  A worker's exception is raised
-    in the calling thread, and the workers are joined before this
-    returns or raises, also when ``use`` raises; a single usable CPU
-    starts no thread.  Only the calling thread derives, seeds, folds or
-    calls anything else: it seeds each drawn row's generator through
-    ``seeding.generator``, whose cached hashes make a seed seen before
-    in this process cost no ``SeedSequence`` hash.  Memory holds one
-    group's draws of a window and one config's chunk, not the streams.
+    Yields (lo, folded) per block of rows lo .. lo + b - 1, folded[c] the
+    (b, order, K) means of config c, which hold at most CHUNK_SAMPLES
+    values together (one row at least).  seeds[c] is read block by
+    block; fewer seeds than rows raise ValueError.  Each distinct seed
+    of a block seeds one generator, drawn to the longest period, and each
+    config scales its own prefix: a generator's first m normals do not
+    depend on how many it draws after them, so every row is what its
+    config draws alone, bit for bit.  An overflowing draw gives inf,
+    silently; ``pipeline.reconstruct_profile`` reports it.
     """
-    from concurrent.futures import ThreadPoolExecutor  # local import: it loads logging
-
-    used = []
-    for cfg, stack in zip(cfgs, periods):
-        n, p = cfg.n_samples, stack.shape[-1]
+    for cfg in cfgs:
+        n, p = cfg.n_samples, cfg.period_samples
         if n < p:
             raise InsufficientSamples(f"{n} samples < one period of {p}")
-        used.append(n - n % p)
-    lengths = [len(stack) for stack in periods]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"every config needs the same rows, got {lengths}")
-    rows = lengths[0]
-    if not rows:
-        return
-    length = max(used)
-    workers = min(usable_cpus(), rows)
-    shortest = min(stack.shape[-1] for stack in periods)
+    scales = [cfg.noise_sigma / math.sqrt(cfg.n_samples // cfg.period_samples) for cfg in cfgs]
+    rows = len(periods[0])
     longest = max(stack.shape[-1] for stack in periods)
-    # so the configs' chunks hold about CHUNK_SAMPLES samples together
-    step = min(chunk_length(shortest), length, max(shortest, CHUNK_SAMPLES // len(cfgs)))
-    group = min(rows, max(workers, workers * CHUNK_SAMPLES // step))
-    normals = np.empty((0, step))  # a window's draws, grown to a group's distinct seeds
-    # a config's chunk: its carried noise, then its share of the window
-    flat = np.empty(group * (step + longest - 1))
-    # each config's partial last period, noise only, where a stream spans several windows
-    carried = [
-        np.empty((group, stack.shape[-1] - 1)) if length > step else None for stack in periods
-    ]
+    block = max(1, CHUNK_SAMPLES // sum(stack.shape[-1] for stack in periods))
     seeds = [iter(s) for s in seeds]
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        for lo in range(0, rows, group):
-            hi = min(lo + group, rows)
-            group_seeds = [list(itertools.islice(s, hi - lo)) for s in seeds]
-            for got in group_seeds:
-                if len(got) < hi - lo:
-                    raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
-            # (seed, sigma) -> its row of scaled normals; None draws nothing
-            keys: dict[tuple[int, float] | None, int] = {}
-            sources = [
-                _rows([
-                    keys.setdefault(None if s is None or not sigma else (s, sigma), len(keys))
-                    for s in got
-                ])
-                for sigma, got in zip((cfg.noise_sigma for cfg in cfgs), group_seeds)
-            ]
-            rngs = [None if key is None else generator(key[0]) for key in keys]
-            scales = np.array([[0.0 if key is None else key[1]] for key in keys])
-            if len(normals) < len(rngs):
-                normals = np.empty((len(rngs), step))
-            folds = [demux.PeriodFold(cfg) for cfg in cfgs]
-            for start in range(0, length, step):
-                m = min(step, length - start)
-                window = normals[: len(rngs), :m]
-                shares = [
-                    (window[w::workers], rngs[w::workers], scales[w::workers])
-                    for w in range(workers)
-                ]
-                drawn = [pool.submit(_draw, *share) for share in shares[1:]]
-                _draw(*shares[0])
-                for done in drawn:
-                    done.result()
-                for stack, fold, source, end, tail in zip(periods, folds, sources, used, carried):
-                    take = min(m, end - start)
-                    if take <= 0:
-                        continue
-                    p = stack.shape[-1]
-                    r = start % p  # the samples carried from the last window
-                    rest = (r + take) % p  # the new partial period
-                    whole = r + take - rest
-                    if whole:  # column 0 is a period boundary
-                        chunk = flat[: (hi - lo) * whole].reshape(hi - lo, whole)
-                        if r:
-                            chunk[:, :r] = tail[: hi - lo, :r]
-                        chunk[:, r:] = window[source, : whole - r]
-                        fold.add(_add_periods(chunk, stack[lo:hi]))
-                    fresh = min(rest, take)  # the new partial period's samples in this window
-                    if fresh:
-                        tail[: hi - lo, rest - fresh : rest] = window[source, take - fresh : take]
-            use(lo, hi, [fold.mean() for fold in folds])
-
-
-def fold_streams(
-    cfg: AcquisitionConfig, periods: np.ndarray, seeds: Iterable[int | None]
-) -> np.ndarray:
-    """Period means of one noisy stream per row of periods, (R, P) -> (R, order, K).
-
-    Row r is periods[r] repeated for cfg.n_samples samples plus the
-    N(0, cfg.noise_sigma^2) noise of ``default_rng(seeds[r])``, folded:
-    bit for bit ``demux.average_periods([np.resize(periods[r], n) +
-    default_rng(seeds[r]).normal(0.0, sigma, n)], cfg)``.  It is the
-    one-config case of ``fold_stream_groups``, its groups gathered into
-    one stack: a row whose seed is None gets no noise, nothing is drawn
-    when sigma is 0, a stream without a complete period raises
-    InsufficientSamples, no rows give the empty (0, order, K) stack and
-    fewer seeds than rows raise ValueError.  The result depends on
-    neither the thread count nor the chunk size.  It is allocated first
-    and seeds is read group by group, so a stack too large for memory
-    raises MemoryError before any seed is derived.
-    """
-    folded = np.empty((len(periods), cfg.order, cfg.subsets_per_cycle))
-
-    def gather(lo, hi, group):
-        folded[lo:hi] = group[0]
-
-    fold_stream_groups([cfg], [periods], [seeds], gather)
-    return folded
+    for lo in range(0, rows, block):
+        b = min(block, rows - lo)
+        keys: dict[int | None, int] = {}  # seed -> its row of normals; None draws none
+        sources = []
+        for scale, row_seeds in zip(scales, seeds):
+            got = list(itertools.islice(row_seeds, b))
+            if len(got) < b:
+                raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
+            sources.append([keys.setdefault(s if scale else None, len(keys)) for s in got])
+        normals = np.empty((len(keys), longest))
+        for row, seed in zip(normals, keys):
+            if seed is None:
+                row.fill(-0.0)  # scaled and added to x, it is x, bit for bit
+            else:
+                np.random.default_rng(seed).standard_normal(out=row)
+        folded = []
+        for cfg, stack, scale, source in zip(cfgs, periods, scales, sources):
+            out = np.take(normals[:, : stack.shape[-1]], source, axis=0)
+            with np.errstate(over="ignore"):
+                out *= scale
+                out += stack[lo : lo + b]
+            folded.append(out.reshape(b, cfg.order, cfg.subsets_per_cycle))
+        yield lo, folded
 
 
 def stream_chunks(
@@ -522,8 +413,7 @@ def stream_chunks(
     axis_xy: tuple[float, float] = (0.0, 0.0),
 ) -> Iterator[np.ndarray]:
     """The stream of one transducer position in chunks, each drawn in
-    place by ``_draw`` and ``_add_periods``, as ``fold_stream_groups``
-    draws and adds a window.
+    place by ``_draw`` and ``_add_periods``.
 
     Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
     periods), or the whole stream if it is shorter; only the last may
@@ -544,7 +434,7 @@ def stream_chunks(
     p = period.size
     # no longer than the stream rounded up to whole periods
     buf = np.empty((1, min(chunk_length(p), -(-n // p) * p)))
-    rngs = [generator(cfg.seed) if cfg.noise_sigma else None]
+    rngs = [np.random.default_rng(cfg.seed) if cfg.noise_sigma else None]
     step = buf.shape[-1]
     return (
         _add_periods(_draw(buf[:, : min(step, n - start)], rngs, cfg.noise_sigma), period[None])[0]
@@ -642,25 +532,27 @@ def scan_2d(
 ) -> ScanResult:
     """Run the full acquire/demultiplex/extract pipeline over an XY grid.
 
-    Per-position noise streams use seeds derived from
-    ``(cfg.seed, SCAN_SALT, iy, ix)``, so the result is independent of
-    traversal order.  One ``clean_period`` call on the calling thread
-    simulates the noise-free period of every position, over the
-    (ny, nx, 2) stack of the grid's positions; then one ``fold_streams``
-    call draws each position's stream (the draw ``stream_chunks`` makes)
-    over the usable cores and folds it to its (order, K) period mean,
-    chunk by chunk, so no stream is ever held whole.  One
+    Per-position noise uses seeds derived from ``(cfg.seed, SCAN_SALT,
+    iy, ix)``, so the result is independent of traversal order.  One
+    ``clean_period`` call simulates the noise-free period of every
+    position, over the (ny, nx, 2) stack of the grid's positions; then
+    ``draw_folded`` draws each position's (order, K) period mean, the
+    clean period plus its own draw of scale sigma / sqrt(p) over p
+    complete periods, and no stream is made.  One
     ``pipeline.reconstruct_profile`` call then solves and extracts every
-    position, each equal bit for bit to the profile of its stream
-    reconstructed alone, whatever the number of cores.
+    position, each row equal bit for bit to its own folded draw
+    reconstructed alone.
     """
     from .pipeline import reconstruct_profile  # local import, avoids a cycle
 
     xs, ys = grid.positions()
-    # derived lazily: fold_streams reads the seeds once its stack is allocated
-    seeds = (derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in np.ndindex(ys.size, xs.size))
     periods = clean_period(cfg, ph, np.stack(np.meshgrid(xs, ys), axis=-1))
-    folded = fold_streams(cfg, periods.reshape(-1, cfg.period_samples), seeds)
+    periods = periods.reshape(-1, cfg.period_samples)
+    folded = np.empty((len(periods), cfg.order, cfg.subsets_per_cycle))
+    # derived lazily, once the result is allocated
+    seeds = (derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in np.ndindex(ys.size, xs.size))
+    for lo, (block,) in draw_folded([cfg], [periods], [seeds]):
+        folded[lo : lo + len(block)] = block
     folded = folded.reshape(ys.size, xs.size, cfg.order, cfg.subsets_per_cycle)
     stack = reconstruct_profile(folded, cfg, kind).values
     peak = stack.max()

@@ -5,17 +5,22 @@ line per criterion.
 
 Criterion 3 checks that the measured gain lies within +-10% of the exact
 S-matrix advantage, written as sqrt(N)/2 times (N+1)/N, at orders 7, 19,
-31 and 79.
+31 and 79, and that the sweep configs/default.cfg ships lands in the
+same band at each of its orders.
 """
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aoimux import codes, demux, pipeline, simulator
+from aoimux.config import parse_run_config
 from streams import demux_of, profile_of
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 F_US = 1.25e6
 F_S = 5e6
@@ -148,6 +153,24 @@ def test_criterion_3_order_79_absolute_range(advantage_curve):
     ok = 4.0 <= measured <= 4.9
     _report("3 advantage N=79 range", ok, f"measured {measured:.3f} in [4.0, 4.9]")
     assert ok
+
+
+@pytest.fixture(scope="module")
+def shipped_curve():
+    run = parse_run_config(CONFIGS / "default.cfg")
+    return pipeline.multiplexing_advantage(run.acquisition, run.phantom, run.sweep), run.sweep
+
+
+@pytest.mark.parametrize("order", [59, 67, 71, 79])
+def test_criterion_3_band_holds_for_the_shipped_default_sweep(shipped_curve, order):
+    # the sweep configs/default.cfg ships, run as `aoimux snr-sweep` runs it
+    curve, plan = shipped_curve
+    assert curve.orders == list(plan.orders) == [59, 67, 71, 79]
+    assert plan.n_trials == ADVANTAGE_TRIALS
+    idx = curve.orders.index(order)
+    rel = curve.measured_gain[idx] / pipeline.exact_multiplexing_gain(order) - 1.0
+    _report(f"3 shipped default.cfg sweep N={order}", abs(rel) <= 0.10, f"{rel:+.1%}")
+    assert abs(rel) <= 0.10, rel
 
 
 def test_criterion_4_resolution_preservation():

@@ -245,6 +245,34 @@ class TestDemux:
         )
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["1e307", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("command", ["scan2d", "snr-sweep"])
+    def test_non_finite_reconstruction_exit_4_without_numpy_output(
+        self, tmp_path, command, sigma
+    ):
+        # quick.cfg folds 8 periods, so the draw's scale is sigma / sqrt(8): at
+        # 1e307 and 1e308 the draw is finite and the solve overflows, at
+        # 1.7e308 normals beyond 2.98 overflow the draw itself; either way the
+        # profile is not finite, and the child interpreter's stderr shows
+        # what a user would see
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "noise_sigma", sigma))
+        env = dict(os.environ)
+        src = str(Path(aoimux.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "aoimux.cli", "--out-dir", str(out), command,
+             "--config", str(cfg)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 4
+        assert done.stderr == (
+            "aoimux: numerical failure: the reconstructed profile is not finite: "
+            "its samples overflow\n"
+        )
+        assert not list(out.glob("*"))
+
     def _one_period_chunks(self, tmp_path, cfg_file, monkeypatch, extra=0):
         """Stream file of SMALL_CONFIG (4 periods of 76) plus extra samples,
         read back one period a chunk."""
@@ -475,10 +503,14 @@ class TestSnrSweep:
         assert main(["--out-dir", str(tmp_path / "o"), "snr-sweep", "--config", str(bad)]) == 2
         assert "n_trials must be at least 2" in capsys.readouterr().err
 
-    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys):
+    def test_run_too_large_for_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # 10^15 and 10^17 trials of order 7 in two modes ask for 32 PB and
         # 3.2 EB of per-trial amplitudes, beyond any 64-bit user address
         # space: the allocation fails at once, before any seed is derived
+        def no_seed(*args):
+            raise AssertionError("a seed was derived")
+
+        monkeypatch.setattr(pipeline, "derive_seed", no_seed)
         for trials in ("1000000000000000", "100000000000000000"):
             text = _set_value((CONFIGS / "quick.cfg").read_text(), "orders", "7")
             bad = tmp_path / f"{trials}.cfg"
@@ -577,18 +609,11 @@ class TestExportedNames:
         assert calls == {"average_periods": 1, "demultiplex_stream": 1,
                          "reconstruct_profile": 1}
 
-    def test_snr_sweep_reconstructs_once_per_order_and_mode(
-        self, tmp_path, cfg_file, calls, monkeypatch
-    ):
+    def test_snr_sweep_reconstructs_once_per_order_and_mode(self, tmp_path, cfg_file, calls):
         # orders 7 and 19, 4 trials: the 4 trials and the reference form one
-        # group, which each order and mode folds side by side with the others
-        # from one draw, in a demux.PeriodFold of its own (the running fold
-        # average_periods is made of), and reconstructs once
-        folds = []
-        fold = demux.PeriodFold
-        monkeypatch.setattr(demux, "PeriodFold", lambda cfg: folds.append(cfg) or fold(cfg))
+        # block, drawn folded, with no stream to fold, and reconstructed once
+        # for each order and mode
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config", str(cfg_file)]) == 0
-        assert len(folds) == 2 * 2
         assert calls == {"demultiplex_stream": 2, "reconstruct_profile": 2 * 2}
 
 

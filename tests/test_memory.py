@@ -10,8 +10,8 @@ not by stacks of trials.  The reconstruction of a stack of 2001 folded
 frames and its envelope extraction are measured in-process with
 tracemalloc: besides their input they may hold their result, the
 demultiplexed stack in between and blocks of scratch, not stack-sized
-temporaries.  So is the fold of the scan workload's 37 streams: besides
-its result it may hold a window of draws and a chunk per thread.  The two
+temporaries.  So is the folded draw of 2001 trials: it may hold one
+block of normals and of period means at a time.  The two
 reference paths of the S-matrix identity are bounded by their one big
 array: a dense simulate at order 1019 may peak above the spectral one by
 less than two float64 copies of S, and the all-lags check at the largest
@@ -23,7 +23,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ import pytest
 
 import aoimux
 from aoimux import codes, pipeline, simulator
-from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -153,23 +151,20 @@ def test_extract_modulated_holds_its_result_and_one_block(coded_stack):
     assert peak < 2 * folded.nbytes + SCRATCH_BYTES, peak / folded.nbytes
 
 
-FOLD_ROWS = 37  # the positions of default.cfg's scan
-FOLD_THREADS = 2
+def test_folded_draw_scratch_is_one_block(coded_stack):
+    # 2001 rows of one order-79 period: ten blocks of 207 rows, each
+    # dropped once used, so the draw holds one block's normals and means
+    cfg, _ = coded_stack
+    periods = np.broadcast_to(np.ones(cfg.period_samples), (STACK_ROWS, cfg.period_samples))
+    seeds = range(STACK_ROWS)
 
+    def draw_all():
+        for _ in simulator.draw_folded([cfg], [periods], [seeds]):
+            pass
 
-def test_fold_streams_scratch_is_a_window_and_a_chunk_per_thread(monkeypatch):
-    run = parse_run_config(CONFIGS / "default.cfg")
-    cfg = replace(run.acquisition, duration_s=0.1)  # 500 000 samples a stream
-    xs, _ = run.scan.positions()
-    assert xs.size == FOLD_ROWS
-    periods = simulator.clean_period(cfg, run.phantom, np.stack([xs, np.zeros_like(xs)], axis=-1))
-    monkeypatch.setattr(simulator, "usable_cpus", lambda: FOLD_THREADS)
-    simulator.fold_streams(cfg, periods[:2], [1, 2])  # one-time imports and caches
-    peak = _traced_peak(simulator.fold_streams, cfg, periods, range(FOLD_ROWS))
-    result = FOLD_ROWS * cfg.order * cfg.subsets_per_cycle * 8
-    window = FOLD_THREADS * simulator.CHUNK_SAMPLES * 8
-    # the draws of a window and a chunk beside them, each one window
-    assert peak - result < 2.5 * window, (peak - result) / window
+    peak = _traced_peak(draw_all)
+    block = simulator.CHUNK_SAMPLES * 8
+    assert peak < 2.5 * block, peak / block
 
 
 DENSE_ORDER = 1019

@@ -172,33 +172,35 @@ class TestMeasureFwhm:
         assert abs(fwhm["coded"] - fwhm["single-pulse"]) <= BIN
 
 
-def per_trial_snr(cfg, ph, n_trials, solver_kind):
-    """(signal_mean, noise_std) from one simulate_stream and one
-    profile_of per trial: the unbatched definition."""
-    quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
-    reference = profile_of(quiet, solver_kind).values
+def per_trial_snr(cfg, ph, n_trials):
+    """(signal_mean, noise_std) from one folded draw and one
+    reconstruct_profile per trial: the unbatched definition."""
+    period = simulator.clean_period(cfg, ph)
+    frame = (cfg.order, cfg.subsets_per_cycle)
+    reference = pipeline.reconstruct_profile(period.reshape(frame), cfg).values
     peak_bin = int(np.argmax(reference))
     off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
+    scale = cfg.noise_sigma / math.sqrt(cfg.n_samples // cfg.period_samples)
     peaks = np.empty(n_trials)
     offs = np.empty(n_trials)
     for t in range(n_trials):
-        trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, TRIAL_SALT, t))
-        prof = profile_of(simulator.simulate_stream(trial_cfg, ph), solver_kind).values
+        rng = np.random.default_rng(derive_seed(cfg.seed, TRIAL_SALT, t))
+        folded = period + scale * rng.standard_normal(period.size)
+        prof = pipeline.reconstruct_profile(folded.reshape(frame), cfg).values
         peaks[t] = prof[peak_bin]
         offs[t] = prof[off_bin]
     return float(peaks.mean()), float(offs.std(ddof=1))
 
 
 class TestMeasureSnr:
-    @pytest.mark.parametrize("solver_kind", ["spectral"])
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
-    def test_batch_equals_per_trial_loop_exactly(self, mode, solver_kind):
-        # 5 periods plus a partial one, so the refilled buffer has a tail
+    def test_batch_equals_per_trial_folded_draws_exactly(self, mode):
+        # 5 periods plus a partial one, which the fold leaves out
         cfg = config(mode, order=31, periods=5, noise_sigma=0.1, seed=12)
         cfg = replace(cfg, duration_s=cfg.duration_s + 10 / F_S)
         ph = phantom()
         rep = pipeline.measure_snr(cfg, ph, 37)
-        assert (rep.signal_mean, rep.noise_std) == per_trial_snr(cfg, ph, 37, solver_kind)
+        assert (rep.signal_mean, rep.noise_std) == per_trial_snr(cfg, ph, 37)
 
     def test_noise_free_reports_sentinel(self):
         rep = pipeline.measure_snr(config(noise_sigma=0.0), phantom(), 3)
@@ -336,25 +338,23 @@ class TestMultiplexingAdvantage:
 
 
 class TestOnePassSweep:
-    """A sweep draws each trial once for all of its orders and modes, and
-    reports what each of them measured alone reports, bit for bit."""
+    """A sweep draws each trial's normals once for all of its orders and
+    modes, and reports what each of them measured alone reports, bit for
+    bit."""
 
     @pytest.mark.parametrize("reference", ["matched", "max-rate"])
-    # windows of one shortest period, of 375 samples, and of a whole stream
-    @pytest.mark.parametrize("chunk_samples", [1, 100, 3000, 1 << 16])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_reports_equal_each_config_measured_alone(
-        self, monkeypatch, reference, chunk_samples, cpus
-    ):
+    # blocks of one row, of a few rows, and of every row
+    @pytest.mark.parametrize("chunk_samples", [1, 3000, 1 << 16])
+    def test_reports_equal_each_config_measured_alone(self, monkeypatch, reference, chunk_samples):
         run = parse_run_config(CONFIGS / "quick.cfg")
         cfg, ph = run.acquisition, run.phantom
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
-        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
         plan = SweepPlan(run.sweep.orders, 3, reference=reference)
         curve = pipeline.multiplexing_advantage(cfg, ph, plan)
         periods = {r.order * cfg.subsets_per_cycle for r in curve.reports}
         # max-rate pulses every 24 samples, beside coded periods of 28 to 316;
-        # every period but 316 leaves a partial last period of the 2528 samples
+        # every period but 316 leaves a partial last period of the 2528
+        # samples, and each config scales its draw by its own period count
         assert periods == ({24} if reference == "max-rate" else set()) | {28, 76, 124, 316}
         assert sum(cfg.n_samples % p > 0 for p in periods) == len(periods) - 1
         alone = [

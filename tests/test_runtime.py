@@ -3,8 +3,8 @@
 
 A fresh interpreter imports the CLI and reports what it loaded; there
 must be no scipy module, even where scipy is installed, no
-``concurrent.futures``, which loads logging and waits for the first
-noise fan-out, and no ``numpy.random`` module, which costs about 19 ms
+``concurrent.futures``, which loads logging and which nothing in the
+package needs, and no ``numpy.random`` module, which costs about 19 ms
 and 6 MB and waits for the first seed; the order table must wait for
 the first order check.
 """

@@ -15,6 +15,7 @@ from aoimux.errors import (
     InvalidOrder,
     NonIntegerRatio,
 )
+from aoimux.pipeline import reconstruct_profile
 from aoimux.seeding import SCAN_SALT, derive_seed
 from aoimux.simulator import ScanGrid
 from streams import profile_of
@@ -388,56 +389,36 @@ class TestScanGrid:
         assert xs[-1] == pytest.approx(grid.x_max_m, abs=1e-15)
 
 
-class TestFoldStreams:
-    """fold_streams folds each row as its own stream, bit for bit."""
+def folded_row(cfg, period, seed):
+    """A period mean as its definition draws it: the period, plus sigma /
+    sqrt(p) times the seed's own standard normals over p complete periods."""
+    if seed is not None and cfg.noise_sigma:
+        p = cfg.n_samples // cfg.period_samples
+        z = np.random.default_rng(seed).standard_normal(cfg.period_samples)
+        period = period + cfg.noise_sigma / math.sqrt(p) * z
+    return period.reshape(cfg.order, cfg.subsets_per_cycle)
 
-    @pytest.mark.parametrize("chunk_samples", [1, 100, 1 << 16])
-    @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_each_row_equals_its_stream_folded_alone(self, monkeypatch, chunk_samples, sigma):
-        # 9 periods of 28 and a partial one; row 1 draws no noise
-        n = 9 * 28 + 5
-        cfg = config(order=7, duration_s=n / F_S, noise_sigma=sigma)
-        periods = np.random.default_rng(1).normal(size=(3, 28))
-        seeds = [5, None, 7]
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between
+    the empirical distribution functions of a and b."""
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), both, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), both, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+class TestDrawFolded:
+    """Each folded row is its period plus its own scaled draw, bit for bit,
+    and the draw is distributed as the period mean of a noisy stream."""
+
+    # blocks of one row, of 2 rows, and of every row
+    @pytest.mark.parametrize("chunk_samples", [1, 300, 1 << 16])
+    def test_each_row_is_its_period_plus_its_own_scaled_draw(self, monkeypatch, chunk_samples):
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
-        folded = simulator.fold_streams(cfg, periods, seeds)
-        for period, seed, row in zip(periods, seeds, folded):
-            stream = np.resize(period, n)
-            if seed is not None:
-                stream = stream + np.random.default_rng(seed).normal(0.0, sigma, n)
-            assert np.array_equal(row, demux.average_periods([stream], cfg))
-
-    def test_no_complete_period_raises(self):
-        cfg = config(order=7, duration_s=27 / F_S, noise_sigma=0.5)
-        with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):
-            simulator.fold_streams(cfg, np.zeros((2, 28)), [1, 2])
-
-    def test_fewer_seeds_than_rows_raises(self, monkeypatch):
-        # one row a group, so the seeds run out in the last group only
-        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
-        monkeypatch.setattr(simulator, "usable_cpus", lambda: 1)
-        cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
-        with pytest.raises(ValueError, match="3 rows but 2 seeds"):
-            simulator.fold_streams(cfg, np.zeros((3, 28)), [1, 2])
-
-    def test_no_rows_give_the_empty_stack(self):
-        cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
-        folded = simulator.fold_streams(cfg, np.zeros((0, 28)), [])
-        assert folded.shape == (0, 7, cfg.subsets_per_cycle)
-
-
-class TestFoldStreamGroups:
-    """Configs folded side by side from one draw per seed: each row equals
-    its own stream folded alone, bit for bit."""
-
-    @pytest.mark.parametrize("chunk_samples", [1, 100, 1 << 16])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_each_config_equals_its_streams_folded_alone(self, monkeypatch, chunk_samples, cpus):
-        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
-        monkeypatch.setattr(simulator, "usable_cpus", lambda: cpus)
         rng = np.random.default_rng(2)
         # periods of 28, 76 and 12 samples, each stream ending in a partial
-        # period; the third stream is shorter and draws no noise
+        # period; the third config is shorter and draws no noise
         cfgs = [
             config(order=7, duration_s=257 / F_S, noise_sigma=0.3),
             config(order=19, duration_s=257 / F_S, noise_sigma=0.5),
@@ -448,38 +429,84 @@ class TestFoldStreamGroups:
             np.broadcast_to(rng.normal(size=76), (5, 76)),  # one period for every row
             rng.normal(size=(5, 12)),
         ]
+        periods[0][1, 3] = periods[2][0, 0] = -0.0  # a row without noise keeps its sign
         # shared, distinct and missing seeds
         seeds = [[5, None, 7, 8, 9], [5, 6, 7, None, 9], [5, 6, 7, 8, 9]]
-        groups = []
-
-        def keep(lo, hi, folded):
-            groups.append((lo, hi, [stack.copy() for stack in folded]))
-
-        simulator.fold_stream_groups(cfgs, periods, seeds, keep)
-        assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
-        assert groups[-1][1] == 5
+        blocks = list(simulator.draw_folded(cfgs, periods, seeds))
+        assert [lo for lo, _ in blocks] == list(range(0, 5, len(blocks[0][1][0])))
+        for _, folded in blocks:
+            rows = len(folded[0])
+            assert rows == 1 or rows * sum(p.shape[-1] for p in periods) <= chunk_samples
         for c, (cfg, stack, row_seeds) in enumerate(zip(cfgs, periods, seeds)):
-            folded = np.concatenate([group[c] for _, _, group in groups])
-            n = cfg.n_samples
-            for period, seed, row in zip(stack, row_seeds, folded):
-                stream = np.resize(period, n)
-                if seed is not None and cfg.noise_sigma:
-                    stream = stream + np.random.default_rng(seed).normal(0.0, cfg.noise_sigma, n)
-                assert np.array_equal(row, demux.average_periods([stream], cfg))
+            drawn = np.concatenate([folded[c] for _, folded in blocks])
+            assert drawn.shape == (5, cfg.order, cfg.subsets_per_cycle)
+            for period, seed, row in zip(stack, row_seeds, drawn):
+                assert row.tobytes() == folded_row(cfg, period, seed).tobytes()
 
-    def test_a_config_without_a_complete_period_raises_before_any_seed_is_read(self):
+    def test_no_complete_period_raises_before_any_seed_is_read(self):
         def no_seed():
             raise AssertionError("a seed was read")
             yield
 
-        def no_group(*group):
-            raise AssertionError("a group was folded")
-
         cfgs = [config(order=7, periods=2), config(order=19, duration_s=75 / F_S)]
+        draws = simulator.draw_folded(
+            cfgs, [np.zeros((2, 28)), np.zeros((2, 76))], [no_seed(), no_seed()]
+        )
         with pytest.raises(InsufficientSamples, match="75 samples < one period of 76"):
-            simulator.fold_stream_groups(
-                cfgs, [np.zeros((2, 28)), np.zeros((2, 76))], [no_seed(), no_seed()], no_group
+            next(draws)
+
+    def test_fewer_seeds_than_rows_raises(self, monkeypatch):
+        # one row a block, so the seeds run out in the last block only
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
+        cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
+        with pytest.raises(ValueError, match="3 rows but 2 seeds"):
+            list(simulator.draw_folded([cfg], [np.zeros((3, 28))], [[1, 2]]))
+
+    def test_noise_mean_and_variance_are_those_of_p_periods(self):
+        # 9 complete periods of order 79: 2000 rows of 316 values, each
+        # N(0, sigma^2 / 9).  The sum of squares over sigma^2 / 9 is
+        # chi-square with n = 632 000 degrees of freedom; its two-sided
+        # 1e-6 quantiles, by the Wilson-Hilferty approximation, are
+        # n (1 - 2 / (9 n) -+ 4.89 sqrt(2 / (9 n)))^3.  The mean is
+        # N(0, sigma^2 / (9 n)), inside 4.89 of its sd at the same level.
+        sigma, rows = 0.7, 2000
+        cfg = config(order=79, duration_s=(9 * 316 + 100) / F_S, noise_sigma=sigma)
+        periods = np.broadcast_to(np.zeros(316), (rows, 316))
+        noise = np.concatenate(
+            [f[0] for _, f in simulator.draw_folded([cfg], [periods], [range(rows)])]
+        )
+        n, var = noise.size, sigma**2 / 9
+        chi2 = float(np.square(noise).sum()) / var
+        lo, hi = (n * (1 - 2 / (9 * n) + z * math.sqrt(2 / (9 * n))) ** 3 for z in (-4.89, 4.89))
+        assert lo < chi2 < hi, (lo, chi2, hi)
+        assert abs(noise.mean()) < 4.89 * math.sqrt(var / n)
+
+    def test_draw_matches_the_period_mean_of_a_noisy_stream_in_distribution(self):
+        # 400 folded draws against the average_periods of 400 explicit
+        # streams, 5 periods of 28 samples and 9 more each, on independent
+        # seeds: the two-sample Kolmogorov-Smirnov statistic of their
+        # 11 200 noise values each must stay below its level-0.001 critical
+        # value, 1.949 sqrt(2 / 11 200)
+        rows = 400
+        ph = phantom(extent=0.003)
+        cfg = config(order=7, duration_s=(5 * 28 + 9) / F_S, noise_sigma=0.3)
+        period = simulator.clean_period(cfg, ph)
+        folded = np.concatenate([
+            f[0] for _, f in simulator.draw_folded(
+                [cfg], [np.broadcast_to(period, (rows, 28))],
+                [(derive_seed(1, SCAN_SALT, r) for r in range(rows))],
             )
+        ])
+        streams = np.stack([
+            demux.average_periods(
+                simulator.stream_chunks(replace(cfg, seed=derive_seed(2, SCAN_SALT, r)), ph), cfg
+            )
+            for r in range(rows)
+        ])
+        clean = period.reshape(cfg.order, cfg.subsets_per_cycle)
+        a, b = (folded - clean).ravel(), (streams - clean).ravel()
+        assert ks_statistic(a, b) < 1.949 * math.sqrt((a.size + b.size) / (a.size * b.size))
+        assert a.std() == pytest.approx(0.3 / math.sqrt(5), rel=0.05)
 
 
 class TestStackedPeriods:
@@ -531,9 +558,9 @@ class TestScan2d:
         expected = np.empty(res.stack.shape)
         for iy, y in enumerate(res.ys):
             for ix, x in enumerate(res.xs):
-                pos_cfg = replace(cfg, seed=derive_seed(cfg.seed, SCAN_SALT, iy, ix))
-                stream = simulator.simulate_stream(pos_cfg, ph, axis_xy=(x, y))
-                expected[iy, ix] = profile_of(stream, solver_kind).values
+                period = simulator.clean_period(cfg, ph, (x, y))
+                row = folded_row(cfg, period, derive_seed(cfg.seed, SCAN_SALT, iy, ix))
+                expected[iy, ix] = reconstruct_profile(row, cfg, solver_kind).values
         expected /= expected.max()
         assert res.stack.shape == (2, 5, cfg.period_samples)
         assert np.array_equal(res.stack, expected)
