@@ -1,11 +1,16 @@
-"""Every function the benchmark's traced run wraps still exists.
+"""Every function the benchmark's traced run wraps still exists, and runs
+on the calling thread.
 
 bench/layers.py names them as strings; a rename in the package would
-otherwise surface only when the traced benchmark run fails.
+otherwise surface only when the traced benchmark run fails.  The tracer
+keeps one span stack for the whole process, so a traced function called
+from another thread would corrupt it.
 """
 
 import importlib
 import importlib.util
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -29,3 +34,53 @@ def test_traced_target_resolves(module, target):
     for attr in target.split("."):
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_traced_functions_run_only_on_the_calling_thread(monkeypatch):
+    # wrap every traced function at every binding, as bench/trace_child.py
+    # does, then scan, measure and sweep, and record the threads they ran on
+    from aoimux import pipeline, simulator
+
+    calls = []
+    targets_of = {
+        importlib.import_module(f"aoimux.{name}"): targets for name, targets in _targets().items()
+    }
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "aoimux"]
+    for module, targets in targets_of.items():
+        for target in targets:
+            owner, attr = module, target
+            if "." in target:
+                cls_name, attr = target.split(".")
+                owner = getattr(module, cls_name)
+            original = getattr(owner, attr)
+
+            def traced(*args, _original=original, _name=target, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, traced)
+            for other in modules:
+                for key, value in list(vars(other).items()):
+                    if value is original:
+                        monkeypatch.setattr(other, key, traced)
+    ph = simulator.Phantom(
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=0.3,
+        src_x_m=-0.0075,
+        det_x_m=0.0075,
+        boundary_z_m=0.0004,
+        depth_extent_m=0.004,
+    )
+    cfg = simulator.AcquisitionConfig(
+        f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=31,
+        duration_s=6 * 124 / 5e6, noise_sigma=0.1, seed=21,
+    )
+    before = threading.active_count()
+    simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.001))
+    pipeline.measure_snr(cfg, ph, 9)
+    pipeline.multiplexing_advantage(cfg, ph, pipeline.SweepPlan((7, 19), 9))
+    names = {name for name, _ in calls}
+    assert {"derive_seed", "axial_profile", "scan_2d"} <= names
+    assert {"measure_snr", "multiplexing_advantage", "reconstruct_profile"} <= names
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+    assert threading.active_count() == before

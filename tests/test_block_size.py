@@ -1,0 +1,101 @@
+"""Scan and SNR results do not depend on the folded draw's block size.
+
+``simulator.draw_folded`` draws its rows in blocks of at most
+``CHUNK_SAMPLES`` values; each row is its own period plus its own seed's
+scaled draw, so every entry point that folds through it must give the
+same bytes at one row a block as at every row in one block.  An overflow
+anywhere in the draw, solve or extraction surfaces as NonFiniteSamples,
+with no numpy warning (the suite turns warnings into errors).
+"""
+
+import numpy as np
+import pytest
+
+from aoimux import pipeline, simulator
+from aoimux.errors import NonFiniteSamples
+from aoimux.simulator import ScanGrid
+
+F_US = 1.25e6
+F_S = 5e6
+
+
+def phantom():
+    return simulator.Phantom(
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=0.3,
+        src_x_m=-0.0075,
+        det_x_m=0.0075,
+        boundary_z_m=0.0004,
+        depth_extent_m=0.004,
+    )
+
+
+def config(mode="coded", order=31, periods=6, **kw):
+    defaults = dict(
+        f_us=F_US,
+        f_s=F_S,
+        c=990.0,
+        mode=mode,
+        order=order,
+        # a partial last period too
+        duration_s=(periods * order * 4 + 9) / F_S,
+        noise_sigma=0.1,
+        seed=21,
+    )
+    defaults.update(kw)
+    return simulator.AcquisitionConfig(**defaults)
+
+
+def scan(cfg):
+    # 5 x 2 positions
+    return simulator.scan_2d(cfg, phantom(), ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001)).stack
+
+
+def snr(cfg):
+    rep = pipeline.measure_snr(cfg, phantom(), 9)
+    return np.array([rep.signal_mean, rep.noise_std])
+
+
+def sweep(cfg, reference="matched"):
+    # two orders in two modes, folded side by side from one draw per trial
+    plan = pipeline.SweepPlan((7, 19), 9, reference=reference)
+    curve = pipeline.multiplexing_advantage(cfg, phantom(), plan)
+    return np.array([(rep.signal_mean, rep.noise_std) for rep in curve.reports])
+
+
+def _at_each_block_size(monkeypatch, run, chunk_samples):
+    """run() at chunk_samples and at every row in one block."""
+    results = []
+    for chunk in (chunk_samples, 1 << 16):
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("run", [scan, snr], ids=["scan_2d", "measure_snr"])
+@pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+# one row a block; or 10 rows of one 124-sample period in blocks of 4, 4 and 2
+@pytest.mark.parametrize("chunk_samples", [1, 500])
+def test_scan_and_snr_do_not_depend_on_the_block_size(monkeypatch, run, mode, chunk_samples):
+    small, whole = _at_each_block_size(monkeypatch, lambda: run(config(mode)), chunk_samples)
+    assert small.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("reference", ["matched", "max-rate"])
+# one row a block; or 10 rows of 208 values (152 at max-rate, whose
+# single-pulse periods are 24) in blocks of 2 (3, and a last one of 1)
+@pytest.mark.parametrize("chunk_samples", [1, 500])
+def test_sweep_does_not_depend_on_the_block_size(monkeypatch, reference, chunk_samples):
+    small, whole = _at_each_block_size(
+        monkeypatch, lambda: sweep(config(), reference), chunk_samples
+    )
+    assert small.tobytes() == whole.tobytes()
+
+
+# folds of 6 periods: at 1e308 the solve or extraction overflows, at 1.7e308
+# the draw itself does too
+@pytest.mark.parametrize("sigma", [1e308, 1.7e308])
+@pytest.mark.parametrize("run", [scan, snr, sweep], ids=["scan_2d", "measure_snr", "sweep"])
+def test_an_overflow_raises_non_finite_samples(run, sigma):
+    with pytest.raises(NonFiniteSamples, match="profile is not finite"):
+        run(config(noise_sigma=sigma))

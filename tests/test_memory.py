@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,25 @@ def test_folded_draw_scratch_is_one_block(coded_stack):
 
     def draw_all():
         for _ in simulator.draw_folded([cfg], [periods], [seeds]):
+            pass
+
+    peak = _traced_peak(draw_all)
+    block = simulator.CHUNK_SAMPLES * 8
+    assert peak < 2.5 * block, peak / block
+
+
+def test_sweep_folded_draw_scratch_is_one_block(coded_stack):
+    # 2001 rows of four configs, orders 7 to 79 on one seed a row, as a
+    # sweep draws them: 544 values a row, so blocks of 120 rows, whose
+    # normals and four means together hold one block each
+    cfg, _ = coded_stack
+    cfgs = [replace(cfg, order=n) for n in (7, 19, 31, 79)]
+    periods = [np.broadcast_to(np.ones(c.period_samples), (STACK_ROWS, c.period_samples))
+               for c in cfgs]
+    seeds = [range(STACK_ROWS)] * len(cfgs)
+
+    def draw_all():
+        for _ in simulator.draw_folded(cfgs, periods, seeds):
             pass
 
     peak = _traced_peak(draw_all)

@@ -11,7 +11,7 @@ import pytest
 from aoimux import demux, pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
-from aoimux.errors import ConfigError, EdgePeak, NoPeak, NyquistViolation
+from aoimux.errors import ConfigError, EdgePeak, NonFiniteSamples, NoPeak, NyquistViolation
 from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import fold, profile_of
@@ -133,6 +133,31 @@ class TestReconstructFolded:
         with pytest.raises(ConfigError, match="solver kind must be one of"):
             pipeline.reconstruct_profile(folded, cfg, "bogus")
 
+    # an inf or nan period mean, or finite means whose solve or extraction
+    # overflows; any numpy warning would fail the test
+    @pytest.mark.parametrize("case", ["inf", "nan", "overflow"])
+    @pytest.mark.parametrize(
+        "mode, kind",
+        [("coded", "spectral"), ("coded", "dense"), ("single-pulse", "spectral")],
+    )
+    def test_a_non_finite_profile_raises_unwarned(self, mode, kind, case):
+        cfg = config(mode, order=7, periods=2)
+        shape = (3, cfg.order, cfg.subsets_per_cycle)
+        folded = np.random.default_rng(8).uniform(0.5, 1.0, size=shape)
+        extracts = [True, False]
+        if case == "overflow":
+            folded *= 1.79e308
+            if mode == "single-pulse":
+                # unextracted, the profile is the finite means themselves
+                raw = pipeline.reconstruct_profile(folded, cfg, kind, extract=False)
+                assert raw.values.tobytes() == folded.tobytes()
+                extracts = [True]
+        else:
+            folded[1, 2, 3] = float(case)
+        for extract in extracts:
+            with pytest.raises(NonFiniteSamples, match="profile is not finite"):
+                pipeline.reconstruct_profile(folded, cfg, kind, extract=extract)
+
 
 class TestMeasureFwhm:
     def test_triangle(self):
@@ -172,9 +197,10 @@ class TestMeasureFwhm:
         assert abs(fwhm["coded"] - fwhm["single-pulse"]) <= BIN
 
 
-def per_trial_snr(cfg, ph, n_trials):
+def per_trial_snr(cfg, ph, n_trials, with_floor=False):
     """(signal_mean, noise_std) from one folded draw and one
-    reconstruct_profile per trial: the unbatched definition."""
+    reconstruct_profile per trial: the unbatched definition; with_floor
+    appends the mean off-bin amplitude."""
     period = simulator.clean_period(cfg, ph)
     frame = (cfg.order, cfg.subsets_per_cycle)
     reference = pipeline.reconstruct_profile(period.reshape(frame), cfg).values
@@ -189,6 +215,8 @@ def per_trial_snr(cfg, ph, n_trials):
         prof = pipeline.reconstruct_profile(folded.reshape(frame), cfg).values
         peaks[t] = prof[peak_bin]
         offs[t] = prof[off_bin]
+    if with_floor:
+        return float(peaks.mean()), float(offs.std(ddof=1)), float(offs.mean())
     return float(peaks.mean()), float(offs.std(ddof=1))
 
 
@@ -201,6 +229,26 @@ class TestMeasureSnr:
         ph = phantom()
         rep = pipeline.measure_snr(cfg, ph, 37)
         assert (rep.signal_mean, rep.noise_std) == per_trial_snr(cfg, ph, 37)
+
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_noise_floor_subtraction_equals_per_trial_folded_draws(self, mode):
+        cfg = config(mode, order=31, periods=5, noise_sigma=0.1, seed=13)
+        ph = phantom()
+        rep = pipeline.measure_snr(cfg, ph, 23, subtract_noise_floor=True)
+        signal, noise, floor = per_trial_snr(cfg, ph, 23, with_floor=True)
+        assert (rep.signal_mean, rep.noise_std) == (signal - floor, noise)
+        assert rep.snr == (signal - floor) / noise
+
+    # 32 PB and 3.2 EB of amplitudes of one config, beyond any 64-bit user
+    # address space; the second is refused before numpy sees the shape
+    @pytest.mark.parametrize("n_trials", [10**15, 10**17])
+    def test_amplitudes_are_allocated_before_any_seed_is_derived(self, monkeypatch, n_trials):
+        def no_seed(*args):
+            raise AssertionError("a seed was derived")
+
+        monkeypatch.setattr(pipeline, "derive_seed", no_seed)
+        with pytest.raises(MemoryError):
+            pipeline.measure_snr(config(order=7, noise_sigma=0.1), phantom(), n_trials)
 
     def test_noise_free_reports_sentinel(self):
         rep = pipeline.measure_snr(config(noise_sigma=0.0), phantom(), 3)
@@ -343,8 +391,11 @@ class TestOnePassSweep:
     bit."""
 
     @pytest.mark.parametrize("reference", ["matched", "max-rate"])
-    # blocks of one row, of a few rows, and of every row
-    @pytest.mark.parametrize("chunk_samples", [1, 3000, 1 << 16])
+    # a row of every config holds 1088 values (640 at max-rate), over a
+    # reference and 3 trials: blocks of one row; of 2 rows (3 and a last one
+    # at max-rate); of 2 rows (every row); of 3 rows and a last one (every
+    # row); and of every row
+    @pytest.mark.parametrize("chunk_samples", [1, 2200, 3000, 3400, 1 << 16])
     def test_reports_equal_each_config_measured_alone(self, monkeypatch, reference, chunk_samples):
         run = parse_run_config(CONFIGS / "quick.cfg")
         cfg, ph = run.acquisition, run.phantom

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoimux import pipeline, simulator
 from aoimux.config import parse_run_config
@@ -25,6 +27,13 @@ class TestDeriveSeed:
         derive_seed.cache_clear()
         assert derive_seed(base, *salt) == expect  # hashed by this call
         assert derive_seed(base, *salt) == expect  # from the cache
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.lists(st.integers(0, 2**70), min_size=1, max_size=4))
+    def test_equals_a_fresh_seed_sequence_on_any_words(self, words):
+        expect = int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+        assert derive_seed(*words) == expect
+        assert derive_seed(*words) == expect  # from the cache
 
     @pytest.mark.parametrize("args", [(-1, TRIAL_SALT, 0), (7, TRIAL_SALT, -3), (-(2**64),)])
     def test_negative_seed_raises_every_time(self, args):

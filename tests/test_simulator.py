@@ -412,8 +412,9 @@ class TestDrawFolded:
     """Each folded row is its period plus its own scaled draw, bit for bit,
     and the draw is distributed as the period mean of a noisy stream."""
 
-    # blocks of one row, of 2 rows, and of every row
-    @pytest.mark.parametrize("chunk_samples", [1, 300, 1 << 16])
+    # the three periods hold 116 values: blocks of one row, of exactly one
+    # row, of 2 rows, of 4 rows and a last one of 1, and of every row
+    @pytest.mark.parametrize("chunk_samples", [1, 116, 300, 464, 1 << 16])
     def test_each_row_is_its_period_plus_its_own_scaled_draw(self, monkeypatch, chunk_samples):
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
         rng = np.random.default_rng(2)
@@ -455,27 +456,88 @@ class TestDrawFolded:
         with pytest.raises(InsufficientSamples, match="75 samples < one period of 76"):
             next(draws)
 
-    def test_fewer_seeds_than_rows_raises(self, monkeypatch):
-        # one row a block, so the seeds run out in the last block only
-        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
+    # one row a block, so the seeds run out in the last block only; or
+    # every row in one block, so they run out in the first
+    @pytest.mark.parametrize("chunk_samples", [1, 1 << 16])
+    def test_fewer_seeds_than_rows_raises(self, monkeypatch, chunk_samples):
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
         cfg = config(order=7, duration_s=56 / F_S, noise_sigma=0.5)
         with pytest.raises(ValueError, match="3 rows but 2 seeds"):
             list(simulator.draw_folded([cfg], [np.zeros((3, 28))], [[1, 2]]))
 
-    def test_noise_mean_and_variance_are_those_of_p_periods(self):
-        # 9 complete periods of order 79: 2000 rows of 316 values, each
-        # N(0, sigma^2 / 9).  The sum of squares over sigma^2 / 9 is
-        # chi-square with n = 632 000 degrees of freedom; its two-sided
-        # 1e-6 quantiles, by the Wilson-Hilferty approximation, are
-        # n (1 - 2 / (9 n) -+ 4.89 sqrt(2 / (9 n)))^3.  The mean is
-        # N(0, sigma^2 / (9 n)), inside 4.89 of its sd at the same level.
+    def test_no_rows_give_no_blocks(self):
+        def no_seed():
+            raise AssertionError("a seed was read")
+            yield
+
+        cfg = config(order=7, noise_sigma=0.5)
+        assert list(simulator.draw_folded([cfg], [np.zeros((0, 28))], [no_seed()])) == []
+
+    @pytest.mark.parametrize("quiet", ["zero-sigma", "no-seed"])
+    def test_a_quiet_row_is_its_clean_period_bit_for_bit(self, quiet):
+        sigma, seed = (0.0, 3) if quiet == "zero-sigma" else (0.5, None)
+        cfg = config(order=7, periods=3, noise_sigma=sigma)
+        periods = np.random.default_rng(4).normal(size=(3, 28))
+        periods[1, 5] = -0.0  # keeps its sign
+        ((_, (folded,)),) = simulator.draw_folded([cfg], [periods], [[seed] * 3])
+        assert folded.tobytes() == periods.reshape(3, 7, 4).tobytes()
+
+    def test_seeds_are_read_block_by_block(self, monkeypatch):
+        # two rows of one 28-sample period a block, over 5 rows
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 56)
+        read = []
+
+        def seeds():
+            for r in range(5):
+                read.append(r)
+                yield r
+
+        cfg = config(order=7, periods=3, noise_sigma=0.5)
+        draws = simulator.draw_folded([cfg], [np.zeros((5, 28))], [seeds()])
+        for lo, expect in zip((0, 2, 4), ([0, 1], [0, 1, 2, 3], [0, 1, 2, 3, 4])):
+            assert next(draws)[0] == lo
+            assert read == expect
+        assert next(draws, None) is None
+
+    def test_each_config_scales_by_its_own_period_count(self):
+        # one order-7 period folded over 2 and over 8 complete periods, on one
+        # seed: each is the period plus sigma / sqrt(p) times the same normals
+        cfgs = [config(order=7, periods=p, noise_sigma=0.4) for p in (2, 8)]
+        period = np.random.default_rng(5).normal(size=28)
+        stacks = [np.broadcast_to(period, (3, 28))] * 2
+        ((_, folded),) = simulator.draw_folded(cfgs, stacks, [[11, 12, 13]] * 2)
+        z = np.stack([np.random.default_rng(s).standard_normal(28) for s in (11, 12, 13)])
+        for p, drawn in zip((2, 8), folded):
+            noise = (drawn.reshape(3, 28) - period) * math.sqrt(p) / 0.4
+            np.testing.assert_allclose(noise, z, rtol=1e-12, atol=1e-12)
+
+    def test_an_overflowing_draw_gives_inf_unwarned(self):
+        # 5 periods at sigma 1.7e308: a scale of 7.6e307, so normals beyond
+        # about 2.36 overflow to inf, silently (any warning fails the test),
+        # and no value is nan; 2000 rows hold hundreds of them
+        cfg = config(order=7, periods=5, noise_sigma=1.7e308)
+        ((_, (folded,)),) = simulator.draw_folded([cfg], [np.zeros((2000, 28))], [range(2000)])
+        z = np.stack([np.random.default_rng(r).standard_normal(28) for r in range(2000)])
+        overflows = np.abs(z) > np.finfo(float).max / (1.7e308 / math.sqrt(5))
+        assert overflows.sum() > 500
+        assert np.array_equal(np.isinf(folded).reshape(2000, 28), overflows)
+        assert not np.isnan(folded).any()
+
+    @pytest.mark.parametrize("p", [1, 9, 40])
+    def test_noise_mean_and_variance_are_those_of_p_periods(self, p):
+        # p complete periods of order 79 and 100 samples more: 2000 rows of
+        # 316 values, each N(0, sigma^2 / p).  The sum of squares over
+        # sigma^2 / p is chi-square with n = 632 000 degrees of freedom; its
+        # two-sided 1e-6 quantiles, by the Wilson-Hilferty approximation,
+        # are n (1 - 2 / (9 n) -+ 4.89 sqrt(2 / (9 n)))^3.  The mean is
+        # N(0, sigma^2 / (p n)), inside 4.89 of its sd at the same level.
         sigma, rows = 0.7, 2000
-        cfg = config(order=79, duration_s=(9 * 316 + 100) / F_S, noise_sigma=sigma)
+        cfg = config(order=79, duration_s=(p * 316 + 100) / F_S, noise_sigma=sigma)
         periods = np.broadcast_to(np.zeros(316), (rows, 316))
         noise = np.concatenate(
             [f[0] for _, f in simulator.draw_folded([cfg], [periods], [range(rows)])]
         )
-        n, var = noise.size, sigma**2 / 9
+        n, var = noise.size, sigma**2 / p
         chi2 = float(np.square(noise).sum()) / var
         lo, hi = (n * (1 - 2 / (9 * n) + z * math.sqrt(2 / (9 * n))) ** 3 for z in (-4.89, 4.89))
         assert lo < chi2 < hi, (lo, chi2, hi)
