@@ -12,8 +12,7 @@ A stream, in memory or read in chunks, is demultiplexed in two steps:
 ``average_periods`` folds its chunks into the (N, K) mean of its
 complete periods, N and K read from the stream's acquisition config,
 and ``demultiplex_stream`` solves a stack of such frames at once.
-``PeriodFold`` is the fold ``average_periods`` runs, fed one chunk at a
-time.  Scan positions and Monte-Carlo trials make no stream:
+Scan positions and Monte-Carlo trials make no stream:
 ``simulator.draw_folded`` draws their period means directly.
 ``pipeline.reconstruct_profile`` runs the solve and the envelope
 extraction.
@@ -182,95 +181,68 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
 
 
 def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.ndarray:
-    """Mean of the complete repetition periods of a chunked stream, or of a
-    stack of streams chunked together.
+    """Mean of the complete repetition periods of a chunked stream, (N, K).
 
-    Chunks are 1-D, or (rows, m) with one stream per row, all of the
-    same rows; the result is (N, K), or (rows, N, K).  Each chunk must
-    start on a period boundary of ``cfg.order * cfg.subsets_per_cycle``
-    samples; the samples after its last complete period are discarded,
-    so only the last chunk of a stream may end in a partial period.  The
-    sum runs in period order, row by row: the previous sum is added into
-    the first period of each chunk, which is then summed along the
-    period axis.  That is the sum ``arr.mean(axis=0)`` forms over one
-    stream's whole (periods, N, K) array, so each row's mean equals it
-    bit for bit whatever the chunk sizes or the rows folded beside it.
-    The first period of every chunk but the first may be overwritten;
-    ``average_periods([samples], cfg)`` folds an in-memory array and
-    leaves it unmodified.
+    Chunks are 1-D; any other shape raises LengthMismatch before it is
+    folded.  Each chunk must start on a period boundary of
+    ``cfg.order * cfg.subsets_per_cycle`` samples; the samples after its
+    last complete period are discarded, so only the last chunk may end
+    in a partial period.  The sum runs in period order: the previous sum
+    is added into the first period of each chunk, which is then summed
+    along the period axis.  That is the sum ``arr.mean(axis=0)`` forms
+    over the whole (periods, N, K) array, so the mean equals it bit for
+    bit whatever the chunk sizes.  The first period of every chunk but
+    the first may be overwritten; ``average_periods([samples], cfg)``
+    folds an in-memory array and leaves it unmodified.
 
     Column j of the (N, K) frame is interleaved subset j (samples j,
     j + K, ...), so its row-major flattening is the period mean in time
     order: the depth signal of a single-pulse stream, which needs no
     inversion.  Raises InsufficientSamples without a complete period and
     NonFiniteSamples if a used sample is NaN or infinite; from the chunk
-    where the sum stops being finite on, the bad samples of every row are
-    counted, so the message gives their exact number.  A sum of finite
-    samples that overflows raises NonFiniteSamples too, saying so, and
-    emits no warning.
+    where the sum stops being finite on, the bad samples are counted, so
+    the message gives their exact number.  A sum of finite samples that
+    overflows raises NonFiniteSamples too, saying so, and emits no
+    warning.
     """
-    fold = PeriodFold(cfg)
+    n, k = cfg.order, cfg.subsets_per_cycle
+    samples = 0  # seen, including a trailing partial period
+    periods = 0  # complete periods folded
+    total: np.ndarray | None = None
+    bad: int | None = None  # non-finite samples, once the sum is not finite
     for chunk in chunks:
-        fold.add(chunk)
-    return fold.mean()
-
-
-class PeriodFold:
-    """The running fold of ``average_periods``, fed one chunk at a time.
-
-    ``add`` folds a chunk as ``average_periods`` folds each of its
-    chunks, under the same rules, and ``mean`` is what ``average_periods``
-    returns for the chunks added so far, raising as it raises.  So a fold
-    fed chunk by chunk equals ``average_periods`` over the same chunks,
-    bit for bit.
-    """
-
-    def __init__(self, cfg: AcquisitionConfig):
-        self.order, self.subsets = cfg.order, cfg.subsets_per_cycle
-        self.samples = 0  # per stream, seen, including a trailing partial period
-        self.periods = 0  # per stream, complete periods folded
-        self.total: np.ndarray | None = None
-        self.bad: int | None = None  # non-finite samples, once the sum is not finite
-
-    def add(self, chunk: np.ndarray) -> None:
-        """Fold one chunk; its first period may be overwritten."""
-        n, k = self.order, self.subsets
-        m = chunk.shape[-1]
-        self.samples += m
-        frames = chunk[..., : m - m % (n * k)].reshape(chunk.shape[:-1] + (-1, n, k))
+        if chunk.ndim != 1:
+            raise LengthMismatch(f"stream chunks must be 1-D, got shape {chunk.shape}")
+        m = chunk.size
+        samples += m
+        frames = chunk[: m - m % (n * k)].reshape(-1, n, k)
         if not frames.size:
-            return
-        self.periods += frames.shape[-3]
-        if self.bad is not None:  # the sum is lost already: only count
-            self.bad += _count_non_finite(frames)
-            return
+            continue
+        periods += len(frames)
+        if bad is not None:  # the sum is lost already: only count
+            bad += _count_non_finite(frames)
+            continue
         untouched, bad_first = frames, 0
-        with np.errstate(over="ignore", invalid="ignore"):  # a lost sum is reported by mean
-            if self.total is not None:  # into the first period, once its own samples are counted
-                untouched, bad_first = frames[..., 1:, :, :], _count_non_finite(frames[..., 0, :, :])
-                frames[..., 0, :, :] += self.total
-            self.total = frames.sum(axis=-3)
-        if not np.isfinite(self.total).all():
-            self.bad = bad_first + _count_non_finite(untouched)
-
-    def mean(self) -> np.ndarray:
-        """The mean of the complete periods folded so far."""
-        periods, total, bad = self.periods, self.total, self.bad
-        if not periods:
-            raise InsufficientSamples(
-                f"{self.samples} samples < one period of {self.order * self.subsets}"
-            )
-        if bad == 0:
-            raise NonFiniteSamples(
-                f"the sum of the {periods * total.size} samples in the complete periods "
-                f"overflowed, though every one is finite; the period mean is not finite"
-            )
-        if bad is not None:
-            raise NonFiniteSamples(
-                f"{bad} of {periods * total.size} samples in the "
-                f"complete periods are NaN or infinite; the period mean is not finite"
-            )
-        return total / periods
+        with np.errstate(over="ignore", invalid="ignore"):  # a lost sum is reported below
+            if total is not None:  # into the first period, once its own samples are counted
+                untouched, bad_first = frames[1:], _count_non_finite(frames[0])
+                frames[0] += total
+            total = frames.sum(axis=0)
+        if not np.isfinite(total).all():
+            bad = bad_first + _count_non_finite(untouched)
+    if not periods:
+        raise InsufficientSamples(f"{samples} samples < one period of {n * k}")
+    if bad == 0:
+        raise NonFiniteSamples(
+            f"the sum of the {periods * total.size} samples in the complete periods "
+            f"overflowed, though every one is finite; the period mean is not finite"
+        )
+    if bad is not None:
+        raise NonFiniteSamples(
+            f"{bad} of {periods * total.size} samples in the "
+            f"complete periods are NaN or infinite; the period mean is not finite"
+        )
+    return total / periods
 
 
 def _count_non_finite(values: np.ndarray) -> int:

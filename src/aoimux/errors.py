@@ -21,7 +21,8 @@ class SingularSystem(NumericalError):
 
 
 class LengthMismatch(AoimuxError):
-    """Vector length does not match the system order."""
+    """Array length or shape does not fit: a frame length that is not the
+    system order, or a stream chunk that is not 1-D."""
 
 
 class NonIntegerRatio(AoimuxError):

@@ -313,37 +313,6 @@ def clean_period(
     return cfg.modulation_efficiency * _circular_correlate(x, prof)
 
 
-def _draw(out: np.ndarray, rngs: list, sigma) -> np.ndarray:
-    """Fill row r of out, (rows, m), with sigma times the standard normals
-    of rngs[r], and return out; a row whose rng is None is -0.0, which
-    added to x is x, bit for bit.  sigma is one scale, or one a row,
-    (rows, 1).
-
-    The noise is drawn in place, with no temporary array, and row r is bit
-    for bit ``rngs[r].normal(0.0, sigma, m)``: numpy's ``normal`` is
-    ``loc + scale * z`` over the same standard normals.
-    """
-    for row, rng in zip(out, rngs):
-        if rng is None:
-            row.fill(-0.0)
-        else:
-            rng.standard_normal(out=row)
-    out *= sigma
-    return out
-
-
-def _add_periods(out: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Add periods[r], repeated from its first sample, to row r of out,
-    (rows, m), in place, and return out."""
-    p = periods.shape[-1]
-    whole = out.shape[-1] - out.shape[-1] % p
-    # a view, as the split axis is contiguous
-    tiled = out[:, :whole].reshape(out.shape[0], whole // p, p)
-    tiled += periods[:, None]
-    out[:, whole:] += periods[:, : out.shape[-1] - whole]
-    return out
-
-
 def draw_folded(
     cfgs: Sequence[AcquisitionConfig],
     periods: Sequence[np.ndarray],
@@ -413,17 +382,21 @@ def stream_chunks(
     axis_xy: tuple[float, float] = (0.0, 0.0),
 ) -> Iterator[np.ndarray]:
     """The stream of one transducer position in chunks, each drawn in
-    place by ``_draw`` and ``_add_periods``.
+    place into one reused 1-D buffer.
 
     Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
     periods), or the whole stream if it is shorter; only the last may
-    end in a partial period.  The noise continues one
-    ``default_rng(cfg.seed)`` Generator across chunks, so the samples
-    equal ``period + rng.normal(0.0, cfg.noise_sigma, n_samples)``, bit
-    for bit, whatever the chunk size; nothing is drawn when the sigma is
-    0.  Each chunk is a view of one reused buffer: use it before asking
-    for the next.  The configuration is checked before the first chunk
-    is asked for.
+    end in a partial period.  Each chunk is filled with standard normals,
+    scaled by the noise sigma, and the clean period is added over its
+    whole periods and its partial tail, with no temporary array.  The
+    noise continues one ``default_rng(cfg.seed)`` Generator across
+    chunks, so the samples equal ``period + rng.normal(0.0,
+    cfg.noise_sigma, n_samples)``, bit for bit, whatever the chunk size
+    (numpy's ``normal`` is ``loc + scale * z`` over the same standard
+    normals).  When the sigma is 0 no Generator is built, and the samples
+    are the period repeated, bit for bit.  Each chunk is a view of the
+    buffer: use it before asking for the next.  The configuration is
+    checked before the first chunk is asked for.
     """
     n = cfg.n_samples
     if n < 1:
@@ -433,13 +406,25 @@ def stream_chunks(
     period = clean_period(cfg, ph, axis_xy)
     p = period.size
     # no longer than the stream rounded up to whole periods
-    buf = np.empty((1, min(chunk_length(p), -(-n // p) * p)))
-    rngs = [np.random.default_rng(cfg.seed) if cfg.noise_sigma else None]
-    step = buf.shape[-1]
-    return (
-        _add_periods(_draw(buf[:, : min(step, n - start)], rngs, cfg.noise_sigma), period[None])[0]
-        for start in range(0, n, step)
-    )
+    buf = np.empty(min(chunk_length(p), -(-n // p) * p))
+    sigma = cfg.noise_sigma
+    rng = np.random.default_rng(cfg.seed) if sigma else None
+
+    def chunks() -> Iterator[np.ndarray]:
+        for start in range(0, n, buf.size):
+            chunk = buf[: min(buf.size, n - start)]
+            if rng is None:
+                chunk.fill(-0.0)  # added to x, it is x, bit for bit
+            else:
+                rng.standard_normal(out=chunk)
+                chunk *= sigma
+            whole = chunk.size - chunk.size % p
+            tiled = chunk[:whole].reshape(-1, p)  # a view: the buffer is contiguous
+            tiled += period
+            chunk[whole:] += period[: chunk.size - whole]
+            yield chunk
+
+    return chunks()
 
 
 def simulate_stream(

@@ -1,5 +1,7 @@
 """Circulant solves: hand-checked inverses, round trips, noise propagation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -332,17 +334,14 @@ class TestNonFiniteSamples:
         with pytest.raises(NonFiniteSamples, match="2 of 84 samples"):
             fold(stream)
 
-    @pytest.mark.parametrize("shape", [(56,), (3, 56)])
     @pytest.mark.parametrize("periods_per_chunk", [1, 2])
-    def test_finite_samples_whose_sum_overflows_raise_without_warning(
-        self, shape, periods_per_chunk
-    ):
+    def test_finite_samples_whose_sum_overflows_raise_without_warning(self, periods_per_chunk):
         # two periods of 1e308 sum past the float64 range, in one chunk or
         # when the first period's sum goes into the second chunk; the
         # warnings filter of the suite turns any numpy warning into an error
-        samples = np.full(shape, 1e308)
+        samples = np.full(56, 1e308)
         step = periods_per_chunk * 28
-        chunks = [samples[..., i : i + step].copy() for i in range(0, 56, step)]
+        chunks = [samples[i : i + step].copy() for i in range(0, 56, step)]
         expected = f"the sum of the {samples.size} samples in the complete periods overflowed"
         with pytest.raises(NonFiniteSamples, match=expected):
             demux.average_periods(chunks, fold_cfg(7, 4))
@@ -374,28 +373,6 @@ class TestAveragePeriods:
         folded = demux.average_periods(chunks, fold_cfg(n, k))
         assert np.array_equal(folded, reference)
 
-    @pytest.mark.parametrize("periods_per_chunk", [1, 3, 64])
-    def test_stacked_fold_equals_each_row_folded_alone_exactly(self, periods_per_chunk):
-        # three streams chunked together, one a row, fold as each does alone
-        n, k = 7, 4
-        rows = np.random.default_rng(periods_per_chunk).normal(size=(3, 100 * n * k + 13)) * 1e3
-        step = periods_per_chunk * n * k
-        chunks = [rows[:, i : i + step].copy() for i in range(0, rows.shape[1], step)]
-        folded = demux.average_periods(chunks, fold_cfg(n, k))
-        assert folded.shape == (3, n, k)
-        for row, alone in zip(rows, folded):
-            assert np.array_equal(alone, demux.average_periods([row], fold_cfg(n, k)))
-
-    def test_nan_in_a_stacked_fold_counts_every_bad_sample(self):
-        n, k = 7, 4
-        rows = np.random.default_rng(3).normal(size=(2, 10 * n * k + 5))
-        rows[1, [3 * 28 + 1, 3 * 28 + 2]] = np.nan  # chunk 2 of 2-period chunks
-        rows[0, 9 * 28 + 27] = np.inf  # the last complete period
-        rows[:, -1] = np.nan  # the trailing partial periods are not used
-        chunks = [rows[:, i : i + 56].copy() for i in range(0, rows.shape[1], 56)]
-        with pytest.raises(NonFiniteSamples, match="3 of 560 samples"):
-            demux.average_periods(chunks, fold_cfg(n, k))
-
     def test_array_fold_leaves_its_input_untouched(self):
         samples = np.random.default_rng(1).normal(size=5 * 28)
         before = samples.copy()
@@ -410,6 +387,15 @@ class TestAveragePeriods:
         samples[-1] = np.nan  # the trailing partial period is not used
         with pytest.raises(NonFiniteSamples, match="3 of 280 samples"):
             demux.average_periods(self._chunks(samples, 2, n * k), fold_cfg(n, k))
+
+    @pytest.mark.parametrize("shape", [(2, 56), (1, 56), (56, 1), ()])
+    @pytest.mark.parametrize("after_a_period", [False, True])
+    def test_a_chunk_that_is_not_1d_raises(self, shape, after_a_period):
+        # a stack of two streams is not read as consecutive periods of one,
+        # nor a column or a scalar as samples, first chunk or later
+        chunks = [np.zeros(28)] * after_a_period + [np.zeros(shape)]
+        with pytest.raises(LengthMismatch, match=rf"1-D, got shape {re.escape(str(shape))}"):
+            demux.average_periods(chunks, fold_cfg(7, 4))
 
     def test_no_complete_period_raises(self):
         with pytest.raises(InsufficientSamples, match="27 samples < one period of 28"):

@@ -11,7 +11,9 @@ frames and its envelope extraction are measured in-process with
 tracemalloc: besides their input they may hold their result, the
 demultiplexed stack in between and blocks of scratch, not stack-sized
 temporaries.  So is the folded draw of 2001 trials: it may hold one
-block of normals and of period means at a time.  The two
+block of normals and of period means at a time.  A stream of twelve
+chunks, drawn and folded, holds its one reused chunk buffer and an
+(N, K) sum.  The two
 reference paths of the S-matrix identity are bounded by their one big
 array: a dense simulate at order 1019 may peak above the spectral one by
 less than two float64 copies of S, and the all-lags check at the largest
@@ -30,7 +32,8 @@ import numpy as np
 import pytest
 
 import aoimux
-from aoimux import codes, pipeline, simulator
+from aoimux import codes, demux, pipeline, simulator
+from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -185,6 +188,26 @@ def test_sweep_folded_draw_scratch_is_one_block(coded_stack):
     peak = _traced_peak(draw_all)
     block = simulator.CHUNK_SAMPLES * 8
     assert peak < 2.5 * block, peak / block
+
+
+def test_stream_draw_and_fold_hold_one_chunk_buffer():
+    # twelve whole chunks of quick.cfg's 316-sample period and a partial
+    # one, each drawn in place into the one buffer and folded into an
+    # (N, K) sum: a per-chunk temporary, such as a tiled period or a
+    # normal() result, would take the peak past one more buffer's half
+    rc = parse_run_config(CONFIGS / "quick.cfg")
+    step = simulator.chunk_length(PERIOD)
+    cfg = replace(rc.acquisition, duration_s=(12 * step + 100) / 5e6)
+    assert cfg.period_samples == PERIOD and cfg.noise_sigma > 0
+    assert cfg.n_samples == 12 * step + 100
+
+    def draw_and_fold():
+        demux.average_periods(simulator.stream_chunks(cfg, rc.phantom), cfg)
+
+    draw_and_fold()  # one-time caches: code, fluence scale
+    peak = _traced_peak(draw_and_fold)
+    buffer = step * 8
+    assert peak < 1.5 * buffer, peak / buffer
 
 
 DENSE_ORDER = 1019

@@ -200,7 +200,7 @@ class TestSimulateStream:
         b = simulator.simulate_stream(cfg, ph)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_noise_drawn_in_chunks_equals_one_shot_draw(self):
+    def test_noise_drawn_in_chunks_equals_one_shot_normals(self):
         # two full stream chunks plus a partial one
         chunk = simulator.CHUNK_SAMPLES
         cfg = config(order=7, periods=-(-(2 * chunk + 1) // 28), noise_sigma=0.5, seed=9)
@@ -211,7 +211,7 @@ class TestSimulateStream:
         draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
         assert np.array_equal(noisy.samples, quiet.samples + draw)
 
-    def test_stream_chunks_in_small_chunks_equal_one_shot_draw(self, monkeypatch):
+    def test_stream_chunks_in_small_chunks_equal_one_shot_normals(self, monkeypatch):
         # chunks of two periods of 3 samples: four full chunks and a partial one
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 7)
         ph = phantom(boundary=0.0001, extent=0.0005)
@@ -236,18 +236,22 @@ class TestSimulateStream:
         assert len(chunks) == 1
         assert np.array_equal(chunks[0], simulator.clean_period(cfg, ph))
 
-    def test_in_place_draw_keeps_every_bit_of_the_period(self):
-        # -0.0 and a partial last period: a noisy row is period + normal bit
-        # for bit, and a row without noise is the period repeated, sign of zero
-        # included
-        periods = np.array([[-0.0, 0.0, 1.5], [-0.0, -2.0, 3.0]])
-        out = np.full((2, 8), np.nan)
-        simulator._add_periods(
-            simulator._draw(out, [np.random.default_rng(3), None], 0.25), periods
-        )
-        noisy = np.resize(periods[0], 8) + np.random.default_rng(3).normal(0.0, 0.25, 8)
-        assert out[0].tobytes() == noisy.tobytes()
-        assert out[1].tobytes() == np.resize(periods[1], 8).tobytes()
+    @pytest.mark.parametrize("sigma", [0.25, 0.0])
+    def test_in_place_draw_keeps_every_bit_of_the_period(self, monkeypatch, sigma):
+        # a period holding -0.0, two periods a chunk and a partial last
+        # period: noisy samples are period + normal bit for bit, and samples
+        # without noise are the period repeated, sign of zero included
+        cfg = config(order=7, duration_s=(5 * 28 + 11) / F_S, noise_sigma=sigma, seed=3)
+        period = np.resize([-0.0, 0.0, 1.5, -2.0, -0.0, 3.0, -0.0], cfg.period_samples)
+        monkeypatch.setattr(simulator, "clean_period", lambda *args: period)
+        monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 2 * 28)
+        chunks = [c.copy() for c in simulator.stream_chunks(cfg, phantom())]
+        assert [c.size for c in chunks] == [56, 56, 39]
+        n = cfg.n_samples
+        expected = np.resize(period, n)
+        if sigma:
+            expected = expected + np.random.default_rng(3).normal(0.0, sigma, n)
+        assert np.concatenate(chunks).tobytes() == expected.tobytes()
 
     def test_stream_chunks_are_whole_periods_and_gather_to_simulate_stream(
         self, monkeypatch
@@ -415,7 +419,7 @@ class TestDrawFolded:
     # the three periods hold 116 values: blocks of one row, of exactly one
     # row, of 2 rows, of 4 rows and a last one of 1, and of every row
     @pytest.mark.parametrize("chunk_samples", [1, 116, 300, 464, 1 << 16])
-    def test_each_row_is_its_period_plus_its_own_scaled_draw(self, monkeypatch, chunk_samples):
+    def test_each_row_is_its_period_plus_its_own_scaled_normals(self, monkeypatch, chunk_samples):
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
         rng = np.random.default_rng(2)
         # periods of 28, 76 and 12 samples, each stream ending in a partial
