@@ -163,11 +163,17 @@ def circulant_matrix(seq: SSequence) -> np.ndarray:
 
 
 def s_matrix_identity_error(seq: SSequence) -> int:
-    """Max absolute deviation of S @ S.T from ((N+1)/4)(I + J), exact ints."""
+    """Max absolute deviation of S @ S.T from ((N+1)/4)(I + J), exact ints.
+
+    Its entries are the N cyclic lags, each a direct int64 dot product:
+    O(N) memory, and no code shared with generation's FFT check.
+    """
     n = seq.order
-    s = circulant_matrix(seq)
-    target = ((n + 1) // 4) * (np.eye(n, dtype=np.int64) + np.ones((n, n), np.int64))
-    return int(np.abs(s @ s.T - target).max())
+    bits = seq.bits.astype(np.int64)
+    lags = np.fromiter((bits @ np.roll(bits, -lag) for lag in range(n)), np.int64, n)
+    target = np.full(n, (n + 1) // 4)
+    target[0] *= 2  # the diagonal, I + J
+    return int(np.abs(lags - target).max())
 
 
 def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:

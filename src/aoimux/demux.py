@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codes import SSequence, circulant_matrix, circulant_view
+from .codes import SSequence, circulant_matrix, circulant_view, s_matrix_identity_error
 from .errors import (
     ConfigError,
     InsufficientSamples,
@@ -166,18 +166,22 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
     """Max elementwise gap between the solver inverse and the closed form.
 
     The closed-form inverse of an order-N system is
-    (2 / (N + 1)) * (2 S^T - J); it is multiplied back against S and
-    checked against the identity before being used as the reference.
+    (2 / (N + 1)) * (2 S^T - J).  It is S's inverse exactly when
+    S S^T = ((N + 1) / 4)(I + J), which ``codes.s_matrix_identity_error``
+    checks in exact integers; SingularSystem is raised otherwise.  The
+    gap is formed in place on the solver's inverse, so the check holds
+    two N**2 arrays at most.
     """
     n = sys.order
     if n > _DENSE_MAX:
         raise OrderTooLarge(f"dense check limited to order {_DENSE_MAX}, got {n}")
-    s = circulant_view(sys.sequence, np.float64).copy()
-    closed = (2.0 / (n + 1)) * (2.0 * s.T - np.ones((n, n)))
-    if np.abs(s @ closed - np.eye(n)).max() > 1e-9:
+    if s_matrix_identity_error(sys.sequence) != 0:
         raise SingularSystem("closed-form inverse failed the identity check")
-    solver_inv = sys.solve_many(np.eye(n)).T  # column i solves S x = e_i
-    return float(np.abs(solver_inv - closed).max())
+    gap = sys.solve_many(np.eye(n))  # row i solves S x = e_i: column i of the inverse
+    # minus the closed form's transpose, (2 / (N + 1)) * (2 S - J)
+    gap -= (4.0 / (n + 1)) * circulant_view(sys.sequence, np.float64)
+    gap += 2.0 / (n + 1)
+    return float(np.abs(gap, out=gap).max())
 
 
 def average_periods(chunks: Iterable[np.ndarray], cfg: AcquisitionConfig) -> np.ndarray:

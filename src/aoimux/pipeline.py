@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -205,8 +205,9 @@ def measure_snr(
     """Monte-Carlo SNR of the reconstructed profile.
 
     Signal is the mean over trials of the amplitude at the peak bin of
-    the noise-free reference; noise is the std over trials of the
-    amplitude at the signal-free bin farthest from that peak.  With
+    the noise-free reference (NoPeak if it has none, before any trial
+    seed is derived); noise is the std over trials of the amplitude at
+    the signal-free bin farthest from that peak.  With
     ``subtract_noise_floor`` the mean off-peak amplitude (the envelope
     detector's Rayleigh floor) is removed from the signal first.
 
@@ -221,14 +222,6 @@ def measure_snr(
     return _measure_snrs([cfg], ph, n_trials, subtract_noise_floor)[0]
 
 
-def _trial_seeds(seed: int, n_trials: int) -> Iterator[int | None]:
-    """None for the noise-free reference row, then each trial's seed,
-    derived as it is read."""
-    yield None
-    for t in range(n_trials):
-        yield derive_seed(seed, TRIAL_SALT, t)
-
-
 def _measure_snrs(
     cfgs: list[simulator.AcquisitionConfig],
     ph: simulator.Phantom,
@@ -238,21 +231,19 @@ def _measure_snrs(
     """The SnrReport of each config, as ``measure_snr`` defines it, from
     one pass over the trials.
 
-    Each config's noise-free period is simulated once.  One
-    ``simulator.draw_folded`` pass draws, block of rows by block of rows,
-    each config's noise-free reference (row 0) and its trials (row t + 1
-    is trial t).  Each trial's seed is derived once per config, but
+    Before any seed is derived, the per-trial amplitudes are allocated
+    (a run too large for memory raises MemoryError), and each config's
+    noise-free period is simulated and reconstructed once, as one
+    (order, K) frame: that reference fixes its peak and off bins, or
+    raises NoPeak.  One ``simulator.draw_folded`` pass then draws, block
+    of rows by block of rows, each config's trials (row t is trial t);
     configs whose trial seeds are equal (every config of a sweep) share
-    one generator, drawn to the longest period among them.  Each
-    config's block is then reconstructed by one ``reconstruct_profile``
-    call, and only the amplitudes of its trials at the reference's peak
-    and off bins are kept: the reference sits in the first block, so the
-    bins are known before any trial's amplitudes.  Each trial's profile
-    equals that of its own folded draw reconstructed alone, bit for bit,
-    so the reports do not depend on the block size or the configs
-    measured beside each other.  The per-trial amplitudes are allocated
-    before any seed is derived, so a run too large for memory raises
-    MemoryError first.
+    one generator per trial, drawn to the longest period among them.
+    Each config's block is reconstructed by one ``reconstruct_profile``
+    call, keeping only its trials' amplitudes at the reference's bins.
+    Each trial's profile equals that of its own folded draw reconstructed
+    alone, bit for bit, so the reports do not depend on the block size
+    or the configs measured beside each other.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
@@ -260,25 +251,20 @@ def _measure_snrs(
     if math.prod(shape) > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
         raise MemoryError(f"the amplitudes of {n_trials} trials of {len(cfgs)} configs")
     amplitudes = np.empty(shape)
-    rows = n_trials + 1
-    periods = [  # the reference and every trial share one period
-        np.broadcast_to(simulator.clean_period(cfg, ph), (rows, cfg.period_samples))
-        for cfg in cfgs
-    ]
-    seeds = [_trial_seeds(cfg.seed, n_trials) for cfg in cfgs]
-    bins: list[list[int]] = []  # each config's peak and off bin
-    for lo, folded in simulator.draw_folded(cfgs, periods, seeds):
-        first = max(lo, 1)  # the block's first trial row
-        for c, (cfg, stack) in enumerate(zip(cfgs, folded)):
-            profiles = reconstruct_profile(stack, cfg).values
-            if lo == 0:  # row 0 is the noise-free reference
-                reference = profiles[0]
-                peak_bin = int(np.argmax(reference))
-                if reference[peak_bin] <= 0:
-                    raise NoPeak("noise-free reference profile is empty")
-                off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
-                bins.append([peak_bin, off_bin])
-            amplitudes[c, :, first - 1 : lo + len(stack) - 1] = profiles[first - lo :, bins[c]].T
+    periods = [simulator.clean_period(cfg, ph) for cfg in cfgs]
+    bins = []  # each config's peak and off bin
+    for cfg, period in zip(cfgs, periods):
+        reference = reconstruct_profile(period.reshape(cfg.order, -1), cfg).values
+        peak_bin = int(np.argmax(reference))
+        if reference[peak_bin] <= 0:
+            raise NoPeak("noise-free reference profile is empty")
+        bins.append([peak_bin, 0 if peak_bin >= reference.size // 2 else reference.size - 1])
+    trials = [np.broadcast_to(p, (n_trials, p.size)) for p in periods]  # one period each
+    # partial binds each config's own seed now; the trial seeds are derived as read
+    seeds = [map(partial(derive_seed, cfg.seed, TRIAL_SALT), range(n_trials)) for cfg in cfgs]
+    for lo, folded in simulator.draw_folded(cfgs, trials, seeds):
+        for cfg, stack, amps, cols in zip(cfgs, folded, amplitudes, bins):
+            amps[:, lo : lo + len(stack)] = reconstruct_profile(stack, cfg).values[:, cols].T
     reports = []
     for cfg, (peaks, offs) in zip(cfgs, amplitudes):
         signal = float(peaks.mean())

@@ -316,7 +316,7 @@ def clean_period(
 def draw_folded(
     cfgs: Sequence[AcquisitionConfig],
     periods: Sequence[np.ndarray],
-    seeds: Sequence[Iterable[int | None]],
+    seeds: Sequence[Iterable[int]],
 ) -> Iterator[tuple[int, list[np.ndarray]]]:
     """Period means of noisy streams, drawn folded, block of rows by block
     of rows.
@@ -327,10 +327,10 @@ def draw_folded(
     samples is N(0, sigma^2 / p), so the mean of its p complete periods
     is drawn directly as ``periods[c][r] + (sigma / sqrt(p)) *
     default_rng(seeds[c][r]).standard_normal(P_c)``, reshaped to
-    (order, K): exact in distribution, no stream made.  A None seed or a
-    zero sigma gives the clean period itself, bit for bit.  A config
-    without a complete period raises InsufficientSamples before any seed
-    is read.
+    (order, K): exact in distribution, no stream made.  A config of zero
+    sigma reads its seeds but draws no normals: its rows are copies of
+    its periods, bit for bit.  A config without a complete period raises
+    InsufficientSamples before any seed is read.
 
     Yields (lo, folded) per block of rows lo .. lo + b - 1, folded[c] the
     (b, order, K) means of config c, which hold at most CHUNK_SAMPLES
@@ -353,25 +353,25 @@ def draw_folded(
     seeds = [iter(s) for s in seeds]
     for lo in range(0, rows, block):
         b = min(block, rows - lo)
-        keys: dict[int | None, int] = {}  # seed -> its row of normals; None draws none
+        keys: dict[int, int] = {}  # seed -> its row of normals
         sources = []
         for scale, row_seeds in zip(scales, seeds):
             got = list(itertools.islice(row_seeds, b))
             if len(got) < b:
                 raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
-            sources.append([keys.setdefault(s if scale else None, len(keys)) for s in got])
+            sources.append([keys.setdefault(s, len(keys)) for s in got] if scale else None)
         normals = np.empty((len(keys), longest))
         for row, seed in zip(normals, keys):
-            if seed is None:
-                row.fill(-0.0)  # scaled and added to x, it is x, bit for bit
-            else:
-                np.random.default_rng(seed).standard_normal(out=row)
+            np.random.default_rng(seed).standard_normal(out=row)
         folded = []
         for cfg, stack, scale, source in zip(cfgs, periods, scales, sources):
-            out = np.take(normals[:, : stack.shape[-1]], source, axis=0)
-            with np.errstate(over="ignore"):
-                out *= scale
-                out += stack[lo : lo + b]
+            if source is None:
+                out = stack[lo : lo + b].copy()
+            else:
+                out = np.take(normals[:, : stack.shape[-1]], source, axis=0)
+                with np.errstate(over="ignore"):
+                    out *= scale
+                    out += stack[lo : lo + b]
             folded.append(out.reshape(b, cfg.order, cfg.subsets_per_cycle))
         yield lo, folded
 

@@ -52,13 +52,13 @@ def scan(cfg):
 
 
 def snr(cfg):
-    rep = pipeline.measure_snr(cfg, phantom(), 9)
+    rep = pipeline.measure_snr(cfg, phantom(), 10)
     return np.array([rep.signal_mean, rep.noise_std])
 
 
 def sweep(cfg, reference="matched"):
     # two orders in two modes, folded side by side from one draw per trial
-    plan = pipeline.SweepPlan((7, 19), 9, reference=reference)
+    plan = pipeline.SweepPlan((7, 19), 10, reference=reference)
     curve = pipeline.multiplexing_advantage(cfg, phantom(), plan)
     return np.array([(rep.signal_mean, rep.noise_std) for rep in curve.reports])
 
@@ -74,7 +74,8 @@ def _at_each_block_size(monkeypatch, run, chunk_samples):
 
 @pytest.mark.parametrize("run", [scan, snr], ids=["scan_2d", "measure_snr"])
 @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
-# one row a block; or 10 rows of one 124-sample period in blocks of 4, 4 and 2
+# one row a block; or 10 rows (positions or trials) of one 124-sample period
+# in blocks of 4, 4 and 2
 @pytest.mark.parametrize("chunk_samples", [1, 500])
 def test_scan_and_snr_do_not_depend_on_the_block_size(monkeypatch, run, mode, chunk_samples):
     small, whole = _at_each_block_size(monkeypatch, lambda: run(config(mode)), chunk_samples)

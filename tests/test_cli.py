@@ -609,12 +609,14 @@ class TestExportedNames:
         assert calls == {"average_periods": 1, "demultiplex_stream": 1,
                          "reconstruct_profile": 1}
 
-    def test_snr_sweep_reconstructs_once_per_order_and_mode(self, tmp_path, cfg_file, calls):
-        # orders 7 and 19, 4 trials: the 4 trials and the reference form one
-        # block, drawn folded, with no stream to fold, and reconstructed once
-        # for each order and mode
+    def test_snr_sweep_reconstructs_a_reference_and_one_block_per_order_and_mode(
+        self, tmp_path, cfg_file, calls
+    ):
+        # orders 7 and 19, 4 trials: each order and mode reconstructs its
+        # noise-free reference, then its 4 trials as one block, drawn folded
+        # with no stream to fold; the 2 coded configs demultiplex both
         assert main(["--out-dir", str(tmp_path), "snr-sweep", "--config", str(cfg_file)]) == 0
-        assert calls == {"demultiplex_stream": 2, "reconstruct_profile": 2 * 2}
+        assert calls == {"demultiplex_stream": 2 * 2, "reconstruct_profile": 2 * 2 * 2}
 
 
 class TestShippedConfigs:

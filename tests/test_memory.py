@@ -18,7 +18,10 @@ reference paths of the S-matrix identity are bounded by their one big
 array: a dense simulate at order 1019 may peak above the spectral one by
 less than two float64 copies of S, and the all-lags check at the largest
 order may trace less than 1.4 times its spectrum table, and the entry
-check of a uint8 code at that order makes no N-sized temporaries.
+check of a uint8 code at that order makes no N-sized temporaries.  At
+order 1019 the exact-integer identity check makes no N**2 array, and the
+closed-form inverse check holds the solver's inverse and one more N**2
+array at most.
 """
 
 import os
@@ -235,6 +238,20 @@ def test_dense_simulate_holds_one_copy_of_s(tmp_path):
     }
     gap = (peaks["dense"] - peaks["spectral"]) * 2**20
     assert gap < 2 * DENSE_ORDER**2 * 8, peaks
+
+
+def test_identity_error_makes_no_n_squared_array():
+    seq = codes.generate_s_sequence(DENSE_ORDER)
+    peak = _traced_peak(codes.s_matrix_identity_error, seq)
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("kind", ["spectral", "dense"])
+def test_inverse_check_holds_two_n_squared_arrays(kind):
+    system = demux.CirculantSystem(codes.generate_s_sequence(DENSE_ORDER), kind)
+    peak = _traced_peak(demux.analytic_inverse_check, system)
+    s_bytes = DENSE_ORDER**2 * 8
+    assert peak < 2.5 * s_bytes, peak / s_bytes
 
 
 def test_identity_check_holds_its_table_and_little_more():

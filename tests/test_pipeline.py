@@ -250,6 +250,30 @@ class TestMeasureSnr:
         with pytest.raises(MemoryError):
             pipeline.measure_snr(config(order=7, noise_sigma=0.1), phantom(), n_trials)
 
+    def test_a_reference_without_a_peak_raises_before_any_seed_is_derived(self, monkeypatch):
+        # quick.cfg's bins are 0.198 mm apart: none lies in the phantom's
+        # 0.1 to 0.11 mm, so the noise-free reference is all zeros
+        run = parse_run_config(CONFIGS / "quick.cfg")
+        ph = replace(run.phantom, boundary_z_m=1e-4, depth_extent_m=1e-5)
+        assert not simulator.axial_profile(run.acquisition, ph).any()
+
+        def no_seed(*args):
+            raise AssertionError("a seed was derived")
+
+        monkeypatch.setattr(pipeline, "derive_seed", no_seed)
+        with pytest.raises(NoPeak, match="reference profile is empty"):
+            pipeline.measure_snr(run.acquisition, ph, 5)
+
+    def test_configs_of_different_seeds_each_get_their_own_report(self):
+        # each config's trial seeds derive from its own seed, not from the
+        # last config's
+        cfg = config(order=31, periods=5, noise_sigma=0.1, seed=12)
+        cfgs = [cfg, replace(cfg, seed=13), replace(cfg, mode="single-pulse", seed=14)]
+        ph = phantom()
+        reports = pipeline._measure_snrs(cfgs, ph, 7, False)
+        assert reports == [pipeline.measure_snr(c, ph, 7) for c in cfgs]
+        assert reports[0] != reports[1]
+
     def test_noise_free_reports_sentinel(self):
         rep = pipeline.measure_snr(config(noise_sigma=0.0), phantom(), 3)
         assert math.isinf(rep.snr)
@@ -391,16 +415,16 @@ class TestOnePassSweep:
     bit."""
 
     @pytest.mark.parametrize("reference", ["matched", "max-rate"])
-    # a row of every config holds 1088 values (640 at max-rate), over a
-    # reference and 3 trials: blocks of one row; of 2 rows (3 and a last one
-    # at max-rate); of 2 rows (every row); of 3 rows and a last one (every
-    # row); and of every row
+    # a row of every config holds 1088 values (640 at max-rate), over 4
+    # trials: blocks of one row; of 2 rows (3 and a last one at max-rate); of
+    # 2 rows (every row); of 3 rows and a last one (every row); and of every
+    # row
     @pytest.mark.parametrize("chunk_samples", [1, 2200, 3000, 3400, 1 << 16])
     def test_reports_equal_each_config_measured_alone(self, monkeypatch, reference, chunk_samples):
         run = parse_run_config(CONFIGS / "quick.cfg")
         cfg, ph = run.acquisition, run.phantom
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
-        plan = SweepPlan(run.sweep.orders, 3, reference=reference)
+        plan = SweepPlan(run.sweep.orders, 4, reference=reference)
         curve = pipeline.multiplexing_advantage(cfg, ph, plan)
         periods = {r.order * cfg.subsets_per_cycle for r in curve.reports}
         # max-rate pulses every 24 samples, beside coded periods of 28 to 316;

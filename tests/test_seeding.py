@@ -77,6 +77,7 @@ class TestCacheIndependence:
         cfg, ph, _ = quick
         derive_seed.cache_clear()
         pipeline.multiplexing_advantage(cfg, ph, pipeline.SweepPlan(orders=(7, 19), n_trials=n))
-        # 2 orders x 2 modes derive n seeds each; the reference row draws nothing
+        # 2 orders x 2 modes derive n seeds each, one per trial; the noise-free
+        # reference is reconstructed apart and derives none
         assert derive_seed.cache_info().misses == n
         assert derive_seed.cache_info().hits == 3 * n

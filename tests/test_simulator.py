@@ -396,7 +396,7 @@ class TestScanGrid:
 def folded_row(cfg, period, seed):
     """A period mean as its definition draws it: the period, plus sigma /
     sqrt(p) times the seed's own standard normals over p complete periods."""
-    if seed is not None and cfg.noise_sigma:
+    if cfg.noise_sigma:
         p = cfg.n_samples // cfg.period_samples
         z = np.random.default_rng(seed).standard_normal(cfg.period_samples)
         period = period + cfg.noise_sigma / math.sqrt(p) * z
@@ -434,9 +434,10 @@ class TestDrawFolded:
             np.broadcast_to(rng.normal(size=76), (5, 76)),  # one period for every row
             rng.normal(size=(5, 12)),
         ]
-        periods[0][1, 3] = periods[2][0, 0] = -0.0  # a row without noise keeps its sign
-        # shared, distinct and missing seeds
-        seeds = [[5, None, 7, 8, 9], [5, 6, 7, None, 9], [5, 6, 7, 8, 9]]
+        # a -0.0 under noise, and one in the quiet config, which keeps its sign
+        periods[0][1, 3] = periods[2][0, 0] = -0.0
+        # shared and distinct seeds
+        seeds = [[5, 4, 7, 8, 9], [5, 6, 7, 3, 9], [5, 6, 7, 8, 9]]
         blocks = list(simulator.draw_folded(cfgs, periods, seeds))
         assert [lo for lo, _ in blocks] == list(range(0, 5, len(blocks[0][1][0])))
         for _, folded in blocks:
@@ -477,14 +478,20 @@ class TestDrawFolded:
         cfg = config(order=7, noise_sigma=0.5)
         assert list(simulator.draw_folded([cfg], [np.zeros((0, 28))], [no_seed()])) == []
 
-    @pytest.mark.parametrize("quiet", ["zero-sigma", "no-seed"])
-    def test_a_quiet_row_is_its_clean_period_bit_for_bit(self, quiet):
-        sigma, seed = (0.0, 3) if quiet == "zero-sigma" else (0.5, None)
-        cfg = config(order=7, periods=3, noise_sigma=sigma)
+    @pytest.mark.parametrize("beside", ["alone", "a-noisy-config"])
+    def test_a_quiet_row_is_its_clean_period_bit_for_bit(self, beside):
+        cfg = config(order=7, periods=3, noise_sigma=0.0)
         periods = np.random.default_rng(4).normal(size=(3, 28))
         periods[1, 5] = -0.0  # keeps its sign
-        ((_, (folded,)),) = simulator.draw_folded([cfg], [periods], [[seed] * 3])
-        assert folded.tobytes() == periods.reshape(3, 7, 4).tobytes()
+        cfgs, stacks = [cfg], [periods]
+        if beside == "a-noisy-config":
+            # a longer noisy period on the same seeds: their normals are drawn
+            cfgs.append(config(order=19, periods=3, noise_sigma=0.5))
+            stacks.append(np.zeros((3, 76)))
+        ((_, folded),) = simulator.draw_folded(cfgs, stacks, [[3, 3, 3]] * len(cfgs))
+        assert folded[0].tobytes() == periods.reshape(3, 7, 4).tobytes()
+        for c, stack, drawn in zip(cfgs[1:], stacks[1:], folded[1:]):
+            assert drawn.tobytes() == np.stack([folded_row(c, p, 3) for p in stack]).tobytes()
 
     def test_seeds_are_read_block_by_block(self, monkeypatch):
         # two rows of one 28-sample period a block, over 5 rows
