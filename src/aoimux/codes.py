@@ -7,19 +7,21 @@ it satisfy
 
     S @ S.T == ((N + 1) / 4) * (I + J)        (J = all-ones matrix)
 
-in exact integer arithmetic.  Any cyclic shift of the sequence satisfies
-the same identity, so correctness is defined by the identity, which is
-re-checked at generation time, not by the particular tabulated pattern.
+in exact integer arithmetic.  So does any cyclic shift of it: generation
+checks for this construction, s_matrix_identity_error for the identity.
 
 Entry (r, c) of S @ S.T is the cyclic autocorrelation of the bits at lag
 c - r, so the identity holds exactly when lag 0 equals (N+1)/2 and every
-other lag equals (N+1)/4.  Generation checks all N lags at every order
-with a blocked FFT autocorrelation: FFTs of 2**16-bit blocks plus one
-multiply-add per block pair and frequency (136 pairs at MAX_ORDER), and
-rounding to integers only after a guard that no lag is 1/4 or more away
-from an integer.  Its memory is the spectrum table of 16 N bytes and
-little more: the check traces a peak of 22.0 MB at N = 1 048 571, 1.31
-times its 16.8 MB table.
+other lag equals (N+1)/4.  Generation proves all N lags at every order in
+O(N) time by the multiplier argument for quadratic-residue difference
+sets (L. D. Baumert, Cyclic Difference Sets, LNM 182, 1971).  Let q
+generate the nonzero squares mod N: its multiplicative order is (N-1)/2.
+If bits[q j mod N] == bits[j] for every j, every lag has c[q l] = c[l],
+so c is constant on the squares; N = 3 mod 4 makes -1 a non-square, and
+c[-l] = c[l] carries that value to the non-squares.  So the weight, lag
+0, and the count of adjacent ones, lag 1, decide every lag, both exact
+integer counts.  The check reads the bits in blocks of 2**16 and traces
+a peak under 1.1 MB at N = 1 048 571, about its one N-byte temporary.
 
 One table answers "is N a usable order?" for validate_order, check_order
 and valid_orders alike: a sieve of the candidates 3, 7, 11, ... up to
@@ -38,10 +40,6 @@ import numpy as np
 from .errors import InvalidOrder
 
 MAX_ORDER = 1 << 20
-
-# Block length of the autocorrelation check; the (blocks, _BLOCK + 1)
-# complex128 spectrum table is 16.8 MB at MAX_ORDER.
-_BLOCK = 1 << 16
 
 
 @functools.cache
@@ -96,9 +94,8 @@ class SSequence:
     def __post_init__(self):
         # checked in their own dtype: a cast to uint8 first would wrap 257
         # to 1 and truncate 1.5 to 1.  A uint8 code, as generation makes,
-        # is checked by its maximum: the three N-sized bool temporaries of
-        # the general test stay resident after they are freed, and raise
-        # the peak RSS of gen-code 1048571 by 0.7 MB.
+        # is checked by its maximum, without the three N-sized bool
+        # temporaries of the general test.
         bits = np.asarray(self.bits)
         if bits.ndim != 1:
             raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
@@ -166,7 +163,9 @@ def s_matrix_identity_error(seq: SSequence) -> int:
     """Max absolute deviation of S @ S.T from ((N+1)/4)(I + J), exact ints.
 
     Its entries are the N cyclic lags, each a direct int64 dot product:
-    O(N) memory, and no code shared with generation's FFT check.
+    O(N) memory, and no code shared with generation's multiplier check.
+    Unlike that check it accepts every sequence that meets the identity,
+    cyclic shifts included: it is the general exact checker.
     """
     n = seq.order
     bits = seq.bits.astype(np.int64)
@@ -176,73 +175,62 @@ def s_matrix_identity_error(seq: SSequence) -> int:
     return int(np.abs(lags - target).max())
 
 
-def _cyclic_autocorrelation(bits: np.ndarray) -> np.ndarray:
-    """Exact int32 lags c[l] = sum_j bits[j] * bits[(j + l) % N], l = 0 .. N-1.
+def _square_generator(n: int) -> int:
+    """A generator q of the nonzero squares mod n: q has multiplicative order (n-1)/2.
 
-    The bits are cut into blocks of _BLOCK; each block's rfft, zero-padded
-    to twice the block, fills one row of a preallocated table.  Blocks i
-    and i + d together give the linear lags d*B - B + 1 .. d*B + B - 1, so
-    one irfft per block offset d yields a run of lags.  Linear lag m adds
-    to c[m] and, for m > 0, to c[N - m] (the pairs that wrap around), and
-    c[l] == c[N - l]; so the runs are summed into the lags 0 .. N // 2
-    alone, each straight from the rounded irfft, and the other half is
-    their mirror, made once the table is freed.
+    q = g**2 mod n for the first g = 2, 3, ... (a primitive root does)
+    with q**h == 1 and q**(h / d) != 1 for every divisor d > 1 of
+    h = (n - 1) / 2, listed by trial division to sqrt(h) < 1024.  h is
+    odd, so -1 is no power of q, and the h powers of q and their
+    negatives are n - 1 distinct units: n is prime.  Raises InvalidOrder
+    when no such q exists, so when n is not a prime congruent to 3 mod 4.
     """
-    n = bits.size
-    block = min(_BLOCK, n)
-    n_blocks = -(-n // block)
-    table = np.empty((n_blocks, block + 1), dtype=np.complex128)
-    for i in range(n_blocks):
-        table[i] = np.fft.rfft(bits[i * block:(i + 1) * block], 2 * block)
-    acc = np.empty(block + 1, dtype=np.complex128)
-    prod = np.empty_like(acc)
-    r_int = prod.view(np.float64)[:2 * block]  # prod's bytes, free once acc is summed
-    half = n // 2
-    lags = np.zeros(half + 1, dtype=np.int32)
-    for d in range(n_blocks):
-        acc[:] = 0
-        for i in range(n_blocks - d):
-            np.conjugate(table[i], out=prod)
-            prod *= table[i + d]
-            acc += prod
-        r = np.fft.irfft(acc, 2 * block)
-        np.rint(r, out=r_int)
-        r -= r_int
-        off = np.abs(r, out=r).max()
-        del r  # freed before the next irfft allocates its output
-        if off >= 0.25:
-            raise InvalidOrder(f"order {n}: FFT autocorrelation is not near an integer")
-        # lag t of this block pair, t in (-B, B), is linear lag d*B + t and
-        # sits at r_int[t % 2B]: its t < 0 part at 2B + t, its t >= 0 part at t
-        for t_lo, t_hi, at in ((1 - block, 0, 2 * block), (0, block, 0)):
-            m_lo, m_hi = d * block + t_lo, d * block + t_hi
-            shift = at - d * block  # r_int index of linear lag m is m + shift
-            lo, hi = max(m_lo, 0), min(m_hi, half + 1)  # c[m]
-            if lo < hi:
-                dest = lags[lo:hi]
-                np.add(dest, r_int[lo + shift:hi + shift], out=dest, casting="unsafe")
-            lo, hi = max(m_lo, n - half), min(m_hi, n)  # c[N - m]
-            if lo < hi:
-                dest = lags[n - hi + 1:n - lo + 1]
-                np.add(dest, r_int[lo + shift:hi + shift][::-1], out=dest, casting="unsafe")
-    del table, acc, prod, r_int
-    return np.concatenate([lags, lags[n - half - 1:0:-1]])
+    h = (n - 1) // 2
+    if n >= 3 and n % 4 == 3:
+        small = [d for d in range(3, math.isqrt(h) + 1, 2) if h % d == 0]
+        divisors = {h, *small, *(h // d for d in small)} - {1}
+        for g in range(2, n):
+            q = g * g % n
+            if pow(q, h, n) == 1 and all(pow(q, h // d, n) != 1 for d in divisors):
+                return q
+    raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
 
 
 def _check_identity(seq: SSequence) -> None:
-    """Raise InvalidOrder unless S @ S.T == ((N+1)/4)(I + J) exactly."""
-    n = seq.order
-    lags = _cyclic_autocorrelation(seq.bits)
-    if lags[0] != (n + 1) // 2 or np.any(lags[1:] != (n + 1) // 4):
+    """Raise InvalidOrder unless seq is the quadratic-residue construction.
+
+    Checks the weight and lag 1, then bits[q j mod N] == bits[j] for the
+    generator q of the squares, which the module docstring shows proves
+    S @ S.T == ((N+1)/4)(I + J).  Invariant bits of the right weight w
+    have lag 1 = w (w - 1) / (N - 1) anyway; lag 1 comes first so that a
+    sequence failing the identity is reported as such.  A cyclic shift
+    meets the identity but fails the multiplier check, with its own
+    message: this validates generation only.
+    """
+    n, bits = seq.order, seq.bits
+    q = _square_generator(n)
+    lag1 = np.count_nonzero(bits[:-1] & bits[1:]) + int(bits[-1] & bits[0])
+    if seq.weight != (n + 1) // 2 or lag1 != (n + 1) // 4:
         raise InvalidOrder(f"order {n}: circulant identity check failed")
+    block = 1 << 16
+    for lo in range(0, n, block):
+        j = np.arange(lo, min(lo + block, n), dtype=np.int64)
+        j *= q
+        j %= n
+        if not np.array_equal(bits[j], bits[lo:lo + j.size]):
+            raise InvalidOrder(
+                f"order {n}: bits are not invariant under the multiplier {q}, "
+                "so they are not the quadratic-residue construction"
+            )
 
 
 @functools.lru_cache(maxsize=64)
 def generate_s_sequence(n: int) -> SSequence:
     """Generate the order-n sequence from the quadratic-residue construction.
 
-    Self-validates at every order: all N cyclic autocorrelation lags,
-    hence every entry of the circulant identity, are checked exactly.
+    Self-validates at every order: the multiplier check proves all N
+    cyclic autocorrelation lags, hence every entry of the circulant
+    identity, exact in O(N) time.
     Memoised per order, so every caller in the process shares one value;
     its ``bits`` array is read-only (``shifted`` returns a fresh, writable
     copy).

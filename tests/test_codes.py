@@ -187,27 +187,45 @@ class TestGeneration:
             codes.generate_s_sequence(2**61 - 1)
 
 
-def direct_autocorrelation(bits):
-    b = bits.astype(np.int64)
-    return np.array([np.dot(b, np.roll(b, -lag)) for lag in range(b.size)])
+def multiplicative_order(q, n):
+    k, x = 1, q % n
+    while x != 1:
+        k, x = k + 1, x * q % n
+    return k
+
+
+def odd_prime_factors(m):
+    """Independent oracle: the distinct prime factors of an odd m."""
+    divisors = (p for p in range(3, m + 1, 2) if m % p == 0)
+    return [p for p in divisors if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+def run_of_ones(n):
+    """(n+1)/2 ones then zeros: the construction's weight, lag 1 = (n-1)/2."""
+    return codes.SSequence((np.arange(n) <= n // 2).astype(np.uint8))
 
 
 class TestIdentityCheck:
-    # block 3 at order 4099 (1367 blocks, ~0.9 M block pairs) would take
-    # seconds in the pair loop and reach no path that 340 blocks miss
-    @pytest.mark.parametrize(
-        "n, block", [(7, 3), (7, 64), (1019, 3), (1019, 64), (4099, 64)]
-    )
-    def test_blocked_equals_direct_at_every_lag(self, monkeypatch, n, block):
-        # several blocks, a short last block and lags that wrap around N;
-        # random bits too, whose lags differ, so a misplaced lag shows
+    @pytest.mark.parametrize("n", [*codes.valid_orders(1019), 4099])
+    def test_accepts_exactly_when_the_identity_holds(self, n):
+        # the generated code, its mirror bits[-j] (zero and the non-residues,
+        # another S-sequence), a run of (n+1)/2 ones (the code itself at 3)
+        # and one-bit flips of the generated code
         seq = codes.generate_s_sequence(n)
-        rng = np.random.default_rng(n)
-        monkeypatch.setattr(codes, "_BLOCK", block)
-        for bits in (seq.bits, rng.integers(0, 2, n).astype(np.uint8)):
-            lags = codes._cyclic_autocorrelation(bits)
-            assert lags.dtype == np.int32
-            assert np.array_equal(lags, direct_autocorrelation(bits))
+        mirror = codes.SSequence(seq.bits[(-np.arange(n)) % n])
+        others = [run_of_ones(n)]
+        for pos in (0, n // 2, n - 1):
+            bits = seq.bits.copy()
+            bits[pos] ^= 1
+            others.append(codes.SSequence(bits))
+        for cand in (seq, mirror, *others):
+            try:
+                codes._check_identity(cand)
+                accepted = True
+            except InvalidOrder:
+                accepted = False
+            assert accepted == (codes.s_matrix_identity_error(cand) == 0)
+        assert codes.s_matrix_identity_error(mirror) == 0
 
     @pytest.mark.parametrize("n", [7, 79, 1019])
     def test_one_flipped_bit_rejected(self, n):
@@ -219,21 +237,73 @@ class TestIdentityCheck:
             with pytest.raises(InvalidOrder, match="identity"):
                 codes._check_identity(codes.SSequence(bits))
 
-    def test_float_error_fails_loudly(self, monkeypatch):
-        # an FFT result 0.3 off every integer must not round to a pass
-        seq = codes.generate_s_sequence(79)
-        irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + 0.3)
-        with pytest.raises(InvalidOrder, match="not near an integer"):
+    @pytest.mark.parametrize("n", [7, 79, 1019])
+    def test_right_weight_wrong_lag_1_rejected_as_the_identity(self, n):
+        seq = run_of_ones(n)
+        assert seq.weight == (n + 1) // 2
+        with pytest.raises(InvalidOrder, match="identity"):
             codes._check_identity(seq)
 
+    @pytest.mark.parametrize("n", [7, 79, 1019])
+    def test_shifted_sequence_rejected_as_not_the_construction(self, n):
+        # a shift meets the identity, which s_matrix_identity_error checks,
+        # but generation checks for the construction itself
+        seq = codes.generate_s_sequence(n)
+        for k in (1, 2, n - 1):
+            shifted = seq.shifted(k)
+            assert codes.s_matrix_identity_error(shifted) == 0
+            with pytest.raises(InvalidOrder, match="not the quadratic-residue construction"):
+                codes._check_identity(shifted)
+
+    def test_order_3_multiplier_is_one(self):
+        # every weight-2 code of order 3 is a shift of 110, and q = 1 fixes all
+        assert codes._square_generator(3) == 1
+        for bits in ([1, 1, 0], [0, 1, 1], [1, 0, 1]):
+            codes._check_identity(codes.SSequence(np.array(bits, dtype=np.uint8)))
+
+    @pytest.mark.parametrize("n", codes.valid_orders(1999))
+    def test_square_generator_order_brute_force(self, n):
+        q = codes._square_generator(n)
+        assert multiplicative_order(q, n) == (n - 1) // 2
+        assert q in {k * k % n for k in range(1, n)}
+
+    @pytest.mark.parametrize("n", [3, 1048571])
+    def test_square_generator_order_by_prime_factors(self, n):
+        h = (n - 1) // 2
+        q = codes._square_generator(n)
+        assert pow(q, h, n) == 1
+        assert all(pow(q, h // p, n) != 1 for p in odd_prime_factors(h))
+
+    def test_max_order_factors(self):
+        # (1048571 - 1) / 2 = 5 * 23 * 47 * 97
+        assert odd_prime_factors(524285) == [5, 23, 47, 97]
+
+    @pytest.mark.parametrize("n", [1, 4, 13, 15, 25, 35, 1048573])
+    def test_square_generator_rejects_non_orders(self, n):
+        # 15, 35 are 3 mod 4 but composite; 13 and 1048573 are 1 mod 4
+        with pytest.raises(InvalidOrder, match="prime congruent to 3 mod 4"):
+            codes._square_generator(n)
+
     def test_max_order_lags_exact(self):
+        # every lag, from a zero-padded FFT here and no code of the package's:
+        # linear lag m of the padded transform sits at m mod 2**21, and
+        # cyclic lag l is linear lag l plus linear lag l - N
         n = 1048571  # the largest usable order
         assert codes.validate_order(n)
         assert not any(map(codes.validate_order, range(n + 1, codes.MAX_ORDER + 1)))
-        lags = codes._cyclic_autocorrelation(codes.generate_s_sequence(n).bits)
-        assert set(lags[:1].tolist()) == {(n + 1) // 2}
-        assert set(np.unique(lags[1:]).tolist()) == {(n + 1) // 4}
+        size = 1 << 21
+        assert size >= 2 * n - 1
+        spectrum = np.fft.rfft(codes.generate_s_sequence(n).bits.astype(np.float64), size)
+        spectrum *= spectrum.conj()
+        linear = np.fft.irfft(spectrum, size)
+        del spectrum
+        lags = linear[:n]
+        lags[1:] += linear[size - n + 1:]
+        del linear
+        rounded = np.rint(lags)
+        assert np.abs(lags - rounded).max() < 0.25
+        assert rounded[0] == (n + 1) // 2
+        assert set(np.unique(rounded[1:]).tolist()) == {(n + 1) // 4}
 
 
 class TestTextFormat:

@@ -13,12 +13,13 @@ demultiplexed stack in between and blocks of scratch, not stack-sized
 temporaries.  So is the folded draw of 2001 trials: it may hold one
 block of normals and of period means at a time.  A stream of twelve
 chunks, drawn and folded, holds its one reused chunk buffer and an
-(N, K) sum.  The two
-reference paths of the S-matrix identity are bounded by their one big
-array: a dense simulate at order 1019 may peak above the spectral one by
-less than two float64 copies of S, and the all-lags check at the largest
-order may trace less than 1.4 times its spectrum table, and the entry
-check of a uint8 code at that order makes no N-sized temporaries.  At
+(N, K) sum.  The dense
+reference solve is bounded by its one big array: a dense simulate at
+order 1019 may peak above the spectral one by less than two float64
+copies of S.  Generation's multiplier check at the largest order may
+trace less than two copies of the bits, so `gen-code` at that order
+peaks at most 10 MB above `gen-code 7`, and the entry check of a uint8
+code at that order makes no N-sized temporaries.  At
 order 1019 the exact-integer identity check makes no N**2 array, and the
 closed-form inverse check holds the solver's inverse and one more N**2
 array at most.
@@ -254,12 +255,18 @@ def test_inverse_check_holds_two_n_squared_arrays(kind):
     assert peak < 2.5 * s_bytes, peak / s_bytes
 
 
-def test_identity_check_holds_its_table_and_little_more():
-    n = 1048571  # the largest usable order
-    seq = codes.generate_s_sequence(n)
-    table = -(-n // codes._BLOCK) * (codes._BLOCK + 1) * 16  # complex128 rows
+def test_identity_check_holds_under_two_copies_of_the_bits():
+    seq = codes.generate_s_sequence(1048571)  # the largest usable order
     peak = _traced_peak(codes._check_identity, seq)
-    assert peak < 1.4 * table, peak / table
+    assert peak < 2 * seq.bits.nbytes, peak / seq.bits.nbytes
+
+
+def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
+    peaks = {
+        n: _peak_rss_mb(tmp_path, "--out-dir", str(tmp_path), "gen-code", str(n))
+        for n in (7, 1048571)
+    }
+    assert peaks[1048571] - peaks[7] <= 10.0, peaks
 
 
 def test_uint8_entry_check_makes_no_n_sized_temporaries():
