@@ -93,17 +93,11 @@ class SSequence:
 
     def __post_init__(self):
         # checked in their own dtype: a cast to uint8 first would wrap 257
-        # to 1 and truncate 1.5 to 1.  A uint8 code, as generation makes,
-        # is checked by its maximum, without the three N-sized bool
-        # temporaries of the general test.
+        # to 1 and truncate 1.5 to 1
         bits = np.asarray(self.bits)
         if bits.ndim != 1:
             raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
-        if bits.dtype == np.uint8:
-            binary = bits.max(initial=0) <= 1
-        else:
-            binary = np.all((bits == 0) | (bits == 1))
-        if not binary:
+        if not np.all((bits == 0) | (bits == 1)):
             raise InvalidOrder("sequence entries must be 0 or 1")
         object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
 

@@ -25,6 +25,13 @@ including the payload size against ``length``; ``StreamFile.chunks``
 then reads the payload into one reused whole-period buffer.
 ``write_stream`` and ``read_stream`` are the one-chunk, in-memory forms.
 
+Tables move through files in blocks of at most ``_TABLE_ROWS`` rows, so
+a writer's memory does not grow with the row count.  Each CSV writer
+formats its rows a block at a time and hands them to ``_write_table``,
+which writes each block before the next is formatted.  A table, like a
+stream, is written under a temporary name and appears under its own
+only once it is complete.
+
 All CSV output uses explicit units in the column headers and shortest
 round-trip float formatting, so identical runs produce byte identical
 files.
@@ -35,7 +42,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO
 
@@ -43,7 +50,7 @@ import numpy as np
 
 from .codes import SSequence
 from .config import format_value as _fmt, record_fields
-from .demux import DepthProfile
+from .demux import BLOCK_SAMPLES, DepthProfile
 from .errors import ConfigError, LengthMismatch
 from .pipeline import AdvantageCurve, SnrReport
 from .simulator import AcquisitionConfig, SampledStream, ScanResult, chunk_length
@@ -52,6 +59,20 @@ _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
 _HEADER_MAX_BYTES = 4096  # a header is about 300 bytes; longer means not a stream
 _HEADER_KEYS = Counter(["t0", "length"] + [attr for attr, *_ in record_fields(AcquisitionConfig)])
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield a temporary name beside path, renamed to path when the block
+    ends without error and deleted when it raises: a failed write leaves
+    no partial file behind."""
+    part = path.with_name(path.name + ".part")
+    try:
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------- sequences
@@ -88,8 +109,6 @@ def stream_writer(
     only when the block ends without error and every sample was written,
     so a failed run leaves no partial stream file behind.
     """
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
     written = 0
 
     def write(samples: np.ndarray) -> np.ndarray:
@@ -99,16 +118,12 @@ def stream_writer(
         written += samples.size
         return samples
 
-    try:
+    with _replacing(Path(path)) as part:
         with open(part, "wb") as fh:
             fh.write(_stream_header(cfg, length))
             yield write
         if written != length:
             raise LengthMismatch(f"{path}: header says {length} samples, {written} written")
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
 
 
 def write_stream(stream: SampledStream, path: str | Path) -> None:
@@ -198,14 +213,37 @@ def read_stream(path: str | Path) -> SampledStream:
     return SampledStream(samples, sf.config)
 
 
+# ------------------------------------------------------------------- tables
+
+# Rows per block of a CSV table: a block's values and their lines and text
+# are all that a table writer holds at a time, a few MB at most.  A row's
+# floats come from .tolist(), one block at a time, and are formatted with
+# repr, which for a Python float is format_value.
+_TABLE_ROWS = BLOCK_SAMPLES
+
+
+def _write_table(path: str | Path, header: str, blocks: Iterable[list[str]]) -> None:
+    """Write a CSV table: the header line, then each block's rows, one line
+    each, every block written before the next is asked for."""
+    with _replacing(Path(path)) as part, open(part, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for rows in blocks:
+            if rows:
+                fh.write("\n".join(rows) + "\n")
+
+
 # ----------------------------------------------------------------- profiles
 
 
 def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
-    lines = ["depth_m,amplitude"]
-    for z, v in zip(profile.depths.tolist(), profile.values.tolist()):
-        lines.append(f"{_fmt(z)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    def blocks():
+        for start in range(0, len(profile), _TABLE_ROWS):
+            values = profile.values[start : start + _TABLE_ROWS].tolist()
+            # as DepthProfile.depths has them: bin m at m * width
+            depths = (np.arange(start, start + len(values)) * profile.bin_width_m).tolist()
+            yield [f"{z!r},{v!r}" for z, v in zip(depths, values)]
+
+    _write_table(path, "depth_m,amplitude", blocks())
 
 
 def read_profile_csv(path: str | Path) -> DepthProfile:
@@ -234,20 +272,21 @@ def read_profile_csv(path: str | Path) -> DepthProfile:
 
 
 def write_snr_reports_csv(reports: list[SnrReport], path: str | Path) -> None:
-    lines = ["mode,order,n_trials,signal_mean,noise_std,snr"]
-    for r in reports:
-        lines.append(
-            f"{r.mode},{r.order},{r.n_trials},{_fmt(r.signal_mean)},"
-            f"{_fmt(r.noise_std)},{_fmt(r.snr)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [
+        f"{r.mode},{r.order},{r.n_trials},{_fmt(r.signal_mean)},"
+        f"{_fmt(r.noise_std)},{_fmt(r.snr)}"
+        for r in reports
+    ]
+    # one row per order and mode: a single block
+    _write_table(path, "mode,order,n_trials,signal_mean,noise_std,snr", [rows])
 
 
 def write_advantage_csv(curve: AdvantageCurve, path: str | Path) -> None:
-    lines = ["order,measured_gain,theoretical_gain"]
-    for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain):
-        lines.append(f"{n},{_fmt(m)},{_fmt(t)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [
+        f"{n},{_fmt(m)},{_fmt(t)}"
+        for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain)
+    ]
+    _write_table(path, "order,measured_gain,theoretical_gain", [rows])
 
 
 def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
@@ -319,24 +358,39 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
 
 
 def write_scan_map_csv(result: ScanResult, path: str | Path) -> None:
-    lines = ["x_m,y_m,peak_amplitude"]
     xs = [_fmt(x) for x in result.xs.tolist()]
-    for y, peaks in zip(result.ys.tolist(), result.peak_map.tolist()):
-        y_text = _fmt(y)
-        lines += [f"{x},{y_text},{_fmt(v)}" for x, v in zip(xs, peaks)]
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def blocks():
+        for y, peaks in zip(result.ys.tolist(), result.peak_map):
+            y_text = _fmt(y)
+            for start in range(0, len(xs), _TABLE_ROWS):
+                stop = start + _TABLE_ROWS
+                yield [
+                    f"{x},{y_text},{v!r}"
+                    for x, v in zip(xs[start:stop], peaks[start:stop].tolist())
+                ]
+
+    _write_table(path, "x_m,y_m,peak_amplitude", blocks())
 
 
 def write_scan_stack_csv(result: ScanResult, path: str | Path) -> None:
     # each position and depth is formatted once, not once per row
-    lines = ["x_m,y_m,depth_m,amplitude"]
     xs = [_fmt(x) for x in result.xs.tolist()]
     depths = [_fmt(z) for z in result.depths.tolist()]
-    for y, plane in zip(result.ys.tolist(), result.stack.tolist()):
-        y_text = _fmt(y)
-        for x, profile in zip(xs, plane):
-            lines += [f"{x},{y_text},{z},{_fmt(v)}" for z, v in zip(depths, profile)]
-    Path(path).write_text("\n".join(lines) + "\n")
+
+    def blocks():
+        for y, plane in zip(result.ys.tolist(), result.stack):
+            y_text = _fmt(y)
+            for x, profile in zip(xs, plane):
+                prefix = f"{x},{y_text},"
+                for start in range(0, len(depths), _TABLE_ROWS):
+                    stop = start + _TABLE_ROWS
+                    yield [
+                        f"{prefix}{z},{v!r}"
+                        for z, v in zip(depths[start:stop], profile[start:stop].tolist())
+                    ]
+
+    _write_table(path, "x_m,y_m,depth_m,amplitude", blocks())
 
 
 def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = None) -> None:

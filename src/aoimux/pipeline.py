@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -120,6 +120,16 @@ def measure_fwhm(profile: DepthProfile) -> float:
     return float((right - left) * profile.bin_width_m)
 
 
+@lru_cache(maxsize=64)
+def _system(order: int, kind: str) -> demux.CirculantSystem:
+    """The solver of an order and kind, built once per process, as
+    ``generate_s_sequence`` builds the code once; CirculantSystem is
+    immutable, so every caller may share it.  Built through the module
+    attribute ``demux.build_system``, so a wrapper put there sees each
+    build."""
+    return demux.build_system(codes.generate_s_sequence(order), kind)
+
+
 def reconstruct_profile(
     folded: np.ndarray,
     cfg: simulator.AcquisitionConfig,
@@ -133,8 +143,9 @@ def reconstruct_profile(
     reconstructed, whether in memory or chunked, as
     ``reconstruct_profile(average_periods(chunks, cfg), cfg)``.
     The one reconstruction path: a coded stack is demultiplexed by one
-    ``demux.demultiplex_stream`` call with the solver of the given kind, a
-    single-pulse stack is its flattened period means; then one envelope
+    ``demux.demultiplex_stream`` call with the solver of the given kind,
+    built once per order and kind in a process; a single-pulse stack is
+    its flattened period means; then one envelope
     extraction runs unless ``extract=False``.  In either mode a kind not
     in ``demux.SOLVER_KINDS`` raises ConfigError.  Each row depends only on
     its own period mean, bit for bit, whatever the stack size.  The
@@ -149,8 +160,7 @@ def reconstruct_profile(
         raise ConfigError(f"solver kind must be one of {demux.SOLVER_KINDS}, got {kind!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == simulator.MODE_CODED:
-            system = demux.build_system(codes.generate_s_sequence(cfg.order), kind)
-            raw = demux.demultiplex_stream(system, folded)
+            raw = demux.demultiplex_stream(_system(cfg.order, kind), folded)
         else:
             raw = folded.reshape(folded.shape[:-2] + (-1,))
         profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)

@@ -270,3 +270,147 @@ class TestScanCsv:
             for ix, x in enumerate(xs)
         ]
         assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def _whole_text(header, rows):
+    """A table as the whole text it was once built as before writing."""
+    return ("\n".join([header] + rows) + "\n").encode()
+
+
+def _scan_result(nx, ny, bins, seed=5):
+    """A ScanResult of an ny x nx grid of random bins-long profiles."""
+    xs = np.linspace(-0.002, 0.002, nx) if nx > 1 else np.zeros(1)
+    ys = np.linspace(-0.001, 0.0015, ny) if ny > 1 else np.zeros(1)
+    stack = np.random.default_rng(seed).random((ny, nx, bins))
+    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
+
+
+BLOCK = fileio._TABLE_ROWS
+
+
+class TestTableBlocks:
+    """Every routed writer writes the bytes of its whole-text form, at
+    block boundaries too, and a failed write leaves no file behind."""
+
+    @pytest.mark.parametrize("bins", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_profile_equals_whole_text(self, tmp_path, bins):
+        prof = DepthProfile(np.random.default_rng(bins).normal(size=bins), bin_width_m=1.98e-4)
+        path = tmp_path / "profile.csv"
+        fileio.write_profile_csv(prof, path)
+        rows = [f"{format_value(z)},{format_value(v)}" for z, v in zip(prof.depths, prof.values)]
+        assert path.read_bytes() == _whole_text("depth_m,amplitude", rows)
+
+    @pytest.mark.parametrize(
+        "nx, ny, bins",
+        [
+            (1, 1, 7),  # one position
+            (9, 1, 316),  # a 1-D grid
+            (4, 3, 11),  # a 2-D grid of several y rows
+            (2, 1, BLOCK - 1),  # a stack split within each position
+            (2, 1, BLOCK),
+            (1, 2, BLOCK + 1),
+            (BLOCK - 1, 2, 2),  # a map split within each y row
+            (BLOCK, 2, 2),
+            (BLOCK + 1, 2, 2),
+        ],
+        ids=["one-position", "1d-grid", "2d-grid", "block-1", "block", "block+1",
+             "map-block-1", "map-block", "map-block+1"],
+    )
+    def test_scan_tables_equal_whole_text(self, tmp_path, nx, ny, bins):
+        res = _scan_result(nx, ny, bins)
+        fileio.write_scan_stack_csv(res, tmp_path / "stack.csv")
+        fileio.write_scan_map_csv(res, tmp_path / "map.csv")
+        depths = res.depths
+        stack_rows = [
+            f"{format_value(x)},{format_value(y)},{format_value(z)},{format_value(v)}"
+            for iy, y in enumerate(res.ys)
+            for ix, x in enumerate(res.xs)
+            for z, v in zip(depths, res.stack[iy, ix])
+        ]
+        assert len(stack_rows) == nx * ny * bins
+        assert (tmp_path / "stack.csv").read_bytes() == _whole_text(
+            "x_m,y_m,depth_m,amplitude", stack_rows
+        )
+        peaks = res.peak_map
+        map_rows = [
+            f"{format_value(x)},{format_value(y)},{format_value(peaks[iy, ix])}"
+            for iy, y in enumerate(res.ys)
+            for ix, x in enumerate(res.xs)
+        ]
+        assert (tmp_path / "map.csv").read_bytes() == _whole_text("x_m,y_m,peak_amplitude", map_rows)
+
+    def test_sweep_tables_equal_whole_text(self, tmp_path):
+        curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
+        fileio.write_snr_reports_csv(list(curve.reports), tmp_path / "reports.csv")
+        fileio.write_advantage_csv(curve, tmp_path / "curve.csv")
+        f = format_value
+        reports = [
+            f"{r.mode},{r.order},{r.n_trials},{f(r.signal_mean)},{f(r.noise_std)},{f(r.snr)}"
+            for r in curve.reports
+        ]
+        assert (tmp_path / "reports.csv").read_bytes() == _whole_text(
+            "mode,order,n_trials,signal_mean,noise_std,snr", reports
+        )
+        gains = [
+            f"{n},{f(m)},{f(t)}"
+            for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain)
+        ]
+        assert (tmp_path / "curve.csv").read_bytes() == _whole_text(
+            "order,measured_gain,theoretical_gain", gains
+        )
+
+    def test_empty_tables_are_their_header(self, tmp_path):
+        fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
+        fileio.write_scan_stack_csv(_scan_result(3, 2, 0), tmp_path / "stack.csv")
+        assert (tmp_path / "reports.csv").read_bytes() == (
+            b"mode,order,n_trials,signal_mean,noise_std,snr\n"
+        )
+        assert (tmp_path / "stack.csv").read_bytes() == b"x_m,y_m,depth_m,amplitude\n"
+
+    @pytest.mark.parametrize(
+        "write, fail_at",
+        [
+            (lambda path: fileio.write_profile_csv(
+                DepthProfile(np.ones(3 * BLOCK), bin_width_m=1e-4), path), 3),
+            (lambda path: fileio.write_scan_stack_csv(_scan_result(3, 2, 50), path), 3),
+            (lambda path: fileio.write_scan_map_csv(_scan_result(5, 4, 2), path), 3),
+            (lambda path: fileio.write_advantage_csv(
+                advantage_curve([7, 19], [1.5, 2.3]), path), 2),
+        ],
+        ids=["profile", "stack", "map", "advantage"],
+    )
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "over-an-old-table"])
+    def test_a_write_failing_partway_leaves_no_partial_table(
+        self, tmp_path, monkeypatch, write, fail_at, existing
+    ):
+        # the header, and a block where there are several, reach the file;
+        # then the next write fails
+        path = tmp_path / "table.csv"
+        if existing:
+            path.write_text("old\n")
+        writes = []
+
+        class FailingFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                writes.append(text)
+                if len(writes) == fail_at:
+                    raise OSError("No space left on device")
+                return self._fh.write(text)
+
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        assert len(writes) == fail_at
+        assert [p.name for p in tmp_path.iterdir()] == (["table.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"

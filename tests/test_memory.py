@@ -18,11 +18,13 @@ reference solve is bounded by its one big array: a dense simulate at
 order 1019 may peak above the spectral one by less than two float64
 copies of S.  Generation's multiplier check at the largest order may
 trace less than two copies of the bits, so `gen-code` at that order
-peaks at most 10 MB above `gen-code 7`, and the entry check of a uint8
-code at that order makes no N-sized temporaries.  At
+peaks at most 10 MB above `gen-code 7`.  At
 order 1019 the exact-integer identity check makes no N**2 array, and the
 closed-form inverse check holds the solver's inverse and one more N**2
-array at most.
+array at most.  The CSV writers hold one block of rows at a time: ten
+times the rows of a depth stack or a profile may trace less than 1.5
+times the peak, and `scan2d --stack` on a 2-D grid of 165 positions
+peaks at most 6 MB above a one-position scan.
 """
 
 import os
@@ -36,7 +38,7 @@ import numpy as np
 import pytest
 
 import aoimux
-from aoimux import codes, demux, pipeline, simulator
+from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
 
@@ -269,8 +271,52 @@ def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
     assert peaks[1048571] - peaks[7] <= 10.0, peaks
 
 
-def test_uint8_entry_check_makes_no_n_sized_temporaries():
-    bits = codes.generate_s_sequence(1048571).bits
-    assert bits.dtype == np.uint8
-    peak = _traced_peak(codes.SSequence, bits)
-    assert peak < bits.nbytes // 4, peak
+def _scan_result(ny: int, nx: int = 5, bins: int = 2000) -> simulator.ScanResult:
+    stack = np.random.default_rng(8).random((ny, nx, bins))
+    xs, ys = np.linspace(-0.002, 0.002, nx), np.linspace(-0.001, 0.001, ny)
+    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
+
+
+@pytest.mark.parametrize(
+    "write, table",
+    [
+        # 2 and 20 y rows of five 2000-bin profiles: 20 000 and 200 000 rows
+        (fileio.write_scan_stack_csv, _scan_result),
+        # 50 000 and 500 000 bins, about three and thirty blocks
+        (fileio.write_profile_csv,
+         lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 25_000), 1.98e-4)),
+    ],
+    ids=["stack", "profile"],
+)
+def test_table_writer_peak_does_not_grow_with_rows(tmp_path, write, table):
+    # a table built whole, as its lines and their text, traces about
+    # 230 bytes a row: ten times the rows, ten times the peak
+    few, many = table(2), table(20)
+    peaks = [_traced_peak(write, t, tmp_path / "table.csv") for t in (few, many)]
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+MAX_SCAN_GROWTH_MB = 6.0
+
+
+def test_scan2d_stack_peak_rss_does_not_grow_with_the_grid(tmp_path):
+    # quick.cfg's 33 x positions at 5 y rows, 52 140 stack rows, against
+    # its one position x = 0: the stack writer held about 230 bytes a row
+    quick = (CONFIGS / "quick.cfg").read_text()
+    grids = {
+        "one": quick.replace("x_min_m = -0.008", "x_min_m = 0.0").replace(
+            "x_max_m = 0.008", "x_max_m = 0.0"),
+        "grid": quick.replace("step_m = ", "y_min_m = -0.001\ny_max_m = 0.001\nstep_m = "),
+    }
+    peaks = {}
+    for name, text in grids.items():
+        assert text != quick
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / name
+        peaks[name] = _peak_rss_mb(
+            tmp_path, "--out-dir", str(out), "scan2d", "--config", str(cfg), "--stack"
+        )
+        rows = (out / "scan_stack.csv").read_text().count("\n") - 1
+        assert rows == {"one": 1, "grid": 33 * 5}[name] * PERIOD
+    assert peaks["grid"] - peaks["one"] < MAX_SCAN_GROWTH_MB, peaks

@@ -126,6 +126,34 @@ class TestReconstructFolded:
             assert one.bin_width_m == cfg.bin_width_m
             assert np.array_equal(stack.values[0], one.values)
 
+    def test_each_order_and_kind_builds_one_system(self, monkeypatch):
+        builds = []
+        build = demux.build_system
+
+        def counted(seq, kind):
+            builds.append((seq.order, kind))
+            return build(seq, kind)
+
+        monkeypatch.setattr(demux, "build_system", counted)
+        pipeline._system.cache_clear()
+        folded = np.random.default_rng(4).normal(size=(3, 19, 4))
+        profiles = {}
+        for kind in ("spectral", "dense"):
+            for order in (19, 7):
+                cfg = config(order=order, periods=2)
+                frames = folded[:, :order]
+                first = pipeline.reconstruct_profile(frames, cfg, kind)
+                again = [pipeline.reconstruct_profile(frames, cfg, kind) for _ in range(3)]
+                assert all(p.values.tobytes() == first.values.tobytes() for p in again)
+                profiles[order, kind] = first
+        assert builds == [(19, "spectral"), (7, "spectral"), (19, "dense"), (7, "dense")]
+        # a system built afresh gives the same bits as the shared one
+        pipeline._system.cache_clear()
+        for (order, kind), shared in profiles.items():
+            fresh = pipeline.reconstruct_profile(folded[:, :order], config(order=order), kind)
+            assert fresh.values.tobytes() == shared.values.tobytes()
+        assert len(builds) == 8
+
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
     def test_unknown_solver_kind_raises_in_either_mode(self, mode):
         cfg = config(mode, order=7, periods=2)
