@@ -106,32 +106,14 @@ class SSequence:
         """The code length N."""
         return self.bits.size
 
-    def __len__(self) -> int:
-        return self.order
-
     @property
     def weight(self) -> int:
         """Number of ones; (N+1)/2 for a valid sequence."""
         return int(self.bits.sum())
 
-    def shifted(self, k: int) -> "SSequence":
-        """Cyclic shift by k positions; shifts stay valid codes."""
-        return SSequence(np.roll(self.bits, k))
-
     def to_text(self) -> str:
         """Single-line text form ``"<order>:<bits>"``, e.g. ``"7:1110100"``."""
         return f"{self.order}:" + (self.bits + ord("0")).tobytes().decode("ascii")
-
-    @classmethod
-    def from_text(cls, text: str) -> "SSequence":
-        head, _, body = text.strip().partition(":")
-        try:
-            order = int(head)
-        except ValueError as exc:
-            raise InvalidOrder(f"malformed sequence line: {text!r}") from exc
-        if len(body) != order or set(body) - {"0", "1"}:
-            raise InvalidOrder(f"malformed sequence line: {text!r}")
-        return cls(np.frombuffer(body.encode(), dtype=np.uint8) - ord("0"))
 
 
 def circulant_view(seq: SSequence, dtype: np.dtype | type) -> np.ndarray:
@@ -226,8 +208,7 @@ def generate_s_sequence(n: int) -> SSequence:
     cyclic autocorrelation lags, hence every entry of the circulant
     identity, exact in O(N) time.
     Memoised per order, so every caller in the process shares one value;
-    its ``bits`` array is read-only (``shifted`` returns a fresh, writable
-    copy).
+    its ``bits`` array is read-only.
     """
     check_order(n)
     bits = np.zeros(n, dtype=np.uint8)

@@ -83,14 +83,9 @@ def _coerce(section: str, key: str, raw: str, kind):
         if kind == _ORDERS:  # comma-separated; empty items are skipped
             return tuple(int(tok) for tok in raw.split(",") if tok.strip())
         if kind is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
 

@@ -1,4 +1,5 @@
 """On-disk formats: sequence lines, stream files, CSV tables, PGM, SVG.
+Stream files are the one format read back; the rest are written only.
 
 Stream files carry one ASCII header line followed by raw little-endian
 float64 samples::
@@ -80,10 +81,6 @@ def _replacing(path: Path) -> Iterator[Path]:
 
 def write_sequence(seq: SSequence, path: str | Path) -> None:
     Path(path).write_text(seq.to_text() + "\n")
-
-
-def read_sequence(path: str | Path) -> SSequence:
-    return SSequence.from_text(Path(path).read_text())
 
 
 # ------------------------------------------------------------------ streams
@@ -244,28 +241,6 @@ def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
             yield [f"{z!r},{v!r}" for z, v in zip(depths, values)]
 
     _write_table(path, "depth_m,amplitude", blocks())
-
-
-def read_profile_csv(path: str | Path) -> DepthProfile:
-    rows = Path(path).read_text().strip().splitlines()
-    if not rows or rows[0] != "depth_m,amplitude":
-        raise ConfigError(f"{path}: not a depth-profile CSV")
-    depths, values = [], []
-    try:
-        for row in rows[1:]:
-            z, v = row.split(",")
-            depths.append(float(z))
-            values.append(float(v))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed profile row {row!r}: {exc}") from exc
-    if len(depths) < 2:
-        raise ConfigError(f"{path}: profile needs at least two rows")
-    if depths[0] != 0.0:
-        raise ConfigError(f"{path}: first depth is {depths[0]}, not 0")
-    # write_profile_csv writes the depths of DepthProfile: bin m at m * width
-    if not np.array_equal(depths, np.arange(len(depths)) * depths[1]):
-        raise ConfigError(f"{path}: depths are not the multiples of {depths[1]}")
-    return DepthProfile(np.array(values), bin_width_m=depths[1])
 
 
 # -------------------------------------------------------------- experiments

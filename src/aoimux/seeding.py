@@ -9,10 +9,13 @@ order without changing the results.  A child seed seeds its generator
 as ``numpy.random.default_rng(seed)``.
 
 The derivation is cached per process, since an SNR sweep derives the
-same trial seeds once per order and mode.  The cache keeps the last
-``SEED_CACHE_SIZE`` seeds; a sweep of more trials than that per order
-and mode misses every time and hashes as often as without it.  The
-cache holds only what numpy computed, so no result depends on it.
+same trial seeds once per order and mode.  ``simulator.draw_folded``
+reads them a block of trials at a time, for every order and mode in
+turn, so the cache need only hold one block's seeds, however many
+trials the sweep makes: each trial's seed misses once and hits for
+every other order and mode (10 000 misses and 70 000 hits for a
+10 000-trial sweep of four orders in two modes).  The cache holds only
+what numpy computed, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 TRIAL_SALT = 1
 SCAN_SALT = 2
 
-# seeds the cache keeps: more trials than a sweep makes per order and mode
+# seeds the cache keeps: more than the trials of one folded-draw block
 SEED_CACHE_SIZE = 1 << 13
 
 

@@ -376,13 +376,9 @@ def draw_folded(
         yield lo, folded
 
 
-def stream_chunks(
-    cfg: AcquisitionConfig,
-    ph: Phantom,
-    axis_xy: tuple[float, float] = (0.0, 0.0),
-) -> Iterator[np.ndarray]:
-    """The stream of one transducer position in chunks, each drawn in
-    place into one reused 1-D buffer.
+def stream_chunks(cfg: AcquisitionConfig, ph: Phantom) -> Iterator[np.ndarray]:
+    """The stream of the transducer on the axis, x = y = 0, in chunks,
+    each drawn in place into one reused 1-D buffer.
 
     Chunks hold ``chunk_length(cfg.period_samples)`` samples (whole
     periods), or the whole stream if it is shorter; only the last may
@@ -403,7 +399,7 @@ def stream_chunks(
         raise InsufficientSamples(
             f"duration {cfg.duration_s} s at {cfg.f_s} Hz gives no samples"
         )
-    period = clean_period(cfg, ph, axis_xy)
+    period = clean_period(cfg, ph)
     p = period.size
     # no longer than the stream rounded up to whole periods
     buf = np.empty(min(chunk_length(p), -(-n // p) * p))
@@ -427,16 +423,12 @@ def stream_chunks(
     return chunks()
 
 
-def simulate_stream(
-    cfg: AcquisitionConfig,
-    ph: Phantom,
-    axis_xy: tuple[float, float] = (0.0, 0.0),
-) -> SampledStream:
-    """Synthesize a detector stream for one transducer position in memory.
+def simulate_stream(cfg: AcquisitionConfig, ph: Phantom) -> SampledStream:
+    """Synthesize the detector stream of the transducer on the axis in memory.
 
     The samples are those of ``stream_chunks``, gathered into one array.
     """
-    chunks = stream_chunks(cfg, ph, axis_xy)
+    chunks = stream_chunks(cfg, ph)
     samples = np.empty(cfg.n_samples)
     start = 0
     for chunk in chunks:

@@ -150,7 +150,8 @@ class TestGeneration:
     def test_cyclic_shift_closure(self, n):
         seq = codes.generate_s_sequence(n)
         for k in range(n):
-            assert codes.s_matrix_identity_error(seq.shifted(k)) == 0
+            shifted = codes.SSequence(np.roll(seq.bits, k))
+            assert codes.s_matrix_identity_error(shifted) == 0
 
     @pytest.mark.parametrize("bad", [4, 13, 1, 0, -7, 25])
     def test_invalid_orders_raise(self, bad):
@@ -169,9 +170,6 @@ class TestGeneration:
         seq = codes.generate_s_sequence(79)
         with pytest.raises(ValueError):
             seq.bits[0] = 0
-        shifted = seq.shifted(5)
-        assert shifted.bits.flags.writeable
-        assert codes.s_matrix_identity_error(shifted) == 0
         assert seq.bits[0] == 1
 
     def test_order_above_1024_full_check(self):
@@ -250,7 +248,7 @@ class TestIdentityCheck:
         # but generation checks for the construction itself
         seq = codes.generate_s_sequence(n)
         for k in (1, 2, n - 1):
-            shifted = seq.shifted(k)
+            shifted = codes.SSequence(np.roll(seq.bits, k))
             assert codes.s_matrix_identity_error(shifted) == 0
             with pytest.raises(InvalidOrder, match="not the quadratic-residue construction"):
                 codes._check_identity(shifted)
@@ -307,19 +305,6 @@ class TestIdentityCheck:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        seq = codes.generate_s_sequence(31)
-        again = codes.SSequence.from_text(seq.to_text())
-        assert again.order == 31
-        assert np.array_equal(again.bits, seq.bits)
-
-    @pytest.mark.parametrize(
-        "line", ["7:111010", "7:11101000", "7:1110102", "x:1110100", "1110100"]
-    )
-    def test_malformed_lines_raise(self, line):
-        with pytest.raises(InvalidOrder):
-            codes.SSequence.from_text(line)
-
     def test_sequence_validates_entries(self):
         with pytest.raises(InvalidOrder):
             codes.SSequence(np.array([0, 1, 2]))

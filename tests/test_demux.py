@@ -146,6 +146,12 @@ class TestDemultiplexFrame:
             system(7).solve(np.ones(6))
 
 
+@pytest.mark.parametrize("width", [0.0, -2e-4])
+def test_depth_profile_rejects_non_positive_bin_width(width):
+    with pytest.raises(ConfigError, match="bin_width_m must be positive"):
+        demux.DepthProfile(np.ones(4), bin_width_m=width)
+
+
 class TestAnalyticInverse:
     @pytest.mark.parametrize("n,budget", [(3, 1e-12), (7, 1e-12), (79, 1e-10)])
     def test_closed_form_gap(self, n, budget):

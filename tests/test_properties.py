@@ -211,15 +211,6 @@ def test_stream_file_round_trip(cfg, samples, workdir):
     assert again.samples.tobytes() == samples.astype("<f8").tobytes()
 
 
-@PROPERTY_SETTINGS
-@given(order=st.sampled_from(SMALL_ORDERS), shift=st.integers(0, 250))
-def test_sequence_text_round_trip(order, shift):
-    seq = codes.generate_s_sequence(order).shifted(shift)
-    again = codes.SSequence.from_text(seq.to_text())
-    assert again.order == order
-    assert np.array_equal(again.bits, seq.bits)
-
-
 SPECIAL_VALUES = ["inf", "-inf", "nan", "0", "-0.0", "-1", "1e309", "", "=", "x", "9" * 5000,
                   str(2**61 - 1), "coded", "single-pulse"]
 VALUE_TEXT = st.one_of(
