@@ -460,6 +460,62 @@ class TestBadValues:
         assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, f"aoimux: {bad}: missing [{section}] section")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t + "\n[laser]\npower_w = 0.1\n", "{bad}: unknown sections ['laser']"),
+            (lambda t: t.replace("seed = 31\n", "seed = 31\nlaser_power_w = 0.1\n"),
+             "[acquisition]: unknown keys ['laser_power_w']"),
+            (lambda t: t.replace("duration_s = 6.08e-5\n", ""),
+             "[acquisition]: missing required key duration_s"),
+            (lambda t: t.replace("mu_a_per_cm = 0.3\n", ""),
+             "[phantom]: missing required key mu_a_per_cm"),
+            (lambda t: _set_value(t, "f_us_hz", "fast"),
+             "[acquisition] f_us_hz: cannot parse 'fast'"),
+            (lambda t: _set_value(t, "order", "19.0"), "[acquisition] order: cannot parse '19.0'"),
+            (lambda t: t.replace("seed = 31\n", "seed = 31\nseed = 32\n"), "{bad}: While reading"),
+            (lambda t: "seed = 31\n" + t, "{bad}: File contains no section headers"),
+        ],
+        ids=["unknown-section", "unknown-key", "missing-acquisition-key", "missing-phantom-key",
+             "non-numeric-float", "non-integer-int", "repeated-key", "key-before-any-section"],
+    )
+    def test_malformed_config_exit_2_naming_the_fault(self, tmp_path, cfg_file, capsys,
+                                                      edit, message):
+        bad = tmp_path / "bad.cfg"
+        text = edit(cfg_file.read_text())
+        assert text != cfg_file.read_text()
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
+        _assert_config_error(capsys, out, "aoimux: " + message.format(bad=bad))
+
+    @pytest.mark.parametrize(
+        "pattern, replacement, message",
+        [
+            (rb"^aoimux-stream ", b"other-stream ", "not an aoimux stream file"),
+            (rb"^aoimux-stream 1 ", b"aoimux-stream 2 ", "not an aoimux stream file"),
+            (rb" f_s=\S+", b" f_s=fast", "malformed stream header: "),
+            (rb" length=(\d+)", rb" length=\1.0", "malformed stream header: "),
+            (rb" order=\S+", b" order=19.0", "malformed stream header: "),
+        ],
+        ids=["foreign-magic", "other-version", "non-numeric-value", "non-integer-length",
+             "non-integer-order"],
+    )
+    def test_malformed_stream_header_exit_2_naming_the_fault(
+        self, tmp_path, cfg_file, capsys, pattern, replacement, message
+    ):
+        out = tmp_path / "run"
+        main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)])
+        head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
+        head, count = re.subn(pattern, replacement, head)
+        assert count == 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(head + b"\n" + body)
+        demuxed = tmp_path / "demuxed"
+        capsys.readouterr()
+        assert main(["--out-dir", str(demuxed), "demux", "--stream", str(bad)]) == 2
+        _assert_config_error(capsys, demuxed, f"aoimux: {bad}: {message}")
+
 
 class TestSnrSweep:
     def test_single_order_outputs(self, tmp_path, cfg_file):
