@@ -135,17 +135,24 @@ def circulant_matrix(seq: SSequence) -> np.ndarray:
     return circulant_view(seq, np.int64).copy()
 
 
+_LAG_BLOCK = 1 << 16  # entries of S that one block of lags reads
+
+
 def s_matrix_identity_error(seq: SSequence) -> int:
     """Max absolute deviation of S @ S.T from ((N+1)/4)(I + J), exact ints.
 
-    Its entries are the N cyclic lags, each a direct int64 dot product:
-    O(N) memory, and no code shared with generation's multiplier check.
-    Unlike that check it accepts every sequence that meets the identity,
-    cyclic shifts included: it is the general exact checker.
+    Its entries are the N cyclic lags, each a row of the int64
+    ``circulant_view`` times the bits, taken a block of about
+    ``_LAG_BLOCK`` entries of S at a time: O(N) memory, and no code shared
+    with generation's multiplier check.  Unlike that check it accepts
+    every sequence that meets the identity, cyclic shifts included: it is
+    the general exact checker.
     """
     n = seq.order
-    bits = seq.bits.astype(np.int64)
-    lags = np.fromiter((bits @ np.roll(bits, -lag) for lag in range(n)), np.int64, n)
+    s = circulant_view(seq, np.int64)
+    bits = s[0]
+    rows = max(1, _LAG_BLOCK // n)
+    lags = np.concatenate([s[r : r + rows] @ bits for r in range(0, n, rows)])
     target = np.full(n, (n + 1) // 4)
     target[0] *= 2  # the diagonal, I + J
     return int(np.abs(lags - target).max())

@@ -136,4 +136,6 @@ def manifest_text(rc: RunConfig) -> str:
 
 
 def write_manifest(rc: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(manifest_text(rc))
+    from .fileio import _write_text  # fileio imports this module
+
+    _write_text(path, manifest_text(rc))

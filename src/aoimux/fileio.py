@@ -29,9 +29,9 @@ then reads the payload into one reused whole-period buffer.
 Tables move through files in blocks of at most ``_TABLE_ROWS`` rows, so
 a writer's memory does not grow with the row count.  Each CSV writer
 formats its rows a block at a time and hands them to ``_write_table``,
-which writes each block before the next is formatted.  A table, like a
-stream, is written under a temporary name and appears under its own
-only once it is complete.
+which writes each block before the next is formatted.  Every file written
+here, and the manifest, is written under a temporary name and appears
+under its own only once it is complete.
 
 All CSV output uses explicit units in the column headers and shortest
 round-trip float formatting, so identical runs produce byte identical
@@ -76,11 +76,17 @@ def _replacing(path: Path) -> Iterator[Path]:
         raise
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    """Write a text file under a temporary name, as the tables are."""
+    with _replacing(Path(path)) as part, open(part, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------- sequences
 
 
 def write_sequence(seq: SSequence, path: str | Path) -> None:
-    Path(path).write_text(seq.to_text() + "\n")
+    _write_text(path, seq.to_text() + "\n")
 
 
 # ------------------------------------------------------------------ streams
@@ -326,7 +332,7 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
         f"SNR gain</text>",
         "</svg>",
     ]
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 # -------------------------------------------------------------------- scans
@@ -389,6 +395,6 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
         scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)
     data = np.round(255.0 * scaled).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
+    with _replacing(Path(path)) as part, open(part, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(data.tobytes())

@@ -1,4 +1,6 @@
-"""Whole in-memory streams through the chunked reconstruction API.
+"""What several test files share: the reference phantom and acquisition
+builders, a random scan result, a child interpreter that imports this
+package, and whole in-memory streams through the chunked API.
 
 A ``SampledStream``'s samples are the one chunk that
 ``demux.average_periods`` folds; the fold then goes through
@@ -6,8 +8,65 @@ A ``SampledStream``'s samples are the one chunk that
 CLI commands use them.
 """
 
-from aoimux import demux, pipeline
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import aoimux
+from aoimux import demux, pipeline, simulator
 from aoimux.demux import DepthProfile
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(aoimux.__file__).resolve().parents[1]
+
+# the reference rates: four samples a carrier cycle
+F_US = 1.25e6
+F_S = 5e6
+C = 990.0
+K = 4
+BIN = C / F_S
+
+
+def phantom(*, mu_a=0.3, boundary=0.0004, extent=0.004, separation=0.015):
+    """A diffuse phantom with source and detector separation apart about x = 0."""
+    return simulator.Phantom(
+        mu_s_prime_per_cm=15.0,
+        mu_a_per_cm=mu_a,
+        src_x_m=-separation / 2,
+        det_x_m=separation / 2,
+        boundary_z_m=boundary,
+        depth_extent_m=extent,
+    )
+
+
+def acquisition(mode="coded", order=79, periods=2, **kw):
+    """An acquisition at the reference rates of periods repetition periods;
+    kw sets any other field, duration_s included."""
+    fields = dict(
+        f_us=F_US, f_s=F_S, c=C, mode=mode, order=order, duration_s=periods * order * K / F_S
+    )
+    return simulator.AcquisitionConfig(**(fields | kw))
+
+
+def scan_result(nx, ny, bins, *, seed, y_max=0.0015):
+    """A ScanResult of an ny x nx grid of random bins-long profiles."""
+    xs = np.linspace(-0.002, 0.002, nx) if nx > 1 else np.zeros(1)
+    ys = np.linspace(-0.001, y_max, ny) if ny > 1 else np.zeros(1)
+    stack = np.random.default_rng(seed).random((ny, nx, bins))
+    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
+
+
+def run_python(*args, check=False):
+    """Run a child interpreter that imports this package from its source,
+    capturing its output as text."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
+    )
 
 
 def fold(stream):

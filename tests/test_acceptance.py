@@ -9,24 +9,19 @@ S-matrix advantage, written as sqrt(N)/2 times (N+1)/N, at orders 7, 19,
 same band at each of its orders.
 """
 
+import functools
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aoimux import codes, demux, pipeline, simulator
 from aoimux.config import parse_run_config
-from streams import demux_of, profile_of
+import streams
+from streams import BIN, CONFIGS, F_S, K, demux_of, phantom, profile_of
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-F_US = 1.25e6
-F_S = 5e6
-C = 990.0
-BIN = C / F_S
-K = 4
+acquisition = functools.partial(streams.acquisition, seed=20260810)
 
 ADVANTAGE_ORDERS = [7, 19, 31, 79]
 ADVANTAGE_TRIALS = 4000  # criterion asks for >= 200
@@ -34,26 +29,6 @@ ADVANTAGE_TRIALS = 4000  # criterion asks for >= 200
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def small_phantom(boundary=0.0005, extent=0.004, mu_a=0.3):
-    """Localized phantom that fits inside one order-7 repetition span."""
-    return simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=mu_a,
-        src_x_m=-0.0075,
-        det_x_m=0.0075,
-        boundary_z_m=boundary,
-        depth_extent_m=extent,
-    )
-
-
-def acquisition(mode="coded", order=79, *, duration_s, **kw):
-    defaults = dict(
-        f_us=F_US, f_s=F_S, c=C, mode=mode, order=order, duration_s=duration_s, seed=20260810
-    )
-    defaults.update(kw)
-    return simulator.AcquisitionConfig(**defaults)
 
 
 def test_criterion_1_s_matrix_identity():
@@ -108,7 +83,7 @@ def advantage_curve():
     cfg = acquisition("coded", 79, duration_s=duration, noise_sigma=0.05)
     start = time.perf_counter()
     curve = pipeline.multiplexing_advantage(
-        cfg, small_phantom(), pipeline.SweepPlan(tuple(ADVANTAGE_ORDERS), ADVANTAGE_TRIALS)
+        cfg, phantom(boundary=0.0005), pipeline.SweepPlan(tuple(ADVANTAGE_ORDERS), ADVANTAGE_TRIALS)
     )
     elapsed = time.perf_counter() - start
     return curve, elapsed
@@ -175,7 +150,7 @@ def test_criterion_3_band_holds_for_the_shipped_default_sweep(shipped_curve, ord
 
 def test_criterion_4_resolution_preservation():
     """Noise-free coded and single-pulse FWHM agree within one depth bin."""
-    ph = small_phantom(boundary=0.003, extent=0.004, mu_a=1.0)
+    ph = phantom(boundary=0.003, extent=0.004, mu_a=1.0)
     duration = 3 * 79 * K / F_S
     fwhm = {}
     for mode in ("coded", "single-pulse"):
@@ -200,7 +175,7 @@ def test_criterion_5_interleaving_exactness():
     so frames[p, :, j] is subset j of period p, and solves every frame
     on its own."""
     start = time.perf_counter()
-    ph = small_phantom(boundary=0.002, extent=0.03)
+    ph = phantom(boundary=0.002, extent=0.03)
     duration = 3 * 79 * K / F_S
     coded = simulator.simulate_stream(acquisition("coded", 79, duration_s=duration), ph)
     single = simulator.simulate_stream(
@@ -282,7 +257,7 @@ class TestCriterion8Scan:
     EXTENT = 0.04
 
     def _phantom(self):
-        return small_phantom(boundary=self.BOUNDARY, extent=self.EXTENT, mu_a=0.05)
+        return phantom(boundary=self.BOUNDARY, extent=self.EXTENT, mu_a=0.05)
 
     def _config(self, mode, noise):
         return acquisition(mode, 79, duration_s=8 * 79 * K / F_S, noise_sigma=noise, seed=99)

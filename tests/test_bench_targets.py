@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from streams import acquisition, phantom
+
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
@@ -63,18 +65,8 @@ def test_traced_functions_run_only_on_the_calling_thread(monkeypatch):
                 for key, value in list(vars(other).items()):
                     if value is original:
                         monkeypatch.setattr(other, key, traced)
-    ph = simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=0.3,
-        src_x_m=-0.0075,
-        det_x_m=0.0075,
-        boundary_z_m=0.0004,
-        depth_extent_m=0.004,
-    )
-    cfg = simulator.AcquisitionConfig(
-        f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=31,
-        duration_s=6 * 124 / 5e6, noise_sigma=0.1, seed=21,
-    )
+    ph = phantom()
+    cfg = acquisition(order=31, periods=6, noise_sigma=0.1, seed=21)
     before = threading.active_count()
     simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.001))
     pipeline.measure_snr(cfg, ph, 9)

@@ -8,42 +8,23 @@ anywhere in the draw, solve or extraction surfaces as NonFiniteSamples,
 with no numpy warning (the suite turns warnings into errors).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from aoimux import pipeline, simulator
 from aoimux.errors import NonFiniteSamples
 from aoimux.simulator import ScanGrid
+from streams import F_S, acquisition, phantom
 
-F_US = 1.25e6
-F_S = 5e6
-
-
-def phantom():
-    return simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=0.3,
-        src_x_m=-0.0075,
-        det_x_m=0.0075,
-        boundary_z_m=0.0004,
-        depth_extent_m=0.004,
-    )
-
-
-def config(mode="coded", order=31, periods=6, **kw):
-    defaults = dict(
-        f_us=F_US,
-        f_s=F_S,
-        c=990.0,
-        mode=mode,
-        order=order,
-        # a partial last period too
-        duration_s=(periods * order * 4 + 9) / F_S,
-        noise_sigma=0.1,
-        seed=21,
-    )
-    defaults.update(kw)
-    return simulator.AcquisitionConfig(**defaults)
+config = functools.partial(
+    acquisition,
+    order=31,
+    duration_s=(6 * 31 * 4 + 9) / F_S,  # six periods and a partial one
+    noise_sigma=0.1,
+    seed=21,
+)
 
 
 def scan(cfg):

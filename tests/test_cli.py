@@ -1,22 +1,15 @@
 """Command-line interface: commands, exit codes, determinism, manifests."""
 
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import aoimux
 from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.cli import main
 from aoimux.config import manifest_text, parse_run_config
-from streams import profile_of
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from streams import CONFIGS, profile_of, run_python
 
 SMALL_CONFIG = """\
 [acquisition]
@@ -227,13 +220,8 @@ class TestDemux:
         head, body = (out / "stream.bin").read_bytes().split(b"\n", 1)
         huge = tmp_path / "huge.bin"
         huge.write_bytes(head + b"\n" + np.full(len(body) // 8, 1e308).astype("<f8").tobytes())
-        env = dict(os.environ)
-        src = str(Path(aoimux.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "aoimux.cli", "demux", "--stream", str(huge),
-             "--out", str(tmp_path / "p.csv")],
-            env=env, capture_output=True, text=True,
+        done = run_python(
+            "-m", "aoimux.cli", "demux", "--stream", str(huge), "--out", str(tmp_path / "p.csv")
         )
         assert done.returncode == 4
         assert done.stderr == (
@@ -254,15 +242,8 @@ class TestDemux:
         # what a user would see
         cfg = tmp_path / "loud.cfg"
         cfg.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "noise_sigma", sigma))
-        env = dict(os.environ)
-        src = str(Path(aoimux.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "out"
-        done = subprocess.run(
-            [sys.executable, "-m", "aoimux.cli", "--out-dir", str(out), command,
-             "--config", str(cfg)],
-            env=env, capture_output=True, text=True,
-        )
+        done = run_python("-m", "aoimux.cli", "--out-dir", str(out), command, "--config", str(cfg))
         assert done.returncode == 4
         assert done.stderr == (
             "aoimux: numerical failure: the reconstructed profile is not finite: "

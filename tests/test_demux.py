@@ -15,7 +15,7 @@ from aoimux.errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from streams import demux_of, fold, profile_of
+from streams import acquisition, demux_of, fold, phantom, profile_of
 
 
 def system(n, kind="dense"):
@@ -23,22 +23,13 @@ def system(n, kind="dense"):
 
 
 def make_stream(samples, f_us=1.25e6, f_s=5e6, order=3, mode="coded"):
-    cfg = simulator.AcquisitionConfig(
-        f_us=f_us,
-        f_s=f_s,
-        c=990.0,
-        mode=mode,
-        order=order,
-        duration_s=len(samples) / f_s,
-    )
+    cfg = acquisition(mode, order, f_us=f_us, f_s=f_s, duration_s=len(samples) / f_s)
     return simulator.SampledStream(np.asarray(samples, float), cfg)
 
 
 def fold_cfg(n, k):
     """The smallest config whose period is n code elements of k samples."""
-    return simulator.AcquisitionConfig(
-        f_us=1.25e6, f_s=k * 1.25e6, c=990.0, mode="single-pulse", order=n, duration_s=0.0
-    )
+    return acquisition("single-pulse", n, f_s=k * 1.25e6, duration_s=0.0)
 
 
 class TestBuildSystem:
@@ -216,26 +207,10 @@ class TestInterleaving:
 
 class TestDemultiplexStream:
     def _phantom(self):
-        return simulator.Phantom(
-            mu_s_prime_per_cm=15.0,
-            mu_a_per_cm=0.1,
-            src_x_m=-0.0075,
-            det_x_m=0.0075,
-            boundary_z_m=0.002,
-            depth_extent_m=0.03,
-        )
+        return phantom(mu_a=0.1, boundary=0.002, extent=0.03)
 
     def _cfg(self, mode, periods=3, order=79):
-        k = 4
-        return simulator.AcquisitionConfig(
-            f_us=1.25e6,
-            f_s=5e6,
-            c=990.0,
-            mode=mode,
-            order=order,
-            duration_s=periods * order * k / 5e6,
-            seed=11,
-        )
+        return acquisition(mode, order, periods, seed=11)
 
     def test_round_trip_against_forward_model(self):
         ph = self._phantom()
@@ -261,14 +236,7 @@ class TestDemultiplexStream:
         assert prof.bin_width_m == pytest.approx(990.0 / 5e6, rel=1e-12)
 
     def test_order_mismatch_raises(self):
-        small = simulator.Phantom(
-            mu_s_prime_per_cm=15.0,
-            mu_a_per_cm=0.1,
-            src_x_m=-0.0075,
-            det_x_m=0.0075,
-            boundary_z_m=0.002,
-            depth_extent_m=0.01,
-        )
+        small = phantom(mu_a=0.1, boundary=0.002, extent=0.01)
         stream = simulator.simulate_stream(self._cfg("coded", order=19), small)
         with pytest.raises(LengthMismatch):
             demux_of(system(79, "spectral"), stream)

@@ -5,34 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from aoimux import codes, fileio, pipeline, simulator
-from aoimux.config import format_value
+from aoimux import codes, fileio, simulator
+from aoimux.config import format_value, parse_run_config, write_manifest
 from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, LengthMismatch
 from aoimux.pipeline import AdvantageCurve, SnrReport
+from streams import CONFIGS, acquisition, phantom, scan_result
 
 
-def sample_stream(noise=0.25):
-    cfg = simulator.AcquisitionConfig(
-        f_us=1.25e6,
-        f_s=5e6,
-        c=990.0,
-        mode="coded",
-        order=7,
-        duration_s=2 * 28 / 5e6,
-        noise_sigma=noise,
-        seed=3,
-        water_path_m=0.09,
-    )
-    ph = simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=0.2,
-        src_x_m=-0.0075,
-        det_x_m=0.0075,
-        boundary_z_m=0.0002,
-        depth_extent_m=0.004,
-    )
-    return simulator.simulate_stream(cfg, ph)
+def sample_stream():
+    cfg = acquisition(order=7, noise_sigma=0.25, seed=3, water_path_m=0.09)
+    return simulator.simulate_stream(cfg, phantom(mu_a=0.2, boundary=0.0002))
 
 
 def advantage_curve(orders, gains):
@@ -206,15 +189,8 @@ class TestPgm:
 
 class TestScanCsv:
     def test_map_and_stack(self, tmp_path):
-        cfg = simulator.AcquisitionConfig(
-            f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=7,
-            duration_s=2 * 28 / 5e6, seed=1,
-        )
-        ph = simulator.Phantom(
-            mu_s_prime_per_cm=15.0, mu_a_per_cm=0.2,
-            src_x_m=-0.001, det_x_m=0.001, boundary_z_m=0.0002,
-            depth_extent_m=0.004,
-        )
+        cfg = acquisition(order=7, seed=1)
+        ph = phantom(mu_a=0.2, boundary=0.0002, separation=0.002)
         res = simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001))
         map_path = tmp_path / "map.csv"
         stack_path = tmp_path / "stack.csv"
@@ -241,13 +217,7 @@ class TestScanCsv:
         path = tmp_path / "map.csv"
         fileio.write_scan_map_csv(res, path)
         assert len(reads) == 1
-        peaks = stack.max(axis=-1)
-        rows = ["x_m,y_m,peak_amplitude"] + [
-            f"{format_value(x)},{format_value(y)},{format_value(peaks[iy, ix])}"
-            for iy, y in enumerate(ys)
-            for ix, x in enumerate(xs)
-        ]
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert path.read_bytes() == _map_text(xs, ys, stack.max(axis=-1))
 
 
 def _whole_text(header, rows):
@@ -255,12 +225,21 @@ def _whole_text(header, rows):
     return ("\n".join([header] + rows) + "\n").encode()
 
 
-def _scan_result(nx, ny, bins, seed=5):
-    """A ScanResult of an ny x nx grid of random bins-long profiles."""
-    xs = np.linspace(-0.002, 0.002, nx) if nx > 1 else np.zeros(1)
-    ys = np.linspace(-0.001, 0.0015, ny) if ny > 1 else np.zeros(1)
-    stack = np.random.default_rng(seed).random((ny, nx, bins))
-    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
+def _texts(values):
+    """format_value of each value, read as Python floats: the same text as
+    from numpy scalars, in a fraction of the time."""
+    return [format_value(v) for v in values.tolist()]
+
+
+def _map_text(xs, ys, peaks):
+    """A peak map's whole text, a row per position, x fastest."""
+    xs = _texts(xs)
+    rows = [
+        f"{x},{y},{format_value(v)}"
+        for y, row in zip(_texts(ys), peaks.tolist())
+        for x, v in zip(xs, row)
+    ]
+    return _whole_text("x_m,y_m,peak_amplitude", rows)
 
 
 BLOCK = fileio._TABLE_ROWS
@@ -275,7 +254,7 @@ class TestTableBlocks:
         prof = DepthProfile(np.random.default_rng(bins).normal(size=bins), bin_width_m=1.98e-4)
         path = tmp_path / "profile.csv"
         fileio.write_profile_csv(prof, path)
-        rows = [f"{format_value(z)},{format_value(v)}" for z, v in zip(prof.depths, prof.values)]
+        rows = [f"{z},{v}" for z, v in zip(_texts(prof.depths), _texts(prof.values))]
         assert path.read_bytes() == _whole_text("depth_m,amplitude", rows)
 
     @pytest.mark.parametrize(
@@ -295,27 +274,21 @@ class TestTableBlocks:
              "map-block-1", "map-block", "map-block+1"],
     )
     def test_scan_tables_equal_whole_text(self, tmp_path, nx, ny, bins):
-        res = _scan_result(nx, ny, bins)
+        res = scan_result(nx, ny, bins, seed=5)
         fileio.write_scan_stack_csv(res, tmp_path / "stack.csv")
         fileio.write_scan_map_csv(res, tmp_path / "map.csv")
-        depths = res.depths
+        xs, depths = _texts(res.xs), _texts(res.depths)
         stack_rows = [
-            f"{format_value(x)},{format_value(y)},{format_value(z)},{format_value(v)}"
-            for iy, y in enumerate(res.ys)
-            for ix, x in enumerate(res.xs)
-            for z, v in zip(depths, res.stack[iy, ix])
+            f"{x},{y},{z},{format_value(v)}"
+            for y, plane in zip(_texts(res.ys), res.stack.tolist())
+            for x, profile in zip(xs, plane)
+            for z, v in zip(depths, profile)
         ]
         assert len(stack_rows) == nx * ny * bins
         assert (tmp_path / "stack.csv").read_bytes() == _whole_text(
             "x_m,y_m,depth_m,amplitude", stack_rows
         )
-        peaks = res.peak_map
-        map_rows = [
-            f"{format_value(x)},{format_value(y)},{format_value(peaks[iy, ix])}"
-            for iy, y in enumerate(res.ys)
-            for ix, x in enumerate(res.xs)
-        ]
-        assert (tmp_path / "map.csv").read_bytes() == _whole_text("x_m,y_m,peak_amplitude", map_rows)
+        assert (tmp_path / "map.csv").read_bytes() == _map_text(res.xs, res.ys, res.peak_map)
 
     def test_sweep_tables_equal_whole_text(self, tmp_path):
         curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
@@ -339,7 +312,7 @@ class TestTableBlocks:
 
     def test_empty_tables_are_their_header(self, tmp_path):
         fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
-        fileio.write_scan_stack_csv(_scan_result(3, 2, 0), tmp_path / "stack.csv")
+        fileio.write_scan_stack_csv(scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
         assert (tmp_path / "reports.csv").read_bytes() == (
             b"mode,order,n_trials,signal_mean,noise_std,snr\n"
         )
@@ -350,19 +323,26 @@ class TestTableBlocks:
         [
             (lambda path: fileio.write_profile_csv(
                 DepthProfile(np.ones(3 * BLOCK), bin_width_m=1e-4), path), 3),
-            (lambda path: fileio.write_scan_stack_csv(_scan_result(3, 2, 50), path), 3),
-            (lambda path: fileio.write_scan_map_csv(_scan_result(5, 4, 2), path), 3),
+            (lambda path: fileio.write_scan_stack_csv(scan_result(3, 2, 50, seed=5), path), 3),
+            (lambda path: fileio.write_scan_map_csv(scan_result(5, 4, 2, seed=5), path), 3),
             (lambda path: fileio.write_advantage_csv(
                 advantage_curve([7, 19], [1.5, 2.3]), path), 2),
+            # the writers of one text, whose one write fails
+            (lambda path: fileio.write_sequence(codes.generate_s_sequence(19), path), 1),
+            (lambda path: fileio.write_advantage_svg(
+                advantage_curve([7, 19], [1.5, 2.3]), path), 1),
+            (lambda path: write_manifest(parse_run_config(CONFIGS / "quick.cfg"), path), 1),
+            # the image header reaches the file, then its pixels fail
+            (lambda path: fileio.write_pgm(np.ones((3, 4)), path), 2),
         ],
-        ids=["profile", "stack", "map", "advantage"],
+        ids=["profile", "stack", "map", "advantage", "sequence", "svg", "manifest", "pgm"],
     )
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "over-an-old-table"])
     def test_a_write_failing_partway_leaves_no_partial_table(
         self, tmp_path, monkeypatch, write, fail_at, existing
     ):
-        # the header, and a block where there are several, reach the file;
-        # then the next write fails
+        # the writes before the fail_at-th reach the file (a table's header,
+        # and a block where there are several); then that one fails
         path = tmp_path / "table.csv"
         if existing:
             path.write_text("old\n")

@@ -22,13 +22,13 @@ peaks at most 10 MB above `gen-code 7`.  At
 order 1019 the exact-integer identity check makes no N**2 array, and the
 closed-form inverse check holds the solver's inverse and one more N**2
 array at most.  The CSV writers hold one block of rows at a time: ten
-times the rows of a depth stack or a profile may trace less than 1.5
-times the peak, and `scan2d --stack` on a 2-D grid of 165 positions
-peaks at most 6 MB above a one-position scan.
+times the rows may trace less than 1.5 times the peak, at 5 000 and
+50 000 rows of a depth stack and 20 000 and 200 000 bins of a profile,
+so each large table spans several 16 384-row blocks.  `scan2d --stack`
+on a 2-D grid of 165 positions peaks at most 6 MB above a one-position
+scan.
 """
 
-import os
-import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -37,13 +37,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import aoimux
 from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.demux import DepthProfile
+from streams import CONFIGS, acquisition, run_python, scan_result
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SRC = Path(aoimux.__file__).resolve().parents[1]
 LONG_SAMPLES = 4_000_000  # 32 MB of float64; not a whole number of periods
 PERIOD = 316  # quick.cfg: order 79, K = 4
 MAX_GROWTH_MB = 12.0
@@ -62,11 +60,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 def _peak_rss_mb(tmp_path: Path, *argv: str) -> float:
     """Run the aoimux CLI in a child interpreter; its peak RSS in MB."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     log = tmp_path / "stderr.log"
-    cmd = [sys.executable, "-c", LAUNCHER, str(log), sys.executable, "-m", "aoimux.cli"]
-    done = subprocess.run(cmd + list(argv), env=env, capture_output=True, text=True, check=True)
+    done = run_python(
+        "-c", LAUNCHER, str(log), sys.executable, "-m", "aoimux.cli", *argv, check=True
+    )
     rc, maxrss_kb = map(int, done.stdout.split())
     assert rc == 0, log.read_text()
     return maxrss_kb / 1024.0
@@ -139,9 +136,7 @@ def _traced_peak(fn, *args) -> int:
 @pytest.fixture(scope="module")
 def coded_stack():
     """Config and a (2001, 79, 4) stack of folded coded frames, about 5.1 MB."""
-    cfg = simulator.AcquisitionConfig(
-        f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=79, duration_s=5e-4
-    )
+    cfg = acquisition(duration_s=5e-4)
     folded = np.random.default_rng(6).normal(size=(STACK_ROWS, cfg.order, 4))
     pipeline.reconstruct_profile(folded[:2], cfg)  # one-time caches: order table, code
     return cfg, folded
@@ -271,17 +266,12 @@ def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
     assert peaks[1048571] - peaks[7] <= 10.0, peaks
 
 
-def _scan_result(ny: int, nx: int = 5, bins: int = 2000) -> simulator.ScanResult:
-    stack = np.random.default_rng(8).random((ny, nx, bins))
-    xs, ys = np.linspace(-0.002, 0.002, nx), np.linspace(-0.001, 0.001, ny)
-    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
-
-
 @pytest.mark.parametrize(
     "write, table",
     [
-        # 2 and 20 y rows of five 2000-bin profiles: 20 000 and 200 000 rows
-        (fileio.write_scan_stack_csv, _scan_result),
+        # 2 and 20 y rows of five 500-bin profiles: 5 000 and 50 000 rows,
+        # about 0.3 and 3 blocks
+        (fileio.write_scan_stack_csv, lambda ny: scan_result(5, ny, 500, seed=8, y_max=0.001)),
         # 20 000 and 200 000 bins, about 1.2 and 12 blocks
         (fileio.write_profile_csv,
          lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 10_000), 1.98e-4)),

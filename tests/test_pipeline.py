@@ -1,9 +1,9 @@
 """Envelope extraction, FWHM, SNR trials and the multiplexing advantage."""
 
+import functools
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,39 +14,9 @@ from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, EdgePeak, NonFiniteSamples, NoPeak, NyquistViolation
 from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
-from streams import fold, profile_of
+from streams import BIN, CONFIGS, F_S, F_US, acquisition, fold, phantom, profile_of
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-F_US = 1.25e6
-F_S = 5e6
-C = 990.0
-BIN = C / F_S
-
-
-def phantom(boundary=0.0004, extent=0.004, mu_a=0.3):
-    return simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=mu_a,
-        src_x_m=-0.0075,
-        det_x_m=0.0075,
-        boundary_z_m=boundary,
-        depth_extent_m=extent,
-    )
-
-
-def config(mode="coded", order=79, periods=4, **kw):
-    k = round(F_S / F_US)
-    defaults = dict(
-        f_us=F_US,
-        f_s=F_S,
-        c=C,
-        mode=mode,
-        order=order,
-        duration_s=periods * order * k / F_S,
-        seed=77,
-    )
-    defaults.update(kw)
-    return simulator.AcquisitionConfig(**defaults)
+config = functools.partial(acquisition, periods=4, seed=77)
 
 
 class TestExtraction:
@@ -63,14 +33,7 @@ class TestExtraction:
 
     def test_delta_phantom_peak_width_equals_pulse_length(self):
         k_bin = 120
-        ph = simulator.Phantom(
-            mu_s_prime_per_cm=15.0,
-            mu_a_per_cm=0.1,
-            src_x_m=-0.0075,
-            det_x_m=0.0075,
-            boundary_z_m=k_bin * BIN,
-            depth_extent_m=0.4 * BIN,
-        )
+        ph = phantom(mu_a=0.1, boundary=k_bin * BIN, extent=0.4 * BIN)
         cfg = config("single-pulse", periods=2)
         stream = simulator.simulate_stream(cfg, ph)
         prof = profile_of(stream)

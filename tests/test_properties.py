@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from aoimux import codes, fileio, simulator
 from aoimux.config import manifest_text, parse_run_config
 from aoimux.errors import AoimuxError, ConfigError
+from streams import acquisition
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -223,9 +224,7 @@ VALUE_TEXT = st.one_of(
 
 def _stream_parts(workdir):
     """Header tokens and payload of a valid order-7 stream file."""
-    cfg = simulator.AcquisitionConfig(
-        f_us=1.25e6, f_s=5e6, c=990.0, mode="coded", order=7, duration_s=5.6e-6
-    )
+    cfg = acquisition(order=7, duration_s=5.6e-6)
     path = workdir / "valid.bin"
     fileio.write_stream(simulator.SampledStream(np.arange(28.0), cfg), path)
     head, body = path.read_bytes().split(b"\n", 1)

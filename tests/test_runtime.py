@@ -9,14 +9,7 @@ and 6 MB and waits for the first seed; the order table must wait for
 the first order check.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import aoimux
-
-SRC = Path(aoimux.__file__).resolve().parents[1]
+from streams import run_python
 
 PROBE = """\
 import sys
@@ -27,12 +20,7 @@ print(sorted(m for m in sys.modules if m.startswith(lean)))
 
 
 def _run(code: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return done.stdout.strip()
+    return run_python("-c", code, check=True).stdout.strip()
 
 
 def test_cli_import_loads_no_scipy():

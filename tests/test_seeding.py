@@ -5,8 +5,6 @@ seed is cached; a sweep derives each trial seed once per order and mode
 but hashes it once per process.
 """
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +13,7 @@ from hypothesis import strategies as st
 from aoimux import pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.seeding import TRIAL_SALT, derive_seed
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+from streams import CONFIGS
 
 
 class TestDeriveSeed:

@@ -1,8 +1,8 @@
 """Forward model: waveforms, fluence kernel, stream synthesis, scans."""
 
+import functools
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,41 +18,11 @@ from aoimux.errors import (
 from aoimux.pipeline import reconstruct_profile
 from aoimux.seeding import SCAN_SALT, derive_seed
 from aoimux.simulator import ScanGrid
-from streams import profile_of
+import streams
+from streams import BIN, CONFIGS, F_S, F_US, profile_of
+from streams import acquisition as config
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-F_US = 1.25e6
-F_S = 5e6
-C = 990.0
-BIN = C / F_S
-
-
-def phantom(boundary=0.002, extent=0.03, mu_a=0.05, separation=0.015):
-    half = separation / 2
-    return simulator.Phantom(
-        mu_s_prime_per_cm=15.0,
-        mu_a_per_cm=mu_a,
-        src_x_m=-half,
-        det_x_m=half,
-        boundary_z_m=boundary,
-        depth_extent_m=extent,
-    )
-
-
-def config(mode="coded", order=79, periods=2, **kw):
-    k = round(F_S / F_US)
-    defaults = dict(
-        f_us=F_US,
-        f_s=F_S,
-        c=C,
-        mode=mode,
-        order=order,
-        duration_s=periods * order * k / F_S,
-        seed=0,
-    )
-    defaults.update(kw)
-    return simulator.AcquisitionConfig(**defaults)
+phantom = functools.partial(streams.phantom, mu_a=0.05, boundary=0.002, extent=0.03)
 
 
 class TestPulseWaveform:
