@@ -29,9 +29,12 @@ then reads the payload into one reused whole-period buffer.
 Tables move through files in blocks of at most ``_TABLE_ROWS`` rows, so
 a writer's memory does not grow with the row count.  Each CSV writer
 formats its rows a block at a time and hands them to ``_write_table``,
-which writes each block before the next is formatted.  Every file written
-here, and the manifest, is written under a temporary name and appears
-under its own only once it is complete.
+which writes each block before the next is formatted.  The two depth
+tables, ``profile.csv`` and ``scan_stack.csv``, share one row loop,
+``_write_depth_rows``: each profile's bins are cut into blocks, so a
+writer's memory does not grow with the bins of a position either.
+Every file written here, and the manifest, is written under a temporary
+name and appears under its own only once it is complete.
 
 All CSV output uses explicit units in the column headers and shortest
 round-trip float formatting, so identical runs produce byte identical
@@ -41,6 +44,7 @@ files.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -238,15 +242,31 @@ def _write_table(path: str | Path, header: str, blocks: Iterable[list[str]]) -> 
 # ----------------------------------------------------------------- profiles
 
 
-def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
-    def blocks():
-        for start in range(0, len(profile), _TABLE_ROWS):
-            values = profile.values[start : start + _TABLE_ROWS].tolist()
-            # as DepthProfile.depths has them: bin m at m * width
-            depths = (np.arange(start, start + len(values)) * profile.bin_width_m).tolist()
-            yield [f"{z!r},{v!r}" for z, v in zip(depths, values)]
+def _write_depth_rows(
+    path: str | Path, header: str, width: float, profiles: Iterable[tuple[str, np.ndarray]]
+) -> None:
+    """Write a depth table: for each (prefix, values) profile, one row
+    ``<prefix><depth>,<value>`` a bin, in blocks of ``_TABLE_ROWS`` bins.
+    Bin m lies at depth m * width, as ``DepthProfile.depths`` has it.  Each
+    profile starts a block of its own; a block over the last block's bins
+    reuses its depth texts, so profiles of one block each format them once."""
 
-    _write_table(path, "depth_m,amplitude", blocks())
+    @functools.lru_cache(maxsize=1)
+    def depths(start: int, stop: int) -> list[str]:
+        return [repr(z) for z in (np.arange(start, stop) * width).tolist()]
+
+    def blocks():
+        for prefix, values in profiles:
+            for start in range(0, len(values), _TABLE_ROWS):
+                block = values[start : start + _TABLE_ROWS].tolist()
+                texts = depths(start, start + len(block))
+                yield [f"{prefix}{z},{v!r}" for z, v in zip(texts, block)]
+
+    _write_table(path, header, blocks())
+
+
+def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
+    _write_depth_rows(path, "depth_m,amplitude", profile.bin_width_m, [("", profile.values)])
 
 
 # -------------------------------------------------------------- experiments
@@ -355,23 +375,12 @@ def write_scan_map_csv(result: ScanResult, path: str | Path) -> None:
 
 
 def write_scan_stack_csv(result: ScanResult, path: str | Path) -> None:
-    # each position and depth is formatted once, not once per row
+    # y-major, each position formatted once; a plane at a time, so an empty
+    # stack is positions of no rows
     xs = [_fmt(x) for x in result.xs.tolist()]
-    depths = [_fmt(z) for z in result.depths.tolist()]
-
-    def blocks():
-        for y, plane in zip(result.ys.tolist(), result.stack):
-            y_text = _fmt(y)
-            for x, profile in zip(xs, plane):
-                prefix = f"{x},{y_text},"
-                for start in range(0, len(depths), _TABLE_ROWS):
-                    stop = start + _TABLE_ROWS
-                    yield [
-                        f"{prefix}{z},{v!r}"
-                        for z, v in zip(depths[start:stop], profile[start:stop].tolist())
-                    ]
-
-    _write_table(path, "x_m,y_m,depth_m,amplitude", blocks())
+    ys = map(_fmt, result.ys.tolist())
+    positions = ((f"{x},{y},", p) for y, plane in zip(ys, result.stack) for x, p in zip(xs, plane))
+    _write_depth_rows(path, "x_m,y_m,depth_m,amplitude", result.bin_width_m, positions)
 
 
 def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = None) -> None:

@@ -60,7 +60,7 @@ class TestBuildSystem:
         with pytest.raises(SingularSystem):
             demux.build_system(broken, "dense")
 
-    def test_kind_accepts_strings_and_enum(self):
+    def test_kind_is_the_string_given(self):
         seq = codes.generate_s_sequence(7)
         assert demux.build_system(seq, "dense").kind == "dense"
         assert demux.build_system(seq, "spectral").kind == "spectral"

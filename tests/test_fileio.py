@@ -313,10 +313,12 @@ class TestTableBlocks:
     def test_empty_tables_are_their_header(self, tmp_path):
         fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
         fileio.write_scan_stack_csv(scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
+        fileio.write_profile_csv(DepthProfile(np.zeros(0), 1.98e-4), tmp_path / "profile.csv")
         assert (tmp_path / "reports.csv").read_bytes() == (
             b"mode,order,n_trials,signal_mean,noise_std,snr\n"
         )
         assert (tmp_path / "stack.csv").read_bytes() == b"x_m,y_m,depth_m,amplitude\n"
+        assert (tmp_path / "profile.csv").read_bytes() == b"depth_m,amplitude\n"
 
     @pytest.mark.parametrize(
         "write, fail_at",

@@ -23,10 +23,10 @@ order 1019 the exact-integer identity check makes no N**2 array, and the
 closed-form inverse check holds the solver's inverse and one more N**2
 array at most.  The CSV writers hold one block of rows at a time: ten
 times the rows may trace less than 1.5 times the peak, at 5 000 and
-50 000 rows of a depth stack and 20 000 and 200 000 bins of a profile,
-so each large table spans several 16 384-row blocks.  `scan2d --stack`
-on a 2-D grid of 165 positions peaks at most 6 MB above a one-position
-scan.
+50 000 rows of a depth stack, 20 000 and 200 000 bins of a one-position
+stack and the same bins of a profile, so each large table spans several
+16 384-row blocks.  `scan2d --stack` on a 2-D grid of 165 positions
+peaks at most 6 MB above a one-position scan.
 """
 
 import sys
@@ -272,11 +272,13 @@ def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
         # 2 and 20 y rows of five 500-bin profiles: 5 000 and 50 000 rows,
         # about 0.3 and 3 blocks
         (fileio.write_scan_stack_csv, lambda ny: scan_result(5, ny, 500, seed=8, y_max=0.001)),
+        # one position of 20 000 and 200 000 bins, about 1.2 and 12 blocks
+        (fileio.write_scan_stack_csv, lambda n: scan_result(1, 1, n * 10_000, seed=8)),
         # 20 000 and 200 000 bins, about 1.2 and 12 blocks
         (fileio.write_profile_csv,
          lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 10_000), 1.98e-4)),
     ],
-    ids=["stack", "profile"],
+    ids=["stack", "stack-bins", "profile"],
 )
 def test_table_writer_peak_does_not_grow_with_rows(tmp_path, write, table):
     # a table built whole, as its lines and their text, traces about
