@@ -13,7 +13,6 @@ from .codes import (
 )
 from .demux import (
     CirculantSystem,
-    DepthProfile,
     analytic_inverse_check,
     average_periods,
     build_system,
@@ -48,7 +47,6 @@ __all__ = [
     "AcquisitionConfig",
     "AdvantageCurve",
     "CirculantSystem",
-    "DepthProfile",
     "Phantom",
     "SSequence",
     "SampledStream",

@@ -51,7 +51,7 @@ def _cmd_simulate(args) -> int:
         chunks = map(write, simulator.stream_chunks(acq, rc.phantom))
         folded = demux.average_periods(chunks, acq)
         profile = pipeline.reconstruct_profile(folded, acq, args.solver)
-    fileio.write_profile_csv(profile, out / "profile.csv")
+    fileio.write_profile_csv(profile, acq.bin_width_m, out / "profile.csv")
     write_manifest(rc, out / "manifest.cfg")
     print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
     print(f"wrote {out / 'profile.csv'} ({len(profile)} bins)")
@@ -64,7 +64,7 @@ def _cmd_demux(args) -> int:
         folded = demux.average_periods(sf.chunks(), sf.config)
     profile = pipeline.reconstruct_profile(folded, sf.config, args.solver, extract=not args.raw)
     out = Path(args.out) if args.out else _out_dir(args) / "profile.csv"
-    fileio.write_profile_csv(profile, out)
+    fileio.write_profile_csv(profile, sf.config.bin_width_m, out)
     print(f"wrote {out} ({len(profile)} bins)")
     return EXIT_OK
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,35 +44,6 @@ SOLVER_KINDS = ("dense", "spectral")
 # Values per block of the stack loops of the spectral solve and of
 # pipeline.extract_modulated: 128 kB of float64, a cache-sized scratch.
 BLOCK_SAMPLES = 1 << 14
-
-
-@dataclass
-class DepthProfile:
-    """Reconstructed signal versus depth along the acoustic axis.
-
-    values is one profile or a stack of them; depth runs along the last
-    axis.
-    """
-
-    values: np.ndarray
-    bin_width_m: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.bin_width_m <= 0:
-            raise ConfigError("bin_width_m must be positive")
-
-    def __len__(self) -> int:
-        """Number of depth bins."""
-        return self.values.shape[-1]
-
-    @property
-    def depths(self) -> np.ndarray:
-        return np.arange(len(self)) * self.bin_width_m
-
-    @property
-    def span_m(self) -> float:
-        return len(self) * self.bin_width_m
 
 
 class CirculantSystem:

@@ -22,7 +22,8 @@ class SingularSystem(NumericalError):
 
 class LengthMismatch(AoimuxError):
     """Array length or shape does not fit: a frame length that is not the
-    system order, or a stream chunk that is not 1-D."""
+    system order, period means whose frame is not (order, K), or a stream
+    chunk or single profile that is not 1-D."""
 
 
 class NonIntegerRatio(AoimuxError):

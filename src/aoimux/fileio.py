@@ -55,7 +55,7 @@ import numpy as np
 
 from .codes import SSequence
 from .config import format_value as _fmt, record_fields
-from .demux import BLOCK_SAMPLES, DepthProfile
+from .demux import BLOCK_SAMPLES
 from .errors import ConfigError, LengthMismatch
 from .pipeline import AdvantageCurve, SnrReport
 from .simulator import AcquisitionConfig, SampledStream, ScanResult, chunk_length
@@ -247,7 +247,7 @@ def _write_depth_rows(
 ) -> None:
     """Write a depth table: for each (prefix, values) profile, one row
     ``<prefix><depth>,<value>`` a bin, in blocks of ``_TABLE_ROWS`` bins.
-    Bin m lies at depth m * width, as ``DepthProfile.depths`` has it.  Each
+    Bin m lies at depth m * width, as in ``ScanResult.depths``.  Each
     profile starts a block of its own; a block over the last block's bins
     reuses its depth texts, so profiles of one block each format them once."""
 
@@ -265,8 +265,13 @@ def _write_depth_rows(
     _write_table(path, header, blocks())
 
 
-def write_profile_csv(profile: DepthProfile, path: str | Path) -> None:
-    _write_depth_rows(path, "depth_m,amplitude", profile.bin_width_m, [("", profile.values)])
+def write_profile_csv(values: np.ndarray, bin_width_m: float, path: str | Path) -> None:
+    """Write one profile, read as float64, bin m at depth m * bin_width_m;
+    values that are not 1-D raise LengthMismatch before any file is made."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise LengthMismatch(f"write_profile_csv takes one profile, got shape {values.shape}")
+    _write_depth_rows(path, "depth_m,amplitude", bin_width_m, [("", values)])
 
 
 # -------------------------------------------------------------- experiments

@@ -9,12 +9,12 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import codes, demux, simulator
-from .demux import DepthProfile
 from .errors import (
     ConfigError,
     EdgePeak,
     InsufficientSamples,
     InvalidOrder,
+    LengthMismatch,
     NoPeak,
     NonFiniteSamples,
     NyquistViolation,
@@ -46,25 +46,26 @@ def _circular_box_mean(ext: np.ndarray, width: int, out: np.ndarray) -> np.ndarr
     return out
 
 
-def extract_modulated(profile: DepthProfile, f_us: float, f_s: float) -> DepthProfile:
+def extract_modulated(values: np.ndarray, f_us: float, f_s: float) -> np.ndarray:
     """Quadrature-demodulate the carrier out of a demultiplexed signal.
 
-    Mixes with cos and sin at f_us, low-passes each branch over exactly
-    one carrier period (circular window; profiles cover whole periods)
-    and returns the profile with values 2 sqrt(I^2 + Q^2), which for a
-    clean carrier of amplitude A is A.  Works along the last axis: a
+    Mixes the signal, read as float64, with cos and sin at f_us,
+    low-passes each branch over exactly one carrier period (circular
+    window; profiles cover whole periods) and returns the envelope
+    2 sqrt(I^2 + Q^2), of the signal's shape, which for a clean carrier
+    of amplitude A is A.  Works along the last axis: a
     stack of signals is demodulated in blocks of rows, about
     ``demux.BLOCK_SAMPLES`` samples each, into one preallocated result,
     so its scratch is one block whatever the stack size, and each row
-    equals the row demodulated alone, bit for bit.  profile.values is
-    not modified.  The envelope peak of a single pulse lands up to one
+    equals the row demodulated alone, bit for bit.  values is not
+    modified.  The envelope peak of a single pulse lands up to one
     carrier period shy of the pulse's trailing bin, an offset inherent
     to envelope detection.
     """
     k = simulator.integer_ratio(f_s, f_us)
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
-    values = profile.values
+    values = np.asarray(values, dtype=np.float64)
     n = values.shape[-1]
     if n < k:
         raise InsufficientSamples(f"{n} samples < smoothing window {k}")
@@ -85,17 +86,21 @@ def extract_modulated(profile: DepthProfile, f_us: float, f_s: float) -> DepthPr
         np.multiply(block, sin, out=ext[:b, signal])
         np.hypot(i_arm, _circular_box_mean(ext[:b], k, q_arm[:b]), out=out)
         out *= 2.0
-    return replace(profile, values=envelope.reshape(values.shape))
+    return envelope.reshape(values.shape)
 
 
-def measure_fwhm(profile: DepthProfile) -> float:
-    """Full width at half maximum of the profile peak, in meters.
+def measure_fwhm(values: np.ndarray, bin_width_m: float) -> float:
+    """Full width at half maximum of the peak of one profile, read as
+    float64, in meters: bin m lies at depth m * bin_width_m.
 
-    Crossing points are linearly interpolated.  Raises NoPeak for a flat
-    profile and EdgePeak when the maximum sits on the boundary or the
-    half level is never crossed on one side.
+    Crossing points are linearly interpolated.  Raises LengthMismatch
+    for values that are not 1-D, NoPeak for a flat profile and EdgePeak
+    when the maximum sits on the boundary or the half level is never
+    crossed on one side.
     """
-    v = profile.values
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise LengthMismatch(f"measure_fwhm takes one profile, got shape {v.shape}")
     if v.size < 3 or not np.isfinite(v).all():
         raise NoPeak("profile too short or not finite")
     peak = int(np.argmax(v))
@@ -117,7 +122,7 @@ def measure_fwhm(profile: DepthProfile) -> float:
             break
     if left is None or right is None:
         raise EdgePeak("half maximum is not crossed inside the profile")
-    return float((right - left) * profile.bin_width_m)
+    return float((right - left) * bin_width_m)
 
 
 @lru_cache(maxsize=64)
@@ -136,7 +141,7 @@ def reconstruct_profile(
     kind: str = "spectral",
     *,
     extract: bool = True,
-) -> DepthProfile:
+) -> np.ndarray:
     """Depth profiles of a stack of period means, (..., order, K) -> (..., bins).
 
     folded holds ``demux.average_periods`` results, so a stream is
@@ -147,9 +152,12 @@ def reconstruct_profile(
     built once per order and kind in a process; a single-pulse stack is
     its flattened period means; then one envelope
     extraction runs unless ``extract=False``.  In either mode a kind not
-    in ``demux.SOLVER_KINDS`` raises ConfigError.  Each row depends only on
-    its own period mean, bit for bit, whatever the stack size.  The
-    profile's bins are cfg.bin_width_m wide.  The spectral solve and
+    in ``demux.SOLVER_KINDS`` raises ConfigError, and period means, read
+    as float64, whose last two axes are not (cfg.order,
+    cfg.subsets_per_cycle) raise LengthMismatch, before any solve.  Each
+    row depends only on its own period mean, bit for bit, whatever the
+    stack size.  The result is a float64 array; bin m of a row lies at
+    depth m * cfg.bin_width_m.  The spectral solve and
     the extraction work in row blocks, so besides folded a stack holds
     its demultiplexed signal, its envelope and one block of scratch at
     a time; the dense solve's one gesv over the stack takes stack-sized
@@ -158,15 +166,18 @@ def reconstruct_profile(
     """
     if kind not in demux.SOLVER_KINDS:
         raise ConfigError(f"solver kind must be one of {demux.SOLVER_KINDS}, got {kind!r}")
+    folded = np.asarray(folded, dtype=np.float64)
+    frame = (cfg.order, cfg.subsets_per_cycle)
+    if folded.shape[-2:] != frame:
+        raise LengthMismatch(f"period means of shape {folded.shape} need frames {frame}")
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.mode == simulator.MODE_CODED:
-            raw = demux.demultiplex_stream(_system(cfg.order, kind), folded)
+            profile = demux.demultiplex_stream(_system(cfg.order, kind), folded)
         else:
-            raw = folded.reshape(folded.shape[:-2] + (-1,))
-        profile = DepthProfile(raw, bin_width_m=cfg.bin_width_m)
+            profile = folded.reshape(folded.shape[:-2] + (-1,))
         if extract:
             profile = extract_modulated(profile, cfg.f_us, cfg.f_s)
-    if not np.isfinite(profile.values).all():
+    if not np.isfinite(profile).all():
         raise NonFiniteSamples("the reconstructed profile is not finite: its samples overflow")
     return profile
 
@@ -264,7 +275,7 @@ def _measure_snrs(
     periods = [simulator.clean_period(cfg, ph) for cfg in cfgs]
     bins = []  # each config's peak and off bin
     for cfg, period in zip(cfgs, periods):
-        reference = reconstruct_profile(period.reshape(cfg.order, -1), cfg).values
+        reference = reconstruct_profile(period.reshape(cfg.order, -1), cfg)
         peak_bin = int(np.argmax(reference))
         if reference[peak_bin] <= 0:
             raise NoPeak("noise-free reference profile is empty")
@@ -274,7 +285,7 @@ def _measure_snrs(
     seeds = [map(partial(derive_seed, cfg.seed, TRIAL_SALT), range(n_trials)) for cfg in cfgs]
     for lo, folded in simulator.draw_folded(cfgs, trials, seeds):
         for cfg, stack, amps, cols in zip(cfgs, folded, amplitudes, bins):
-            amps[:, lo : lo + len(stack)] = reconstruct_profile(stack, cfg).values[:, cols].T
+            amps[:, lo : lo + len(stack)] = reconstruct_profile(stack, cfg)[:, cols].T
     reports = []
     for cfg, (peaks, offs) in zip(cfgs, amplitudes):
         signal = float(peaks.mean())

@@ -531,7 +531,7 @@ def scan_2d(
     for lo, (block,) in draw_folded([cfg], [periods], [seeds]):
         folded[lo : lo + len(block)] = block
     folded = folded.reshape(ys.size, xs.size, cfg.order, cfg.subsets_per_cycle)
-    stack = reconstruct_profile(folded, cfg, kind).values
+    stack = reconstruct_profile(folded, cfg, kind)
     peak = stack.max()
     if peak > 0:
         stack = stack / peak

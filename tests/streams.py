@@ -17,7 +17,6 @@ import numpy as np
 
 import aoimux
 from aoimux import demux, pipeline, simulator
-from aoimux.demux import DepthProfile
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(aoimux.__file__).resolve().parents[1]
@@ -82,5 +81,4 @@ def profile_of(stream, kind="spectral", extract=True):
 
 def demux_of(system, stream):
     """The carrier-band depth signal of a coded stream, solved by system."""
-    signal = demux.demultiplex_stream(system, fold(stream))
-    return DepthProfile(signal, bin_width_m=stream.config_snapshot.bin_width_m)
+    return demux.demultiplex_stream(system, fold(stream))

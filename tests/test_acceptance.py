@@ -156,7 +156,7 @@ def test_criterion_4_resolution_preservation():
     for mode in ("coded", "single-pulse"):
         cfg = acquisition(mode, 79, duration_s=duration, noise_sigma=0.0)
         stream = simulator.simulate_stream(cfg, ph)
-        fwhm[mode] = pipeline.measure_fwhm(profile_of(stream))
+        fwhm[mode] = pipeline.measure_fwhm(profile_of(stream), cfg.bin_width_m)
     gap = abs(fwhm["coded"] - fwhm["single-pulse"])
     ok = gap <= BIN
     _report(
@@ -192,10 +192,10 @@ def test_criterion_5_interleaving_exactness():
             solved[p, :, j] = system.solve(frames[p, :, j])
     merged = solved.reshape(-1)  # back in time order
     profile = merged.reshape(periods, 79 * K).mean(axis=0)
-    truth = profile_of(single, extract=False).values
+    truth = profile_of(single, extract=False)
     rel = np.linalg.norm(profile - truth) / np.linalg.norm(truth)
 
-    stream_path = demux_of(system, coded).values
+    stream_path = demux_of(system, coded)
     rel_stream = np.linalg.norm(stream_path - truth) / np.linalg.norm(truth)
     elapsed = time.perf_counter() - start
     ok = rel < 1e-6 and rel_stream < 1e-6 and elapsed < 5.0

@@ -113,7 +113,8 @@ class TestSimulate:
         rc = parse_run_config(cfg_file)
         stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
         fileio.write_stream(stream, tmp_path / "stream.bin")
-        fileio.write_profile_csv(profile_of(stream), tmp_path / "profile.csv")
+        width = rc.acquisition.bin_width_m
+        fileio.write_profile_csv(profile_of(stream), width, tmp_path / "profile.csv")
         for name in ("stream.bin", "profile.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -151,7 +152,7 @@ class TestDemux:
         cli_values = np.loadtxt(prof_path, delimiter=",", skiprows=1)[:, 1]
         stream = fileio.read_stream(out / "stream.bin")
         lib_prof = profile_of(stream)
-        np.testing.assert_allclose(cli_values, lib_prof.values, rtol=0, atol=0)
+        np.testing.assert_allclose(cli_values, lib_prof, rtol=0, atol=0)
 
     def test_raw_flag_skips_extraction(self, tmp_path, cfg_file):
         out = tmp_path / "run"

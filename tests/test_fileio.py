@@ -1,13 +1,13 @@
 """File formats: streams, CSVs, PGM images, SVG charts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from aoimux import codes, fileio, simulator
+from aoimux import codes, fileio, pipeline, simulator
 from aoimux.config import format_value, parse_run_config, write_manifest
-from aoimux.demux import DepthProfile
 from aoimux.errors import ConfigError, LengthMismatch
 from aoimux.pipeline import AdvantageCurve, SnrReport
 from streams import CONFIGS, acquisition, phantom, scan_result
@@ -114,17 +114,38 @@ class TestStreamFiles:
 
 class TestProfileCsv:
     def test_round_trip(self, tmp_path):
-        prof = DepthProfile(np.linspace(0, 1, 33), bin_width_m=2e-4)
+        prof = np.linspace(0, 1, 33)
         path = tmp_path / "profile.csv"
-        fileio.write_profile_csv(prof, path)
+        fileio.write_profile_csv(prof, 2e-4, path)
         depths, values = np.loadtxt(path, delimiter=",", skiprows=1).T
-        np.testing.assert_allclose(values, prof.values, rtol=0)
-        np.testing.assert_allclose(depths, prof.depths, rtol=0)
+        np.testing.assert_allclose(values, prof, rtol=0)
+        np.testing.assert_allclose(depths, np.arange(33) * 2e-4, rtol=0)
 
     def test_header_units(self, tmp_path):
         path = tmp_path / "profile.csv"
-        fileio.write_profile_csv(DepthProfile(np.ones(4), bin_width_m=1e-4), path)
+        fileio.write_profile_csv(np.ones(4), 1e-4, path)
         assert path.read_text().splitlines()[0] == "depth_m,amplitude"
+
+    def test_integer_values_are_read_as_float64(self, tmp_path):
+        fileio.write_profile_csv(np.arange(5), 1e-4, tmp_path / "int.csv")
+        fileio.write_profile_csv(np.arange(5.0), 1e-4, tmp_path / "float.csv")
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 9)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda values, path: pipeline.measure_fwhm(values, 1e-4),
+        lambda values, path: fileio.write_profile_csv(values, 1e-4, path),
+    ],
+    ids=["measure_fwhm", "write_profile_csv"],
+)
+def test_a_single_profile_function_rejects_a_stack(tmp_path, call, shape):
+    values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    with pytest.raises(LengthMismatch, match=re.escape(str(shape))):
+        call(values, tmp_path / "profile.csv")
+    assert not list(tmp_path.iterdir())  # the writer made no file, not even a .part
 
 
 class TestExperimentCsv:
@@ -251,10 +272,10 @@ class TestTableBlocks:
 
     @pytest.mark.parametrize("bins", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_profile_equals_whole_text(self, tmp_path, bins):
-        prof = DepthProfile(np.random.default_rng(bins).normal(size=bins), bin_width_m=1.98e-4)
+        prof = np.random.default_rng(bins).normal(size=bins)
         path = tmp_path / "profile.csv"
-        fileio.write_profile_csv(prof, path)
-        rows = [f"{z},{v}" for z, v in zip(_texts(prof.depths), _texts(prof.values))]
+        fileio.write_profile_csv(prof, 1.98e-4, path)
+        rows = [f"{z},{v}" for z, v in zip(_texts(np.arange(bins) * 1.98e-4), _texts(prof))]
         assert path.read_bytes() == _whole_text("depth_m,amplitude", rows)
 
     @pytest.mark.parametrize(
@@ -313,7 +334,7 @@ class TestTableBlocks:
     def test_empty_tables_are_their_header(self, tmp_path):
         fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
         fileio.write_scan_stack_csv(scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
-        fileio.write_profile_csv(DepthProfile(np.zeros(0), 1.98e-4), tmp_path / "profile.csv")
+        fileio.write_profile_csv(np.zeros(0), 1.98e-4, tmp_path / "profile.csv")
         assert (tmp_path / "reports.csv").read_bytes() == (
             b"mode,order,n_trials,signal_mean,noise_std,snr\n"
         )
@@ -323,8 +344,7 @@ class TestTableBlocks:
     @pytest.mark.parametrize(
         "write, fail_at",
         [
-            (lambda path: fileio.write_profile_csv(
-                DepthProfile(np.ones(3 * BLOCK), bin_width_m=1e-4), path), 3),
+            (lambda path: fileio.write_profile_csv(np.ones(3 * BLOCK), 1e-4, path), 3),
             (lambda path: fileio.write_scan_stack_csv(scan_result(3, 2, 50, seed=5), path), 3),
             (lambda path: fileio.write_scan_map_csv(scan_result(5, 4, 2, seed=5), path), 3),
             (lambda path: fileio.write_advantage_csv(

@@ -39,7 +39,6 @@ import pytest
 
 from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.config import parse_run_config
-from aoimux.demux import DepthProfile
 from streams import CONFIGS, acquisition, run_python, scan_result
 
 LONG_SAMPLES = 4_000_000  # 32 MB of float64; not a whole number of periods
@@ -151,8 +150,8 @@ def test_reconstruct_profile_holds_its_result_and_one_block(coded_stack):
 
 def test_extract_modulated_holds_its_result_and_one_block(coded_stack):
     cfg, folded = coded_stack
-    profile = DepthProfile(folded.reshape(STACK_ROWS, -1), cfg.bin_width_m)
-    peak = _traced_peak(pipeline.extract_modulated, profile, cfg.f_us, cfg.f_s)
+    signal = folded.reshape(STACK_ROWS, -1)
+    peak = _traced_peak(pipeline.extract_modulated, signal, cfg.f_us, cfg.f_s)
     assert peak < 2 * folded.nbytes + SCRATCH_BYTES, peak / folded.nbytes
 
 
@@ -275,8 +274,8 @@ def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
         # one position of 20 000 and 200 000 bins, about 1.2 and 12 blocks
         (fileio.write_scan_stack_csv, lambda n: scan_result(1, 1, n * 10_000, seed=8)),
         # 20 000 and 200 000 bins, about 1.2 and 12 blocks
-        (fileio.write_profile_csv,
-         lambda n: DepthProfile(np.random.default_rng(8).normal(size=n * 10_000), 1.98e-4)),
+        (lambda values, path: fileio.write_profile_csv(values, 1.98e-4, path),
+         lambda n: np.random.default_rng(8).normal(size=n * 10_000)),
     ],
     ids=["stack", "stack-bins", "profile"],
 )

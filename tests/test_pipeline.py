@@ -10,8 +10,14 @@ import pytest
 
 from aoimux import demux, pipeline, simulator
 from aoimux.config import parse_run_config
-from aoimux.demux import DepthProfile
-from aoimux.errors import ConfigError, EdgePeak, NonFiniteSamples, NoPeak, NyquistViolation
+from aoimux.errors import (
+    ConfigError,
+    EdgePeak,
+    LengthMismatch,
+    NonFiniteSamples,
+    NoPeak,
+    NyquistViolation,
+)
 from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import BIN, CONFIGS, F_S, F_US, acquisition, fold, phantom, profile_of
@@ -24,12 +30,12 @@ class TestExtraction:
     def test_pure_carrier_recovers_amplitude(self, amp, phi):
         n = np.arange(128)
         sig = amp * np.sin(2 * np.pi * F_US / F_S * n + phi)
-        prof = pipeline.extract_modulated(DepthProfile(sig, BIN), F_US, F_S)
-        assert np.abs(prof.values - amp).max() < 0.01 * amp
+        prof = pipeline.extract_modulated(sig, F_US, F_S)
+        assert np.abs(prof - amp).max() < 0.01 * amp
 
     def test_zero_input_zero_output(self):
-        prof = pipeline.extract_modulated(DepthProfile(np.zeros(64), BIN), F_US, F_S)
-        assert np.abs(prof.values).max() == 0.0
+        prof = pipeline.extract_modulated(np.zeros(64), F_US, F_S)
+        assert np.abs(prof).max() == 0.0
 
     def test_delta_phantom_peak_width_equals_pulse_length(self):
         k_bin = 120
@@ -41,14 +47,14 @@ class TestExtraction:
         # The K=4 one-cycle pulse samples to {0,1,0,-1}, so its discrete
         # footprint crosses half maximum at K-1 bins.
         k = cfg.subsets_per_cycle
-        assert abs(int(np.argmax(prof.values)) - k_bin) <= k
-        fwhm = pipeline.measure_fwhm(prof)
+        assert abs(int(np.argmax(prof)) - k_bin) <= k
+        fwhm = pipeline.measure_fwhm(prof, cfg.bin_width_m)
         assert fwhm <= k * BIN + 1e-12
         assert fwhm == pytest.approx((k - 1) * BIN, abs=BIN / 2)
 
     def test_nyquist_violation(self):
         with pytest.raises(NyquistViolation):
-            pipeline.extract_modulated(DepthProfile(np.zeros(16), 1.0), 1e6, 1e6)
+            pipeline.extract_modulated(np.zeros(16), 1e6, 1e6)
 
     def test_stack_equals_row_by_row(self):
         rng = np.random.default_rng(3)
@@ -57,19 +63,13 @@ class TestExtraction:
         for shape in [(2, 3, 64), (2 * per_block + 7, 64), (64,)]:
             rows = rng.normal(0.0, 1.0, shape)
             before = rows.copy()
-            profile = DepthProfile(rows, BIN)
-            stack = pipeline.extract_modulated(profile, F_US, F_S)
-            assert stack.values.shape == shape
-            assert len(stack) == 64
-            assert np.array_equal(profile.values, before)
+            stack = pipeline.extract_modulated(rows, F_US, F_S)
+            assert stack.shape == shape
+            assert stack.shape[-1] == 64
+            assert np.array_equal(rows, before)
             for idx in np.ndindex(shape[:-1]):
-                row = pipeline.extract_modulated(DepthProfile(rows[idx].copy(), BIN), F_US, F_S)
-                assert np.array_equal(stack.values[idx], row.values)
-
-    def test_profile_metadata_carried_through(self):
-        prof = DepthProfile(np.ones(32), bin_width_m=BIN)
-        out = pipeline.extract_modulated(prof, F_US, F_S)
-        assert out.bin_width_m == BIN
+                row = pipeline.extract_modulated(rows[idx].copy(), F_US, F_S)
+                assert np.array_equal(stack[idx], row)
 
 
 class TestReconstructFolded:
@@ -82,12 +82,10 @@ class TestReconstructFolded:
             stack = pipeline.reconstruct_profile(
                 np.stack([folded, -folded]), cfg, extract=extract
             )
-            assert isinstance(stack, DepthProfile)
-            assert stack.bin_width_m == cfg.bin_width_m
-            assert stack.values.shape == (2, cfg.period_samples)
+            assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
+            assert stack.shape == (2, cfg.period_samples)
             one = profile_of(stream, extract=extract)
-            assert one.bin_width_m == cfg.bin_width_m
-            assert np.array_equal(stack.values[0], one.values)
+            assert np.array_equal(stack[0], one)
 
     def test_each_order_and_kind_builds_one_system(self, monkeypatch):
         builds = []
@@ -107,14 +105,14 @@ class TestReconstructFolded:
                 frames = folded[:, :order]
                 first = pipeline.reconstruct_profile(frames, cfg, kind)
                 again = [pipeline.reconstruct_profile(frames, cfg, kind) for _ in range(3)]
-                assert all(p.values.tobytes() == first.values.tobytes() for p in again)
+                assert all(p.tobytes() == first.tobytes() for p in again)
                 profiles[order, kind] = first
         assert builds == [(19, "spectral"), (7, "spectral"), (19, "dense"), (7, "dense")]
         # a system built afresh gives the same bits as the shared one
         pipeline._system.cache_clear()
         for (order, kind), shared in profiles.items():
             fresh = pipeline.reconstruct_profile(folded[:, :order], config(order=order), kind)
-            assert fresh.values.tobytes() == shared.values.tobytes()
+            assert fresh.tobytes() == shared.tobytes()
         assert len(builds) == 8
 
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
@@ -123,6 +121,23 @@ class TestReconstructFolded:
         folded = np.zeros((cfg.order, cfg.subsets_per_cycle))
         with pytest.raises(ConfigError, match="solver kind must be one of"):
             pipeline.reconstruct_profile(folded, cfg, "bogus")
+
+    # at order 7 and K = 4: a frame of the order but not K, and one of K
+    # but not the order
+    @pytest.mark.parametrize("frame", [(7, 3), (8, 4)])
+    @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
+    def test_a_fold_of_another_frame_raises_before_any_solve(self, mode, frame, monkeypatch):
+        cfg = config(mode, order=7, periods=2)
+
+        def no_solve(*args):
+            raise AssertionError("solved a fold of the wrong frame")
+
+        monkeypatch.setattr(demux, "demultiplex_stream", no_solve)
+        for folded in (np.ones(frame), np.ones((2,) + frame)):
+            names_both = re.escape(str(folded.shape)) + ".*" + re.escape("(7, 4)")
+            for extract in (True, False):
+                with pytest.raises(LengthMismatch, match=names_both):
+                    pipeline.reconstruct_profile(folded, cfg, extract=extract)
 
     # an inf or nan period mean, or finite means whose solve or extraction
     # overflows; any numpy warning would fail the test
@@ -141,7 +156,7 @@ class TestReconstructFolded:
             if mode == "single-pulse":
                 # unextracted, the profile is the finite means themselves
                 raw = pipeline.reconstruct_profile(folded, cfg, kind, extract=False)
-                assert raw.values.tobytes() == folded.tobytes()
+                assert raw.tobytes() == folded.tobytes()
                 extracts = [True]
         else:
             folded[1, 2, 3] = float(case)
@@ -155,36 +170,35 @@ class TestMeasureFwhm:
         # triangle of base 2w has FWHM exactly w
         half = 20
         tri = np.concatenate([np.linspace(0, 1, half + 1), np.linspace(1, 0, half + 1)[1:]])
-        prof = DepthProfile(np.pad(tri, 5), bin_width_m=1e-3)
-        assert pipeline.measure_fwhm(prof) == pytest.approx(half * 1e-3, rel=1e-9)
+        assert pipeline.measure_fwhm(np.pad(tri, 5), 1e-3) == pytest.approx(half * 1e-3, rel=1e-9)
 
     def test_gaussian(self):
         sigma_bins = 12.0
         n = np.arange(200)
         g = np.exp(-0.5 * ((n - 90) / sigma_bins) ** 2)
-        prof = DepthProfile(g, bin_width_m=1e-3)
         expected = 2.0 * math.sqrt(2.0 * math.log(2.0)) * sigma_bins * 1e-3
-        assert pipeline.measure_fwhm(prof) == pytest.approx(expected, abs=0.5e-3)
+        assert pipeline.measure_fwhm(g, 1e-3) == pytest.approx(expected, abs=0.5e-3)
 
     def test_flat_profile_raises(self):
         with pytest.raises(NoPeak):
-            pipeline.measure_fwhm(DepthProfile(np.ones(32), bin_width_m=1e-3))
+            pipeline.measure_fwhm(np.ones(32), 1e-3)
 
     def test_edge_peak_raises(self):
         with pytest.raises(EdgePeak):
-            pipeline.measure_fwhm(DepthProfile(np.arange(32.0), bin_width_m=1e-3))
+            pipeline.measure_fwhm(np.arange(32.0), 1e-3)
 
     def test_uncrossed_half_level_raises(self):
         vals = np.concatenate([np.full(16, 0.9), [1.0], np.full(16, 0.9)])
         with pytest.raises(EdgePeak):
-            pipeline.measure_fwhm(DepthProfile(vals, bin_width_m=1e-3))
+            pipeline.measure_fwhm(vals, 1e-3)
 
     def test_noise_free_modes_agree_within_one_bin(self):
         ph = phantom(boundary=0.003, extent=0.004, mu_a=1.0)
         fwhm = {}
         for mode in ("coded", "single-pulse"):
             stream = simulator.simulate_stream(config(mode), ph)
-            fwhm[mode] = pipeline.measure_fwhm(profile_of(stream))
+            cfg = stream.config_snapshot
+            fwhm[mode] = pipeline.measure_fwhm(profile_of(stream), cfg.bin_width_m)
         assert abs(fwhm["coded"] - fwhm["single-pulse"]) <= BIN
 
 
@@ -194,7 +208,7 @@ def per_trial_snr(cfg, ph, n_trials, with_floor=False):
     appends the mean off-bin amplitude."""
     period = simulator.clean_period(cfg, ph)
     frame = (cfg.order, cfg.subsets_per_cycle)
-    reference = pipeline.reconstruct_profile(period.reshape(frame), cfg).values
+    reference = pipeline.reconstruct_profile(period.reshape(frame), cfg)
     peak_bin = int(np.argmax(reference))
     off_bin = 0 if peak_bin >= reference.size // 2 else reference.size - 1
     scale = cfg.noise_sigma / math.sqrt(cfg.n_samples // cfg.period_samples)
@@ -203,7 +217,7 @@ def per_trial_snr(cfg, ph, n_trials, with_floor=False):
     for t in range(n_trials):
         rng = np.random.default_rng(derive_seed(cfg.seed, TRIAL_SALT, t))
         folded = period + scale * rng.standard_normal(period.size)
-        prof = pipeline.reconstruct_profile(folded.reshape(frame), cfg).values
+        prof = pipeline.reconstruct_profile(folded.reshape(frame), cfg)
         peaks[t] = prof[peak_bin]
         offs[t] = prof[off_bin]
     if with_floor:
@@ -304,8 +318,8 @@ class TestRayleighFloor:
         i_arms = np.empty(10_000)
         for t in range(10_000):
             noise = rng.normal(0.0, 1.0, 64)
-            prof = pipeline.extract_modulated(DepthProfile(noise, BIN), F_US, F_S)
-            mags[t] = prof.values[32]
+            prof = pipeline.extract_modulated(noise, F_US, F_S)
+            mags[t] = prof[32]
             i_arms[t] = 2.0 * (noise * np.cos(phase))[window].mean()
         sigma_q = i_arms.std(ddof=1)
         assert mags.mean() / sigma_q == pytest.approx(math.sqrt(math.pi / 2), rel=0.05)

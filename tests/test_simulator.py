@@ -316,7 +316,7 @@ class TestZeroNoiseEquivalence:
         single = simulator.simulate_stream(config("single-pulse", order=order), ph)
         pc = profile_of(coded)
         ps = profile_of(single)
-        err = np.linalg.norm(pc.values - ps.values) / np.linalg.norm(ps.values)
+        err = np.linalg.norm(pc - ps) / np.linalg.norm(ps)
         assert err < 1e-6
 
 
@@ -603,7 +603,7 @@ class TestScan2d:
             for ix, x in enumerate(res.xs):
                 period = simulator.clean_period(cfg, ph, (x, y))
                 row = folded_row(cfg, period, derive_seed(cfg.seed, SCAN_SALT, iy, ix))
-                expected[iy, ix] = reconstruct_profile(row, cfg, solver_kind).values
+                expected[iy, ix] = reconstruct_profile(row, cfg, solver_kind)
         expected /= expected.max()
         assert res.stack.shape == (2, 5, cfg.period_samples)
         assert np.array_equal(res.stack, expected)
