@@ -34,7 +34,6 @@ from .simulator import (
     Phantom,
     SampledStream,
     ScanGrid,
-    ScanResult,
     axial_profile,
     pulse_waveform,
     scan_2d,
@@ -51,7 +50,6 @@ __all__ = [
     "SSequence",
     "SampledStream",
     "ScanGrid",
-    "ScanResult",
     "SnrReport",
     "SweepPlan",
     "analytic_inverse_check",

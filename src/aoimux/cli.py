@@ -85,17 +85,19 @@ def _cmd_snr_sweep(args) -> int:
 
 def _cmd_scan2d(args) -> int:
     rc = parse_run_config(args.config)
-    result = simulator.scan_2d(rc.acquisition, rc.phantom, rc.scan, kind=args.solver)
+    acq = rc.acquisition
+    stack = simulator.scan_2d(acq, rc.phantom, rc.scan, kind=args.solver)
+    xs, ys = rc.scan.positions()
+    peaks = stack.max(axis=-1)
     out = _out_dir(args)
-    fileio.write_scan_map_csv(result, out / "scan_map.csv")
-    peak_map = result.peak_map
-    fileio.write_pgm(peak_map, out / "scan_map.pgm")
-    fileio.write_pgm(peak_map, out / "scan_map_db.pgm", db_floor=-40.0)
+    fileio.write_scan_map_csv(xs, ys, peaks, out / "scan_map.csv")
+    fileio.write_pgm(peaks, out / "scan_map.pgm")
+    fileio.write_pgm(peaks, out / "scan_map_db.pgm", db_floor=-40.0)
     written = ["scan_map.csv", "scan_map.pgm", "scan_map_db.pgm"]
     if args.stack:
-        fileio.write_scan_stack_csv(result, out / "scan_stack.csv")
+        fileio.write_scan_stack_csv(xs, ys, stack, acq.bin_width_m, out / "scan_stack.csv")
         written.append("scan_stack.csv")
-    print(f"scanned {result.xs.size} x {result.ys.size} positions")
+    print(f"scanned {xs.size} x {ys.size} positions")
     print("wrote " + ", ".join(str(out / name) for name in written))
     return EXIT_OK
 

@@ -22,8 +22,9 @@ class SingularSystem(NumericalError):
 
 class LengthMismatch(AoimuxError):
     """Array length or shape does not fit: a frame length that is not the
-    system order, period means whose frame is not (order, K), or a stream
-    chunk or single profile that is not 1-D."""
+    system order, period means whose frame is not (order, K), a stream
+    chunk or single profile that is not 1-D, a scan map or stack that is
+    not its grid's, or an image that is not 2-D."""
 
 
 class NonIntegerRatio(AoimuxError):

@@ -58,7 +58,7 @@ from .config import format_value as _fmt, record_fields
 from .demux import BLOCK_SAMPLES
 from .errors import ConfigError, LengthMismatch
 from .pipeline import AdvantageCurve, SnrReport
-from .simulator import AcquisitionConfig, SampledStream, ScanResult, chunk_length
+from .simulator import AcquisitionConfig, SampledStream, chunk_length
 
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
@@ -247,7 +247,7 @@ def _write_depth_rows(
 ) -> None:
     """Write a depth table: for each (prefix, values) profile, one row
     ``<prefix><depth>,<value>`` a bin, in blocks of ``_TABLE_ROWS`` bins.
-    Bin m lies at depth m * width, as in ``ScanResult.depths``.  Each
+    Bin m lies at depth m * width, as ``reconstruct_profile`` places it.  Each
     profile starts a block of its own; a block over the last block's bins
     reuses its depth texts, so profiles of one block each format them once."""
 
@@ -363,29 +363,46 @@ def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
 # -------------------------------------------------------------------- scans
 
 
-def write_scan_map_csv(result: ScanResult, path: str | Path) -> None:
-    xs = [_fmt(x) for x in result.xs.tolist()]
+def _on_grid(xs, ys, values, ndim: int, name: str) -> tuple[list[str], list[str], np.ndarray]:
+    """The texts of the x and y positions, and values read as float64,
+    which must be (ys.size, xs.size) followed by ndim - 2 more axes, xs
+    and ys 1-D; anything else raises LengthMismatch."""
+    xs, ys, values = (np.asarray(a, dtype=np.float64) for a in (xs, ys, values))
+    grid = (ys.size, xs.size)
+    if xs.ndim != 1 or ys.ndim != 1 or values.ndim != ndim or values.shape[:2] != grid:
+        raise LengthMismatch(f"{name} of shape {values.shape} does not fit a grid of {grid}")
+    return [_fmt(x) for x in xs.tolist()], [_fmt(y) for y in ys.tolist()], values
+
+
+def write_scan_map_csv(xs: np.ndarray, ys: np.ndarray, peaks: np.ndarray, path: str | Path) -> None:
+    """Write a peak map, a row per position, x fastest: peaks[iy, ix] lies
+    at (xs[ix], ys[iy]).  Peaks that are not (ys.size, xs.size) raise
+    LengthMismatch before any file is made."""
+    xs, ys, peaks = _on_grid(xs, ys, peaks, 2, "peak map")
 
     def blocks():
-        for y, peaks in zip(result.ys.tolist(), result.peak_map):
-            y_text = _fmt(y)
+        for y, row in zip(ys, peaks):
             for start in range(0, len(xs), _TABLE_ROWS):
                 stop = start + _TABLE_ROWS
                 yield [
-                    f"{x},{y_text},{v!r}"
-                    for x, v in zip(xs[start:stop], peaks[start:stop].tolist())
+                    f"{x},{y},{v!r}" for x, v in zip(xs[start:stop], row[start:stop].tolist())
                 ]
 
     _write_table(path, "x_m,y_m,peak_amplitude", blocks())
 
 
-def write_scan_stack_csv(result: ScanResult, path: str | Path) -> None:
+def write_scan_stack_csv(
+    xs: np.ndarray, ys: np.ndarray, stack: np.ndarray, bin_width_m: float, path: str | Path
+) -> None:
+    """Write a scan's depth stack, a row per bin, position by position, x
+    fastest: stack[iy, ix] is the profile at (xs[ix], ys[iy]), its bin m
+    at depth m * bin_width_m.  A stack that is not (ys.size, xs.size,
+    bins) raises LengthMismatch before any file is made."""
+    xs, ys, stack = _on_grid(xs, ys, stack, 3, "stack")
     # y-major, each position formatted once; a plane at a time, so an empty
     # stack is positions of no rows
-    xs = [_fmt(x) for x in result.xs.tolist()]
-    ys = map(_fmt, result.ys.tolist())
-    positions = ((f"{x},{y},", p) for y, plane in zip(ys, result.stack) for x, p in zip(xs, plane))
-    _write_depth_rows(path, "x_m,y_m,depth_m,amplitude", result.bin_width_m, positions)
+    positions = ((f"{x},{y},", p) for y, plane in zip(ys, stack) for x, p in zip(xs, plane))
+    _write_depth_rows(path, "x_m,y_m,depth_m,amplitude", bin_width_m, positions)
 
 
 def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = None) -> None:
@@ -394,11 +411,14 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
     Linear mapping by default (0 .. peak -> 0 .. 255); with ``db_floor``
     the image is written on a decibel scale clipped at that floor.  A
     db_floor that is not negative, NaN included, raises ConfigError
-    whatever the image.
+    whatever the image; an image that is not 2-D raises LengthMismatch.
+    Either is raised before any file is made.
     """
     if db_floor is not None and not db_floor < 0:
         raise ConfigError("db_floor must be negative")
     img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise LengthMismatch(f"write_pgm takes a 2-D image, got shape {img.shape}")
     peak = img.max()
     if peak <= 0:
         scaled = np.zeros_like(img)

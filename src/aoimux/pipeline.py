@@ -146,7 +146,9 @@ def reconstruct_profile(
 
     folded holds ``demux.average_periods`` results, so a stream is
     reconstructed, whether in memory or chunked, as
-    ``reconstruct_profile(average_periods(chunks, cfg), cfg)``.
+    ``reconstruct_profile(average_periods(chunks, cfg), cfg)``, and
+    ``simulator.scan_2d`` and the SNR sweep call it once a block of
+    ``simulator.draw_folded`` rows.
     The one reconstruction path: a coded stack is demultiplexed by one
     ``demux.demultiplex_stream`` call with the solver of the given kind,
     built once per order and kind in a process; a single-pulse stack is

@@ -361,8 +361,8 @@ def draw_folded(
                 raise ValueError(f"{rows} rows but {lo + len(got)} seeds")
             sources.append([keys.setdefault(s, len(keys)) for s in got] if scale else None)
         normals = np.empty((len(keys), longest))
-        for row, seed in zip(normals, keys):
-            np.random.default_rng(seed).standard_normal(out=row)
+        for i, seed in enumerate(keys):
+            np.random.default_rng(seed).standard_normal(out=normals[i])
         folded = []
         for cfg, stack, scale, source in zip(cfgs, periods, scales, sources):
             if source is None:
@@ -373,6 +373,7 @@ def draw_folded(
                     out *= scale
                     out += stack[lo : lo + b]
             folded.append(out.reshape(b, cfg.order, cfg.subsets_per_cycle))
+        del normals  # the means are copies: free the draw while the caller uses them
         yield lo, folded
 
 
@@ -437,25 +438,6 @@ def simulate_stream(cfg: AcquisitionConfig, ph: Phantom) -> SampledStream:
     return SampledStream(samples, cfg)
 
 
-@dataclass
-class ScanResult:
-    """Output of a 2D transducer scan, normalized to global peak 1."""
-
-    xs: np.ndarray  # scanned x positions, m
-    ys: np.ndarray  # scanned y positions, m
-    stack: np.ndarray  # (ny, nx, depth bins) full profiles
-    bin_width_m: float
-
-    @property
-    def peak_map(self) -> np.ndarray:
-        """(ny, nx) peak profile value per position."""
-        return self.stack.max(axis=-1)
-
-    @property
-    def depths(self) -> np.ndarray:
-        return np.arange(self.stack.shape[-1]) * self.bin_width_m
-
-
 @dataclass(frozen=True)
 class ScanGrid:
     """Transducer grid of a 2D scan; the fields are the [scan] config keys.
@@ -506,33 +488,35 @@ def scan_2d(
     grid: ScanGrid,
     *,
     kind: str = "spectral",
-) -> ScanResult:
+) -> np.ndarray:
     """Run the full acquire/demultiplex/extract pipeline over an XY grid.
 
+    Returns the float64 (ny, nx, bins) stack of depth profiles, scaled
+    to a global peak of 1 (left as it is when no value is positive):
+    row [iy, ix] is the profile at (xs[ix], ys[iy]), where xs, ys =
+    grid.positions(), and its bin m lies at depth m * cfg.bin_width_m.
     Per-position noise uses seeds derived from ``(cfg.seed, SCAN_SALT,
     iy, ix)``, so the result is independent of traversal order.  One
     ``clean_period`` call simulates the noise-free period of every
     position, over the (ny, nx, 2) stack of the grid's positions; then
     ``draw_folded`` draws each position's (order, K) period mean, the
     clean period plus its own draw of scale sigma / sqrt(p) over p
-    complete periods, and no stream is made.  One
-    ``pipeline.reconstruct_profile`` call then solves and extracts every
-    position, each row equal bit for bit to its own folded draw
-    reconstructed alone.
+    complete periods, and no stream is made.  Each drawn block is
+    reconstructed by one ``pipeline.reconstruct_profile`` call into the
+    preallocated stack, each row equal bit for bit to its own folded
+    draw reconstructed alone.
     """
     from .pipeline import reconstruct_profile  # local import, avoids a cycle
 
     xs, ys = grid.positions()
     periods = clean_period(cfg, ph, np.stack(np.meshgrid(xs, ys), axis=-1))
     periods = periods.reshape(-1, cfg.period_samples)
-    folded = np.empty((len(periods), cfg.order, cfg.subsets_per_cycle))
+    stack = np.empty(periods.shape)  # a profile has a bin per sample of the period
     # derived lazily, once the result is allocated
     seeds = (derive_seed(cfg.seed, SCAN_SALT, iy, ix) for iy, ix in np.ndindex(ys.size, xs.size))
     for lo, (block,) in draw_folded([cfg], [periods], [seeds]):
-        folded[lo : lo + len(block)] = block
-    folded = folded.reshape(ys.size, xs.size, cfg.order, cfg.subsets_per_cycle)
-    stack = reconstruct_profile(folded, cfg, kind)
+        stack[lo : lo + len(block)] = reconstruct_profile(block, cfg, kind)
     peak = stack.max()
     if peak > 0:
-        stack = stack / peak
-    return ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=cfg.bin_width_m)
+        stack /= peak
+    return stack.reshape(ys.size, xs.size, -1)

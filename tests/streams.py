@@ -1,5 +1,5 @@
 """What several test files share: the reference phantom and acquisition
-builders, a random scan result, a child interpreter that imports this
+builders, a random scan grid and stack, a child interpreter that imports this
 package, and whole in-memory streams through the chunked API.
 
 A ``SampledStream``'s samples are the one chunk that
@@ -51,11 +51,11 @@ def acquisition(mode="coded", order=79, periods=2, **kw):
 
 
 def scan_result(nx, ny, bins, *, seed, y_max=0.0015):
-    """A ScanResult of an ny x nx grid of random bins-long profiles."""
+    """(xs, ys, stack): an ny x nx grid and its (ny, nx, bins) stack of
+    random profiles, bin m at depth m * BIN."""
     xs = np.linspace(-0.002, 0.002, nx) if nx > 1 else np.zeros(1)
     ys = np.linspace(-0.001, y_max, ny) if ny > 1 else np.zeros(1)
-    stack = np.random.default_rng(seed).random((ny, nx, bins))
-    return simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=1.98e-4)
+    return xs, ys, np.random.default_rng(seed).random((ny, nx, bins))
 
 
 def run_python(*args, check=False):

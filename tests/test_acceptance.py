@@ -255,6 +255,7 @@ class TestCriterion8Scan:
 
     BOUNDARY = 0.00205
     EXTENT = 0.04
+    GRID = simulator.ScanGrid(-0.008, 0.008, 0.0, 0.0, 0.0005)
 
     def _phantom(self):
         return phantom(boundary=self.BOUNDARY, extent=self.EXTENT, mu_a=0.05)
@@ -263,20 +264,17 @@ class TestCriterion8Scan:
         return acquisition(mode, 79, duration_s=8 * 79 * K / F_S, noise_sigma=noise, seed=99)
 
     def _scan(self, mode, noise):
-        return simulator.scan_2d(
-            self._config(mode, noise),
-            self._phantom(),
-            simulator.ScanGrid(-0.008, 0.008, 0.0, 0.0, 0.0005),
-        )
+        return simulator.scan_2d(self._config(mode, noise), self._phantom(), self.GRID)
 
     def test_banana_ridge(self):
         ph = self._phantom()
         ref = self._scan("coded", 0.0)
+        xs, _ = self.GRID.positions()
         chord_bin = ph.boundary_z_m / BIN
-        interior = (ref.xs > ph.src_x_m + 1e-12) & (ref.xs < ph.det_x_m - 1e-12)
+        interior = (xs > ph.src_x_m + 1e-12) & (xs < ph.det_x_m - 1e-12)
         ridges = []
         for ix in np.nonzero(interior)[0]:
-            column = ref.stack[0, ix]
+            column = ref[0, ix]
             assert column.max() > 0.0
             sel = column >= 0.9 * column.max()
             idx = np.arange(column.size)[sel]
@@ -302,11 +300,11 @@ class TestCriterion8Scan:
 
     def test_coded_map_snr_at_least_four_times_single_pulse(self):
         ref = self._scan("coded", 0.0)
-        background = ref.stack[0] < 1e-3 * ref.stack.max()
+        background = ref[0] < 1e-3 * ref.max()
         assert background.sum() > 1000
         snr = {}
         for mode in ("coded", "single-pulse"):
-            stack = self._scan(mode, 0.05).stack[0]
+            stack = self._scan(mode, 0.05)[0]
             snr[mode] = stack.max() / stack[background].std(ddof=1)
         ratio = snr["coded"] / snr["single-pulse"]
         ok = ratio >= 4.0

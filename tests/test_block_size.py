@@ -29,7 +29,7 @@ config = functools.partial(
 
 def scan(cfg):
     # 5 x 2 positions
-    return simulator.scan_2d(cfg, phantom(), ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001)).stack
+    return simulator.scan_2d(cfg, phantom(), ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001))
 
 
 def snr(cfg):

@@ -10,7 +10,7 @@ from aoimux import codes, fileio, pipeline, simulator
 from aoimux.config import format_value, parse_run_config, write_manifest
 from aoimux.errors import ConfigError, LengthMismatch
 from aoimux.pipeline import AdvantageCurve, SnrReport
-from streams import CONFIGS, acquisition, phantom, scan_result
+from streams import BIN, CONFIGS, acquisition, phantom, scan_result
 
 
 def sample_stream():
@@ -207,38 +207,62 @@ class TestPgm:
             fileio.write_pgm(image, tmp_path / "x.pgm", db_floor=db_floor)
         assert not (tmp_path / "x.pgm").exists()
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+    def test_an_image_that_is_not_2d_raises_before_any_file(self, tmp_path, shape):
+        with pytest.raises(LengthMismatch, match=re.escape(str(shape))):
+            fileio.write_pgm(np.ones(shape), tmp_path / "x.pgm")
+        assert not list(tmp_path.iterdir())  # no image, not even a .part
+
+
+def write_map(xs, ys, stack, path):
+    """The map writer on a stack's peaks, as scan2d writes them."""
+    fileio.write_scan_map_csv(xs, ys, stack.max(axis=-1), path)
+
+
+def write_stack(xs, ys, stack, path):
+    fileio.write_scan_stack_csv(xs, ys, stack, BIN, path)
+
 
 class TestScanCsv:
     def test_map_and_stack(self, tmp_path):
         cfg = acquisition(order=7, seed=1)
         ph = phantom(mu_a=0.2, boundary=0.0002, separation=0.002)
-        res = simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001))
+        grid = simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001)
+        stack = simulator.scan_2d(cfg, ph, grid)
+        xs, ys = grid.positions()
         map_path = tmp_path / "map.csv"
         stack_path = tmp_path / "stack.csv"
-        fileio.write_scan_map_csv(res, map_path)
-        fileio.write_scan_stack_csv(res, stack_path)
+        fileio.write_scan_map_csv(xs, ys, stack.max(axis=-1), map_path)
+        fileio.write_scan_stack_csv(xs, ys, stack, cfg.bin_width_m, stack_path)
         map_rows = map_path.read_text().strip().splitlines()
         assert map_rows[0] == "x_m,y_m,peak_amplitude"
         assert len(map_rows) == 1 + 3
         stack_rows = stack_path.read_text().strip().splitlines()
         assert stack_rows[0] == "x_m,y_m,depth_m,amplitude"
-        assert len(stack_rows) == 1 + 3 * res.stack.shape[-1]
+        assert len(stack_rows) == 1 + 3 * stack.shape[-1]
 
-    def test_map_reads_the_peak_map_once(self, tmp_path, monkeypatch):
-        reads = []
-
-        def counted(result):
-            reads.append(1)
-            return result.stack.max(axis=-1)
-
-        monkeypatch.setattr(simulator.ScanResult, "peak_map", property(counted))
+    def test_map_writes_exactly_the_peaks_it_is_given(self, tmp_path):
+        # peaks of no stack: the writer takes them as they are
         xs, ys = np.array([-0.002, 0.0, 0.001, 0.0035]), np.array([0.0, 0.0005, 0.001])
-        stack = np.random.default_rng(3).random((ys.size, xs.size, 11))
-        res = simulator.ScanResult(xs=xs, ys=ys, stack=stack, bin_width_m=2e-4)
+        peaks = np.random.default_rng(3).normal(size=(ys.size, xs.size))
         path = tmp_path / "map.csv"
-        fileio.write_scan_map_csv(res, path)
-        assert len(reads) == 1
-        assert path.read_bytes() == _map_text(xs, ys, stack.max(axis=-1))
+        fileio.write_scan_map_csv(xs, ys, peaks, path)
+        assert path.read_bytes() == _map_text(xs, ys, peaks)
+
+    @pytest.mark.parametrize(
+        "nx, ny", [(3, 3), (5, 3), (4, 2), (4, 4)],
+        ids=["x-one-short", "x-one-long", "y-one-short", "y-one-long"],
+    )
+    @pytest.mark.parametrize("write", [write_map, write_stack], ids=["map", "stack"])
+    def test_a_scan_writer_rejects_a_stack_that_does_not_fit_its_grid(
+        self, tmp_path, write, nx, ny
+    ):
+        # a 3 x 4 grid's stack under nx x and ny y positions
+        *_, stack = scan_result(4, 3, 5, seed=5)
+        xs, ys, _ = scan_result(nx, ny, 0, seed=5)
+        with pytest.raises(LengthMismatch, match="does not fit a grid"):
+            write(xs, ys, stack, tmp_path / "scan.csv")
+        assert not list(tmp_path.iterdir())  # the writer made no file, not even a .part
 
 
 def _whole_text(header, rows):
@@ -295,21 +319,21 @@ class TestTableBlocks:
              "map-block-1", "map-block", "map-block+1"],
     )
     def test_scan_tables_equal_whole_text(self, tmp_path, nx, ny, bins):
-        res = scan_result(nx, ny, bins, seed=5)
-        fileio.write_scan_stack_csv(res, tmp_path / "stack.csv")
-        fileio.write_scan_map_csv(res, tmp_path / "map.csv")
-        xs, depths = _texts(res.xs), _texts(res.depths)
+        xs, ys, stack = scan_result(nx, ny, bins, seed=5)
+        write_stack(xs, ys, stack, tmp_path / "stack.csv")
+        write_map(xs, ys, stack, tmp_path / "map.csv")
+        depths = _texts(np.arange(bins) * BIN)
         stack_rows = [
             f"{x},{y},{z},{format_value(v)}"
-            for y, plane in zip(_texts(res.ys), res.stack.tolist())
-            for x, profile in zip(xs, plane)
+            for y, plane in zip(_texts(ys), stack.tolist())
+            for x, profile in zip(_texts(xs), plane)
             for z, v in zip(depths, profile)
         ]
         assert len(stack_rows) == nx * ny * bins
         assert (tmp_path / "stack.csv").read_bytes() == _whole_text(
             "x_m,y_m,depth_m,amplitude", stack_rows
         )
-        assert (tmp_path / "map.csv").read_bytes() == _map_text(res.xs, res.ys, res.peak_map)
+        assert (tmp_path / "map.csv").read_bytes() == _map_text(xs, ys, stack.max(axis=-1))
 
     def test_sweep_tables_equal_whole_text(self, tmp_path):
         curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
@@ -333,7 +357,7 @@ class TestTableBlocks:
 
     def test_empty_tables_are_their_header(self, tmp_path):
         fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
-        fileio.write_scan_stack_csv(scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
+        write_stack(*scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
         fileio.write_profile_csv(np.zeros(0), 1.98e-4, tmp_path / "profile.csv")
         assert (tmp_path / "reports.csv").read_bytes() == (
             b"mode,order,n_trials,signal_mean,noise_std,snr\n"
@@ -345,8 +369,8 @@ class TestTableBlocks:
         "write, fail_at",
         [
             (lambda path: fileio.write_profile_csv(np.ones(3 * BLOCK), 1e-4, path), 3),
-            (lambda path: fileio.write_scan_stack_csv(scan_result(3, 2, 50, seed=5), path), 3),
-            (lambda path: fileio.write_scan_map_csv(scan_result(5, 4, 2, seed=5), path), 3),
+            (lambda path: write_stack(*scan_result(3, 2, 50, seed=5), path), 3),
+            (lambda path: write_map(*scan_result(5, 4, 2, seed=5), path), 3),
             (lambda path: fileio.write_advantage_csv(
                 advantage_curve([7, 19], [1.5, 2.3]), path), 2),
             # the writers of one text, whose one write fails

@@ -39,7 +39,7 @@ import pytest
 
 from aoimux import codes, demux, fileio, pipeline, simulator
 from aoimux.config import parse_run_config
-from streams import CONFIGS, acquisition, run_python, scan_result
+from streams import BIN, CONFIGS, acquisition, run_python, scan_result
 
 LONG_SAMPLES = 4_000_000  # 32 MB of float64; not a whole number of periods
 PERIOD = 316  # quick.cfg: order 79, K = 4
@@ -265,14 +265,18 @@ def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):
     assert peaks[1048571] - peaks[7] <= 10.0, peaks
 
 
+def write_stack(scan, path):
+    fileio.write_scan_stack_csv(*scan, BIN, path)
+
+
 @pytest.mark.parametrize(
     "write, table",
     [
         # 2 and 20 y rows of five 500-bin profiles: 5 000 and 50 000 rows,
         # about 0.3 and 3 blocks
-        (fileio.write_scan_stack_csv, lambda ny: scan_result(5, ny, 500, seed=8, y_max=0.001)),
+        (write_stack, lambda ny: scan_result(5, ny, 500, seed=8, y_max=0.001)),
         # one position of 20 000 and 200 000 bins, about 1.2 and 12 blocks
-        (fileio.write_scan_stack_csv, lambda n: scan_result(1, 1, n * 10_000, seed=8)),
+        (write_stack, lambda n: scan_result(1, 1, n * 10_000, seed=8)),
         # 20 000 and 200 000 bins, about 1.2 and 12 blocks
         (lambda values, path: fileio.write_profile_csv(values, 1.98e-4, path),
          lambda n: np.random.default_rng(8).normal(size=n * 10_000)),

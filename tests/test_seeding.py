@@ -67,7 +67,7 @@ class TestCacheIndependence:
         derive_seed.cache_clear()
         cold = simulator.scan_2d(cfg, ph, run.scan)
         warm = simulator.scan_2d(cfg, ph, run.scan)
-        assert np.array_equal(cold.stack, warm.stack)
+        assert np.array_equal(cold, warm)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_sweep_hashes_each_trial_seed_once(self, quick, n):

@@ -572,14 +572,16 @@ class TestStackedPeriods:
 class TestScan2d:
     def test_single_position_grid(self):
         ph = phantom()
-        res = simulator.scan_2d(config(), ph, ScanGrid(0.0, 0.0, 0.0, 0.0, 0.0005))
-        assert res.peak_map.shape == (1, 1)
-        assert res.peak_map[0, 0] == pytest.approx(1.0)
+        stack = simulator.scan_2d(config(), ph, ScanGrid(0.0, 0.0, 0.0, 0.0, 0.0005))
+        assert stack.dtype == np.float64
+        peaks = stack.max(axis=-1)
+        assert peaks.shape == (1, 1)
+        assert peaks[0, 0] == pytest.approx(1.0)
 
     def test_symmetric_phantom_gives_symmetric_map(self):
         ph = phantom()
-        res = simulator.scan_2d(config(), ph, ScanGrid(-0.006, 0.006, 0.0, 0.0, 0.002))
-        row = res.peak_map[0]
+        stack = simulator.scan_2d(config(), ph, ScanGrid(-0.006, 0.006, 0.0, 0.0, 0.002))
+        row = stack.max(axis=-1)[0]
         np.testing.assert_allclose(row, row[::-1], rtol=1e-9)
 
     def test_noise_free_modes_give_identical_maps(self):
@@ -587,31 +589,31 @@ class TestScan2d:
         grid = ScanGrid(-0.004, 0.004, 0.0, 0.0, 0.002)
         mc = simulator.scan_2d(config("coded"), ph, grid)
         ms = simulator.scan_2d(config("single-pulse"), ph, grid)
-        np.testing.assert_allclose(mc.peak_map, ms.peak_map, atol=1e-6)
-        np.testing.assert_allclose(mc.stack, ms.stack, atol=1e-6)
+        np.testing.assert_allclose(mc.max(axis=-1), ms.max(axis=-1), atol=1e-6)
+        np.testing.assert_allclose(mc, ms, atol=1e-6)
 
     @pytest.mark.parametrize("solver_kind", ["spectral", "dense"])
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
     def test_stack_equals_per_position_reconstruction_exactly(self, mode, solver_kind):
         ph = phantom()
         cfg = config(mode, periods=3, noise_sigma=0.2, seed=4)
-        res = simulator.scan_2d(
-            cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001), kind=solver_kind
-        )
-        expected = np.empty(res.stack.shape)
-        for iy, y in enumerate(res.ys):
-            for ix, x in enumerate(res.xs):
+        grid = ScanGrid(-0.002, 0.002, 0.0, 0.001, 0.001)
+        stack = simulator.scan_2d(cfg, ph, grid, kind=solver_kind)
+        xs, ys = grid.positions()
+        expected = np.empty(stack.shape)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
                 period = simulator.clean_period(cfg, ph, (x, y))
                 row = folded_row(cfg, period, derive_seed(cfg.seed, SCAN_SALT, iy, ix))
                 expected[iy, ix] = reconstruct_profile(row, cfg, solver_kind)
         expected /= expected.max()
-        assert res.stack.shape == (2, 5, cfg.period_samples)
-        assert np.array_equal(res.stack, expected)
-        assert np.array_equal(res.peak_map, expected.max(axis=-1))
+        assert stack.shape == (2, 5, cfg.period_samples)
+        assert np.array_equal(stack, expected)
+        assert np.array_equal(stack.max(axis=-1), expected.max(axis=-1))
 
     def test_position_seeds_are_traversal_independent(self):
         ph = phantom()
         cfg = config(noise_sigma=0.2, seed=9)
         a = simulator.scan_2d(cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.002))
         b = simulator.scan_2d(cfg, ph, ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.002))
-        np.testing.assert_array_equal(a.stack, b.stack)
+        np.testing.assert_array_equal(a, b)
