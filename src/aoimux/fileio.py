@@ -411,14 +411,14 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
     Linear mapping by default (0 .. peak -> 0 .. 255); with ``db_floor``
     the image is written on a decibel scale clipped at that floor.  A
     db_floor that is not negative, NaN included, raises ConfigError
-    whatever the image; an image that is not 2-D raises LengthMismatch.
-    Either is raised before any file is made.
+    whatever the image; an image that is not 2-D, or has no pixels,
+    raises LengthMismatch.  Either is raised before any file is made.
     """
     if db_floor is not None and not db_floor < 0:
         raise ConfigError("db_floor must be negative")
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise LengthMismatch(f"write_pgm takes a 2-D image, got shape {img.shape}")
+    if img.ndim != 2 or img.size == 0:
+        raise LengthMismatch(f"write_pgm takes a non-empty 2-D image, got shape {img.shape}")
     peak = img.max()
     if peak <= 0:
         scaled = np.zeros_like(img)

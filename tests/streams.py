@@ -58,13 +58,16 @@ def scan_result(nx, ny, bins, *, seed, y_max=0.0015):
     return xs, ys, np.random.default_rng(seed).random((ny, nx, bins))
 
 
-def run_python(*args, check=False):
+def run_python(*args, check=False, stdout=subprocess.PIPE, env=None):
     """Run a child interpreter that imports this package from its source,
-    capturing its output as text."""
-    env = dict(os.environ)
+    capturing its output as text.  stdout may be a file descriptor to
+    write to in place of the captured pipe; env sets variables on top of
+    this process's environment."""
+    env = dict(os.environ) | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        check=check,
     )
 
 

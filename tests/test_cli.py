@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, determinism, manifests."""
 
+import os
 import re
 from dataclasses import replace
 
@@ -632,6 +633,57 @@ class TestScan2d:
         out = tmp_path / "o"
         assert main(["--out-dir", str(out), "scan2d", "--config", str(bad)]) == 2
         _assert_config_error(capsys, out, "aoimux: run too large for memory")
+
+
+class TestProcessExit:
+    """A command run as a process ends by os._exit once its outputs are closed."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_pipe_exit_3(self, tmp_path, unbuffered):
+        # a pipe whose reader is gone: unbuffered, the print fails; buffered,
+        # main's flush of stdout fails, not the interpreter's at exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_python("-m", "aoimux.cli", "--out-dir", str(tmp_path), "gen-code", "7",
+                              stdout=write, env={"PYTHONUNBUFFERED": unbuffered})
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (3, "aoimux: i/o error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdout_fd_exit_0(self, tmp_path):
+        # the CLI's interpreter starts with fd 1 closed, so its sys.stdout is None
+        argv = ["-m", "aoimux.cli", "--out-dir", str(tmp_path), "gen-code", "7"]
+        done = run_python("-c", "import os, sys; os.close(1); "
+                                f"os.execv(sys.executable, [sys.executable, *{argv!r}])")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "s_sequence_7.txt").read_text() == "7:1110100\n"
+
+    def test_process_writes_the_bytes_main_writes(self, tmp_path):
+        quick = str(CONFIGS / "quick.cfg")
+        runs = {  # run name: arguments, "{root}" the directory of the run's way
+            "gen-code": ["gen-code", "79"],
+            "simulate": ["simulate", "--config", quick],
+            "demux": ["demux", "--stream", "{root}/simulate/stream.bin"],
+            "snr-sweep": ["snr-sweep", "--config", quick],
+            "scan2d": ["scan2d", "--config", quick, "--stack"],
+            "scan2d-dense": ["scan2d", "--config", quick, "--stack", "--solver", "dense"],
+        }
+        for way in ("process", "main"):
+            root = tmp_path / way
+            for name, args in runs.items():
+                argv = ["--out-dir", str(root / name), *(a.format(root=root) for a in args)]
+                if way == "process":
+                    done = run_python("-m", "aoimux.cli", *argv)
+                    assert (done.returncode, done.stderr) == (0, ""), name
+                else:
+                    assert main(argv) == 0, name
+        trees = [
+            {p.relative_to(top): p.read_bytes() for p in top.rglob("*") if p.is_file()}
+            for top in (tmp_path / "process", tmp_path / "main")
+        ]
+        assert len(trees[1]) == 1 + 3 + 1 + 3 + 4 + 4
+        assert trees[0] == trees[1]
 
 
 class TestExportedNames:

@@ -207,7 +207,7 @@ class TestPgm:
             fileio.write_pgm(image, tmp_path / "x.pgm", db_floor=db_floor)
         assert not (tmp_path / "x.pgm").exists()
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2), (0, 3)])
     def test_an_image_that_is_not_2d_raises_before_any_file(self, tmp_path, shape):
         with pytest.raises(LengthMismatch, match=re.escape(str(shape))):
             fileio.write_pgm(np.ones(shape), tmp_path / "x.pgm")
