@@ -6,7 +6,6 @@ acquisition over a diffuse phantom, and Monte-Carlo SNR experiments.
 """
 
 from .codes import (
-    SSequence,
     generate_s_sequence,
     valid_orders,
     validate_order,
@@ -47,7 +46,6 @@ __all__ = [
     "AdvantageCurve",
     "CirculantSystem",
     "Phantom",
-    "SSequence",
     "SampledStream",
     "ScanGrid",
     "SnrReport",

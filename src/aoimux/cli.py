@@ -39,10 +39,10 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_gen_code(args) -> int:
-    seq = codes.generate_s_sequence(args.order)
+    bits = codes.generate_s_sequence(args.order)
     out = Path(args.out) if args.out else _out_dir(args) / f"s_sequence_{args.order}.txt"
-    fileio.write_sequence(seq, out)
-    print(f"wrote {out} (order {seq.order}, weight {seq.weight})")
+    fileio.write_sequence(bits, out)
+    print(f"wrote {out} (order {bits.size}, weight {int(bits.sum())})")
     return EXIT_OK
 
 

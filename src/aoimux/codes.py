@@ -1,5 +1,10 @@
 """Cyclic binary multiplexing codes (S-sequences) of prime order N = 4m + 3.
 
+A code is a plain 1-D uint8 array of 0s and 1s, its order N its size.
+generate_s_sequence returns one, memoised and read-only; every public
+function that takes a code, here or in demux and fileio, checks it
+through check_bits.
+
 Bit convention, fixed here once for the whole package: bit 0 is 1, bit j
 (1 <= j < N) is 1 exactly when j is a quadratic residue mod N.  That puts
 (N+1)/2 ones in the sequence and makes the circulant matrix S built from
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,76 +85,58 @@ def valid_orders(limit: int) -> list[int]:
     return (np.flatnonzero(_order_table()[: (limit - 3) // 4 + 1]) * 4 + 3).tolist()
 
 
-@dataclass(frozen=True)
-class SSequence:
-    """A length-N binary multiplexing code.
+def check_bits(code: np.ndarray) -> np.ndarray:
+    """The code as a 1-D uint8 array of 0s and 1s; InvalidOrder otherwise.
 
-    bits is a one-dimensional uint8 array of 0s and 1s with Hamming
-    weight (N+1)/2; the order N is its length.
+    Every public function that takes a code checks it here.  The entries
+    are checked in their own dtype: a cast to uint8 first would wrap 257
+    to 1 and truncate 1.5 to 1.  A uint8 array is returned as it is.
     """
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        # checked in their own dtype: a cast to uint8 first would wrap 257
-        # to 1 and truncate 1.5 to 1
-        bits = np.asarray(self.bits)
-        if bits.ndim != 1:
-            raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
-        if not np.all((bits == 0) | (bits == 1)):
-            raise InvalidOrder("sequence entries must be 0 or 1")
-        object.__setattr__(self, "bits", bits.astype(np.uint8, copy=False))
-
-    @property
-    def order(self) -> int:
-        """The code length N."""
-        return self.bits.size
-
-    @property
-    def weight(self) -> int:
-        """Number of ones; (N+1)/2 for a valid sequence."""
-        return int(self.bits.sum())
-
-    def to_text(self) -> str:
-        """Single-line text form ``"<order>:<bits>"``, e.g. ``"7:1110100"``."""
-        return f"{self.order}:" + (self.bits + ord("0")).tobytes().decode("ascii")
+    bits = np.asarray(code)
+    if bits.ndim != 1:
+        raise InvalidOrder(f"bits must be one-dimensional, got shape {bits.shape}")
+    if not bits.size:
+        raise InvalidOrder("a code needs at least one entry")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise InvalidOrder("sequence entries must be 0 or 1")
+    return bits.astype(np.uint8, copy=False)
 
 
-def circulant_view(seq: SSequence, dtype: np.dtype | type) -> np.ndarray:
-    """Read-only (N, N) view of S, entry (r, c) = bits[(c - r) % N].
+def circulant_view(code: np.ndarray, dtype: np.dtype | type) -> np.ndarray:
+    """Read-only (N, N) view of S, entry (r, c) = code[(c - r) % N].
 
-    Row r is the window ext[N - r : 2N - r] of the sequence written out
+    Row r is the window ext[N - r : 2N - r] of the code written out
     twice in ``dtype``, so the view holds 2 N values, not N**2.
     """
-    n = seq.order
-    ext = np.concatenate([seq.bits, seq.bits], dtype=dtype)
+    bits = check_bits(code)
+    n = bits.size
+    ext = np.concatenate([bits, bits], dtype=dtype)
     return np.lib.stride_tricks.sliding_window_view(ext, n)[n:0:-1]
 
 
-def circulant_matrix(seq: SSequence) -> np.ndarray:
-    """Dense int64 circulant whose row r is the sequence shifted right by r.
+def circulant_matrix(code: np.ndarray) -> np.ndarray:
+    """Dense int64 circulant whose row r is the code shifted right by r.
 
     A contiguous copy of ``circulant_view``: the one N**2 array it allocates.
     """
-    return circulant_view(seq, np.int64).copy()
+    return circulant_view(code, np.int64).copy()
 
 
 _LAG_BLOCK = 1 << 16  # entries of S that one block of lags reads
 
 
-def s_matrix_identity_error(seq: SSequence) -> int:
+def s_matrix_identity_error(code: np.ndarray) -> int:
     """Max absolute deviation of S @ S.T from ((N+1)/4)(I + J), exact ints.
 
     Its entries are the N cyclic lags, each a row of the int64
     ``circulant_view`` times the bits, taken a block of about
     ``_LAG_BLOCK`` entries of S at a time: O(N) memory, and no code shared
     with generation's multiplier check.  Unlike that check it accepts
-    every sequence that meets the identity, cyclic shifts included: it is
+    every code that meets the identity, cyclic shifts included: it is
     the general exact checker.
     """
-    n = seq.order
-    s = circulant_view(seq, np.int64)
-    bits = s[0]
+    s = circulant_view(code, np.int64)
+    n, bits = len(s), s[0]
     rows = max(1, _LAG_BLOCK // n)
     lags = np.concatenate([s[r : r + rows] @ bits for r in range(0, n, rows)])
     target = np.full(n, (n + 1) // 4)
@@ -179,8 +165,8 @@ def _square_generator(n: int) -> int:
     raise InvalidOrder(f"order must be a prime congruent to 3 mod 4, got {n}")
 
 
-def _check_identity(seq: SSequence) -> None:
-    """Raise InvalidOrder unless seq is the quadratic-residue construction.
+def _check_identity(bits: np.ndarray) -> None:
+    """Raise InvalidOrder unless the uint8 bits are the quadratic-residue construction.
 
     Checks the weight and lag 1, then bits[q j mod N] == bits[j] for the
     generator q of the squares, which the module docstring shows proves
@@ -190,10 +176,10 @@ def _check_identity(seq: SSequence) -> None:
     meets the identity but fails the multiplier check, with its own
     message: this validates generation only.
     """
-    n, bits = seq.order, seq.bits
+    n = bits.size
     q = _square_generator(n)
     lag1 = np.count_nonzero(bits[:-1] & bits[1:]) + int(bits[-1] & bits[0])
-    if seq.weight != (n + 1) // 2 or lag1 != (n + 1) // 4:
+    if np.count_nonzero(bits) != (n + 1) // 2 or lag1 != (n + 1) // 4:
         raise InvalidOrder(f"order {n}: circulant identity check failed")
     block = 1 << 16
     for lo in range(0, n, block):
@@ -208,14 +194,14 @@ def _check_identity(seq: SSequence) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def generate_s_sequence(n: int) -> SSequence:
+def generate_s_sequence(n: int) -> np.ndarray:
     """Generate the order-n sequence from the quadratic-residue construction.
 
     Self-validates at every order: the multiplier check proves all N
     cyclic autocorrelation lags, hence every entry of the circulant
     identity, exact in O(N) time.
-    Memoised per order, so every caller in the process shares one value;
-    its ``bits`` array is read-only.
+    Returns the 1-D uint8 bits, memoised per order: every caller in the
+    process shares one read-only array.
     """
     check_order(n)
     bits = np.zeros(n, dtype=np.uint8)
@@ -225,7 +211,6 @@ def generate_s_sequence(n: int) -> SSequence:
     k %= n
     bits[k] = 1
     del k  # 4 MB at MAX_ORDER, not held through the check
-    seq = SSequence(bits)
-    _check_identity(seq)
-    seq.bits.setflags(write=False)
-    return seq
+    _check_identity(bits)
+    bits.setflags(write=False)
+    return bits

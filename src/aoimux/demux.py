@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .codes import SSequence, circulant_matrix, circulant_view, s_matrix_identity_error
+from .codes import check_bits, circulant_matrix, circulant_view, s_matrix_identity_error
 from .errors import (
     ConfigError,
     InsufficientSamples,
@@ -54,14 +54,14 @@ class CirculantSystem:
     is the one N**2 array.
     """
 
-    def __init__(self, sequence: SSequence, kind: str):
+    def __init__(self, code: np.ndarray, kind: str):
         if kind not in SOLVER_KINDS:
             raise ConfigError(f"solver kind must be one of {SOLVER_KINDS}, got {kind!r}")
-        self.sequence = sequence
-        self.order = sequence.order
+        self.bits = check_bits(code)
+        self.order = self.bits.size
         self.kind = kind
         # first column of S; S x is a circular convolution with it
-        kernel = np.roll(sequence.bits[::-1], 1).astype(np.float64)
+        kernel = np.roll(self.bits[::-1], 1).astype(np.float64)
         spectrum = np.fft.rfft(kernel)
         mags = np.abs(spectrum)
         if mags.max() == 0.0 or mags.min() < 1e-9 * mags.max():
@@ -71,11 +71,11 @@ class CirculantSystem:
         self._spectrum = spectrum
         self._dense = None
         if kind == "dense":
-            self._dense = circulant_view(sequence, np.float64)
+            self._dense = circulant_view(self.bits, np.float64)
 
     def matrix(self) -> np.ndarray:
-        """Dense integer S, rows are successive right shifts of the sequence."""
-        return circulant_matrix(self.sequence)
+        """Dense integer S, rows are successive right shifts of the code."""
+        return circulant_matrix(self.bits)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -127,9 +127,9 @@ class CirculantSystem:
         return float(mags.max() / mags.min())
 
 
-def build_system(seq: SSequence, kind: str) -> CirculantSystem:
-    """Build the solver for the given sequence; kind picks the inverse path."""
-    return CirculantSystem(seq, kind)
+def build_system(code: np.ndarray, kind: str) -> CirculantSystem:
+    """Build the solver for the given code; kind picks the inverse path."""
+    return CirculantSystem(code, kind)
 
 
 def analytic_inverse_check(sys: CirculantSystem) -> float:
@@ -145,11 +145,11 @@ def analytic_inverse_check(sys: CirculantSystem) -> float:
     n = sys.order
     if n > _DENSE_MAX:
         raise OrderTooLarge(f"dense check limited to order {_DENSE_MAX}, got {n}")
-    if s_matrix_identity_error(sys.sequence) != 0:
+    if s_matrix_identity_error(sys.bits) != 0:
         raise SingularSystem("closed-form inverse failed the identity check")
     gap = sys.solve_many(np.eye(n))  # row i solves S x = e_i: column i of the inverse
     # minus the closed form's transpose, (2 / (N + 1)) * (2 S - J)
-    gap -= (4.0 / (n + 1)) * circulant_view(sys.sequence, np.float64)
+    gap -= (4.0 / (n + 1)) * circulant_view(sys.bits, np.float64)
     gap += 2.0 / (n + 1)
     return float(np.abs(gap, out=gap).max())
 

@@ -56,4 +56,5 @@ class ConfigError(AoimuxError):
 
 
 class NonFiniteSamples(NumericalError):
-    """Samples folded or a profile reconstructed hold NaN or infinite values."""
+    """Samples folded, a profile reconstructed or an image written hold NaN
+    or infinite values."""

@@ -53,10 +53,10 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .codes import SSequence
+from .codes import check_bits
 from .config import format_value as _fmt, record_fields
 from .demux import BLOCK_SAMPLES
-from .errors import ConfigError, LengthMismatch
+from .errors import ConfigError, LengthMismatch, NonFiniteSamples
 from .pipeline import AdvantageCurve, SnrReport
 from .simulator import AcquisitionConfig, SampledStream, chunk_length
 
@@ -89,8 +89,13 @@ def _write_text(path: str | Path, text: str) -> None:
 # ---------------------------------------------------------------- sequences
 
 
-def write_sequence(seq: SSequence, path: str | Path) -> None:
-    _write_text(path, seq.to_text() + "\n")
+def write_sequence(code: np.ndarray, path: str | Path) -> None:
+    """Write a code as one line ``"<order>:<bits>\\n"``, e.g. ``"7:1110100\\n"``.
+
+    A code that check_bits rejects raises InvalidOrder before any file is made.
+    """
+    bits = check_bits(code)
+    _write_text(path, f"{bits.size}:" + (bits + ord("0")).tobytes().decode("ascii") + "\n")
 
 
 # ------------------------------------------------------------------ streams
@@ -409,21 +414,26 @@ def write_pgm(image: np.ndarray, path: str | Path, *, db_floor: float | None = N
     """8-bit binary portable graymap of a non-negative image.
 
     Linear mapping by default (0 .. peak -> 0 .. 255); with ``db_floor``
-    the image is written on a decibel scale clipped at that floor.  A
-    db_floor that is not negative, NaN included, raises ConfigError
-    whatever the image; an image that is not 2-D, or has no pixels,
-    raises LengthMismatch.  Either is raised before any file is made.
+    the image is written on a decibel scale clipped at that floor.  In
+    either mapping a negative pixel is written as 0.  A db_floor that is
+    not negative, NaN included, raises ConfigError whatever the image; an
+    image that is not 2-D, or has no pixels, raises LengthMismatch; a NaN
+    or infinite pixel raises NonFiniteSamples.  Each is raised before any
+    file is made.
     """
     if db_floor is not None and not db_floor < 0:
         raise ConfigError("db_floor must be negative")
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise LengthMismatch(f"write_pgm takes a non-empty 2-D image, got shape {img.shape}")
+    bad = img.size - np.count_nonzero(np.isfinite(img))
+    if bad:
+        raise NonFiniteSamples(f"{bad} of {img.size} pixels are NaN or infinite")
     peak = img.max()
     if peak <= 0:
         scaled = np.zeros_like(img)
     elif db_floor is None:
-        scaled = img / peak
+        scaled = np.maximum(img / peak, 0.0)
     else:
         db = 20.0 * np.log10(np.maximum(img, 1e-300) / peak)
         scaled = np.clip(1.0 - db / db_floor, 0.0, 1.0)

@@ -153,6 +153,10 @@ class AcquisitionConfig:
             raise ConfigError("water_path_m must be non-negative")
         if not math.isfinite(self.t0):
             raise ConfigError("t0 = water_path_m / water_sound_speed must be finite")
+        if not math.isfinite(self.duration_s * self.f_s):
+            raise ConfigError("the sample count duration_s * f_s must be finite")
+        if self.period_samples > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
+            raise ConfigError(f"a period of {self.period_samples} samples is too large")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -282,7 +286,7 @@ def _spatial_code_profile(cfg: AcquisitionConfig) -> np.ndarray:
     """Pressure pattern along the axis at sample 0, one repetition period."""
     pulse = pulse_waveform(cfg.f_us, cfg.f_s)
     if cfg.mode == MODE_CODED:
-        bits = codes.generate_s_sequence(cfg.order).bits.astype(np.float64)
+        bits = codes.generate_s_sequence(cfg.order).astype(np.float64)
         return np.repeat(bits, cfg.subsets_per_cycle) * np.tile(pulse, cfg.order)
     prof = np.zeros(cfg.period_samples)
     prof[: pulse.size] = pulse

@@ -53,7 +53,8 @@ class TestGenCode:
     def test_writes_valid_sequence(self, tmp_path):
         out = tmp_path / "code79.txt"
         assert main(["gen-code", "79", "--out", str(out)]) == 0
-        assert out.read_text() == codes.generate_s_sequence(79).to_text() + "\n"
+        bits = codes.generate_s_sequence(79)
+        assert out.read_text() == "79:" + "".join(map(str, bits)) + "\n"
 
     def test_invalid_order_exit_2(self, tmp_path, capsys):
         assert main(["--out-dir", str(tmp_path), "gen-code", "4"]) == 2
@@ -458,9 +459,14 @@ class TestBadValues:
             (lambda t: _set_value(t, "order", "19.0"), "[acquisition] order: cannot parse '19.0'"),
             (lambda t: t.replace("seed = 31\n", "seed = 31\nseed = 32\n"), "{bad}: While reading"),
             (lambda t: "seed = 31\n" + t, "{bad}: File contains no section headers"),
+            (lambda t: _set_value(t, "duration_s", "1e308"),
+             "the sample count duration_s * f_s must be finite"),
+            (lambda t: _set_value(_set_value(t, "mode", "single-pulse"), "order", "1" + "0" * 30),
+             "a period of 4" + "0" * 30 + " samples is too large"),
         ],
         ids=["unknown-section", "unknown-key", "missing-acquisition-key", "missing-phantom-key",
-             "non-numeric-float", "non-integer-int", "repeated-key", "key-before-any-section"],
+             "non-numeric-float", "non-integer-int", "repeated-key", "key-before-any-section",
+             "sample-count-overflows", "period-overflows"],
     )
     def test_malformed_config_exit_2_naming_the_fault(self, tmp_path, cfg_file, capsys,
                                                       edit, message):

@@ -1,4 +1,4 @@
-"""Code generation: brute-force oracles, algebraic identity, text format."""
+"""Code generation: brute-force oracles, algebraic identity, code checks."""
 
 import itertools
 import math
@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aoimux import codes
+from aoimux import codes, demux, fileio
 from aoimux.errors import InvalidOrder
 
 # hand-derived list of primes p <= 103 with p = 3 (mod 4)
@@ -100,7 +100,7 @@ class TestResidueBits:
         residues = {k * k % n for k in range(1, (n - 1) // 2 + 1)}
         assert len(residues) == (n - 1) // 2
         assert 0 not in residues
-        bits = codes.generate_s_sequence(n).bits
+        bits = codes.generate_s_sequence(n)
         assert set(np.flatnonzero(bits).tolist()) == {0} | residues
 
 
@@ -110,19 +110,21 @@ class TestGeneration:
         # exactly the cyclic shifts of (0, 1, 1)
         assert sorted(oracle) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
         seq = codes.generate_s_sequence(3)
-        assert tuple(seq.bits) in oracle
+        assert tuple(seq) in oracle
 
     def test_order7_matches_brute_force(self):
         oracle = brute_force_sequences(7)
         seq = codes.generate_s_sequence(7)
-        assert tuple(seq.bits) in oracle
-        assert seq.weight == 4
+        assert tuple(seq) in oracle
+        assert seq.sum() == 4
 
     def test_order7_frozen_pattern(self):
-        assert codes.generate_s_sequence(7).to_text() == "7:1110100"
+        bits = codes.generate_s_sequence(7)
+        assert bits.dtype == np.uint8 and bits.shape == (7,)
+        assert bits.tolist() == [1, 1, 1, 0, 1, 0, 0]
 
     def test_order79_weight(self):
-        assert codes.generate_s_sequence(79).weight == 40
+        assert codes.generate_s_sequence(79).sum() == 40
 
     @pytest.mark.parametrize("n", VALID_ORDERS_TO_103)
     def test_identity_exact(self, n):
@@ -141,7 +143,7 @@ class TestGeneration:
         r, c = np.indices((n, n))
         s = codes.circulant_matrix(seq)
         assert s.dtype == np.int64 and s.flags.c_contiguous and s.flags.writeable
-        assert np.array_equal(s, seq.bits[(c - r) % n])
+        assert np.array_equal(s, seq[(c - r) % n])
         view = codes.circulant_view(seq, np.float64)
         assert view.dtype == np.float64 and not view.flags.writeable
         assert np.array_equal(view, s)
@@ -150,7 +152,7 @@ class TestGeneration:
     def test_cyclic_shift_closure(self, n):
         seq = codes.generate_s_sequence(n)
         for k in range(n):
-            shifted = codes.SSequence(np.roll(seq.bits, k))
+            shifted = np.roll(seq, k)
             assert codes.s_matrix_identity_error(shifted) == 0
 
     @pytest.mark.parametrize("bad", [4, 13, 1, 0, -7, 25])
@@ -169,14 +171,14 @@ class TestGeneration:
     def test_cached_bits_are_read_only(self):
         seq = codes.generate_s_sequence(79)
         with pytest.raises(ValueError):
-            seq.bits[0] = 0
-        assert seq.bits[0] == 1
+            seq[0] = 0
+        assert seq[0] == 1
 
     def test_order_above_1024_full_check(self):
         # every order gets the exact all-lags check; confirm it with the
         # independent dense identity just above the old 1024 limit
         seq = codes.generate_s_sequence(1031)
-        assert seq.weight == 516
+        assert seq.sum() == 516
         assert codes.s_matrix_identity_error(seq) == 0
 
     def test_huge_order_rejected_before_primality_test(self):
@@ -200,7 +202,7 @@ def odd_prime_factors(m):
 
 def run_of_ones(n):
     """(n+1)/2 ones then zeros: the construction's weight, lag 1 = (n-1)/2."""
-    return codes.SSequence((np.arange(n) <= n // 2).astype(np.uint8))
+    return (np.arange(n) <= n // 2).astype(np.uint8)
 
 
 class TestIdentityCheck:
@@ -210,12 +212,12 @@ class TestIdentityCheck:
         # another S-sequence), a run of (n+1)/2 ones (the code itself at 3)
         # and one-bit flips of the generated code
         seq = codes.generate_s_sequence(n)
-        mirror = codes.SSequence(seq.bits[(-np.arange(n)) % n])
+        mirror = seq[(-np.arange(n)) % n]
         others = [run_of_ones(n)]
         for pos in (0, n // 2, n - 1):
-            bits = seq.bits.copy()
+            bits = seq.copy()
             bits[pos] ^= 1
-            others.append(codes.SSequence(bits))
+            others.append(bits)
         for cand in (seq, mirror, *others):
             try:
                 codes._check_identity(cand)
@@ -230,15 +232,15 @@ class TestIdentityCheck:
         seq = codes.generate_s_sequence(n)
         codes._check_identity(seq)
         for pos in (0, 1, n - 1):
-            bits = seq.bits.copy()
+            bits = seq.copy()
             bits[pos] ^= 1
             with pytest.raises(InvalidOrder, match="identity"):
-                codes._check_identity(codes.SSequence(bits))
+                codes._check_identity(bits)
 
     @pytest.mark.parametrize("n", [7, 79, 1019])
     def test_right_weight_wrong_lag_1_rejected_as_the_identity(self, n):
         seq = run_of_ones(n)
-        assert seq.weight == (n + 1) // 2
+        assert seq.sum() == (n + 1) // 2
         with pytest.raises(InvalidOrder, match="identity"):
             codes._check_identity(seq)
 
@@ -248,7 +250,7 @@ class TestIdentityCheck:
         # but generation checks for the construction itself
         seq = codes.generate_s_sequence(n)
         for k in (1, 2, n - 1):
-            shifted = codes.SSequence(np.roll(seq.bits, k))
+            shifted = np.roll(seq, k)
             assert codes.s_matrix_identity_error(shifted) == 0
             with pytest.raises(InvalidOrder, match="not the quadratic-residue construction"):
                 codes._check_identity(shifted)
@@ -257,7 +259,7 @@ class TestIdentityCheck:
         # every weight-2 code of order 3 is a shift of 110, and q = 1 fixes all
         assert codes._square_generator(3) == 1
         for bits in ([1, 1, 0], [0, 1, 1], [1, 0, 1]):
-            codes._check_identity(codes.SSequence(np.array(bits, dtype=np.uint8)))
+            codes._check_identity(np.array(bits, dtype=np.uint8))
 
     @pytest.mark.parametrize("n", codes.valid_orders(1999))
     def test_square_generator_order_brute_force(self, n):
@@ -291,7 +293,7 @@ class TestIdentityCheck:
         assert not any(map(codes.validate_order, range(n + 1, codes.MAX_ORDER + 1)))
         size = 1 << 21
         assert size >= 2 * n - 1
-        spectrum = np.fft.rfft(codes.generate_s_sequence(n).bits.astype(np.float64), size)
+        spectrum = np.fft.rfft(codes.generate_s_sequence(n).astype(np.float64), size)
         spectrum *= spectrum.conj()
         linear = np.fft.irfft(spectrum, size)
         del spectrum
@@ -304,29 +306,49 @@ class TestIdentityCheck:
         assert set(np.unique(rounded[1:]).tolist()) == {(n + 1) // 4}
 
 
-class TestTextFormat:
-    def test_sequence_validates_entries(self):
-        with pytest.raises(InvalidOrder):
-            codes.SSequence(np.array([0, 1, 2]))
-        with pytest.raises(InvalidOrder):
-            codes.SSequence(np.array([[0, 1, 1]]))
+def _entry_points(tmp_path):
+    """Each public function that takes a code, called with the code alone."""
+    return {
+        "CirculantSystem": lambda code: demux.CirculantSystem(code, "spectral"),
+        "build_system": lambda code: demux.build_system(code, "dense"),
+        "circulant_matrix": codes.circulant_matrix,
+        "s_matrix_identity_error": codes.s_matrix_identity_error,
+        "write_sequence": lambda code: fileio.write_sequence(code, tmp_path / "code.txt"),
+    }
 
+
+class TestCodeChecks:
     @pytest.mark.parametrize(
-        "bits",
-        [
-            np.array([1, 1, 257, 0, 256, 0, 0]),  # a uint8 cast wraps these to 1 and 0
-            np.array([1.5, 1, 1, 0, 1, 0, 0]),  # and truncates this to 1
-            np.array([1, 1, 1, 0, -1, 0, 0]),
-            np.array([1, 1, 1, 0, 2, 0, 0], dtype=np.uint8),
-        ],
+        "entry",
+        ["CirculantSystem", "build_system", "circulant_matrix", "s_matrix_identity_error",
+         "write_sequence"],
     )
-    def test_entries_checked_before_the_cast(self, bits):
-        with pytest.raises(InvalidOrder, match="0 or 1"):
-            codes.SSequence(bits)
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            (np.array([1, 1, 257, 0, 256, 0, 0]), "0 or 1"),  # a uint8 cast wraps these to 1 and 0
+            (np.array([1.5, 1, 1, 0, 1, 0, 0]), "0 or 1"),  # and truncates this to 1
+            (np.array([1, 1, 1, 0, -1, 0, 0]), "0 or 1"),
+            (np.array([1, 1, 1, 0, 2, 0, 0], dtype=np.uint8), "0 or 1"),
+            (np.array([[1, 1, 1, 0, 1, 0, 0]]), "one-dimensional"),
+            (np.zeros(0, dtype=np.uint8), "at least one entry"),
+        ],
+        ids=["wraps", "truncates", "negative", "uint8-2", "2-d-row", "empty"],
+    )
+    def test_bad_code_rejected_before_the_cast(self, tmp_path, entry, bits, message):
+        with pytest.raises(InvalidOrder, match=message):
+            _entry_points(tmp_path)[entry](bits)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("dtype", [bool, np.int64, np.int8, np.float64, np.uint8])
-    def test_zero_one_entries_of_any_dtype_pass(self, dtype):
-        seq = codes.SSequence(np.array([1, 1, 1, 0, 1, 0, 0], dtype=dtype))
-        assert seq.bits.dtype == np.uint8
-        assert seq.to_text() == "7:1110100"
-        assert codes.SSequence(np.zeros(0, dtype=dtype)).order == 0
+    def test_zero_one_entries_of_any_dtype_pass(self, tmp_path, dtype):
+        bits = codes.check_bits(np.array([1, 1, 1, 0, 1, 0, 0], dtype=dtype))
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 1, 1, 0, 1, 0, 0]
+        fileio.write_sequence(np.array([1, 1, 1, 0, 1, 0, 0], dtype=dtype), tmp_path / "c.txt")
+        assert (tmp_path / "c.txt").read_text() == "7:1110100\n"
+        with pytest.raises(InvalidOrder, match="at least one entry"):
+            codes.check_bits(np.zeros(0, dtype=dtype))
+
+    def test_generated_code_passes_without_a_copy(self):
+        bits = codes.generate_s_sequence(79)
+        assert codes.check_bits(bits) is bits

@@ -56,7 +56,7 @@ class TestBuildSystem:
         assert oracle == pytest.approx(np.sqrt(n + 1.0), rel=1e-10)
 
     def test_zero_sequence_is_singular(self):
-        broken = codes.SSequence(np.zeros(3, dtype=np.uint8))
+        broken = np.zeros(3, dtype=np.uint8)
         with pytest.raises(SingularSystem):
             demux.build_system(broken, "dense")
 

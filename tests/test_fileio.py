@@ -8,7 +8,7 @@ import pytest
 
 from aoimux import codes, fileio, pipeline, simulator
 from aoimux.config import format_value, parse_run_config, write_manifest
-from aoimux.errors import ConfigError, LengthMismatch
+from aoimux.errors import ConfigError, LengthMismatch, NonFiniteSamples
 from aoimux.pipeline import AdvantageCurve, SnrReport
 from streams import BIN, CONFIGS, acquisition, phantom, scan_result
 
@@ -34,7 +34,7 @@ class TestSequenceFiles:
         fileio.write_sequence(seq, path)
         order, bits = path.read_text().removesuffix("\n").split(":")
         assert order == "19"
-        assert np.array_equal(np.array(list(bits), dtype=np.uint8), seq.bits)
+        assert np.array_equal(np.array(list(bits), dtype=np.uint8), seq)
 
 
 class TestStreamFiles:
@@ -198,6 +198,20 @@ class TestPgm:
         payload = path.read_bytes().split(b"255\n", 1)[1]
         # 0 dB -> 255, -20 dB -> half scale, -120 dB -> clipped to 0
         assert list(payload) == [255, 128, 0]
+
+    @pytest.mark.parametrize("db_floor", [None, -40.0], ids=["linear", "db"])
+    def test_negative_pixel_is_written_as_zero(self, tmp_path, db_floor):
+        # -255 would wrap to 1 in the uint8 cast
+        path = tmp_path / "map.pgm"
+        fileio.write_pgm(np.array([[-1.0, 1.0]]), path, db_floor=db_floor)
+        assert path.read_bytes() == b"P5\n2 1\n255\n\x00\xff"
+
+    @pytest.mark.parametrize("db_floor", [None, -40.0], ids=["linear", "db"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixel_raises_before_any_file(self, tmp_path, bad, db_floor):
+        with pytest.raises(NonFiniteSamples, match="1 of 2 pixels are NaN or infinite"):
+            fileio.write_pgm(np.array([[bad, 1.0]]), tmp_path / "x.pgm", db_floor=db_floor)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("db_floor", [3.0, math.nan])
     @pytest.mark.parametrize("image", [np.ones((2, 2)), np.zeros((2, 2))], ids=["ones", "zeros"])

@@ -254,7 +254,7 @@ def test_inverse_check_holds_two_n_squared_arrays(kind):
 def test_identity_check_holds_under_two_copies_of_the_bits():
     seq = codes.generate_s_sequence(1048571)  # the largest usable order
     peak = _traced_peak(codes._check_identity, seq)
-    assert peak < 2 * seq.bits.nbytes, peak / seq.bits.nbytes
+    assert peak < 2 * seq.nbytes, peak / seq.nbytes
 
 
 def test_gen_code_at_the_largest_order_stays_near_the_smallest(tmp_path):

@@ -92,7 +92,7 @@ class TestReconstructFolded:
         build = demux.build_system
 
         def counted(seq, kind):
-            builds.append((seq.order, kind))
+            builds.append((seq.size, kind))
             return build(seq, kind)
 
         monkeypatch.setattr(demux, "build_system", counted)

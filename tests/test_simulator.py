@@ -274,6 +274,14 @@ class TestSimulateStream:
         with pytest.raises(ConfigError, match="t0 = water_path_m / water_sound_speed"):
             config(water_path_m=1e300, water_sound_speed=1e-300)
 
+    def test_config_rejects_sample_counts_that_overflow(self):
+        with pytest.raises(ConfigError, match=r"duration_s \* f_s must be finite"):
+            config(duration_s=1e308)
+        # numpy refuses an array of a period this long
+        with pytest.raises(ConfigError, match="too large"):
+            config("single-pulse", order=10**30)
+        assert config("single-pulse", order=10**6).period_samples == 4 * 10**6
+
     def test_phantom_validation(self):
         with pytest.raises(ConfigError):
             phantom(mu_a=-0.1)
