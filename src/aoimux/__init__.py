@@ -10,6 +10,7 @@ from .codes import (
     valid_orders,
     validate_order,
 )
+from .config import AcquisitionConfig, Phantom, ScanGrid, SweepPlan
 from .demux import (
     CirculantSystem,
     analytic_inverse_check,
@@ -20,7 +21,6 @@ from .demux import (
 from .pipeline import (
     AdvantageCurve,
     SnrReport,
-    SweepPlan,
     exact_multiplexing_gain,
     extract_modulated,
     measure_fwhm,
@@ -29,10 +29,7 @@ from .pipeline import (
     reconstruct_profile,
 )
 from .simulator import (
-    AcquisitionConfig,
-    Phantom,
     SampledStream,
-    ScanGrid,
     axial_profile,
     pulse_waveform,
     scan_2d,

@@ -5,7 +5,8 @@ Commands: gen-code, simulate, demux, snr-sweep, scan2d.  Exit codes:
 memory included), 3 I/O error (a stdout that cannot be written
 included), 4 numerical failure.  The default output directory is the
 current directory, overridable with --out-dir or the AOIMUX_OUTPUT_DIR
-environment variable.
+environment variable.  ``simulate``, ``snr-sweep`` and ``scan2d``
+leave all of their outputs or, when they fail, none.
 
 ``main(argv)`` runs one command in-process and returns its exit code;
 ``run()``, the console script and ``python -m aoimux.cli``, ends the
@@ -15,8 +16,10 @@ process with that code as soon as the command's outputs are closed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from . import codes, demux, fileio, pipeline, simulator
@@ -38,6 +41,33 @@ def _out_dir(args) -> Path:
     return base
 
 
+@contextlib.contextmanager
+def _output_set(out: Path) -> Iterator[Callable[[str], Path]]:
+    """Yield stage(name), the temporary path ``<name>.part`` in out at which
+    the command writes its output name.  When the block ends without
+    error, every staged output is moved to its name; when the block or a
+    move fails, every file staged or already moved is removed, so a
+    command that fails leaves none of its outputs.  An older file that a
+    move replaced is not restored."""
+    staged: list[tuple[Path, Path]] = []  # (temporary path, name) per output
+    moved: list[Path] = []
+
+    def stage(name: str) -> Path:
+        staged.append((out / (name + ".part"), out / name))
+        return staged[-1][0]
+
+    try:
+        yield stage
+        for part, path in staged:
+            os.replace(part, path)
+            moved.append(path)
+    except BaseException:
+        for path in [part for part, _ in staged] + moved:
+            with contextlib.suppress(OSError):  # the first error is the one to report
+                path.unlink(missing_ok=True)
+        raise
+
+
 def _cmd_gen_code(args) -> int:
     bits = codes.generate_s_sequence(args.order)
     out = Path(args.out) if args.out else _out_dir(args) / f"s_sequence_{args.order}.txt"
@@ -50,14 +80,14 @@ def _cmd_simulate(args) -> int:
     rc = parse_run_config(args.config)
     acq = rc.acquisition
     out = _out_dir(args)
-    # stream.bin appears only if the whole block succeeds; each chunk is
-    # written before the fold may overwrite its first period
-    with fileio.stream_writer(out / "stream.bin", acq, acq.n_samples) as write:
-        chunks = map(write, simulator.stream_chunks(acq, rc.phantom))
-        folded = demux.average_periods(chunks, acq)
-        profile = pipeline.reconstruct_profile(folded, acq, args.solver)
-    fileio.write_profile_csv(profile, acq.bin_width_m, out / "profile.csv")
-    write_manifest(rc, out / "manifest.cfg")
+    with _output_set(out) as stage:
+        # each chunk is written before the fold may overwrite its first period
+        with fileio.stream_writer(stage("stream.bin"), acq, acq.n_samples) as write:
+            chunks = map(write, simulator.stream_chunks(acq, rc.phantom))
+            folded = demux.average_periods(chunks, acq)
+            profile = pipeline.reconstruct_profile(folded, acq, args.solver)
+        fileio.write_profile_csv(profile, acq.bin_width_m, stage("profile.csv"))
+        write_manifest(rc, stage("manifest.cfg"))
     print(f"wrote {out / 'stream.bin'} ({acq.n_samples} samples)")
     print(f"wrote {out / 'profile.csv'} ({len(profile)} bins)")
     print(f"wrote {out / 'manifest.cfg'}")
@@ -78,9 +108,10 @@ def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
     curve = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, rc.sweep)
     out = _out_dir(args)
-    fileio.write_advantage_csv(curve, out / "advantage.csv")
-    fileio.write_advantage_svg(curve, out / "advantage.svg")
-    fileio.write_snr_reports_csv(curve.reports, out / "snr_reports.csv")
+    with _output_set(out) as stage:
+        fileio.write_advantage_csv(curve, stage("advantage.csv"))
+        fileio.write_advantage_svg(curve, stage("advantage.svg"))
+        fileio.write_snr_reports_csv(curve.reports, stage("snr_reports.csv"))
     for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain):
         print(f"order {n}: measured gain {m:.3f}, theoretical {t:.3f}")
     print(f"wrote {out / 'advantage.csv'}, {out / 'advantage.svg'}, "
@@ -95,13 +126,14 @@ def _cmd_scan2d(args) -> int:
     xs, ys = rc.scan.positions()
     peaks = stack.max(axis=-1)
     out = _out_dir(args)
-    fileio.write_scan_map_csv(xs, ys, peaks, out / "scan_map.csv")
-    fileio.write_pgm(peaks, out / "scan_map.pgm")
-    fileio.write_pgm(peaks, out / "scan_map_db.pgm", db_floor=-40.0)
     written = ["scan_map.csv", "scan_map.pgm", "scan_map_db.pgm"]
-    if args.stack:
-        fileio.write_scan_stack_csv(xs, ys, stack, acq.bin_width_m, out / "scan_stack.csv")
-        written.append("scan_stack.csv")
+    with _output_set(out) as stage:
+        fileio.write_scan_map_csv(xs, ys, peaks, stage("scan_map.csv"))
+        fileio.write_pgm(peaks, stage("scan_map.pgm"))
+        fileio.write_pgm(peaks, stage("scan_map_db.pgm"), db_floor=-40.0)
+        if args.stack:
+            fileio.write_scan_stack_csv(xs, ys, stack, acq.bin_width_m, stage("scan_stack.csv"))
+            written.append("scan_stack.csv")
     print(f"scanned {xs.size} x {ys.size} positions")
     print("wrote " + ", ".join(str(out / name) for name in written))
     return EXIT_OK

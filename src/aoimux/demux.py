@@ -10,10 +10,10 @@ The solver kind is one of ``SOLVER_KINDS``: "dense" or "spectral".
 
 A stream, in memory or read in chunks, is demultiplexed in two steps:
 ``average_periods`` folds its chunks into the (N, K) mean of its
-complete periods, N and K read from the stream's acquisition config,
-and ``demultiplex_stream`` solves a stack of such frames at once.
-Scan positions and Monte-Carlo trials make no stream:
-``simulator.draw_folded`` draws their period means directly.
+complete periods, N and K read from the stream's
+``config.AcquisitionConfig``, and ``demultiplex_stream`` solves a stack
+of such frames at once.  Scan positions and Monte-Carlo trials make no
+stream: ``simulator.draw_folded`` draws their period means directly.
 ``pipeline.reconstruct_profile`` runs the solve and the envelope
 extraction.
 """
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .codes import check_bits, circulant_matrix, circulant_view, s_matrix_identity_error
+from .config import AcquisitionConfig
 from .errors import (
     ConfigError,
     InsufficientSamples,
@@ -35,9 +35,6 @@ from .errors import (
     OrderTooLarge,
     SingularSystem,
 )
-
-if TYPE_CHECKING:  # simulator imports demux
-    from .simulator import AcquisitionConfig
 
 _DENSE_MAX = 1024
 SOLVER_KINDS = ("dense", "spectral")

@@ -54,11 +54,10 @@ from typing import BinaryIO
 import numpy as np
 
 from .codes import check_bits
-from .config import format_value as _fmt, record_fields
+from .config import AcquisitionConfig, format_value as _fmt, record_fields
 from .demux import BLOCK_SAMPLES
 from .errors import ConfigError, LengthMismatch, NonFiniteSamples
-from .pipeline import AdvantageCurve, SnrReport
-from .simulator import AcquisitionConfig, SampledStream, chunk_length
+from .simulator import SampledStream, chunk_length
 
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
@@ -282,7 +281,8 @@ def write_profile_csv(values: np.ndarray, bin_width_m: float, path: str | Path) 
 # -------------------------------------------------------------- experiments
 
 
-def write_snr_reports_csv(reports: list[SnrReport], path: str | Path) -> None:
+def write_snr_reports_csv(reports: list, path: str | Path) -> None:
+    """Write one row per ``pipeline.SnrReport``."""
     rows = [
         f"{r.mode},{r.order},{r.n_trials},{_fmt(r.signal_mean)},"
         f"{_fmt(r.noise_std)},{_fmt(r.snr)}"
@@ -292,7 +292,8 @@ def write_snr_reports_csv(reports: list[SnrReport], path: str | Path) -> None:
     _write_table(path, "mode,order,n_trials,signal_mean,noise_std,snr", [rows])
 
 
-def write_advantage_csv(curve: AdvantageCurve, path: str | Path) -> None:
+def write_advantage_csv(curve, path: str | Path) -> None:
+    """Write one row per order of a ``pipeline.AdvantageCurve``."""
     rows = [
         f"{n},{_fmt(m)},{_fmt(t)}"
         for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain)
@@ -300,8 +301,9 @@ def write_advantage_csv(curve: AdvantageCurve, path: str | Path) -> None:
     _write_table(path, "order,measured_gain,theoretical_gain", [rows])
 
 
-def write_advantage_svg(curve: AdvantageCurve, path: str | Path) -> None:
-    """Self-contained line chart: theoretical gain in blue, measured in red."""
+def write_advantage_svg(curve, path: str | Path) -> None:
+    """Self-contained line chart of a ``pipeline.AdvantageCurve``:
+    theoretical gain in blue, measured in red."""
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 30, 50
     xs = np.asarray(curve.orders, dtype=float)

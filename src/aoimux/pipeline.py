@@ -9,11 +9,13 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import codes, demux, simulator
+from .config import (
+    MODE_CODED, MODE_SINGLE_PULSE, AcquisitionConfig, Phantom, SweepPlan, integer_ratio
+)
 from .errors import (
     ConfigError,
     EdgePeak,
     InsufficientSamples,
-    InvalidOrder,
     LengthMismatch,
     NoPeak,
     NonFiniteSamples,
@@ -62,7 +64,7 @@ def extract_modulated(values: np.ndarray, f_us: float, f_s: float) -> np.ndarray
     carrier period shy of the pulse's trailing bin, an offset inherent
     to envelope detection.
     """
-    k = simulator.integer_ratio(f_s, f_us)
+    k = integer_ratio(f_s, f_us)
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
     values = np.asarray(values, dtype=np.float64)
@@ -137,7 +139,7 @@ def _system(order: int, kind: str) -> demux.CirculantSystem:
 
 def reconstruct_profile(
     folded: np.ndarray,
-    cfg: simulator.AcquisitionConfig,
+    cfg: AcquisitionConfig,
     kind: str = "spectral",
     *,
     extract: bool = True,
@@ -173,7 +175,7 @@ def reconstruct_profile(
     if folded.shape[-2:] != frame:
         raise LengthMismatch(f"period means of shape {folded.shape} need frames {frame}")
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.mode == simulator.MODE_CODED:
+        if cfg.mode == MODE_CODED:
             profile = demux.demultiplex_stream(_system(cfg.order, kind), folded)
         else:
             profile = folded.reshape(folded.shape[:-2] + (-1,))
@@ -219,8 +221,8 @@ class AdvantageCurve:
 
 
 def measure_snr(
-    cfg: simulator.AcquisitionConfig,
-    ph: simulator.Phantom,
+    cfg: AcquisitionConfig,
+    ph: Phantom,
     n_trials: int,
     *,
     subtract_noise_floor: bool = False,
@@ -246,8 +248,8 @@ def measure_snr(
 
 
 def _measure_snrs(
-    cfgs: list[simulator.AcquisitionConfig],
-    ph: simulator.Phantom,
+    cfgs: list[AcquisitionConfig],
+    ph: Phantom,
     n_trials: int,
     subtract_noise_floor: bool,
 ) -> list[SnrReport]:
@@ -299,7 +301,7 @@ def _measure_snrs(
     return reports
 
 
-def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> int:
+def _max_rate_order(cfg: AcquisitionConfig, ph: Phantom) -> int:
     """Smallest repetition period (in carrier cycles) keeping one pulse in
     the medium at a time."""
     k = cfg.subsets_per_cycle
@@ -307,42 +309,9 @@ def _max_rate_order(cfg: simulator.AcquisitionConfig, ph: simulator.Phantom) -> 
     return max(1, math.ceil(occupied_bins / k))
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """An SNR sweep; the fields are the [sweep] config keys.
-
-    ``reference`` picks the single-pulse reference: "matched" fires one
-    pulse per code length, prf = f_us / N; "max-rate" packs pulses as
-    tightly as the medium allows, which lowers the measured advantage by
-    the square root of the rate ratio.  Every rule is checked when the
-    plan is built: ``orders`` must be usable code orders, at least one,
-    and ``n_trials`` at least 2.
-    """
-
-    orders: tuple[int, ...] = (7, 19, 31, 79)
-    n_trials: int = 200  # Monte-Carlo trials per order and mode
-    reference: str = "matched"  # "matched" | "max-rate"
-    subtract_noise_floor: bool = False
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ConfigError("orders list is empty")
-        try:
-            for n in self.orders:
-                codes.check_order(n)
-        except InvalidOrder as exc:
-            raise ConfigError(f"sweep {exc}") from exc
-        if self.n_trials < 2:
-            raise ConfigError("n_trials must be at least 2")
-        if self.reference not in ("matched", "max-rate"):
-            raise ConfigError(
-                f"sweep reference must be matched or max-rate, got {self.reference!r}"
-            )
-
-
 def multiplexing_advantage(
-    cfg_base: simulator.AcquisitionConfig,
-    ph: simulator.Phantom,
+    cfg_base: AcquisitionConfig,
+    ph: Phantom,
     plan: SweepPlan,
 ) -> AdvantageCurve:
     """Measured SNR gain of coded over single-pulse acquisition per order.
@@ -365,7 +334,7 @@ def multiplexing_advantage(
     for n in sorted(set(int(n) for n in plan.orders)):
         sp_order = n if plan.reference == "matched" else _max_rate_order(cfg_base, ph)
         cfgs += [
-            replace(cfg_base, mode=simulator.MODE_CODED, order=n),
-            replace(cfg_base, mode=simulator.MODE_SINGLE_PULSE, order=sp_order),
+            replace(cfg_base, mode=MODE_CODED, order=n),
+            replace(cfg_base, mode=MODE_SINGLE_PULSE, order=sp_order),
         ]
     return AdvantageCurve(tuple(_measure_snrs(cfgs, ph, plan.n_trials, plan.subtract_noise_floor)))

@@ -1,5 +1,8 @@
 """Forward model of pulsed and coded acousto-optic acquisition.
 
+This module holds the forward model only: the records it reads, the
+acquisition, the phantom and the scan grid, are ``config``'s.
+
 Model conventions, fixed here for the whole package:
 
 * The acoustic axis is +z.  It is discretized into fine bins of width
@@ -32,172 +35,20 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import codes
-from .errors import ConfigError, InsufficientSamples, NonIntegerRatio
+from .config import MODE_CODED, AcquisitionConfig, Phantom, ScanGrid, integer_ratio
+from .errors import ConfigError, InsufficientSamples
 from .seeding import SCAN_SALT, derive_seed
 
-SPEED_OF_SOUND_WATER = 1482.0  # m/s, distilled water near room temperature
-
-MODE_SINGLE_PULSE = "single-pulse"
-MODE_CODED = "coded"
-
-_CM_TO_M = 100.0  # 1/cm -> 1/m for optical coefficients
 _SCALE_GRID = 2048  # axial samples used to fix the phantom fluence scale
 # Streams are made, written and read in chunks of whole periods of at most
 # this many samples (512 kB), and folded draws in blocks of at most this many
 # values, so memory grows with neither stream length nor row count.
 CHUNK_SAMPLES = 1 << 16
-
-
-def integer_ratio(f_s: float, f_us: float) -> int:
-    """The integer K = f_s / f_us; raises NonIntegerRatio otherwise."""
-    if f_us <= 0 or f_s <= 0:
-        raise NonIntegerRatio("rates must be positive")
-    ratio = f_s / f_us
-    if not math.isfinite(ratio):
-        raise NonIntegerRatio(f"f_s/f_us = {ratio} is not a natural number")
-    k = round(ratio)
-    if k < 1 or abs(ratio - k) > 1e-9 * k:
-        raise NonIntegerRatio(f"f_s/f_us = {ratio} is not a natural number")
-    return k
-
-
-def _check_finite(obj) -> None:
-    """Reject a NaN or infinite value in any float field."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
-
-
-@dataclass(frozen=True, kw_only=True)
-class Phantom:
-    """Optically diffuse medium probed along the acoustic axis; the fields
-    are the [phantom] config keys.
-
-    Optical coefficients are in 1/cm, geometry in meters.  The source
-    and detector fibers sit on the boundary plane z = boundary_z_m; the
-    medium spans boundary_z_m .. boundary_z_m + depth_extent_m.  Sound
-    crosses it at the acquisition's c.
-    """
-
-    mu_s_prime_per_cm: float  # reduced scattering
-    mu_a_per_cm: float  # absorption
-    src_x_m: float
-    src_y_m: float = 0.0
-    det_x_m: float
-    det_y_m: float = 0.0
-    boundary_z_m: float = 0.0
-    depth_extent_m: float
-
-    def __post_init__(self):
-        _check_finite(self)
-        if self.mu_s_prime_per_cm <= 0:
-            raise ConfigError("mu_s_prime_per_cm must be positive")
-        if self.mu_a_per_cm < 0:
-            raise ConfigError("mu_a_per_cm must be non-negative")
-        if self.depth_extent_m <= 0:
-            raise ConfigError("depth_extent_m must be positive")
-
-    @property
-    def transport_length_m(self) -> float:
-        return 1.0 / (self.mu_s_prime_per_cm * _CM_TO_M)
-
-    @property
-    def mu_eff_per_m(self) -> float:
-        return math.sqrt(3.0 * self.mu_a_per_cm * self.mu_s_prime_per_cm) * _CM_TO_M
-
-
-@dataclass(frozen=True, kw_only=True)
-class AcquisitionConfig:
-    """Physical and sampling parameters of one acquisition; the fields are
-    the [acquisition] config keys.
-
-    In coded mode ``order`` is the code length N (prime, 3 mod 4); in
-    single-pulse mode it is the repetition period in carrier cycles, so
-    the pulse spacing matches a coded run of the same order.
-    """
-
-    f_us: float  # ultrasound center frequency, Hz
-    f_s: float  # sampling rate, Hz
-    c: float  # sound speed used for depth mapping, m/s
-    mode: str = MODE_CODED  # "coded" | "single-pulse"
-    order: int = 79
-    duration_s: float
-    noise_sigma: float = 0.0
-    modulation_efficiency: float = 1.0
-    seed: int = 0
-    water_sound_speed: float = SPEED_OF_SOUND_WATER
-    water_path_m: float = 0.0
-
-    def __post_init__(self):
-        _check_finite(self)
-        integer_ratio(self.f_s, self.f_us)
-        if self.mode not in (MODE_SINGLE_PULSE, MODE_CODED):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_CODED:
-            codes.check_order(self.order)
-        if self.order < 1:
-            raise ConfigError("order must be a positive integer")
-        if self.c <= 0 or self.water_sound_speed <= 0:
-            raise ConfigError("sound speeds must be positive")
-        if self.duration_s < 0:
-            raise ConfigError("duration_s must be non-negative")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
-        if self.water_path_m < 0:
-            raise ConfigError("water_path_m must be non-negative")
-        if not math.isfinite(self.t0):
-            raise ConfigError("t0 = water_path_m / water_sound_speed must be finite")
-        if not math.isfinite(self.duration_s * self.f_s):
-            raise ConfigError("the sample count duration_s * f_s must be finite")
-        if self.period_samples > np.iinfo(np.intp).max // 8:  # numpy refuses the shape
-            raise ConfigError(f"a period of {self.period_samples} samples is too large")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-
-    @property
-    def subsets_per_cycle(self) -> int:
-        """K = f_s / f_us, the number of interleaved subsets."""
-        return integer_ratio(self.f_s, self.f_us)
-
-    @property
-    def prf(self) -> float:
-        """Repetition rate of the pulse (or of the full code sequence), Hz."""
-        return self.f_us / self.order
-
-    @property
-    def period_samples(self) -> int:
-        """Samples per repetition period."""
-        return self.order * self.subsets_per_cycle
-
-    @property
-    def n_samples(self) -> int:
-        return round(self.duration_s * self.f_s)
-
-    @property
-    def bin_width_m(self) -> float:
-        """Width of one fine depth bin, c / f_s."""
-        return self.c / self.f_s
-
-    @property
-    def span_m(self) -> float:
-        """Axial distance covered by one repetition period, N T c."""
-        return self.order * self.c / self.f_us
-
-    @property
-    def inter_pulse_spacing_m(self) -> float:
-        """Distance between repetitions in the water path above the medium."""
-        return self.water_sound_speed / self.prf
-
-    @property
-    def t0(self) -> float:
-        """Time of the first sample: the sound's transit of the water path, s."""
-        return self.water_path_m / self.water_sound_speed
 
 
 @dataclass
@@ -442,50 +293,6 @@ def simulate_stream(cfg: AcquisitionConfig, ph: Phantom) -> SampledStream:
     return SampledStream(samples, cfg)
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Transducer grid of a 2D scan; the fields are the [scan] config keys.
-
-    Each axis runs from its min up to its max in steps of step_m.  Every
-    rule is checked when the grid is built: every value must be finite,
-    the step positive, no range reversed (max < min), and each range
-    must span fewer than 2^53 steps, beyond which a float no longer
-    counts them exactly.
-    """
-
-    x_min_m: float = 0.0
-    x_max_m: float = 0.0
-    y_min_m: float = 0.0
-    y_max_m: float = 0.0
-    step_m: float = 0.0005
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step_m) and self.step_m > 0):
-            raise ConfigError(f"scan step must be finite and positive, got {self.step_m}")
-        for name, lo, hi in self._ranges():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"scan {name} range must be finite, got [{lo}, {hi}]")
-            if hi < lo:
-                raise ConfigError(f"scan {name} range is reversed: max {hi} < min {lo}")
-            if not (hi - lo) / self.step_m < 2**53:
-                raise ConfigError(f"scan {name} range [{lo}, {hi}] spans too many steps")
-
-    def _ranges(self) -> tuple[tuple[str, float, float], ...]:
-        return (("x", self.x_min_m, self.x_max_m), ("y", self.y_min_m, self.y_max_m))
-
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y positions from each range's min up to its max in steps of step_m.
-
-        A range that is not a whole number of steps stops at the last step
-        below its max; a step past the max by less than 1e-9 of the span is
-        float error, and counts as reaching it.
-        """
-        return tuple(
-            lo + self.step_m * np.arange(math.floor((hi - lo) / self.step_m * (1 + 1e-9)) + 1)
-            for _, lo, hi in self._ranges()
-        )
-
-
 def scan_2d(
     cfg: AcquisitionConfig,
     ph: Phantom,
@@ -510,7 +317,9 @@ def scan_2d(
     preallocated stack, each row equal bit for bit to its own folded
     draw reconstructed alone.
     """
-    from .pipeline import reconstruct_profile  # local import, avoids a cycle
+    # pipeline imports this module; scan_2d stays here, where the benchmark
+    # traces it as simulator.scan_2d
+    from .pipeline import reconstruct_profile
 
     xs, ys = grid.positions()
     periods = clean_period(cfg, ph, np.stack(np.meshgrid(xs, ys), axis=-1))

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import aoimux
-from aoimux import demux, pipeline, simulator
+from aoimux import config, demux, pipeline, simulator
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = Path(aoimux.__file__).resolve().parents[1]
@@ -31,7 +31,7 @@ BIN = C / F_S
 
 def phantom(*, mu_a=0.3, boundary=0.0004, extent=0.004, separation=0.015):
     """A diffuse phantom with source and detector separation apart about x = 0."""
-    return simulator.Phantom(
+    return config.Phantom(
         mu_s_prime_per_cm=15.0,
         mu_a_per_cm=mu_a,
         src_x_m=-separation / 2,
@@ -47,7 +47,7 @@ def acquisition(mode="coded", order=79, periods=2, **kw):
     fields = dict(
         f_us=F_US, f_s=F_S, c=C, mode=mode, order=order, duration_s=periods * order * K / F_S
     )
-    return simulator.AcquisitionConfig(**(fields | kw))
+    return config.AcquisitionConfig(**(fields | kw))
 
 
 def scan_result(nx, ny, bins, *, seed, y_max=0.0015):

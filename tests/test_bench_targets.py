@@ -41,7 +41,7 @@ def test_traced_target_resolves(module, target):
 def test_traced_functions_run_only_on_the_calling_thread(monkeypatch):
     # wrap every traced function at every binding, as bench/trace_child.py
     # does, then scan, measure and sweep, and record the threads they ran on
-    from aoimux import pipeline, simulator
+    from aoimux import config, pipeline, simulator
 
     calls = []
     targets_of = {
@@ -68,9 +68,9 @@ def test_traced_functions_run_only_on_the_calling_thread(monkeypatch):
     ph = phantom()
     cfg = acquisition(order=31, periods=6, noise_sigma=0.1, seed=21)
     before = threading.active_count()
-    simulator.scan_2d(cfg, ph, simulator.ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.001))
+    simulator.scan_2d(cfg, ph, config.ScanGrid(-0.002, 0.002, 0.0, 0.0, 0.001))
     pipeline.measure_snr(cfg, ph, 9)
-    pipeline.multiplexing_advantage(cfg, ph, pipeline.SweepPlan((7, 19), 9))
+    pipeline.multiplexing_advantage(cfg, ph, config.SweepPlan((7, 19), 9))
     names = {name for name, _ in calls}
     assert {"derive_seed", "axial_profile", "scan_2d"} <= names
     assert {"measure_snr", "multiplexing_advantage", "reconstruct_profile"} <= names

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from aoimux import pipeline, simulator
+from aoimux.config import ScanGrid, SweepPlan
 from aoimux.errors import NonFiniteSamples
-from aoimux.simulator import ScanGrid
 from streams import F_S, acquisition, phantom
 
 config = functools.partial(
@@ -39,7 +39,7 @@ def snr(cfg):
 
 def sweep(cfg, reference="matched"):
     # two orders in two modes, folded side by side from one draw per trial
-    plan = pipeline.SweepPlan((7, 19), 10, reference=reference)
+    plan = SweepPlan((7, 19), 10, reference=reference)
     curve = pipeline.multiplexing_advantage(cfg, phantom(), plan)
     return np.array([(rep.signal_mean, rep.noise_std) for rep in curve.reports])
 

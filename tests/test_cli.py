@@ -641,6 +641,38 @@ class TestScan2d:
         _assert_config_error(capsys, out, "aoimux: run too large for memory")
 
 
+class TestFailedOutputSet:
+    """A command that fails on one of its outputs leaves none of them."""
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [
+            (["scan2d", "--stack"], "scan_map_db.pgm"),
+            (["simulate"], "profile.csv"),
+            (["snr-sweep"], "snr_reports.csv"),
+        ],
+    )
+    def test_output_name_taken_by_a_directory_exit_3_leaving_nothing(
+        self, tmp_path, capsys, command, blocked
+    ):
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        argv = ["--out-dir", str(out), *command, "--config", str(CONFIGS / "quick.cfg")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("aoimux: i/o error: ")
+        assert [p.name for p in out.iterdir()] == [blocked]
+
+    def test_temporary_name_taken_by_a_directory_exit_3_leaving_nothing(self, tmp_path, capsys):
+        # the writer of scan_map.pgm fails; the table staged before it goes too
+        out = tmp_path / "o"
+        (out / "scan_map.pgm.part").mkdir(parents=True)
+        argv = ["--out-dir", str(out), "scan2d", "--config", str(CONFIGS / "quick.cfg")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("aoimux: i/o error: ")
+        assert [p.name for p in out.iterdir()] == ["scan_map.pgm.part"]
+
+
 class TestProcessExit:
     """A command run as a process ends by os._exit once its outputs are closed."""
 

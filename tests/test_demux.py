@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from aoimux import codes, demux, simulator
+from aoimux import codes, config, demux, simulator
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -178,7 +178,7 @@ class TestInterleaving:
         assert np.array_equal(folded, frames[0])
 
     def test_subset_count_from_reference_rates(self):
-        assert simulator.integer_ratio(5e6, 1.25e6) == 4
+        assert config.integer_ratio(5e6, 1.25e6) == 4
 
     def test_deinterleave_reinterleave_bijection(self):
         rng = np.random.default_rng(6)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from aoimux import codes, fileio, pipeline, simulator
+from aoimux import codes, config, fileio, pipeline, simulator
 from aoimux.config import format_value, parse_run_config, write_manifest
 from aoimux.errors import ConfigError, LengthMismatch, NonFiniteSamples
 from aoimux.pipeline import AdvantageCurve, SnrReport
@@ -241,7 +241,7 @@ class TestScanCsv:
     def test_map_and_stack(self, tmp_path):
         cfg = acquisition(order=7, seed=1)
         ph = phantom(mu_a=0.2, boundary=0.0002, separation=0.002)
-        grid = simulator.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001)
+        grid = config.ScanGrid(-0.001, 0.001, 0.0, 0.0, 0.001)
         stack = simulator.scan_2d(cfg, ph, grid)
         xs, ys = grid.positions()
         map_path = tmp_path / "map.csv"

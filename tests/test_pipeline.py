@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from aoimux import demux, pipeline, simulator
-from aoimux.config import parse_run_config
+from aoimux.config import SweepPlan, parse_run_config
 from aoimux.errors import (
     ConfigError,
     EdgePeak,
@@ -18,7 +18,6 @@ from aoimux.errors import (
     NoPeak,
     NyquistViolation,
 )
-from aoimux.pipeline import SweepPlan
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import BIN, CONFIGS, F_S, F_US, acquisition, fold, phantom, profile_of
 

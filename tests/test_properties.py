@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aoimux import codes, fileio, simulator
+from aoimux import codes, config, fileio, simulator
 from aoimux.config import manifest_text, parse_run_config
 from aoimux.errors import AoimuxError, ConfigError
 from streams import acquisition
@@ -38,12 +38,12 @@ def workdir():
 @st.composite
 def acquisition_configs(draw):
     f_us = draw(st.floats(1e3, 1e9))
-    mode = draw(st.sampled_from([simulator.MODE_CODED, simulator.MODE_SINGLE_PULSE]))
-    if mode == simulator.MODE_CODED:
+    mode = draw(st.sampled_from([config.MODE_CODED, config.MODE_SINGLE_PULSE]))
+    if mode == config.MODE_CODED:
         order = draw(st.sampled_from(SMALL_ORDERS))
     else:
         order = draw(st.integers(1, 10**6))
-    return simulator.AcquisitionConfig(
+    return config.AcquisitionConfig(
         f_us=f_us,
         f_s=f_us * draw(st.integers(1, 32)),
         c=draw(positive),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoimux import pipeline, simulator
+from aoimux import config, pipeline, simulator
 from aoimux.config import parse_run_config
 from aoimux.seeding import TRIAL_SALT, derive_seed
 from streams import CONFIGS
@@ -48,7 +48,7 @@ def quick():
 class TestCacheIndependence:
     def test_sweep_cold_equals_warm(self, quick):
         cfg, ph, run = quick
-        plan = pipeline.SweepPlan(orders=run.sweep.orders, n_trials=6)
+        plan = config.SweepPlan(orders=run.sweep.orders, n_trials=6)
         derive_seed.cache_clear()
         cold = pipeline.multiplexing_advantage(cfg, ph, plan)
         warm = pipeline.multiplexing_advantage(cfg, ph, plan)
@@ -58,7 +58,7 @@ class TestCacheIndependence:
         cfg, ph, run = quick
         derive_seed.cache_clear()
         before = pipeline.measure_snr(cfg, ph, 5)
-        pipeline.multiplexing_advantage(cfg, ph, pipeline.SweepPlan(orders=(7, 79), n_trials=9))
+        pipeline.multiplexing_advantage(cfg, ph, config.SweepPlan(orders=(7, 79), n_trials=9))
         after = pipeline.measure_snr(cfg, ph, 5)
         assert before == after
 
@@ -73,7 +73,7 @@ class TestCacheIndependence:
     def test_sweep_hashes_each_trial_seed_once(self, quick, n):
         cfg, ph, _ = quick
         derive_seed.cache_clear()
-        pipeline.multiplexing_advantage(cfg, ph, pipeline.SweepPlan(orders=(7, 19), n_trials=n))
+        pipeline.multiplexing_advantage(cfg, ph, config.SweepPlan(orders=(7, 19), n_trials=n))
         # 2 orders x 2 modes derive n seeds each, one per trial; the noise-free
         # reference is reconstructed apart and derives none
         assert derive_seed.cache_info().misses == n

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aoimux import codes, demux, simulator
-from aoimux.config import parse_run_config
+from aoimux.config import ScanGrid, integer_ratio, parse_run_config
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -17,7 +17,6 @@ from aoimux.errors import (
 )
 from aoimux.pipeline import reconstruct_profile
 from aoimux.seeding import SCAN_SALT, derive_seed
-from aoimux.simulator import ScanGrid
 import streams
 from streams import BIN, CONFIGS, F_S, F_US, profile_of
 from streams import acquisition as config
@@ -46,7 +45,7 @@ class TestPulseWaveform:
     @pytest.mark.parametrize("f_s, f_us", [(np.inf, 1e6), (np.nan, 1e6), (np.inf, np.inf)])
     def test_non_finite_ratio(self, f_s, f_us):
         with pytest.raises(NonIntegerRatio):
-            simulator.integer_ratio(f_s, f_us)
+            integer_ratio(f_s, f_us)
 
 
 class TestFluence:
