@@ -19,8 +19,6 @@ from .demux import (
     demultiplex_stream,
 )
 from .pipeline import (
-    AdvantageCurve,
-    SnrReport,
     exact_multiplexing_gain,
     extract_modulated,
     measure_fwhm,
@@ -40,12 +38,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionConfig",
-    "AdvantageCurve",
     "CirculantSystem",
     "Phantom",
     "SampledStream",
     "ScanGrid",
-    "SnrReport",
     "SweepPlan",
     "analytic_inverse_check",
     "average_periods",

@@ -22,6 +22,8 @@ import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
+import numpy as np
+
 from . import codes, demux, fileio, pipeline, simulator
 from .config import parse_run_config, write_manifest
 from .errors import AoimuxError, NumericalError
@@ -106,13 +108,16 @@ def _cmd_demux(args) -> int:
 
 def _cmd_snr_sweep(args) -> int:
     rc = parse_run_config(args.config)
-    curve = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, rc.sweep)
+    orders, stats = pipeline.multiplexing_advantage(rc.acquisition, rc.phantom, rc.sweep)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the writers refuse inf and nan
+        measured = stats[:, 0, 2] / stats[:, 1, 2]
+    curve = (orders[:, 0], measured, pipeline.exact_multiplexing_gain(orders[:, 0]))
     out = _out_dir(args)
     with _output_set(out) as stage:
-        fileio.write_advantage_csv(curve, stage("advantage.csv"))
-        fileio.write_advantage_svg(curve, stage("advantage.svg"))
-        fileio.write_snr_reports_csv(curve.reports, stage("snr_reports.csv"))
-    for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain):
+        fileio.write_advantage_csv(*curve, stage("advantage.csv"))
+        fileio.write_advantage_svg(*curve, stage("advantage.svg"))
+        fileio.write_snr_reports_csv(orders, stats, rc.sweep.n_trials, stage("snr_reports.csv"))
+    for n, m, t in zip(*(a.tolist() for a in curve)):
         print(f"order {n}: measured gain {m:.3f}, theoretical {t:.3f}")
     print(f"wrote {out / 'advantage.csv'}, {out / 'advantage.svg'}, "
           f"{out / 'snr_reports.csv'}")

@@ -37,6 +37,7 @@ SPEED_OF_SOUND_WATER = 1482.0  # m/s, distilled water near room temperature
 
 MODE_SINGLE_PULSE = "single-pulse"
 MODE_CODED = "coded"
+MODES = (MODE_CODED, MODE_SINGLE_PULSE)  # in the order of an SNR sweep's statistics
 
 _CM_TO_M = 100.0  # 1/cm -> 1/m for optical coefficients
 
@@ -125,7 +126,7 @@ class AcquisitionConfig:
     def __post_init__(self):
         _check_finite(self)
         integer_ratio(self.f_s, self.f_us)
-        if self.mode not in (MODE_SINGLE_PULSE, MODE_CODED):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_CODED:
             codes.check_order(self.order)

@@ -24,7 +24,9 @@ class LengthMismatch(AoimuxError):
     """Array length or shape does not fit: a frame length that is not the
     system order, period means whose frame is not (order, K), a stream
     chunk or single profile that is not 1-D, a scan map or stack that is
-    not its grid's, or an image that is not 2-D."""
+    not its grid's, sweep statistics that do not fit their orders, an
+    advantage curve that is not 1-D arrays of one length, or an image
+    that is not 2-D."""
 
 
 class NonIntegerRatio(AoimuxError):
@@ -56,5 +58,6 @@ class ConfigError(AoimuxError):
 
 
 class NonFiniteSamples(NumericalError):
-    """Samples folded, a profile reconstructed or an image written hold NaN
-    or infinite values."""
+    """Samples folded, a profile reconstructed, a sweep's signal mean or
+    noise std, an advantage curve's gains or an image written hold NaN or
+    infinite values."""

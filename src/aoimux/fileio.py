@@ -54,7 +54,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .codes import check_bits
-from .config import AcquisitionConfig, format_value as _fmt, record_fields
+from .config import MODES, AcquisitionConfig, format_value as _fmt, record_fields
 from .demux import BLOCK_SAMPLES
 from .errors import ConfigError, LengthMismatch, NonFiniteSamples
 from .simulator import SampledStream, chunk_length
@@ -281,35 +281,66 @@ def write_profile_csv(values: np.ndarray, bin_width_m: float, path: str | Path) 
 # -------------------------------------------------------------- experiments
 
 
-def write_snr_reports_csv(reports: list, path: str | Path) -> None:
-    """Write one row per ``pipeline.SnrReport``."""
+def write_snr_reports_csv(
+    orders: np.ndarray, stats: np.ndarray, n_trials: int, path: str | Path
+) -> None:
+    """Write one row per order and mode of a sweep, coded then single
+    pulse: orders[i, j] and stats[i, j], the signal mean, noise std and
+    SNR of its n_trials trials, as ``pipeline.multiplexing_advantage``
+    returns them.  Orders that are not (n, 2), or stats that are not
+    (n, 2, 3), raise LengthMismatch before any file is made."""
+    orders, stats = np.asarray(orders), np.asarray(stats, dtype=np.float64)
+    if orders.shape[1:] != (2,) or stats.shape != orders.shape + (3,):
+        raise LengthMismatch(f"sweep statistics {stats.shape} do not fit orders {orders.shape}")
     rows = [
-        f"{r.mode},{r.order},{r.n_trials},{_fmt(r.signal_mean)},"
-        f"{_fmt(r.noise_std)},{_fmt(r.snr)}"
-        for r in reports
+        f"{mode},{n},{n_trials},{_fmt(signal)},{_fmt(noise)},{_fmt(snr)}"
+        for pair, modes in zip(orders.tolist(), stats.tolist())
+        for mode, n, (signal, noise, snr) in zip(MODES, pair, modes)
     ]
     # one row per order and mode: a single block
     _write_table(path, "mode,order,n_trials,signal_mean,noise_std,snr", [rows])
 
 
-def write_advantage_csv(curve, path: str | Path) -> None:
-    """Write one row per order of a ``pipeline.AdvantageCurve``."""
-    rows = [
-        f"{n},{_fmt(m)},{_fmt(t)}"
-        for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain)
-    ]
+def _gains(orders, measured, theoretical) -> list[list]:
+    """The orders, measured and theoretical gains of an advantage curve as
+    lists; arrays that are not 1-D of one length raise LengthMismatch, and
+    a gain that is NaN or infinite raises NonFiniteSamples."""
+    curve = [np.asarray(a) for a in (orders, measured, theoretical)]
+    if any(a.ndim != 1 for a in curve) or len({a.size for a in curve}) != 1:
+        shapes = ", ".join(str(a.shape) for a in curve)
+        raise LengthMismatch(f"an advantage curve takes 1-D arrays of one length, got {shapes}")
+    bad = sum(a.size - np.count_nonzero(np.isfinite(a)) for a in curve[1:])
+    if bad:
+        raise NonFiniteSamples(f"{bad} of {2 * curve[0].size} gains are NaN or infinite")
+    return [a.tolist() for a in curve]
+
+
+def write_advantage_csv(
+    orders: np.ndarray, measured: np.ndarray, theoretical: np.ndarray, path: str | Path
+) -> None:
+    """Write one row per order of an advantage curve: the coded orders and
+    their measured and theoretical gains, 1-D arrays of one length.  Any
+    other shapes raise LengthMismatch, and a NaN or infinite gain raises
+    NonFiniteSamples, before any file is made."""
+    rows = [f"{n},{_fmt(m)},{_fmt(t)}" for n, m, t in zip(*_gains(orders, measured, theoretical))]
     _write_table(path, "order,measured_gain,theoretical_gain", [rows])
 
 
-def write_advantage_svg(curve, path: str | Path) -> None:
-    """Self-contained line chart of a ``pipeline.AdvantageCurve``:
-    theoretical gain in blue, measured in red."""
+def write_advantage_svg(
+    orders: np.ndarray, measured: np.ndarray, theoretical: np.ndarray, path: str | Path
+) -> None:
+    """Self-contained line chart of an advantage curve, taken as
+    ``write_advantage_csv`` takes it and refused as it refuses, and a
+    curve of no orders raises LengthMismatch too: theoretical gain in
+    blue, measured in red."""
+    orders, measured, theoretical = _gains(orders, measured, theoretical)
+    if not orders:
+        raise LengthMismatch("an advantage chart needs at least one order")
     width, height = 640, 440
     ml, mr, mt, mb = 70, 20, 30, 50
-    xs = np.asarray(curve.orders, dtype=float)
-    all_y = np.asarray(curve.measured_gain + curve.theoretical_gain, dtype=float)
+    xs = np.asarray(orders, dtype=float)
     x_lo, x_hi = xs.min(), xs.max()
-    y_lo, y_hi = 0.0, float(all_y.max()) * 1.1 + 1e-12
+    y_lo, y_hi = 0.0, max(measured + theoretical) * 1.1 + 1e-12
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 
@@ -321,9 +352,7 @@ def write_advantage_svg(curve, path: str | Path) -> None:
 
     def polyline(ys, color):
         pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        return (
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
-        )
+        return f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{pts}"/>'
 
     def markers(ys, color):
         return "".join(
@@ -349,10 +378,10 @@ def write_advantage_svg(curve, path: str | Path) -> None:
             f'text-anchor="end">{y:.2f}</text>'
         )
     parts += [
-        polyline(curve.theoretical_gain, "blue"),
-        markers(curve.theoretical_gain, "blue"),
-        polyline(curve.measured_gain, "red"),
-        markers(curve.measured_gain, "red"),
+        polyline(theoretical, "blue"),
+        markers(theoretical, "blue"),
+        polyline(measured, "red"),
+        markers(measured, "red"),
         f'<text x="{width - mr - 10}" y="{mt + 10}" font-size="12" text-anchor="end" '
         f'fill="blue">theoretical (N+1)/(2 sqrt N)</text>',
         f'<text x="{width - mr - 10}" y="{mt + 26}" font-size="12" text-anchor="end" '

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
 
 from . import codes, demux, simulator
-from .config import (
-    MODE_CODED, MODE_SINGLE_PULSE, AcquisitionConfig, Phantom, SweepPlan, integer_ratio
-)
+from .config import MODE_CODED, MODES, AcquisitionConfig, Phantom, SweepPlan, integer_ratio
 from .errors import (
     ConfigError,
     EdgePeak,
@@ -24,9 +22,10 @@ from .errors import (
 from .seeding import TRIAL_SALT, derive_seed
 
 
-def exact_multiplexing_gain(order: int) -> float:
-    """Exact gain (N + 1) / (2 sqrt(N)) implied by the inverse row norm."""
-    return (order + 1) / (2.0 * math.sqrt(order))
+def exact_multiplexing_gain(order):
+    """Exact gain (N + 1) / (2 sqrt(N)) implied by the inverse row norm, of
+    an order or, elementwise, of an int array of orders."""
+    return (order + 1) / (2.0 * np.sqrt(order))
 
 
 def _circular_box_mean(ext: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -186,48 +185,17 @@ def reconstruct_profile(
     return profile
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    """Trial statistics at the reference peak bin of one acquisition mode;
-    snr is inf when noise_std vanished."""
-
-    mode: str
-    order: int
-    n_trials: int
-    signal_mean: float
-    noise_std: float
-    snr: float
-
-
-@dataclass(frozen=True)
-class AdvantageCurve:
-    """Measured and theoretical SNR gain versus code order, computed from
-    reports: the coded, then the single-pulse SnrReport of each order."""
-
-    reports: tuple[SnrReport, ...]
-
-    @property
-    def orders(self) -> list[int]:
-        return [coded.order for coded in self.reports[::2]]
-
-    @property
-    def measured_gain(self) -> list[float]:
-        pairs = zip(self.reports[::2], self.reports[1::2])
-        return [coded.snr / single.snr for coded, single in pairs]
-
-    @property
-    def theoretical_gain(self) -> list[float]:
-        return [exact_multiplexing_gain(n) for n in self.orders]
-
-
 def measure_snr(
     cfg: AcquisitionConfig,
     ph: Phantom,
     n_trials: int,
     *,
     subtract_noise_floor: bool = False,
-) -> SnrReport:
-    """Monte-Carlo SNR of the reconstructed profile.
+) -> np.ndarray:
+    """Monte-Carlo SNR of the reconstructed profile, as the float64 (3,)
+    array of signal mean, noise std and SNR; the SNR is inf when the
+    noise std vanished.  A signal mean or noise std that is not finite,
+    as from an overflow, raises NonFiniteSamples, unwarned.
 
     Signal is the mean over trials of the amplitude at the peak bin of
     the noise-free reference (NoPeak if it has none, before any trial
@@ -240,9 +208,9 @@ def measure_snr(
     drawn folded: the noise-free period plus sigma / sqrt(p) times the
     standard normals of ``default_rng(derive_seed(cfg.seed, TRIAL_SALT,
     t))`` (``simulator.draw_folded``).  This is the one-config case of
-    the sweep's Monte-Carlo path, ``_measure_snrs``: its report equals
-    that of the same config measured beside others in a sweep, bit for
-    bit, and no stream is made.
+    the sweep's Monte-Carlo path, ``_measure_snrs``: its statistics
+    equal those of the same config measured beside others in a sweep,
+    bit for bit, and no stream is made.
     """
     return _measure_snrs([cfg], ph, n_trials, subtract_noise_floor)[0]
 
@@ -252,9 +220,9 @@ def _measure_snrs(
     ph: Phantom,
     n_trials: int,
     subtract_noise_floor: bool,
-) -> list[SnrReport]:
-    """The SnrReport of each config, as ``measure_snr`` defines it, from
-    one pass over the trials.
+) -> np.ndarray:
+    """The (len(cfgs), 3) statistics of the configs, each row as
+    ``measure_snr`` returns it, from one pass over the trials.
 
     Before any seed is derived, the per-trial amplitudes are allocated
     (a run too large for memory raises MemoryError), and each config's
@@ -267,8 +235,8 @@ def _measure_snrs(
     Each config's block is reconstructed by one ``reconstruct_profile``
     call, keeping only its trials' amplitudes at the reference's bins.
     Each trial's profile equals that of its own folded draw reconstructed
-    alone, bit for bit, so the reports do not depend on the block size
-    or the configs measured beside each other.
+    alone, bit for bit, so the statistics do not depend on the block
+    size or the configs measured beside each other.
     """
     if n_trials < 2:
         raise ConfigError("n_trials must be at least 2")
@@ -290,15 +258,17 @@ def _measure_snrs(
     for lo, folded in simulator.draw_folded(cfgs, trials, seeds):
         for cfg, stack, amps, cols in zip(cfgs, folded, amplitudes, bins):
             amps[:, lo : lo + len(stack)] = reconstruct_profile(stack, cfg)[:, cols].T
-    reports = []
-    for cfg, (peaks, offs) in zip(cfgs, amplitudes):
-        signal = float(peaks.mean())
-        if subtract_noise_floor:
-            signal -= float(offs.mean())
-        noise = float(offs.std(ddof=1))
-        snr = signal / noise if noise else math.inf
-        reports.append(SnrReport(cfg.mode, cfg.order, n_trials, signal, noise, snr))
-    return reports
+    peaks, offs = amplitudes[:, 0], amplitudes[:, 1]
+    with np.errstate(all="ignore"):  # an overflow is raised below, unwarned
+        signal = peaks.mean(axis=-1) - (offs.mean(axis=-1) if subtract_noise_floor else 0.0)
+        noise = offs.std(axis=-1, ddof=1)
+        snr = np.where(noise == 0, np.inf, signal / noise)
+    for cfg, finite in zip(cfgs, np.isfinite(signal) & np.isfinite(noise)):
+        if not finite:
+            raise NonFiniteSamples(
+                f"the signal mean or noise std of order {cfg.order} {cfg.mode} overflows"
+            )
+    return np.stack([signal, noise, snr], axis=-1)
 
 
 def _max_rate_order(cfg: AcquisitionConfig, ph: Phantom) -> int:
@@ -313,28 +283,42 @@ def multiplexing_advantage(
     cfg_base: AcquisitionConfig,
     ph: Phantom,
     plan: SweepPlan,
-) -> AdvantageCurve:
-    """Measured SNR gain of coded over single-pulse acquisition per order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR statistics of coded and single-pulse acquisition per order.
 
     Both modes run for cfg_base.duration_s (equal wall-clock time), at
     each of the plan's orders, sorted and without repeats, with the
-    plan's single-pulse reference.  The curve's reports hold the coded
-    and single-pulse SnrReport of each order.  Without noise every SNR
-    is infinite, so a zero noise_sigma raises ConfigError.
+    plan's single-pulse reference.  Returns (orders, stats): orders, an
+    int64 (n, 2) array, holds the coded and the single-pulse order of
+    each swept order, and stats, a float64 (n, 2, 3) array, the coded
+    then the single-pulse statistics, each as ``measure_snr`` returns
+    them.  The measured gain is ``stats[:, 0, 2] / stats[:, 1, 2]``.
+    Without noise every SNR is infinite, so a zero noise_sigma raises
+    ConfigError before any trial is drawn, and so does, after the
+    trials, a noise std of 0 in any order and mode, as from a
+    noise_sigma so small that the noise rounds away.
 
     Every order and mode shares cfg_base's seed, so trial t has the same
     seed in each: one ``_measure_snrs`` pass draws each trial's normals
     once, to the longest period among them, and each order and mode
-    scales its own prefix of them.  Each report equals that of
+    scales its own prefix of them.  Each row of stats equals
     ``measure_snr`` on its config alone, bit for bit.
     """
     if cfg_base.noise_sigma == 0:
         raise ConfigError("noise_sigma must be positive to measure an SNR gain")
-    cfgs = []
-    for n in sorted(set(int(n) for n in plan.orders)):
-        sp_order = n if plan.reference == "matched" else _max_rate_order(cfg_base, ph)
-        cfgs += [
-            replace(cfg_base, mode=MODE_CODED, order=n),
-            replace(cfg_base, mode=MODE_SINGLE_PULSE, order=sp_order),
-        ]
-    return AdvantageCurve(tuple(_measure_snrs(cfgs, ph, plan.n_trials, plan.subtract_noise_floor)))
+    orders = np.array([[n, n] for n in sorted(set(map(int, plan.orders)))], dtype=np.int64)
+    if plan.reference != "matched":
+        orders[:, 1] = _max_rate_order(cfg_base, ph)
+    cfgs = [
+        replace(cfg_base, mode=mode, order=n)
+        for row in orders.tolist()
+        for mode, n in zip(MODES, row)
+    ]
+    stats = _measure_snrs(cfgs, ph, plan.n_trials, plan.subtract_noise_floor)
+    for cfg, noise in zip(cfgs, stats[:, 1].tolist()):
+        if noise == 0:
+            raise ConfigError(
+                f"the trial noise of order {cfg.order} {cfg.mode} vanished: noise_sigma = "
+                f"{cfg.noise_sigma!r} is too small to measure an SNR gain"
+            )
+    return orders, stats.reshape(-1, 2, 3)

@@ -75,6 +75,11 @@ def test_criterion_2_round_trip_and_solver_agreement():
     assert elapsed < 10.0
 
 
+def gains(orders, stats):
+    """A sweep's coded orders and the measured gain at each, as lists."""
+    return orders[:, 0].tolist(), (stats[:, 0, 2] / stats[:, 1, 2]).tolist()
+
+
 @pytest.fixture(scope="module")
 def advantage_curve():
     # equal wall-clock duration for every order and both modes: four
@@ -86,7 +91,7 @@ def advantage_curve():
         cfg, phantom(boundary=0.0005), pipeline.SweepPlan(tuple(ADVANTAGE_ORDERS), ADVANTAGE_TRIALS)
     )
     elapsed = time.perf_counter() - start
-    return curve, elapsed
+    return gains(*curve), elapsed
 
 
 def test_criterion_3_runtime(advantage_curve):
@@ -98,12 +103,12 @@ def test_criterion_3_runtime(advantage_curve):
 
 @pytest.mark.parametrize("order", ADVANTAGE_ORDERS)
 def test_criterion_3_gain_within_ten_percent_of_sqrt_n_over_2(advantage_curve, order):
-    curve, _ = advantage_curve
-    idx = curve.orders.index(order)
-    measured = curve.measured_gain[idx]
+    (orders, measured_gain), _ = advantage_curve
+    idx = orders.index(order)
+    measured = measured_gain[idx]
     # the exact advantage (N+1)/(2 sqrt(N)) is sqrt(N)/2 * (N+1)/N, 14.3% above
     # its large-N limit sqrt(N)/2 at N = 7
-    target = curve.theoretical_gain[idx]
+    target = pipeline.exact_multiplexing_gain(np.array(orders))[idx]
     assert target == pytest.approx(pipeline.exact_multiplexing_gain(order), rel=1e-12)
     asymptotic = math.sqrt(order) / 2
     rel = measured / target - 1.0
@@ -123,8 +128,8 @@ def test_criterion_3_gain_within_ten_percent_of_sqrt_n_over_2(advantage_curve, o
 
 
 def test_criterion_3_order_79_absolute_range(advantage_curve):
-    curve, _ = advantage_curve
-    measured = curve.measured_gain[curve.orders.index(79)]
+    (orders, measured_gain), _ = advantage_curve
+    measured = measured_gain[orders.index(79)]
     ok = 4.0 <= measured <= 4.9
     _report("3 advantage N=79 range", ok, f"measured {measured:.3f} in [4.0, 4.9]")
     assert ok
@@ -133,17 +138,18 @@ def test_criterion_3_order_79_absolute_range(advantage_curve):
 @pytest.fixture(scope="module")
 def shipped_curve():
     run = parse_run_config(CONFIGS / "default.cfg")
-    return pipeline.multiplexing_advantage(run.acquisition, run.phantom, run.sweep), run.sweep
+    curve = pipeline.multiplexing_advantage(run.acquisition, run.phantom, run.sweep)
+    return gains(*curve), run.sweep
 
 
 @pytest.mark.parametrize("order", [59, 67, 71, 79])
 def test_criterion_3_band_holds_for_the_shipped_default_sweep(shipped_curve, order):
     # the sweep configs/default.cfg ships, run as `aoimux snr-sweep` runs it
-    curve, plan = shipped_curve
-    assert curve.orders == list(plan.orders) == [59, 67, 71, 79]
+    (orders, measured_gain), plan = shipped_curve
+    assert orders == list(plan.orders) == [59, 67, 71, 79]
     assert plan.n_trials == ADVANTAGE_TRIALS
-    idx = curve.orders.index(order)
-    rel = curve.measured_gain[idx] / pipeline.exact_multiplexing_gain(order) - 1.0
+    idx = orders.index(order)
+    rel = measured_gain[idx] / pipeline.exact_multiplexing_gain(order) - 1.0
     _report(f"3 shipped default.cfg sweep N={order}", abs(rel) <= 0.10, f"{rel:+.1%}")
     assert abs(rel) <= 0.10, rel
 

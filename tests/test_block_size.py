@@ -33,15 +33,14 @@ def scan(cfg):
 
 
 def snr(cfg):
-    rep = pipeline.measure_snr(cfg, phantom(), 10)
-    return np.array([rep.signal_mean, rep.noise_std])
+    return pipeline.measure_snr(cfg, phantom(), 10)[:2]
 
 
 def sweep(cfg, reference="matched"):
     # two orders in two modes, folded side by side from one draw per trial
     plan = SweepPlan((7, 19), 10, reference=reference)
-    curve = pipeline.multiplexing_advantage(cfg, phantom(), plan)
-    return np.array([(rep.signal_mean, rep.noise_std) for rep in curve.reports])
+    _, stats = pipeline.multiplexing_advantage(cfg, phantom(), plan)
+    return stats[..., :2]
 
 
 def _at_each_block_size(monkeypatch, run, chunk_samples):

@@ -507,6 +507,30 @@ class TestBadValues:
 
 
 class TestSnrSweep:
+    @pytest.mark.parametrize(
+        "sigma, code, stderr",
+        [
+            # every trial amplitude is finite, but the square of their spread is not
+            ("1e160", 4, "aoimux: numerical failure: the signal mean or noise std of order 7 "
+                         "coded overflows\n"),
+            # the noise rounds away, which would make an SNR and its gain inf
+            ("1e-320", 2, "aoimux: the trial noise of order 7 coded vanished: noise_sigma = "
+                          "1e-320 is too small to measure an SNR gain\n"),
+        ],
+        ids=["overflows", "vanishes"],
+    )
+    def test_noise_that_overflows_or_vanishes_exits_with_its_error(
+        self, tmp_path, sigma, code, stderr
+    ):
+        # quick.cfg in a child interpreter where a numpy warning is an error
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "noise_sigma", sigma))
+        out = tmp_path / "out"
+        done = run_python("-m", "aoimux.cli", "--out-dir", str(out), "snr-sweep",
+                          "--config", str(cfg), env={"PYTHONWARNINGS": "error"})
+        assert (done.returncode, done.stderr) == (code, stderr)
+        assert not list(out.glob("*"))
+
     def test_single_order_outputs(self, tmp_path, cfg_file):
         # two periods of order 79 need 632 samples; stretch the duration
         long_cfg = tmp_path / "long.cfg"

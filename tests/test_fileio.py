@@ -9,7 +9,6 @@ import pytest
 from aoimux import codes, config, fileio, pipeline, simulator
 from aoimux.config import format_value, parse_run_config, write_manifest
 from aoimux.errors import ConfigError, LengthMismatch, NonFiniteSamples
-from aoimux.pipeline import AdvantageCurve, SnrReport
 from streams import BIN, CONFIGS, acquisition, phantom, scan_result
 
 
@@ -19,12 +18,19 @@ def sample_stream():
 
 
 def advantage_curve(orders, gains):
-    """Curve whose single-pulse SNR is 1 at each order, so the coded SNR is the gain."""
-    reports = []
-    for n, gain in zip(orders, gains):
-        reports += [SnrReport("coded", n, 30, gain, 1.0, gain),
-                    SnrReport("single-pulse", n, 30, 1.0, 1.0, 1.0)]
-    return AdvantageCurve(tuple(reports))
+    """(orders, measured, theoretical): a curve's coded orders, the given
+    measured gains and the exact gain at each order, 1-D arrays."""
+    orders = np.array(orders)
+    return orders, np.array(gains, dtype=np.float64), pipeline.exact_multiplexing_gain(orders)
+
+
+def sweep_statistics(orders, gains):
+    """(orders, stats) of a matched sweep whose single-pulse SNR is 1 at
+    each order, so the coded SNR is the gain."""
+    gains = np.array(gains, dtype=np.float64)
+    stats = np.ones((gains.size, 2, 3))
+    stats[:, 0, 0] = stats[:, 0, 2] = gains
+    return np.repeat(np.array(orders)[:, None], 2, axis=1), stats
 
 
 class TestSequenceFiles:
@@ -138,8 +144,14 @@ class TestProfileCsv:
     [
         lambda values, path: pipeline.measure_fwhm(values, 1e-4),
         lambda values, path: fileio.write_profile_csv(values, 1e-4, path),
+        # a sweep's statistics or orders, and an advantage curve's gains
+        lambda values, path: fileio.write_snr_reports_csv(np.full((2, 2), 7), values, 30, path),
+        lambda values, path: fileio.write_snr_reports_csv(values, np.ones((2, 2, 3)), 30, path),
+        lambda values, path: fileio.write_advantage_csv([7, 19], values, np.ones(2), path),
+        lambda values, path: fileio.write_advantage_svg([7, 19], np.ones(2), values, path),
     ],
-    ids=["measure_fwhm", "write_profile_csv"],
+    ids=["measure_fwhm", "write_profile_csv", "write_snr_reports_csv-stats",
+         "write_snr_reports_csv-orders", "write_advantage_csv", "write_advantage_svg"],
 )
 def test_a_single_profile_function_rejects_a_stack(tmp_path, call, shape):
     values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
@@ -150,21 +162,19 @@ def test_a_single_profile_function_rejects_a_stack(tmp_path, call, shape):
 
 class TestExperimentCsv:
     def test_snr_reports(self, tmp_path):
-        reports = [
-            SnrReport("coded", 79, 30, 1.5, 0.1, 15.0),
-            SnrReport("single-pulse", 79, 30, 1.5, 0.45, 10.0 / 3.0),
-        ]
+        stats = np.array([[[1.5, 0.1, 15.0], [1.5, 0.45, 10.0 / 3.0]]])
         path = tmp_path / "reports.csv"
-        fileio.write_snr_reports_csv(reports, path)
+        fileio.write_snr_reports_csv(np.array([[79, 79]]), stats, 30, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "mode,order,n_trials,signal_mean,noise_std,snr"
         assert len(rows) == 3
         assert rows[1].startswith("coded,79,30,")
+        assert rows[2] == "single-pulse,79,30,1.5,0.45,3.3333333333333335"
 
     def test_advantage_csv(self, tmp_path):
         curve = advantage_curve([7, 79], [1.5, 4.5])
         path = tmp_path / "curve.csv"
-        fileio.write_advantage_csv(curve, path)
+        fileio.write_advantage_csv(*curve, path)
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "order,measured_gain,theoretical_gain"
         assert rows[1].split(",")[0] == "7"
@@ -173,12 +183,38 @@ class TestExperimentCsv:
     def test_advantage_svg(self, tmp_path):
         curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
         path = tmp_path / "curve.svg"
-        fileio.write_advantage_svg(curve, path)
+        fileio.write_advantage_svg(*curve, path)
         text = path.read_text()
         assert text.count("<polyline") == 2
         assert 'stroke="blue"' in text and 'stroke="red"' in text
         assert text.startswith("<svg ")
         assert "theoretical (N+1)/(2 sqrt N)" in text
+        with pytest.raises(LengthMismatch, match="at least one order"):
+            fileio.write_advantage_svg([], [], [], tmp_path / "empty.svg")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.svg"]
+
+    @pytest.mark.parametrize(
+        "column, value, error, message",
+        [
+            (1, [1.5, math.nan], NonFiniteSamples, "1 of 4 gains are NaN or infinite"),
+            (1, [math.inf, 2.3], NonFiniteSamples, "1 of 4 gains are NaN or infinite"),
+            (2, [1.5, -math.inf], NonFiniteSamples, "1 of 4 gains are NaN or infinite"),
+            # three orders of two gains each
+            (0, [7, 19, 31], LengthMismatch, "1-D arrays of one length, got (3,), (2,), (2,)"),
+        ],
+        ids=["nan-measured", "inf-measured", "inf-theoretical", "orders-one-long"],
+    )
+    @pytest.mark.parametrize(
+        "write", [fileio.write_advantage_csv, fileio.write_advantage_svg], ids=["csv", "svg"]
+    )
+    def test_an_advantage_writer_refuses_a_curve_before_any_file(
+        self, tmp_path, write, column, value, error, message
+    ):
+        curve = list(advantage_curve([7, 19], [1.5, 2.3]))
+        curve[column] = value
+        with pytest.raises(error, match=re.escape(message)):
+            write(*curve, tmp_path / "curve")
+        assert not list(tmp_path.iterdir())
 
 
 class TestPgm:
@@ -350,27 +386,27 @@ class TestTableBlocks:
         assert (tmp_path / "map.csv").read_bytes() == _map_text(xs, ys, stack.max(axis=-1))
 
     def test_sweep_tables_equal_whole_text(self, tmp_path):
+        orders, stats = sweep_statistics([7, 19, 79], [1.5, 2.3, 4.5])
         curve = advantage_curve([7, 19, 79], [1.5, 2.3, 4.5])
-        fileio.write_snr_reports_csv(list(curve.reports), tmp_path / "reports.csv")
-        fileio.write_advantage_csv(curve, tmp_path / "curve.csv")
+        fileio.write_snr_reports_csv(orders, stats, 30, tmp_path / "reports.csv")
+        fileio.write_advantage_csv(*curve, tmp_path / "curve.csv")
         f = format_value
         reports = [
-            f"{r.mode},{r.order},{r.n_trials},{f(r.signal_mean)},{f(r.noise_std)},{f(r.snr)}"
-            for r in curve.reports
+            f"{mode},{n},30,{f(signal)},{f(noise)},{f(snr)}"
+            for pair, modes in zip(orders.tolist(), stats.tolist())
+            for mode, n, (signal, noise, snr) in zip(("coded", "single-pulse"), pair, modes)
         ]
         assert (tmp_path / "reports.csv").read_bytes() == _whole_text(
             "mode,order,n_trials,signal_mean,noise_std,snr", reports
         )
-        gains = [
-            f"{n},{f(m)},{f(t)}"
-            for n, m, t in zip(curve.orders, curve.measured_gain, curve.theoretical_gain)
-        ]
+        gains = [f"{n},{f(m)},{f(t)}" for n, m, t in zip(*(a.tolist() for a in curve))]
         assert (tmp_path / "curve.csv").read_bytes() == _whole_text(
             "order,measured_gain,theoretical_gain", gains
         )
 
     def test_empty_tables_are_their_header(self, tmp_path):
-        fileio.write_snr_reports_csv([], tmp_path / "reports.csv")
+        fileio.write_snr_reports_csv(np.zeros((0, 2)), np.zeros((0, 2, 3)), 30,
+                                     tmp_path / "reports.csv")
         write_stack(*scan_result(3, 2, 0, seed=5), tmp_path / "stack.csv")
         fileio.write_profile_csv(np.zeros(0), 1.98e-4, tmp_path / "profile.csv")
         assert (tmp_path / "reports.csv").read_bytes() == (
@@ -385,12 +421,12 @@ class TestTableBlocks:
             (lambda path: fileio.write_profile_csv(np.ones(3 * BLOCK), 1e-4, path), 3),
             (lambda path: write_stack(*scan_result(3, 2, 50, seed=5), path), 3),
             (lambda path: write_map(*scan_result(5, 4, 2, seed=5), path), 3),
-            (lambda path: fileio.write_advantage_csv(
-                advantage_curve([7, 19], [1.5, 2.3]), path), 2),
+            (lambda path: fileio.write_advantage_csv(*advantage_curve([7, 19], [1.5, 2.3]), path),
+             2),
             # the writers of one text, whose one write fails
             (lambda path: fileio.write_sequence(codes.generate_s_sequence(19), path), 1),
-            (lambda path: fileio.write_advantage_svg(
-                advantage_curve([7, 19], [1.5, 2.3]), path), 1),
+            (lambda path: fileio.write_advantage_svg(*advantage_curve([7, 19], [1.5, 2.3]), path),
+             1),
             (lambda path: write_manifest(parse_run_config(CONFIGS / "quick.cfg"), path), 1),
             # the image header reaches the file, then its pixels fail
             (lambda path: fileio.write_pgm(np.ones((3, 4)), path), 2),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aoimux import demux, pipeline, simulator
+from aoimux.codes import MAX_ORDER, valid_orders
 from aoimux.config import SweepPlan, parse_run_config
 from aoimux.errors import (
     ConfigError,
@@ -232,7 +233,8 @@ class TestMeasureSnr:
         cfg = replace(cfg, duration_s=cfg.duration_s + 10 / F_S)
         ph = phantom()
         rep = pipeline.measure_snr(cfg, ph, 37)
-        assert (rep.signal_mean, rep.noise_std) == per_trial_snr(cfg, ph, 37)
+        assert rep.dtype == np.float64 and rep.shape == (3,)
+        assert (rep[0], rep[1]) == per_trial_snr(cfg, ph, 37)
 
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
     def test_noise_floor_subtraction_equals_per_trial_folded_draws(self, mode):
@@ -240,8 +242,8 @@ class TestMeasureSnr:
         ph = phantom()
         rep = pipeline.measure_snr(cfg, ph, 23, subtract_noise_floor=True)
         signal, noise, floor = per_trial_snr(cfg, ph, 23, with_floor=True)
-        assert (rep.signal_mean, rep.noise_std) == (signal - floor, noise)
-        assert rep.snr == (signal - floor) / noise
+        assert (rep[0], rep[1]) == (signal - floor, noise)
+        assert rep[2] == (signal - floor) / noise
 
     # 32 PB and 3.2 EB of amplitudes of one config, beyond any 64-bit user
     # address space; the second is refused before numpy sees the shape
@@ -268,20 +270,20 @@ class TestMeasureSnr:
         with pytest.raises(NoPeak, match="reference profile is empty"):
             pipeline.measure_snr(run.acquisition, ph, 5)
 
-    def test_configs_of_different_seeds_each_get_their_own_report(self):
+    def test_configs_of_different_seeds_each_get_their_own_statistics(self):
         # each config's trial seeds derive from its own seed, not from the
         # last config's
         cfg = config(order=31, periods=5, noise_sigma=0.1, seed=12)
         cfgs = [cfg, replace(cfg, seed=13), replace(cfg, mode="single-pulse", seed=14)]
         ph = phantom()
-        reports = pipeline._measure_snrs(cfgs, ph, 7, False)
-        assert reports == [pipeline.measure_snr(c, ph, 7) for c in cfgs]
-        assert reports[0] != reports[1]
+        stats = pipeline._measure_snrs(cfgs, ph, 7, False)
+        assert (stats == np.array([pipeline.measure_snr(c, ph, 7) for c in cfgs])).all()
+        assert (stats[0] != stats[1]).any()
 
     def test_noise_free_reports_sentinel(self):
         rep = pipeline.measure_snr(config(noise_sigma=0.0), phantom(), 3)
-        assert math.isinf(rep.snr)
-        assert rep.noise_std == 0.0
+        assert math.isinf(rep[2])
+        assert rep[1] == 0.0
 
     def test_doubling_noise_halves_snr(self):
         # trial seeds depend only on (seed, trial), so both runs see the
@@ -289,7 +291,7 @@ class TestMeasureSnr:
         ph = phantom()
         lo = pipeline.measure_snr(config(noise_sigma=0.05), ph, 30)
         hi = pipeline.measure_snr(config(noise_sigma=0.10), ph, 30)
-        assert hi.snr / lo.snr == pytest.approx(0.5, rel=0.10)
+        assert hi[2] / lo[2] == pytest.approx(0.5, rel=0.10)
 
     def test_requires_two_trials(self):
         with pytest.raises(ConfigError):
@@ -301,8 +303,17 @@ class TestMeasureSnr:
         corrected = pipeline.measure_snr(
             config(noise_sigma=0.1), ph, 20, subtract_noise_floor=True
         )
-        assert corrected.signal_mean < plain.signal_mean
-        assert corrected.noise_std == plain.noise_std
+        assert corrected[0] < plain[0]
+        assert corrected[1] == plain[1]
+
+    @pytest.mark.parametrize("subtract_noise_floor", [False, True])
+    def test_an_overflowing_noise_std_raises_unwarned(self, subtract_noise_floor):
+        # quick.cfg at sigma = 1e160: each trial amplitude is finite, but
+        # the square of its spread is not; a warning would fail the test
+        run = parse_run_config(CONFIGS / "quick.cfg")
+        cfg = replace(run.acquisition, noise_sigma=1e160)
+        with pytest.raises(NonFiniteSamples, match="noise std of order 79 coded overflows"):
+            pipeline.measure_snr(cfg, run.phantom, 20, subtract_noise_floor=subtract_noise_floor)
 
 
 class TestRayleighFloor:
@@ -347,26 +358,29 @@ class TestMultiplexingAdvantage:
         assert pipeline.exact_multiplexing_gain(79) == pytest.approx(4.5004, abs=1e-4)
 
     def test_theoretical_column_is_exact(self):
-        curve = pipeline.multiplexing_advantage(
+        orders, _ = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05), phantom(), SweepPlan((7, 19), 4)
         )
-        assert curve.theoretical_gain == [8 / (2 * math.sqrt(7)), 20 / (2 * math.sqrt(19))]
+        theoretical = pipeline.exact_multiplexing_gain(orders[:, 0])
+        assert theoretical.tolist() == [8 / (2 * math.sqrt(7)), 20 / (2 * math.sqrt(19))]
+        # np.sqrt rounds as math.sqrt does, at every order
+        every = np.array(valid_orders(MAX_ORDER))
+        assert pipeline.exact_multiplexing_gain(every).tolist() == [
+            (n + 1) / (2.0 * math.sqrt(n)) for n in every.tolist()
+        ]
 
     def test_orders_sorted_and_deduplicated(self):
-        curve = pipeline.multiplexing_advantage(
+        orders, _ = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05), phantom(), SweepPlan((19, 7, 19), 4)
         )
-        assert curve.orders == [7, 19]
+        assert orders[:, 0].tolist() == [7, 19]
 
-    def test_reports_pair_coded_and_single_pulse_per_order(self):
-        curve = pipeline.multiplexing_advantage(
+    def test_statistics_pair_coded_and_single_pulse_per_order(self):
+        orders, stats = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05), phantom(), SweepPlan((19, 7), 4)
         )
-        assert [(r.mode, r.order) for r in curve.reports] == [
-            ("coded", 7), ("single-pulse", 7), ("coded", 19), ("single-pulse", 19)
-        ]
-        pairs = zip(curve.reports[::2], curve.reports[1::2])
-        assert curve.measured_gain == [coded.snr / single.snr for coded, single in pairs]
+        assert orders.dtype == np.int64 and orders.tolist() == [[7, 7], [19, 19]]
+        assert stats.dtype == np.float64 and stats.shape == (2, 2, 3)
 
     def test_empty_orders_raise(self):
         with pytest.raises(ConfigError, match="orders list is empty"):
@@ -377,22 +391,30 @@ class TestMultiplexingAdvantage:
         with pytest.raises(ConfigError, match="noise_sigma must be positive"):
             pipeline.multiplexing_advantage(config(), phantom(), SweepPlan((7,), 4))
 
+    def test_vanished_noise_raises(self):
+        # quick.cfg at sigma = 1e-320: the noise of coded order 7 rounds
+        # away, which would make its SNR and gain inf
+        run = parse_run_config(CONFIGS / "quick.cfg")
+        cfg = replace(run.acquisition, noise_sigma=1e-320)
+        with pytest.raises(ConfigError, match="noise of order 7 coded vanished"):
+            pipeline.multiplexing_advantage(cfg, run.phantom, run.sweep)
+
     def test_measured_gain_tracks_inverse_row_norm(self):
         # 400 paired trials put the measured gain within a few percent of
         # the exact advantage (N+1)/(2 sqrt(N))
-        curve = pipeline.multiplexing_advantage(
+        orders, stats = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05, seed=5), phantom(), SweepPlan((7, 31), 400)
         )
-        for order, measured in zip(curve.orders, curve.measured_gain):
+        for order, measured in zip(orders[:, 0], stats[:, 0, 2] / stats[:, 1, 2]):
             assert measured == pytest.approx(
                 pipeline.exact_multiplexing_gain(order), rel=0.08
             )
 
     def test_gain_increases_with_order(self):
-        curve = pipeline.multiplexing_advantage(
+        orders, stats = pipeline.multiplexing_advantage(
             config(noise_sigma=0.05, seed=6), phantom(), SweepPlan((7, 19, 31, 43, 79), 200)
         )
-        assert rank_correlation(curve.orders, curve.measured_gain) > 0.95
+        assert rank_correlation(orders[:, 0], stats[:, 0, 2] / stats[:, 1, 2]) > 0.95
 
     def test_max_rate_reference_divides_gain_by_sqrt_ratio(self):
         # a denser single-pulse train averages more repetitions, cutting
@@ -400,13 +422,14 @@ class TestMultiplexingAdvantage:
         ph = phantom()
         base = config(noise_sigma=0.05, seed=7)
         n = 31
-        matched = pipeline.multiplexing_advantage(base, ph, SweepPlan((n,), 300))
-        packed = pipeline.multiplexing_advantage(
+        _, matched = pipeline.multiplexing_advantage(base, ph, SweepPlan((n,), 300))
+        orders, packed = pipeline.multiplexing_advantage(
             base, ph, SweepPlan((n,), 300, reference="max-rate")
         )
         sp_order = pipeline._max_rate_order(base, ph)
-        expected = matched.measured_gain[0] / math.sqrt(n / sp_order)
-        assert packed.measured_gain[0] == pytest.approx(expected, rel=0.10)
+        assert orders.tolist() == [[n, sp_order]]
+        expected = matched[0, 0, 2] / matched[0, 1, 2] / math.sqrt(n / sp_order)
+        assert packed[0, 0, 2] / packed[0, 1, 2] == pytest.approx(expected, rel=0.10)
 
     def test_unknown_reference_rejected(self):
         with pytest.raises(ConfigError):
@@ -424,23 +447,26 @@ class TestOnePassSweep:
     # 2 rows (every row); of 3 rows and a last one (every row); and of every
     # row
     @pytest.mark.parametrize("chunk_samples", [1, 2200, 3000, 3400, 1 << 16])
-    def test_reports_equal_each_config_measured_alone(self, monkeypatch, reference, chunk_samples):
+    def test_statistics_equal_each_config_measured_alone(
+        self, monkeypatch, reference, chunk_samples
+    ):
         run = parse_run_config(CONFIGS / "quick.cfg")
         cfg, ph = run.acquisition, run.phantom
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", chunk_samples)
         plan = SweepPlan(run.sweep.orders, 4, reference=reference)
-        curve = pipeline.multiplexing_advantage(cfg, ph, plan)
-        periods = {r.order * cfg.subsets_per_cycle for r in curve.reports}
+        orders, stats = pipeline.multiplexing_advantage(cfg, ph, plan)
+        periods = {n * cfg.subsets_per_cycle for n in orders.ravel().tolist()}
         # max-rate pulses every 24 samples, beside coded periods of 28 to 316;
         # every period but 316 leaves a partial last period of the 2528
         # samples, and each config scales its draw by its own period count
         assert periods == ({24} if reference == "max-rate" else set()) | {28, 76, 124, 316}
         assert sum(cfg.n_samples % p > 0 for p in periods) == len(periods) - 1
         alone = [
-            pipeline.measure_snr(replace(cfg, mode=r.mode, order=r.order), ph, plan.n_trials)
-            for r in curve.reports
+            [pipeline.measure_snr(replace(cfg, mode=mode, order=n), ph, plan.n_trials)
+             for mode, n in zip(("coded", "single-pulse"), pair)]
+            for pair in orders.tolist()
         ]
-        assert list(curve.reports) == alone
+        assert (stats == np.array(alone)).all()
 
 
 class TestSweepPlan:

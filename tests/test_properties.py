@@ -1,4 +1,4 @@
-"""Property tests: config, manifest, stream and sequence text round trips."""
+"""Property tests: config, manifest, stream, sequence and sweep-table round trips."""
 
 import re
 import tempfile
@@ -210,6 +210,24 @@ def test_stream_file_round_trip(cfg, samples, workdir):
     again = fileio.read_stream(path)
     assert again.config_snapshot == cfg
     assert again.samples.tobytes() == samples.astype("<f8").tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    orders=arrays(np.int64, st.tuples(st.integers(1, 6), st.just(2)),
+                  elements=st.integers(1, 10**6)),
+    data=st.data(),
+)
+def test_sweep_statistics_round_trip(orders, data, workdir):
+    # any float but NaN, signed zeros, subnormals and infinities included
+    stats = data.draw(arrays(np.float64, orders.shape + (3,), elements=st.floats(allow_nan=False)))
+    stats[0, 0, 2] = np.inf  # the SNR of noise that vanished
+    path = workdir / "snr_reports.csv"
+    fileio.write_snr_reports_csv(orders, stats, 30, path)
+    table = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3, 4, 5), ndmin=2)
+    assert table[:, 0].tolist() == orders.ravel().tolist()
+    assert (table[:, 1] == 30).all()
+    assert table[:, 2:].tobytes() == stats.reshape(-1, 3).tobytes()
 
 
 SPECIAL_VALUES = ["inf", "-inf", "nan", "0", "-0.0", "-1", "1e309", "", "=", "x", "9" * 5000,
