@@ -27,7 +27,6 @@ from .pipeline import (
     reconstruct_profile,
 )
 from .simulator import (
-    SampledStream,
     axial_profile,
     pulse_waveform,
     scan_2d,
@@ -40,7 +39,6 @@ __all__ = [
     "AcquisitionConfig",
     "CirculantSystem",
     "Phantom",
-    "SampledStream",
     "ScanGrid",
     "SweepPlan",
     "analytic_inverse_check",

@@ -8,12 +8,13 @@ dense LAPACK solve against the stored S (the reference) and an FFT
 circular deconvolution (O(N log N) per frame, used for long streams).
 The solver kind is one of ``SOLVER_KINDS``: "dense" or "spectral".
 
-A stream, in memory or read in chunks, is demultiplexed in two steps:
-``average_periods`` folds its chunks into the (N, K) mean of its
-complete periods, N and K read from the stream's
-``config.AcquisitionConfig``, and ``demultiplex_stream`` solves a stack
-of such frames at once.  Scan positions and Monte-Carlo trials make no
-stream: ``simulator.draw_folded`` draws their period means directly.
+A stream, a 1-D float64 array in memory or its chunks read from a file,
+is demultiplexed in two steps: ``average_periods`` folds its chunks
+into the (N, K) mean of its complete periods, N and K read from the
+``config.AcquisitionConfig`` that made the stream, and
+``demultiplex_stream`` solves a stack of such frames at once.  Scan
+positions and Monte-Carlo trials make no stream:
+``simulator.draw_folded`` draws their period means directly.
 ``pipeline.reconstruct_profile`` runs the solve and the envelope
 extraction.
 """
@@ -79,13 +80,23 @@ class CirculantSystem:
         """DFT of the solving kernel; its DC term equals the row weight."""
         return self._spectrum
 
+    def _frames(self, ys) -> np.ndarray:
+        """ys read as float64 frames, (..., N); a last axis that is missing
+        or is not the system order raises LengthMismatch."""
+        ys = np.asarray(ys, dtype=np.float64)
+        if ys.shape[-1:] != (self.order,):
+            length = ys.shape[-1] if ys.ndim else "none"
+            raise LengthMismatch(f"frame length {length} != system order {self.order}")
+        return ys
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Forward map y = S x (spectral, exact to rounding)."""
-        x = np.asarray(x, dtype=np.float64)
+        """Forward map y = S x of frames x, (..., N) (spectral, exact to rounding)."""
+        x = self._frames(x)
         return np.fft.irfft(np.fft.rfft(x, axis=-1) * self._spectrum, n=self.order, axis=-1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        return self.solve_many(np.asarray(y, dtype=np.float64)[None, :])[0]
+        """Solve S x = y for one frame y, as solve_many solves it."""
+        return self.solve_many(y)
 
     def solve_many(self, ys: np.ndarray) -> np.ndarray:
         """Solve S x = y for each row of ys, shape (..., N).
@@ -98,11 +109,7 @@ class CirculantSystem:
         without a copy.  Each row equals the row solved alone, bit for
         bit, whatever the stack size.
         """
-        ys = np.asarray(ys, dtype=np.float64)
-        if ys.shape[-1] != self.order:
-            raise LengthMismatch(
-                f"frame length {ys.shape[-1]} != system order {self.order}"
-            )
+        ys = self._frames(ys)
         if self.kind == "dense":
             flat = ys.reshape(-1, self.order)
             sol = np.linalg.solve(self._dense, flat.T).T

@@ -21,12 +21,14 @@ class SingularSystem(NumericalError):
 
 
 class LengthMismatch(AoimuxError):
-    """Array length or shape does not fit: a frame length that is not the
-    system order, period means whose frame is not (order, K), a stream
-    chunk or single profile that is not 1-D, a scan map or stack that is
-    not its grid's, sweep statistics that do not fit their orders, an
-    advantage curve that is not 1-D arrays of one length, or an image
-    that is not 2-D."""
+    """Array length or shape does not fit: frames whose last axis is
+    missing or is not the system order, a signal to demodulate with no
+    last axis, period means whose frame is not (order, K), stream
+    samples, written or folded, or a single profile that are not 1-D, a
+    stream file whose samples are not its header's length, a scan map
+    or stack that is not its grid's, sweep statistics that do not fit
+    their orders, an advantage curve that is not 1-D arrays of one
+    length, or an image that is not 2-D."""
 
 
 class NonIntegerRatio(AoimuxError):

@@ -24,7 +24,10 @@ the payload chunk by chunk; the file appears under its name only once
 it is complete.  ``open_stream`` parses and checks the header once,
 including the payload size against ``length``; ``StreamFile.chunks``
 then reads the payload into one reused whole-period buffer.
-``write_stream`` and ``read_stream`` are the one-chunk, in-memory forms.
+``write_stream(samples, path, cfg)`` and ``read_stream(path)``, which
+returns ``(samples, cfg)``, are the one-chunk forms for a whole stream
+in memory, a 1-D float64 array.  Samples that are not 1-D are refused
+with LengthMismatch before they are written, as the fold refuses them.
 
 Tables move through files in blocks of at most ``_TABLE_ROWS`` rows, so
 a writer's memory does not grow with the row count.  Each CSV writer
@@ -57,7 +60,7 @@ from .codes import check_bits
 from .config import MODES, AcquisitionConfig, format_value as _fmt, record_fields
 from .demux import BLOCK_SAMPLES
 from .errors import ConfigError, LengthMismatch, NonFiniteSamples
-from .simulator import SampledStream, chunk_length
+from .simulator import chunk_length
 
 _STREAM_MAGIC = "aoimux-stream"
 _STREAM_VERSION = 1
@@ -115,7 +118,8 @@ def stream_writer(
     """Write a stream file of ``length`` samples chunk by chunk.
 
     Yields a function that appends samples to the payload and returns
-    them, so ``map(write, chunks)`` writes each chunk as it is drawn.
+    them, so ``map(write, chunks)`` writes each chunk as it is drawn;
+    samples that are not 1-D raise LengthMismatch before they are written.
     The file is written under a temporary name and renamed to ``path``
     only when the block ends without error and every sample was written,
     so a failed run leaves no partial stream file behind.
@@ -124,6 +128,8 @@ def stream_writer(
 
     def write(samples: np.ndarray) -> np.ndarray:
         nonlocal written
+        if samples.ndim != 1:
+            raise LengthMismatch(f"stream chunks must be 1-D, got shape {samples.shape}")
         # the array's own buffer: no second copy of the payload
         fh.write(np.ascontiguousarray(samples, dtype="<f8").data)
         written += samples.size
@@ -137,9 +143,9 @@ def stream_writer(
             raise LengthMismatch(f"{path}: header says {length} samples, {written} written")
 
 
-def write_stream(stream: SampledStream, path: str | Path) -> None:
-    samples = stream.samples
-    with stream_writer(path, stream.config_snapshot, samples.size) as write:
+def write_stream(samples: np.ndarray, path: str | Path, cfg: AcquisitionConfig) -> None:
+    """Write an in-memory stream of cfg, its samples as one chunk."""
+    with stream_writer(path, cfg, samples.size) as write:
         write(samples)
 
 
@@ -216,12 +222,13 @@ def open_stream(path: str | Path) -> Iterator[StreamFile]:
         yield StreamFile(fh, path)
 
 
-def read_stream(path: str | Path) -> SampledStream:
+def read_stream(path: str | Path) -> tuple[np.ndarray, AcquisitionConfig]:
+    """Read a whole stream file: its float64 samples and its configuration."""
     with open_stream(path) as sf:
         # one buffer, filled in place: no second copy of the payload
         samples = np.empty(sf.length, dtype="<f8")
         sf.read_into(samples)
-    return SampledStream(samples, sf.config)
+    return samples, sf.config
 
 
 # ------------------------------------------------------------------- tables

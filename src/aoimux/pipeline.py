@@ -67,6 +67,8 @@ def extract_modulated(values: np.ndarray, f_us: float, f_s: float) -> np.ndarray
     if k < 2:
         raise NyquistViolation(f"f_s = {f_s} is below twice f_us = {f_us}")
     values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0:
+        raise LengthMismatch("extract_modulated works along the last axis; a 0-d value has none")
     n = values.shape[-1]
     if n < k:
         raise InsufficientSamples(f"{n} samples < smoothing window {k}")

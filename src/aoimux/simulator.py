@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +48,6 @@ _SCALE_GRID = 2048  # axial samples used to fix the phantom fluence scale
 # this many samples (512 kB), and folded draws in blocks of at most this many
 # values, so memory grows with neither stream length nor row count.
 CHUNK_SAMPLES = 1 << 16
-
-
-@dataclass
-class SampledStream:
-    """Detector time series plus the configuration that produced it; the
-    first sample is at config_snapshot.t0."""
-
-    samples: np.ndarray
-    config_snapshot: AcquisitionConfig
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 def pulse_waveform(f_us: float, f_s: float) -> np.ndarray:
@@ -246,9 +230,11 @@ def stream_chunks(cfg: AcquisitionConfig, ph: Phantom) -> Iterator[np.ndarray]:
     cfg.noise_sigma, n_samples)``, bit for bit, whatever the chunk size
     (numpy's ``normal`` is ``loc + scale * z`` over the same standard
     normals).  When the sigma is 0 no Generator is built, and the samples
-    are the period repeated, bit for bit.  Each chunk is a view of the
-    buffer: use it before asking for the next.  The configuration is
-    checked before the first chunk is asked for.
+    are the period repeated, bit for bit.  A sigma whose product with a
+    normal overflows gives inf, silently; ``demux.average_periods``
+    reports it.  Each chunk is a view of the buffer: use it before
+    asking for the next.  The configuration is checked before the first
+    chunk is asked for.
     """
     n = cfg.n_samples
     if n < 1:
@@ -269,7 +255,8 @@ def stream_chunks(cfg: AcquisitionConfig, ph: Phantom) -> Iterator[np.ndarray]:
                 chunk.fill(-0.0)  # added to x, it is x, bit for bit
             else:
                 rng.standard_normal(out=chunk)
-                chunk *= sigma
+                with np.errstate(over="ignore"):  # average_periods reports the overflow
+                    chunk *= sigma
             whole = chunk.size - chunk.size % p
             tiled = chunk[:whole].reshape(-1, p)  # a view: the buffer is contiguous
             tiled += period
@@ -279,18 +266,17 @@ def stream_chunks(cfg: AcquisitionConfig, ph: Phantom) -> Iterator[np.ndarray]:
     return chunks()
 
 
-def simulate_stream(cfg: AcquisitionConfig, ph: Phantom) -> SampledStream:
-    """Synthesize the detector stream of the transducer on the axis in memory.
-
-    The samples are those of ``stream_chunks``, gathered into one array.
-    """
+def simulate_stream(cfg: AcquisitionConfig, ph: Phantom) -> np.ndarray:
+    """Synthesize the detector stream of the transducer on the axis in memory:
+    the 1-D float64 samples of ``stream_chunks``, gathered into one array,
+    the first at cfg.t0."""
     chunks = stream_chunks(cfg, ph)
     samples = np.empty(cfg.n_samples)
     start = 0
     for chunk in chunks:
         samples[start : start + chunk.size] = chunk
         start += chunk.size
-    return SampledStream(samples, cfg)
+    return samples
 
 
 def scan_2d(

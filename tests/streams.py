@@ -2,8 +2,9 @@
 builders, a random scan grid and stack, a child interpreter that imports this
 package, and whole in-memory streams through the chunked API.
 
-A ``SampledStream``'s samples are the one chunk that
-``demux.average_periods`` folds; the fold then goes through
+An in-memory stream is its 1-D float64 samples and the
+``config.AcquisitionConfig`` that made them.  The samples are the one
+chunk that ``demux.average_periods`` folds; the fold then goes through
 ``demux.demultiplex_stream`` or ``pipeline.reconstruct_profile`` as the
 CLI commands use them.
 """
@@ -71,17 +72,16 @@ def run_python(*args, check=False, stdout=subprocess.PIPE, env=None):
     )
 
 
-def fold(stream):
-    """The (order, K) mean of the stream's complete periods."""
-    return demux.average_periods([stream.samples], stream.config_snapshot)
+def fold(samples, cfg):
+    """The (order, K) mean of the complete periods of a stream of cfg."""
+    return demux.average_periods([samples], cfg)
 
 
-def profile_of(stream, kind="spectral", extract=True):
-    """The depth profile of the stream, as ``aoimux demux`` writes it."""
-    cfg = stream.config_snapshot
-    return pipeline.reconstruct_profile(fold(stream), cfg, kind, extract=extract)
+def profile_of(samples, cfg, kind="spectral", extract=True):
+    """The depth profile of a stream of cfg, as ``aoimux demux`` writes it."""
+    return pipeline.reconstruct_profile(fold(samples, cfg), cfg, kind, extract=extract)
 
 
-def demux_of(system, stream):
-    """The carrier-band depth signal of a coded stream, solved by system."""
-    return demux.demultiplex_stream(system, fold(stream))
+def demux_of(system, samples, cfg):
+    """The carrier-band depth signal of a coded stream of cfg, solved by system."""
+    return demux.demultiplex_stream(system, fold(samples, cfg))

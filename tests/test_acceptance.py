@@ -161,8 +161,8 @@ def test_criterion_4_resolution_preservation():
     fwhm = {}
     for mode in ("coded", "single-pulse"):
         cfg = acquisition(mode, 79, duration_s=duration, noise_sigma=0.0)
-        stream = simulator.simulate_stream(cfg, ph)
-        fwhm[mode] = pipeline.measure_fwhm(profile_of(stream), cfg.bin_width_m)
+        samples = simulator.simulate_stream(cfg, ph)
+        fwhm[mode] = pipeline.measure_fwhm(profile_of(samples, cfg), cfg.bin_width_m)
     gap = abs(fwhm["coded"] - fwhm["single-pulse"])
     ok = gap <= BIN
     _report(
@@ -183,25 +183,25 @@ def test_criterion_5_interleaving_exactness():
     start = time.perf_counter()
     ph = phantom(boundary=0.002, extent=0.03)
     duration = 3 * 79 * K / F_S
-    coded = simulator.simulate_stream(acquisition("coded", 79, duration_s=duration), ph)
-    single = simulator.simulate_stream(
-        acquisition("single-pulse", 79, duration_s=duration), ph
-    )
-    assert coded.config_snapshot.subsets_per_cycle == 4
+    coded_cfg = acquisition("coded", 79, duration_s=duration)
+    single_cfg = acquisition("single-pulse", 79, duration_s=duration)
+    coded = simulator.simulate_stream(coded_cfg, ph)
+    single = simulator.simulate_stream(single_cfg, ph)
+    assert coded_cfg.subsets_per_cycle == 4
 
     system = demux.build_system(codes.generate_s_sequence(79), "spectral")
-    periods = coded.samples.size // (79 * K)
-    frames = coded.samples[: periods * 79 * K].reshape(periods, 79, K)
+    periods = coded.size // (79 * K)
+    frames = coded[: periods * 79 * K].reshape(periods, 79, K)
     solved = np.empty_like(frames)
     for p in range(periods):
         for j in range(K):
             solved[p, :, j] = system.solve(frames[p, :, j])
     merged = solved.reshape(-1)  # back in time order
     profile = merged.reshape(periods, 79 * K).mean(axis=0)
-    truth = profile_of(single, extract=False)
+    truth = profile_of(single, single_cfg, extract=False)
     rel = np.linalg.norm(profile - truth) / np.linalg.norm(truth)
 
-    stream_path = demux_of(system, coded)
+    stream_path = demux_of(system, coded, coded_cfg)
     rel_stream = np.linalg.norm(stream_path - truth) / np.linalg.norm(truth)
     elapsed = time.perf_counter() - start
     ok = rel < 1e-6 and rel_stream < 1e-6 and elapsed < 5.0

@@ -113,10 +113,11 @@ class TestSimulate:
         out = tmp_path / "run"
         assert main(["--out-dir", str(out), "simulate", "--config", str(cfg_file)]) == 0
         rc = parse_run_config(cfg_file)
-        stream = simulator.simulate_stream(rc.acquisition, rc.phantom)
-        fileio.write_stream(stream, tmp_path / "stream.bin")
-        width = rc.acquisition.bin_width_m
-        fileio.write_profile_csv(profile_of(stream), width, tmp_path / "profile.csv")
+        acq = rc.acquisition
+        samples = simulator.simulate_stream(acq, rc.phantom)
+        fileio.write_stream(samples, tmp_path / "stream.bin", acq)
+        profile = profile_of(samples, acq)
+        fileio.write_profile_csv(profile, acq.bin_width_m, tmp_path / "profile.csv")
         for name in ("stream.bin", "profile.csv"):
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -128,6 +129,19 @@ class TestSimulate:
         assert main(["--out-dir", str(out), "simulate", "--config", str(bad)]) == 2
         assert "50 samples < one period of 316" in capsys.readouterr().err
         assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])
+    def test_noise_that_overflows_exits_4_unwarned(self, tmp_path, sigma):
+        # quick.cfg in a child interpreter where a numpy warning is an error:
+        # the scaled normals overflow to inf, which the fold reports
+        cfg = tmp_path / "noise.cfg"
+        cfg.write_text(_set_value((CONFIGS / "quick.cfg").read_text(), "noise_sigma", sigma))
+        out = tmp_path / "out"
+        done = run_python("-m", "aoimux.cli", "--out-dir", str(out), "simulate",
+                          "--config", str(cfg), env={"PYTHONWARNINGS": "error"})
+        assert done.returncode == 4
+        assert re.fullmatch(r"aoimux: numerical failure: [^\n]*\n", done.stderr)
+        assert not list(out.iterdir())  # no stream.bin, profile.csv, manifest.cfg or .part
 
     def test_zero_duration_exit_2(self, tmp_path, cfg_file, capsys):
         bad = tmp_path / "bad.cfg"
@@ -152,8 +166,7 @@ class TestDemux:
         assert main(["demux", "--stream", str(out / "stream.bin"),
                      "--out", str(prof_path)]) == 0
         cli_values = np.loadtxt(prof_path, delimiter=",", skiprows=1)[:, 1]
-        stream = fileio.read_stream(out / "stream.bin")
-        lib_prof = profile_of(stream)
+        lib_prof = profile_of(*fileio.read_stream(out / "stream.bin"))
         np.testing.assert_allclose(cli_values, lib_prof, rtol=0, atol=0)
 
     def test_raw_flag_skips_extraction(self, tmp_path, cfg_file):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from aoimux import codes, config, demux, simulator
+from aoimux import codes, config, demux, pipeline, simulator
 from aoimux.errors import (
     ConfigError,
     InsufficientSamples,
@@ -15,7 +15,7 @@ from aoimux.errors import (
     OrderTooLarge,
     SingularSystem,
 )
-from streams import acquisition, demux_of, fold, phantom, profile_of
+from streams import F_S, F_US, acquisition, demux_of, fold, phantom, profile_of
 
 
 def system(n, kind="dense"):
@@ -23,8 +23,9 @@ def system(n, kind="dense"):
 
 
 def make_stream(samples, f_us=1.25e6, f_s=5e6, order=3, mode="coded"):
+    """(samples, cfg): the samples as float64 and an acquisition of their length."""
     cfg = acquisition(mode, order, f_us=f_us, f_s=f_s, duration_s=len(samples) / f_s)
-    return simulator.SampledStream(np.asarray(samples, float), cfg)
+    return np.asarray(samples, float), cfg
 
 
 def fold_cfg(n, k):
@@ -132,9 +133,29 @@ class TestDemultiplexFrame:
         shifted = sys19.solve(np.roll(y, 1))
         assert np.abs(shifted - np.roll(sys19.solve(y), 1)).max() < 1e-10
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            ("solve", np.ones(6)),
+            ("apply", np.ones(6)),  # used to give a wrong 7-sample result
+            ("apply", np.ones(8)),  # used to raise numpy's broadcast ValueError
+            ("apply", np.ones((3, 8))),
+            ("apply", np.float64(1.0)),  # 0-d values used to raise IndexError
+            ("dense solve_many", np.float64(1.0)),
+            ("spectral solve_many", np.float64(1.0)),
+            ("extract_modulated", np.float64(1.0)),
+        ],
+    )
+    def test_a_last_axis_that_is_missing_or_does_not_fit_raises(self, call, value):
+        calls = {
+            "solve": system(7).solve,
+            "apply": system(7).apply,
+            "dense solve_many": system(7).solve_many,
+            "spectral solve_many": system(7, "spectral").solve_many,
+            "extract_modulated": lambda v: pipeline.extract_modulated(v, F_US, F_S),
+        }
         with pytest.raises(LengthMismatch):
-            system(7).solve(np.ones(6))
+            calls[call](value)
 
 
 class TestAnalyticInverse:
@@ -208,24 +229,25 @@ class TestDemultiplexStream:
 
     def test_round_trip_against_forward_model(self):
         ph = self._phantom()
-        coded = simulator.simulate_stream(self._cfg("coded"), ph)
-        single = simulator.simulate_stream(self._cfg("single-pulse"), ph)
+        coded_cfg, single_cfg = self._cfg("coded"), self._cfg("single-pulse")
+        coded = simulator.simulate_stream(coded_cfg, ph)
+        single = simulator.simulate_stream(single_cfg, ph)
         sys79 = system(79, "spectral")
-        prof = demux_of(sys79, coded)
-        truth = profile_of(single, extract=False)
+        prof = demux_of(sys79, coded, coded_cfg)
+        truth = profile_of(single, single_cfg, extract=False)
         err = np.linalg.norm(prof - truth) / np.linalg.norm(truth)
         assert err < 1e-9
 
     def test_zero_stream_gives_zero_profile(self):
         stream = make_stream(np.zeros(79 * 4 * 2), order=79)
-        prof = demux_of(system(79, "spectral"), stream)
+        prof = demux_of(system(79, "spectral"), *stream)
         assert np.abs(prof).max() == 0.0
 
     def test_code_period_span(self):
         # 79 elements of width c/f_us: 79 * 990 / 1.25e6 = 62.568 mm
-        stream = simulator.simulate_stream(self._cfg("coded"), self._phantom())
-        signal = demux_of(system(79, "spectral"), stream)
-        cfg = stream.config_snapshot
+        cfg = self._cfg("coded")
+        samples = simulator.simulate_stream(cfg, self._phantom())
+        signal = demux_of(system(79, "spectral"), samples, cfg)
         span_m = signal.shape[-1] * cfg.bin_width_m
         assert span_m == pytest.approx(79 * 990.0 / 1.25e6, rel=1e-12)
         assert span_m == pytest.approx(0.0626, abs=1e-4)
@@ -233,13 +255,14 @@ class TestDemultiplexStream:
 
     def test_order_mismatch_raises(self):
         small = phantom(mu_a=0.1, boundary=0.002, extent=0.01)
-        stream = simulator.simulate_stream(self._cfg("coded", order=19), small)
+        cfg = self._cfg("coded", order=19)
+        samples = simulator.simulate_stream(cfg, small)
         with pytest.raises(LengthMismatch):
-            demux_of(system(79, "spectral"), stream)
+            demux_of(system(79, "spectral"), samples, cfg)
 
     def test_average_periods_needs_one_period(self):
         with pytest.raises(InsufficientSamples):
-            fold(make_stream(np.zeros(100), order=79, mode="single-pulse"))
+            fold(*make_stream(np.zeros(100), order=79, mode="single-pulse"))
 
 
 class TestFoldThenSolve:
@@ -248,9 +271,9 @@ class TestFoldThenSolve:
     back in time order, average) is the reference."""
 
     @staticmethod
-    def _per_frame_reference(sys_n, stream, n, k):
-        periods = stream.samples.size // (n * k)
-        frames = stream.samples[: periods * n * k].reshape(periods, n, k)
+    def _per_frame_reference(sys_n, samples, n, k):
+        periods = samples.size // (n * k)
+        frames = samples[: periods * n * k].reshape(periods, n, k)
         solved = np.empty_like(frames)
         for p in range(periods):
             for j in range(k):
@@ -266,8 +289,8 @@ class TestFoldThenSolve:
         samples = rng.normal(size=10 * n * k + n * k // 2)
         stream = make_stream(samples, order=n)
         sys_n = system(n, kind)
-        reference = self._per_frame_reference(sys_n, stream, n, k)
-        folded = demux_of(sys_n, stream)
+        reference = self._per_frame_reference(sys_n, samples, n, k)
+        folded = demux_of(sys_n, *stream)
         assert folded.shape == reference.shape == (n * k,)
         err = np.abs(folded - reference).max() / np.abs(reference).max()
         assert err < 1e-12
@@ -284,7 +307,7 @@ class TestFoldThenSolve:
 
         monkeypatch.setattr(demux.CirculantSystem, "solve_many", counting)
         stream = make_stream(np.random.default_rng(2).normal(size=10 * n * k), order=n)
-        demux_of(system(n, kind), stream)
+        demux_of(system(n, kind), *stream)
         assert calls == [(k, n)]
 
 
@@ -294,7 +317,7 @@ class TestNonFiniteSamples:
         samples = np.random.default_rng(4).normal(size=3 * 7 * 4)
         samples[33] = bad
         with pytest.raises(NonFiniteSamples, match="1 of 84 samples"):
-            demux_of(system(7, "spectral"), make_stream(samples, order=7))
+            demux_of(system(7, "spectral"), *make_stream(samples, order=7))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_single_pulse_stream_raises(self, bad):
@@ -302,7 +325,7 @@ class TestNonFiniteSamples:
         samples[[0, 50]] = bad
         stream = make_stream(samples, order=7, mode="single-pulse")
         with pytest.raises(NonFiniteSamples, match="2 of 84 samples"):
-            fold(stream)
+            fold(*stream)
 
     @pytest.mark.parametrize("periods_per_chunk", [1, 2])
     def test_finite_samples_whose_sum_overflows_raise_without_warning(self, periods_per_chunk):
@@ -319,7 +342,7 @@ class TestNonFiniteSamples:
     def test_trailing_partial_period_is_not_checked(self):
         samples = np.zeros(2 * 7 * 4 + 5)
         samples[-1] = np.nan  # discarded with the partial period
-        prof = demux_of(system(7, "spectral"), make_stream(samples, order=7))
+        prof = demux_of(system(7, "spectral"), *make_stream(samples, order=7))
         assert np.isfinite(prof).all()
 
 

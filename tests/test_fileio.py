@@ -13,8 +13,9 @@ from streams import BIN, CONFIGS, acquisition, phantom, scan_result
 
 
 def sample_stream():
+    """(samples, cfg): a two-period order-7 stream and its acquisition."""
     cfg = acquisition(order=7, noise_sigma=0.25, seed=3, water_path_m=0.09)
-    return simulator.simulate_stream(cfg, phantom(mu_a=0.2, boundary=0.0002))
+    return simulator.simulate_stream(cfg, phantom(mu_a=0.2, boundary=0.0002)), cfg
 
 
 def advantage_curve(orders, gains):
@@ -45,23 +46,24 @@ class TestSequenceFiles:
 
 class TestStreamFiles:
     def test_binary_round_trip_bit_exact(self, tmp_path):
-        stream = sample_stream()
+        samples, cfg = sample_stream()
         path = tmp_path / "stream.bin"
-        fileio.write_stream(stream, path)
-        again = fileio.read_stream(path)
-        assert np.array_equal(again.samples, stream.samples)
-        assert again.config_snapshot == stream.config_snapshot
+        fileio.write_stream(samples, path, cfg)
+        again, again_cfg = fileio.read_stream(path)
+        assert np.array_equal(again, samples)
+        assert again_cfg == cfg
 
     def test_payload_bytes_are_little_endian_float64(self, tmp_path):
-        stream = sample_stream()
+        samples, cfg = sample_stream()
         path = tmp_path / "stream.bin"
-        fileio.write_stream(stream, path)
+        fileio.write_stream(samples, path, cfg)
         payload = path.read_bytes().split(b"\n", 1)[1]
-        assert payload == stream.samples.astype("<f8").tobytes()
+        assert payload == samples.astype("<f8").tobytes()
 
     def test_header_is_single_text_line(self, tmp_path):
+        samples, cfg = sample_stream()
         path = tmp_path / "stream.bin"
-        fileio.write_stream(sample_stream(), path)
+        fileio.write_stream(samples, path, cfg)
         first = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
         assert first.startswith("aoimux-stream 1 ")
         assert "f_s=" in first and "length=" in first and "mode=coded" in first
@@ -73,8 +75,9 @@ class TestStreamFiles:
             fileio.read_stream(path)
 
     def test_rejects_truncated_payload(self, tmp_path):
+        samples, cfg = sample_stream()
         path = tmp_path / "stream.bin"
-        fileio.write_stream(sample_stream(), path)
+        fileio.write_stream(samples, path, cfg)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ConfigError):
@@ -82,40 +85,52 @@ class TestStreamFiles:
 
     def test_chunks_are_whole_periods_and_equal_the_payload(self, tmp_path, monkeypatch):
         # 2 periods of 28 and 3 samples, written in one go, read one period a chunk
-        stream = sample_stream()
-        stream.samples = np.append(stream.samples, [1.0, 2.0, 3.0])
+        samples, cfg = sample_stream()
+        samples = np.append(samples, [1.0, 2.0, 3.0])
         path = tmp_path / "stream.bin"
-        fileio.write_stream(stream, path)
+        fileio.write_stream(samples, path, cfg)
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 30)
         with fileio.open_stream(path) as sf:
-            assert (sf.config, sf.length) == (stream.config_snapshot, 59)
+            assert (sf.config, sf.length) == (cfg, 59)
             chunks = [chunk.copy() for chunk in sf.chunks()]
         assert [c.size for c in chunks] == [28, 28, 3]
-        assert np.array_equal(np.concatenate(chunks), stream.samples)
+        assert np.array_equal(np.concatenate(chunks), samples)
 
     def test_chunked_writer_equals_write_stream(self, tmp_path):
-        stream = sample_stream()
+        samples, cfg = sample_stream()
         whole, chunked = tmp_path / "whole.bin", tmp_path / "chunked.bin"
-        fileio.write_stream(stream, whole)
-        cfg = stream.config_snapshot
-        with fileio.stream_writer(chunked, cfg, len(stream)) as write:
-            for start in range(0, len(stream), 28):
-                chunk = stream.samples[start : start + 28]
+        fileio.write_stream(samples, whole, cfg)
+        with fileio.stream_writer(chunked, cfg, samples.size) as write:
+            for start in range(0, samples.size, 28):
+                chunk = samples[start : start + 28]
                 assert write(chunk) is chunk  # so map(write, chunks) can feed a fold
         assert chunked.read_bytes() == whole.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["chunked.bin", "whole.bin"]
 
     def test_failed_writer_leaves_no_file(self, tmp_path):
-        stream = sample_stream()
+        samples, cfg = sample_stream()
         path = tmp_path / "stream.bin"
         with pytest.raises(RuntimeError):
-            with fileio.stream_writer(path, stream.config_snapshot, 56) as write:
-                write(stream.samples[:28])
+            with fileio.stream_writer(path, cfg, 56) as write:
+                write(samples[:28])
                 raise RuntimeError("simulated failure")
         with pytest.raises(LengthMismatch):
-            with fileio.stream_writer(path, stream.config_snapshot, 56) as write:
-                write(stream.samples[:28])  # one period short of the header
+            with fileio.stream_writer(path, cfg, 56) as write:
+                write(samples[:28])  # one period short of the header
         assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("shape", [(2, 28), (56, 1), ()])
+    def test_samples_that_are_not_1d_are_refused_before_any_file(self, tmp_path, shape):
+        samples, cfg = sample_stream()
+        samples = samples[: math.prod(shape)].reshape(shape)
+        path = tmp_path / "stream.bin"
+        with pytest.raises(LengthMismatch, match="1-D"):
+            fileio.write_stream(samples, path, cfg)
+        with pytest.raises(LengthMismatch, match="1-D"):
+            with fileio.stream_writer(path, cfg, samples.size) as write:
+                write(samples)
+        assert not list(tmp_path.iterdir())  # no stream.bin and no stream.bin.part
 
 
 class TestProfileCsv:

@@ -41,8 +41,8 @@ class TestExtraction:
         k_bin = 120
         ph = phantom(mu_a=0.1, boundary=k_bin * BIN, extent=0.4 * BIN)
         cfg = config("single-pulse", periods=2)
-        stream = simulator.simulate_stream(cfg, ph)
-        prof = profile_of(stream)
+        samples = simulator.simulate_stream(cfg, ph)
+        prof = profile_of(samples, cfg)
         # single peak near the occupied bin; width is pulse-length limited.
         # The K=4 one-cycle pulse samples to {0,1,0,-1}, so its discrete
         # footprint crosses half maximum at K-1 bins.
@@ -76,15 +76,15 @@ class TestReconstructFolded:
     @pytest.mark.parametrize("mode", ["coded", "single-pulse"])
     def test_stack_profile_rows_equal_the_stream_path(self, mode):
         cfg = config(mode, order=31, periods=3, noise_sigma=0.1)
-        stream = simulator.simulate_stream(cfg, phantom())
-        folded = fold(stream)
+        samples = simulator.simulate_stream(cfg, phantom())
+        folded = fold(samples, cfg)
         for extract in (True, False):
             stack = pipeline.reconstruct_profile(
                 np.stack([folded, -folded]), cfg, extract=extract
             )
             assert isinstance(stack, np.ndarray) and stack.dtype == np.float64
             assert stack.shape == (2, cfg.period_samples)
-            one = profile_of(stream, extract=extract)
+            one = profile_of(samples, cfg, extract=extract)
             assert np.array_equal(stack[0], one)
 
     def test_each_order_and_kind_builds_one_system(self, monkeypatch):
@@ -196,9 +196,9 @@ class TestMeasureFwhm:
         ph = phantom(boundary=0.003, extent=0.004, mu_a=1.0)
         fwhm = {}
         for mode in ("coded", "single-pulse"):
-            stream = simulator.simulate_stream(config(mode), ph)
-            cfg = stream.config_snapshot
-            fwhm[mode] = pipeline.measure_fwhm(profile_of(stream), cfg.bin_width_m)
+            cfg = config(mode)
+            samples = simulator.simulate_stream(cfg, ph)
+            fwhm[mode] = pipeline.measure_fwhm(profile_of(samples, cfg), cfg.bin_width_m)
         assert abs(fwhm["coded"] - fwhm["single-pulse"]) <= BIN
 
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aoimux import codes, config, fileio, simulator
+from aoimux import codes, config, fileio
 from aoimux.config import manifest_text, parse_run_config
 from aoimux.errors import AoimuxError, ConfigError
 from streams import acquisition
@@ -204,12 +204,11 @@ def test_invalid_grid_or_plan_rejected(data, case, workdir):
     samples=arrays(np.float64, st.integers(0, 64)),
 )
 def test_stream_file_round_trip(cfg, samples, workdir):
-    stream = simulator.SampledStream(samples, cfg)
     path = workdir / "stream.bin"
-    fileio.write_stream(stream, path)
-    again = fileio.read_stream(path)
-    assert again.config_snapshot == cfg
-    assert again.samples.tobytes() == samples.astype("<f8").tobytes()
+    fileio.write_stream(samples, path, cfg)
+    again, again_cfg = fileio.read_stream(path)
+    assert again_cfg == cfg
+    assert again.tobytes() == samples.astype("<f8").tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -244,7 +243,7 @@ def _stream_parts(workdir):
     """Header tokens and payload of a valid order-7 stream file."""
     cfg = acquisition(order=7, duration_s=5.6e-6)
     path = workdir / "valid.bin"
-    fileio.write_stream(simulator.SampledStream(np.arange(28.0), cfg), path)
+    fileio.write_stream(np.arange(28.0), path, cfg)
     head, body = path.read_bytes().split(b"\n", 1)
     return head.decode("ascii").split(" "), body
 

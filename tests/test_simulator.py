@@ -115,14 +115,14 @@ class TestSimulateStream:
         cfg = config("single-pulse", periods=3)
         x = simulator.axial_profile(cfg, ph)
         assert np.count_nonzero(x) == 1 and x[k_bin] > 0
-        stream = simulator.simulate_stream(cfg, ph)
+        samples = simulator.simulate_stream(cfg, ph)
         w = simulator.pulse_waveform(F_US, F_S)
         period = cfg.period_samples
         expected_one = np.zeros(period)
         for u, wu in enumerate(w):
             expected_one[(k_bin - u) % period] = x[k_bin] * wu
         expected = np.tile(expected_one, 3)
-        np.testing.assert_allclose(stream.samples, expected, atol=1e-12)
+        np.testing.assert_allclose(samples, expected, atol=1e-12)
 
     def test_coded_frames_satisfy_circulant_equation(self):
         # independent oracle: the windowed source vector for subset j is
@@ -130,11 +130,11 @@ class TestSimulateStream:
         order, k = 7, 4
         ph = phantom(boundary=0.0002, extent=0.004)
         cfg = config("coded", order=order, periods=2)
-        stream = simulator.simulate_stream(cfg, ph)
+        samples = simulator.simulate_stream(cfg, ph)
         x = simulator.axial_profile(cfg, ph)
         w = simulator.pulse_waveform(F_US, F_S)
         s = codes.circulant_matrix(codes.generate_s_sequence(order)).astype(float)
-        frames = stream.samples.reshape(-1, order, k)  # frames[p, :, j]: subset j
+        frames = samples.reshape(-1, order, k)  # frames[p, :, j]: subset j
         for j in range(k):
             xt = np.zeros(order)
             for q in range(order):
@@ -153,12 +153,12 @@ class TestSimulateStream:
         cfg = config("coded", periods=4, noise_sigma=0.37, seed=123)
         quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
         noisy = simulator.simulate_stream(cfg, ph)
-        n = noisy.samples.size
+        n = noisy.size
         reps = -(-1_000_000 // n)
         residuals = []
         for r in range(reps):
             s = simulator.simulate_stream(replace(cfg, seed=123 + r), ph)
-            residuals.append(s.samples - quiet.samples)
+            residuals.append(s - quiet)
         resid = np.concatenate(residuals)[:1_000_000]
         assert resid.std(ddof=1) == pytest.approx(0.37, rel=0.02)
 
@@ -167,7 +167,7 @@ class TestSimulateStream:
         cfg = config("coded", noise_sigma=0.5, seed=42)
         a = simulator.simulate_stream(cfg, ph)
         b = simulator.simulate_stream(cfg, ph)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_noise_drawn_in_chunks_equals_one_shot_normals(self):
         # two full stream chunks plus a partial one
@@ -178,7 +178,7 @@ class TestSimulateStream:
         quiet = simulator.simulate_stream(replace(cfg, noise_sigma=0.0), ph)
         noisy = simulator.simulate_stream(cfg, ph)
         draw = np.random.default_rng(9).normal(0.0, 0.5, cfg.n_samples)
-        assert np.array_equal(noisy.samples, quiet.samples + draw)
+        assert np.array_equal(noisy, quiet + draw)
 
     def test_stream_chunks_in_small_chunks_equal_one_shot_normals(self, monkeypatch):
         # chunks of two periods of 3 samples: four full chunks and a partial one
@@ -234,10 +234,11 @@ class TestSimulateStream:
             sizes.append(chunk.size)
             gathered.append(chunk.copy())
         assert sizes == [84, 84, 61]
-        whole = simulator.simulate_stream(cfg, ph).samples
-        assert np.array_equal(np.concatenate(gathered), whole)
+        whole = simulator.simulate_stream(cfg, ph)
+        assert whole.dtype == np.float64 and whole.shape == (cfg.n_samples,)
+        assert np.concatenate(gathered).tobytes() == whole.tobytes()
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1 << 16)
-        assert np.array_equal(simulator.simulate_stream(cfg, ph).samples, whole)
+        assert np.array_equal(simulator.simulate_stream(cfg, ph), whole)
 
     def test_chunk_is_never_shorter_than_one_period(self, monkeypatch):
         monkeypatch.setattr(simulator, "CHUNK_SAMPLES", 1)
@@ -248,7 +249,7 @@ class TestSimulateStream:
         ph = phantom()
         a = simulator.simulate_stream(config(noise_sigma=0.5, seed=1), ph)
         b = simulator.simulate_stream(config(noise_sigma=0.5, seed=2), ph)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_zero_duration_raises(self):
         with pytest.raises(InsufficientSamples):
@@ -319,10 +320,9 @@ class TestZeroNoiseEquivalence:
     def test_coded_equals_single_pulse(self, order):
         extent = 0.004 if order == 7 else 0.03
         ph = phantom(boundary=0.0004, extent=extent)
-        coded = simulator.simulate_stream(config("coded", order=order), ph)
-        single = simulator.simulate_stream(config("single-pulse", order=order), ph)
-        pc = profile_of(coded)
-        ps = profile_of(single)
+        coded_cfg, single_cfg = config("coded", order=order), config("single-pulse", order=order)
+        pc = profile_of(simulator.simulate_stream(coded_cfg, ph), coded_cfg)
+        ps = profile_of(simulator.simulate_stream(single_cfg, ph), single_cfg)
         err = np.linalg.norm(pc - ps) / np.linalg.norm(ps)
         assert err < 1e-6
 
